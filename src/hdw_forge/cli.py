@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -113,51 +114,80 @@ def _emit(report: dict, out_dir: str, stem: str, fmt: str):
     return path
 
 
+def _floats(values) -> list:
+    return np.asarray(values, dtype=float).tolist()
+
+
 def write_grid_csv(grid: SectionGrid, path: str):
+    """Write every value as its shortest round-trip `repr`, one row per point."""
+    names = list(grid.fields)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# hdw-forge grid v{SCHEMA_VERSION}\n")
         for k in sorted(grid.meta):
             if k != "warnings":
                 fh.write(f"# {k} = {grid.meta[k]}\n")
-        names = list(grid.fields)
         if grid.kind == "ode":
             fh.write(",".join(["x1"] + names) + "\n")
-            for i, tv in enumerate(grid.t):
-                row = [repr(float(tv))] + [repr(float(grid.fields[nm][i])) for nm in names]
-                fh.write(",".join(row) + "\n")
+            cols = [_floats(grid.t)] + [_floats(grid.fields[nm]) for nm in names]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
         else:
             fh.write(",".join(["x1", "x2"] + names) + "\n")
-            for i, tv in enumerate(grid.t):
-                for j, xv in enumerate(grid.x):
-                    row = [repr(float(tv)), repr(float(xv))]
-                    row += [repr(float(grid.fields[nm][i, j])) for nm in names]
-                    fh.write(",".join(row) + "\n")
+            xs = [repr(v) for v in _floats(grid.x)]
+            for i, tv in enumerate(_floats(grid.t)):
+                vals = [map(repr, _floats(grid.fields[nm][i])) for nm in names]
+                rows = zip(itertools.repeat(repr(tv)), xs, *vals)
+                fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def _first_bad_line(path: str):
+    """Line number of the first row below the header that is not one number
+    per header column, or None."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        rows = ((n, line.split(",")) for n, line in enumerate(fh, 1)
+                if not line.startswith("#") and line != "\n")
+        _, header = next(rows, (None, []))
+        for lineno, words in rows:
+            try:
+                if len([float(w) for w in words]) == len(header):
+                    continue
+            except ValueError:
+                pass
+            return lineno
+    return None
 
 
 def read_grid_csv(path: str) -> SectionGrid:
     meta = {}
-    rows = []
     header = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                if "=" in line:
-                    k, v = line[1:].split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(w) for w in line.split(",")])
-    if header is None or not rows:
-        raise ModelFileError(f"{path}: empty grid file")
-    data = np.array(rows)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("#"):
+                    if "=" in line:
+                        k, v = line[1:].split("=", 1)
+                        meta[k.strip()] = v.strip()
+                elif line != "\n":
+                    if header is not None:
+                        break
+                    header = line.rstrip("\n").split(",")
+            else:
+                raise ModelFileError(f"{path}: empty grid file")
+            # numpy's C parser rounds correctly: the same doubles as float()
+            data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {path}: {exc}") from exc
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header) or "x1" not in header:
+        raise ModelFileError(f"{path}: malformed grid, need an x1 column and one "
+                             "number per header column", line=_first_bad_line(path))
     cols = {nm: data[:, i] for i, nm in enumerate(header)}
     if "x2" in cols:
         x = np.unique(cols["x2"])
         t = np.unique(cols["x1"])
         nt, nx = len(t), len(x)
+        if nt * nx != len(data):
+            raise ModelFileError(f"{path}: malformed grid, rows do not fill x1 by x2")
         fields = {nm: cols[nm].reshape(nt, nx)
                   for nm in header if nm not in ("x1", "x2")}
         return SectionGrid("field1p1", t, fields, x=x, meta=meta)
@@ -206,6 +236,14 @@ def _select_gauge(model: ModelFile, args) -> GaugeChoice:
     return model.gauge
 
 
+def _add_rank_diagnostics(report: dict, model: ModelFile):
+    sub = model.submanifold
+    if sub is not None:
+        dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
+                                sub["samples"], params=sub["params"])
+        report["rank_diagnostics"] = {"kernel_dims": dims}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -229,13 +267,10 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
     except RegularityError as exc:
         if model.submanifold is None:
             raise
-        # no induced Hamiltonian; the rank diagnostics below still apply
+        # no induced Hamiltonian; the rank diagnostics still apply
         report["checks"] = []
         report["note"] = str(exc)
-        sub = model.submanifold
-        dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
-                                sub["samples"], params=sub["params"])
-        report["rank_diagnostics"] = {"kernel_dims": dims}
+        _add_rank_diagnostics(report, model)
         return report, 0
     inject = getattr(args, "debug_inject", None)
     if inject:
@@ -262,11 +297,7 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
         if not ok and not diagnostic:
             failed = True
     report["checks"] = checks
-    if model.submanifold is not None:
-        sub = model.submanifold
-        dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
-                                sub["samples"], params=sub["params"])
-        report["rank_diagnostics"] = {"kernel_dims": dims}
+    _add_rank_diagnostics(report, model)
     return report, (1 if failed else 0)
 
 
@@ -299,11 +330,7 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
             "passed": None,
             "detail": "no closed-form inverse; supply a Hamiltonian directly"}
         status = 0
-    if model.submanifold is not None:
-        sub = model.submanifold
-        dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
-                                sub["samples"], params=sub["params"])
-        report["rank_diagnostics"] = {"kernel_dims": dims}
+    _add_rank_diagnostics(report, model)
     return report, status
 
 
@@ -415,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the gauge table (default: use the model file)")
         p.add_argument("--out", default=os.environ.get("HDW_FORGE_OUT", "."),
                        help="output directory (env HDW_FORGE_OUT)")
-        p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
+        p.add_argument("--format", choices=["json", "latex"], default="json")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled (non-structural) zero checks")
 
@@ -443,12 +470,6 @@ def main(argv=None) -> int:
                    "legendre": cmd_legendre, "solve": cmd_solve,
                    "compare": cmd_compare}[args.command]
         report, status = handler(model, args)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RegularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HdwForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from hdw_forge.cli import main, read_grid_csv, write_grid_csv
+from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
+from hdw_forge.solver import SectionGrid
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -22,6 +24,32 @@ def run_json(capsys, *argv):
 
 def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
+
+
+def reference_grid_csv(grid) -> str:
+    """The grid CSV bytes as a per-element `repr(float(v))` loop writes them."""
+    lines = [f"# hdw-forge grid v{SCHEMA_VERSION}"]
+    lines += [f"# {k} = {grid.meta[k]}" for k in sorted(grid.meta) if k != "warnings"]
+    names = list(grid.fields)
+    if grid.kind == "ode":
+        lines.append(",".join(["x1"] + names))
+        for i, tv in enumerate(grid.t):
+            row = [repr(float(tv))] + [repr(float(grid.fields[nm][i])) for nm in names]
+            lines.append(",".join(row))
+    else:
+        lines.append(",".join(["x1", "x2"] + names))
+        for i, tv in enumerate(grid.t):
+            for j, xv in enumerate(grid.x):
+                row = [repr(float(tv)), repr(float(xv))]
+                row += [repr(float(grid.fields[nm][i, j])) for nm in names]
+                lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_bit_identical(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert (a.view(np.int64) == b.view(np.int64)).all()
 
 
 class TestDerive:
@@ -140,10 +168,28 @@ class TestSolve:
             capsys, "solve", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path))
         assert status == 0
         grid = read_grid_csv(report["outputs"]["grid_csv"])
-        other = tmp_path / "copy.csv"
-        write_grid_csv(grid, str(other))
-        again = read_grid_csv(str(other))
-        assert (grid.fields["y1"] == again.fields["y1"]).all()
+        odd = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])
+        rng = np.random.default_rng(7)
+        grids = [
+            grid,
+            SectionGrid("ode", np.arange(5) * 0.1, {"y1": odd, "p1_1": -odd[::-1]},
+                        meta={"scheme": "rk4", "warnings": ["dropped"]}),
+            SectionGrid("field1p1", np.linspace(0.0, 1.0, 4),
+                        {"y1": rng.standard_normal((4, 5)),
+                         "p1_1": np.tile(odd, (4, 1)), "p1_2": rng.random((4, 5))},
+                        x=2 * np.pi * np.arange(5) / 5, meta={"dx": 0.2}),
+        ]
+        for k, g in enumerate(grids):
+            path = tmp_path / f"copy{k}.csv"
+            write_grid_csv(g, str(path))
+            assert path.read_bytes() == reference_grid_csv(g).encode()
+            again = read_grid_csv(str(path))
+            assert again.kind == g.kind
+            assert_bit_identical(again.t, g.t)
+            if g.x is not None:
+                assert_bit_identical(again.x, g.x)
+            for nm in g.fields:
+                assert_bit_identical(again.fields[nm], g.fields[nm])
 
     def test_dt_override(self, capsys, tmp_path):
         status, report, _ = run_json(
@@ -169,6 +215,28 @@ class TestCompare:
             "--against", csv_path, "--out", str(tmp_path))
         assert status == 0
         assert report["comparison"]["max_discrepancy"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body, where", [
+        ("x1,y1,p1_1,pe\n0.0,1.0,0.0,-0.5\n0.001,abc,0.0,-0.5\n", "line 5: "),
+        ("x1,y1,p1_1,pe\n0.0,1.0,0.0,-0.5\n0.001,1.0,0.0\n", "line 5: "),
+        ("x1,y1,p1_1\n0.0,1.0,0.0,-0.5\n", "line 4: "),
+        ("t,y1\n0.0,1.0\n", "malformed grid"),
+        ("x1,x2,y1\n0.0,0.0,1.0\n0.0,1.0,1.0\n1.0,0.0,1.0\n", "malformed grid"),
+        ("x1,y1,p1_1,pe\n# only comments below the header\n\n", "empty grid file"),
+        (None, "cannot read"),
+    ], ids=["bad-cell", "ragged-row", "wider-than-header", "no-x1", "not-a-product",
+            "empty-body", "missing"])
+    def test_bad_reference_grid_is_input_error(self, capsys, tmp_path, body, where):
+        ref = tmp_path / "ref.csv"
+        if body is not None:
+            ref.write_text("# hdw-forge grid v1\n# scheme = rk4\n" + body)
+        status, _, err = run(
+            capsys, "compare", str(MODELS / "oscillator.hdw"),
+            "--against", str(ref), "--out", str(tmp_path))
+        assert status == 2
+        assert err.startswith("error: ") and where in err and str(ref) in err
+        assert "Traceback" not in err
 
 
 class TestContract:
@@ -199,6 +267,13 @@ class TestContract:
         status, _, _ = run(capsys, "derive", str(MODELS / "oscillator.hdw"))
         assert status == 0
         assert (tmp_path / "oscillator.derive.json").exists()
+
+    def test_csv_format_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", str(MODELS / "oscillator.hdw"),
+                  "--format", "csv", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_gauge_override_flag(self, capsys, tmp_path):
         status, report, _ = run_json(

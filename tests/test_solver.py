@@ -41,6 +41,17 @@ class TestStencils:
         d = _periodic_dx4(np.sin(x), x[1] - x[0])
         assert np.max(np.abs(d - np.cos(x))) < 1e-4
 
+        def rolled(row, dx):
+            return (-np.roll(row, -2) + 8.0 * np.roll(row, -1)
+                    - 8.0 * np.roll(row, 1) + np.roll(row, 2)) / (12.0 * dx)
+
+        rows = np.random.default_rng(3).standard_normal((7, n))
+        for arr, ref in [(np.sin(x), rolled(np.sin(x), x[1] - x[0])),
+                         (rows, np.stack([rolled(r, x[1] - x[0]) for r in rows]))]:
+            d = _periodic_dx4(arr, x[1] - x[0])
+            assert d.shape == ref.shape
+            assert (d.view(np.int64) == ref.view(np.int64)).all()
+
 
 class TestSolveOde:
     def test_oscillator_accuracy(self):
