@@ -21,4 +21,18 @@ from .solver import (SectionGrid, SolveReport, conservation_diagnostics,
 from .symbolic import (Expr, differentiate, evaluate, fd_check,
                        is_structurally_zero, simplify)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BundleChart", "CoordForm", "CoordId", "CoordMultiVector", "Expr",
+    "GaugeChoice", "HamiltonianModel", "HdwField", "LagrangianModel",
+    "LegendreResult", "SectionGrid", "SolveReport", "build_omega",
+    "build_theta", "connection_equation_check", "conservation_diagnostics",
+    "curvature", "derive_extended", "derive_restricted", "differentiate",
+    "discrete_field_energy", "dof_count", "euler_lagrange", "evaluate",
+    "extended_alpha", "exterior_derivative", "fd_check", "hamilton_cartan",
+    "hamiltonian_from_lagrangian", "hdw_momentum_elimination",
+    "interior_product", "is_structurally_zero", "legendre_maps",
+    "max_discrepancy", "mu_vertical_pairing", "project_extended",
+    "rank_diagnostics", "residual_extended", "residual_restricted",
+    "simplify", "solve_field_1p1", "solve_ode", "tangency_check",
+    "transversality", "volume_form", "wedge",
+]

@@ -186,7 +186,15 @@ def read_grid_csv(path: str) -> SectionGrid:
         x = np.unique(cols["x2"])
         t = np.unique(cols["x1"])
         nt, nx = len(t), len(x)
-        if nt * nx != len(data):
+
+        def x1_major():
+            return (np.array_equal(cols["x1"], np.repeat(t, nx))
+                    and np.array_equal(cols["x2"], np.tile(x, nt)))
+
+        if nt * nx == len(data) and not x1_major():
+            data = data[np.lexsort((cols["x2"], cols["x1"]))]
+            cols = {nm: data[:, i] for i, nm in enumerate(header)}
+        if nt * nx != len(data) or not x1_major():
             raise ModelFileError(f"{path}: malformed grid, rows do not fill x1 by x2")
         fields = {nm: cols[nm].reshape(nt, nx)
                   for nm in header if nm not in ("x1", "x2")}

@@ -20,10 +20,11 @@ A worked example for the second and third rules is in docs/conventions.md.
 from __future__ import annotations
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import simplify
+from .symbolic import poly_ring, simplify, to_poly
 
 
 def _merge_keys(k1, k2):
@@ -73,9 +74,15 @@ def _normalize_key(key):
 
 
 class CoordForm:
-    """A differential k-form over an ordered coordinate frame."""
+    """A differential k-form over an ordered coordinate frame.
 
-    __slots__ = ("coords", "degree", "terms")
+    A coefficient on the polynomial fragment is held as an element of
+    QQ[coords] (see `symbolic.to_poly`), so sums, products and derivatives
+    of polynomial forms stay in the ring; any other coefficient is held as
+    an expanded `Expr`.  `terms` shows every coefficient as an `Expr`.
+    """
+
+    __slots__ = ("coords", "degree", "_coeffs", "_terms")
 
     def __init__(self, coords, degree, terms=None):
         self.coords = tuple(coords)
@@ -83,23 +90,45 @@ class CoordForm:
             raise DegreeError(
                 f"degree {degree} out of range for a {len(self.coords)}-coordinate frame")
         self.degree = degree
-        self.terms = {}
+        self._coeffs = {}   # sorted key -> ring element or Expr, never zero
+        self._terms = None  # the Expr view, rebuilt on first use after a change
         if terms:
             for key, coeff in terms.items():
                 self.add_term(key, coeff)
 
+    @property
+    def terms(self) -> dict:
+        """Nonzero coefficients as expanded `Expr`s, keyed by sorted index
+        tuple; a view to read, changed only through `add_term`."""
+        if self._terms is None:
+            self._terms = {key: self._expr(c) for key, c in self._coeffs.items()}
+        return self._terms
+
+    def _expr(self, coeff):
+        return coeff.as_expr(*self.coords) if isinstance(coeff, PolyElement) else coeff
+
     def add_term(self, key, coeff):
+        """Add `coeff` (an `Expr`, or an element of QQ[coords]) at `key`."""
         if len(key) != self.degree:
             raise DegreeError(f"key {key} has length != degree {self.degree}")
         norm = _normalize_key(key)
         if norm is None:
             return
         key, sign = norm
-        coeff = sp.expand(sign * sp.sympify(coeff) + self.terms.get(key, 0))
-        if coeff == 0:
-            self.terms.pop(key, None)
+        old = self._coeffs.get(key)
+        new = None
+        if old is None or isinstance(old, PolyElement):
+            new = coeff if isinstance(coeff, PolyElement) else to_poly(coeff, self.coords)
+        if new is not None:
+            total = sign * new if old is None else old + sign * new
         else:
-            self.terms[key] = coeff
+            total = sp.expand(sign * sp.sympify(self._expr(coeff))
+                              + self._expr(self._coeffs.get(key, 0)))
+        self._terms = None
+        if total == 0:
+            self._coeffs.pop(key, None)
+        else:
+            self._coeffs[key] = total
 
     def _check_same_frame(self, other):
         if self.coords != other.coords:
@@ -107,7 +136,7 @@ class CoordForm:
 
     def copy(self):
         out = CoordForm(self.coords, self.degree)
-        out.terms = dict(self.terms)
+        out._coeffs = dict(self._coeffs)
         return out
 
     def map_coeffs(self, fn):
@@ -117,14 +146,18 @@ class CoordForm:
         return out
 
     def simplified(self):
-        return self.map_coeffs(simplify)
+        """Canonical coefficients; ring elements already are."""
+        out = CoordForm(self.coords, self.degree)
+        for key, c in self._coeffs.items():
+            out.add_term(key, c if isinstance(c, PolyElement) else simplify(c))
+        return out
 
     def __add__(self, other):
         self._check_same_frame(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
         out = self.copy()
-        for key, coeff in other.terms.items():
+        for key, coeff in other._coeffs.items():
             out.add_term(key, coeff)
         return out
 
@@ -135,26 +168,39 @@ class CoordForm:
         return self.scale(-1)
 
     def scale(self, factor):
-        return self.map_coeffs(lambda c: sp.expand(sp.sympify(factor) * c))
+        factor = sp.sympify(factor)
+        poly = to_poly(factor, self.coords)
+        out = CoordForm(self.coords, self.degree)
+        for key, c in self._coeffs.items():
+            if poly is not None and isinstance(c, PolyElement):
+                out.add_term(key, poly * c)
+            else:
+                out.add_term(key, factor * self._expr(c))
+        return out
 
     def wedge(self, other):
         self._check_same_frame(other)
         out = CoordForm(self.coords, self.degree + other.degree)
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in self._coeffs.items():
+            for k2, c2 in other._coeffs.items():
                 merged = _merge_keys(k1, k2)
                 if merged is None:
                     continue
                 key, sign = merged
-                out.add_term(key, sign * c1 * c2)
+                if isinstance(c1, PolyElement) and isinstance(c2, PolyElement):
+                    out.add_term(key, sign * c1 * c2)
+                else:
+                    out.add_term(key, sign * self._expr(c1) * other._expr(c2))
         return out
 
     def d(self):
         """Exterior derivative over the frame coordinates."""
         out = CoordForm(self.coords, self.degree + 1)
-        for key, coeff in self.terms.items():
+        gens = poly_ring(self.coords).gens
+        for key, coeff in self._coeffs.items():
+            exact = isinstance(coeff, PolyElement)
             for idx, sym in enumerate(self.coords):
-                dc = sp.diff(coeff, sym)
+                dc = coeff.diff(gens[idx]) if exact else sp.diff(coeff, sym)
                 if dc == 0:
                     continue
                 merged = _merge_keys((idx,), key)
@@ -169,14 +215,18 @@ class CoordForm:
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
         out = CoordForm(self.coords, self.degree - 1)
-        for key, coeff in self.terms.items():
+        polys = {idx: to_poly(comp, self.coords) for idx, comp in components.items()}
+        for key, coeff in self._coeffs.items():
             for pos, idx in enumerate(key):
                 comp = components.get(idx, 0)
                 if comp == 0:
                     continue
                 rest = key[:pos] + key[pos + 1:]
                 sign = -1 if pos % 2 else 1
-                out.add_term(rest, sign * sp.sympify(comp) * coeff)
+                if polys[idx] is not None and isinstance(coeff, PolyElement):
+                    out.add_term(rest, sign * polys[idx] * coeff)
+                else:
+                    out.add_term(rest, sign * sp.sympify(comp) * self._expr(coeff))
         return out
 
     def coefficient(self, key):
@@ -184,10 +234,12 @@ class CoordForm:
         if norm is None:
             return sp.Integer(0)
         key, sign = norm
-        return sp.expand(sign * self.terms.get(key, sp.Integer(0)))
+        return sp.expand(sign * self._expr(self._coeffs.get(key, sp.Integer(0))))
 
     def is_zero(self) -> bool:
-        return all(simplify(c) == 0 for c in self.terms.values())
+        # a ring element stored here is never zero
+        return all(not isinstance(c, PolyElement) and simplify(c) == 0
+                   for c in self._coeffs.values())
 
     def structurally_equal(self, other) -> bool:
         return (self - other).is_zero()

@@ -21,7 +21,7 @@ from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, base_contraction_key,
                     extended_alpha, hamilton_cartan, interior_product,
                     volume_form, wedge)
-from .symbolic import simplify
+from .symbolic import poly_ring, simplify, to_poly
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,25 @@ class HdwField:
                         self.gauge, sp.expand(self.f * sp.sympify(factor)))
 
 
+def _partials(h, coords) -> dict:
+    """dh/ds for each frame symbol s, computed exactly in QQ[frame] when h is
+    a polynomial (then already canonical) and by `sp.diff` otherwise."""
+    poly = to_poly(h, coords)
+    if poly is None:
+        return {s: sp.diff(h, s) for s in coords}
+    return {s: poly.diff(g).as_expr(*coords) for s, g in zip(coords, poly.ring.gens)}
+
+
 def _coefficients(model: HamiltonianModel, gauge: GaugeChoice):
     chart, h = model.chart, model.h
     gauge.validate(chart)
+    dh = _partials(h, chart.coords("J1"))
     F = {}
     G = {}
     for a in range(1, chart.n + 1):
-        h_y = simplify(sp.diff(h, chart.y(a)))
+        h_y = simplify(dh[chart.y(a)])
         for nu in range(1, chart.m + 1):
-            F[(a, nu)] = simplify(sp.diff(h, chart.p(a, nu)))
+            F[(a, nu)] = simplify(dh[chart.p(a, nu)])
             for rho in range(1, chart.m + 1):
                 if rho == nu:
                     G[(a, rho, nu)] = simplify(
@@ -142,30 +152,30 @@ def _coefficients(model: HamiltonianModel, gauge: GaugeChoice):
                 else:
                     G[(a, rho, nu)] = simplify(
                         sp.sympify(gauge.off_trace.get((a, rho, nu), 0)))
-    return F, G
+    return F, G, dh
 
 
 def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
     """Solve the restricted coefficient system under the given gauge."""
     gauge = gauge or GaugeChoice()
-    F, G = _coefficients(model, gauge)
+    F, G, _ = _coefficients(model, gauge)
     return HdwField("restricted", model.chart, F, G, {}, gauge)
 
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
     """Restricted coefficients plus the scalar coefficients g."""
     gauge = gauge or GaugeChoice()
-    chart, h = model.chart, model.h
-    F, G = _coefficients(model, gauge)
+    chart = model.chart
+    F, G, dh = _coefficients(model, gauge)
     g = {}
     for nu in range(1, chart.m + 1):
-        expr = -sp.diff(h, chart.x(nu))
+        expr = -dh[chart.x(nu)]
         for a in range(1, chart.n + 1):
             for eta in range(1, chart.m + 1):
                 if eta == nu:
                     continue
-                expr += sp.diff(h, chart.p(a, nu)) * G[(a, eta, eta)]
-                expr -= sp.diff(h, chart.p(a, eta)) * G[(a, eta, nu)]
+                expr += dh[chart.p(a, nu)] * G[(a, eta, eta)]
+                expr -= dh[chart.p(a, eta)] * G[(a, eta, nu)]
         g[nu] = simplify(expr)
     return HdwField("extended", chart, F, G, g, gauge)
 
@@ -218,11 +228,15 @@ def tangency_check(X: HdwField, H) -> list:
     return out
 
 
-def _apply_vector(components, coords, expr):
-    """Directional derivative of a scalar along a coefficient table."""
-    out = sp.Integer(0)
+def _apply_vector(components, gens, expr):
+    """Directional derivative of a scalar along a coefficient table.
+
+    Works alike on `Expr`s (gens: coordinate symbols) and on ring elements
+    (gens: the ring's generators).
+    """
+    out = 0
     for idx, coeff in components.items():
-        out += coeff * sp.diff(expr, coords[idx])
+        out += coeff * expr.diff(gens[idx])
     return out
 
 
@@ -230,22 +244,33 @@ def curvature(X: HdwField) -> dict:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
-    the associated connection is flat (the field is integrable).
+    the associated connection is flat (the field is integrable).  Polynomial
+    fields are bracketed exactly in QQ[chart coordinates], and each bracket
+    is converted to an `Expr` once.
     """
     chart = X.chart
     coords = chart.coords(X.level)
     mv = X.multivector()
     base_set = set(mv.base_positions)
     vertical = [i for i in range(len(coords)) if i not in base_set]
+    vectors = [mv.vector(nu) for nu in range(1, chart.m + 1)]
+    polys = [{i: to_poly(c, coords) for i, c in v.items()} for v in vectors]
+    exact = all(p is not None for v in polys for p in v.values())
+    if exact:
+        ring = poly_ring(coords)
+        vectors, gens, zero = polys, ring.gens, ring.zero
+    else:
+        gens, zero = coords, sp.Integer(0)
     out = {}
     for nu in range(1, chart.m + 1):
-        Xnu = mv.vector(nu)
+        Xnu = vectors[nu - 1]
         for eta in range(nu + 1, chart.m + 1):
-            Xeta = mv.vector(eta)
+            Xeta = vectors[eta - 1]
             for i in vertical:
-                bracket = (_apply_vector(Xnu, coords, Xeta.get(i, sp.Integer(0)))
-                           - _apply_vector(Xeta, coords, Xnu.get(i, sp.Integer(0))))
-                out[(nu, eta, coords[i].name)] = simplify(bracket)
+                bracket = (_apply_vector(Xnu, gens, Xeta.get(i, zero))
+                           - _apply_vector(Xeta, gens, Xnu.get(i, zero)))
+                out[(nu, eta, coords[i].name)] = (
+                    bracket.as_expr(*coords) if exact else simplify(bracket))
     return out
 
 

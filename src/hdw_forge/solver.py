@@ -10,6 +10,7 @@ deterministic: fixed step, fixed-order summation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +109,8 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
 
     def deriv(tk, s):
         out = np.asarray(rhs(tk, *s), dtype=float)
-        if not np.all(np.isfinite(out)):
+        # the state is short: a scalar loop beats numpy's reduction dispatch
+        if not all(map(math.isfinite, out.tolist())):
             raise FloatingPointError
         return out
 

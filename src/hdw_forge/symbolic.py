@@ -5,6 +5,15 @@ exact rational literals throughout the symbolic pipeline; floats only appear
 at evaluation time.  `simplify` fixes a canonical form that makes zero-testing
 a structural check for the rational-function fragment; transcendental
 identities fall back to numeric sampling (see `is_structurally_zero`).
+
+Canonical form.  The polynomial fragment -- sums and products of symbols and
+Integer/Rational numbers, raised only to non-negative integer powers, with no
+function, no constant such as pi and no Float -- is canonicalized exactly in
+the polynomial ring QQ[frame] (`to_poly`) and converted back to its expanded
+`Expr`.  Every other input (Float, constant, transcendental, denominator, or
+a symbol outside the given frame) takes the `sp.expand` / `sp.cancel` path.
+Both paths give the same `Expr` on the fragment, so the choice is invisible
+to callers.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import math
 import random
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyRing
 
 from .coords import CoordId
 from .errors import EvaluationDomainError, IncompleteAssignmentError
@@ -31,16 +42,84 @@ def _as_symbol(wrt) -> sp.Symbol:
     return CoordId.from_name(str(wrt)).symbol
 
 
+@functools.lru_cache(maxsize=32)
+def _ring(ngens: int) -> PolyRing:
+    """QQ[_0, ..., _{ngens-1}], shared by every frame of that size.
+
+    Keying on the size, not the symbols, keeps the number of rings (each
+    costs milliseconds to build) small when frames vary per expression.  An
+    element carries no frame: whoever holds it also holds its frame.
+    """
+    return PolyRing([f"_{i}" for i in range(ngens)], QQ)
+
+
+def poly_ring(gens) -> PolyRing:
+    """The ring `to_poly(., gens)` maps into."""
+    return _ring(len(gens))
+
+
+class _OffFragment(Exception):
+    pass
+
+
+def _rebuild(e, ring, index):
+    if e.is_Symbol:
+        try:
+            return index[e]
+        except KeyError:
+            raise _OffFragment from None
+    if e.is_Rational:           # Integer or Rational; a Float is not
+        return ring.ground_new(QQ(e.p, e.q))
+    if e.is_Add:
+        out = ring.zero
+        for arg in e.args:
+            out += _rebuild(arg, ring, index)
+        return out
+    if e.is_Mul:
+        out = ring.one
+        for arg in e.args:
+            out *= _rebuild(arg, ring, index)
+        return out
+    if e.is_Pow and e.exp.is_Integer and e.exp.p >= 0:
+        return _rebuild(e.base, ring, index) ** int(e.exp)
+    raise _OffFragment
+
+
+def to_poly(e, gens):
+    """`e` as an element of QQ[gens], or None off the polynomial fragment.
+
+    Floats are rejected rather than rationalized, so `0.5*x` stays on the
+    Expr path, and so are non-commuting symbols.  Convert back with
+    `poly.as_expr(*gens)`.
+    """
+    e = sp.sympify(e)
+    if not e.is_commutative:
+        return None
+    ring = _ring(len(gens))
+    index = dict(zip(gens, ring.gens))
+    try:
+        return _rebuild(e, ring, index)
+    except _OffFragment:
+        return None
+
+
 def simplify(e) -> Expr:
     """Canonicalize: expanded numerator over a common denominator.
 
     Idempotent, and a rational expression simplifies to the literal 0 iff it
-    is identically zero.  Expressions containing transcendental functions are
-    only expanded (full zero-recognition is limited to the rational
-    fragment; identity checks on transcendental expressions fall back to
-    numeric sampling, see `is_structurally_zero`).
+    is identically zero.  On the polynomial fragment the result is the exact
+    canonical form in QQ[free symbols of e]; `together`/`cancel` run only off
+    it.  Expressions containing transcendental functions are only expanded
+    (full zero-recognition is limited to the rational fragment; identity
+    checks on transcendental expressions fall back to numeric sampling, see
+    `is_structurally_zero`).
     """
-    e = sp.expand(sp.sympify(e))
+    e = sp.sympify(e)
+    gens = tuple(e.free_symbols)
+    poly = to_poly(e, gens)
+    if poly is not None:
+        return poly.as_expr(*gens)
+    e = sp.expand(e)
     if has_transcendental(e):
         return e
     num, den = sp.fraction(sp.together(e))
@@ -116,7 +195,10 @@ def has_transcendental(e) -> bool:
 def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10):
     """Zero test: structural for rational expressions, sampled otherwise.
 
-    Returns (verdict, method) with method in {"structural", "numeric"}.
+    A sample counts as zero when its value is within `tol` times the sum of
+    the absolute values of the terms of the expanded expression there, so a
+    small coefficient cannot pass for zero.  Returns (verdict, method) with
+    method in {"structural", "numeric"}.
     """
     e = sp.sympify(e)
     s = simplify(e)
@@ -126,11 +208,13 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
         return False, "structural"
     rng = random.Random(seed)
     syms = sorted(s.free_symbols, key=lambda t: t.name)
+    terms = sp.Add.make_args(s)
     for _ in range(samples):
         point = {t: rng.uniform(0.1, 2.0) for t in syms}
         try:
-            if abs(evaluate(s, point)) > tol:
-                return False, "numeric"
+            values = [evaluate(term, point) for term in terms]
         except EvaluationDomainError:
             continue
+        if abs(math.fsum(values)) > tol * sum(map(abs, values)):
+            return False, "numeric"
     return True, "numeric"

@@ -23,6 +23,10 @@ def chart22():
     return BundleChart(2, 2)
 
 
+# the (m, n) charts the random-polynomial generators are exercised on
+MN_MATRIX = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+
+
 def random_polynomial_h(chart, rng, n_terms=5, p_degree=3, y_degree=2):
     """Random polynomial Hamiltonian: degree <= 3 in p, <= 2 in y,
     coefficients possibly base-coordinate dependent."""

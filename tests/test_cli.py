@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
+from hdw_forge.errors import ModelFileError
 from hdw_forge.solver import SectionGrid
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -190,6 +191,26 @@ class TestSolve:
                 assert_bit_identical(again.x, g.x)
             for nm in g.fields:
                 assert_bit_identical(again.fields[nm], g.fields[nm])
+
+    def test_field_grid_rows_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        g = SectionGrid("field1p1", np.linspace(0.0, 1.0, 3),
+                        {"y1": rng.standard_normal((3, 4))}, x=np.arange(4) * 0.25)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(g, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("x1,x2,y1\n") + 1
+        rows = lines[body:]
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("".join(lines[:body] + [rows[i] for i in rng.permutation(12)]))
+        again = read_grid_csv(str(shuffled))
+        assert_bit_identical(again.t, g.t)
+        assert_bit_identical(again.x, g.x)
+        assert_bit_identical(again.fields["y1"], g.fields["y1"])
+        duplicated = tmp_path / "duplicated.csv"
+        duplicated.write_text("".join(lines[:body] + rows[:-1] + rows[:1]))
+        with pytest.raises(ModelFileError, match="rows do not fill x1 by x2"):
+            read_grid_csv(str(duplicated))
 
     def test_dt_override(self, capsys, tmp_path):
         status, report, _ = run_json(

@@ -147,3 +147,9 @@ class TestZeroRecognition:
     def test_nonzero(self):
         verdict, _ = is_structurally_zero(p * q + 1)
         assert not verdict
+
+    def test_small_coefficient_is_not_zero(self):
+        verdict, method = is_structurally_zero(sp.Rational(1, 10**12) * sp.sin(q))
+        assert not verdict and method == "numeric"
+        verdict, method = is_structurally_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1)
+        assert verdict and method == "numeric"
