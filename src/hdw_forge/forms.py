@@ -24,7 +24,7 @@ from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import poly_ring, simplify, to_poly
+from .symbolic import is_structurally_zero, poly_ring, simplify, to_poly
 
 
 def _merge_keys(k1, k2):
@@ -238,7 +238,7 @@ class CoordForm:
 
     def is_zero(self) -> bool:
         # a ring element stored here is never zero
-        return all(not isinstance(c, PolyElement) and simplify(c) == 0
+        return all(not isinstance(c, PolyElement) and is_structurally_zero(c)[0]
                    for c in self._coeffs.values())
 
     def structurally_equal(self, other) -> bool:
@@ -370,21 +370,24 @@ def base_contraction_key(chart: BundleChart, level: str, nu: int):
     return key, sign
 
 
-def build_theta(chart: BundleChart) -> CoordForm:
-    """Tautological m-form on the extended momentum chart."""
-    coords, index = _frame_index(chart, "M")
-    theta = CoordForm(coords, chart.m)
+def canonical_part(chart: BundleChart, level: str) -> CoordForm:
+    """The m-form sum_{a,nu} p^nu_a dy^a ^ d^{m-1}x_nu on the chart at `level`."""
+    coords, index = _frame_index(chart, level)
+    out = CoordForm(coords, chart.m)
     for a in range(1, chart.n + 1):
         for nu in range(1, chart.m + 1):
-            key, sign = base_contraction_key(chart, "M", nu)
+            key, sign = base_contraction_key(chart, level, nu)
             merged = _merge_keys((index[chart.y(a)],), key)
             if merged is None:
                 continue
             full_key, msign = merged
-            theta.add_term(full_key, sign * msign * chart.p(a, nu))
-    vol_key = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
-    theta.add_term(vol_key, chart.pe)
-    return theta
+            out.add_term(full_key, sign * msign * chart.p(a, nu))
+    return out
+
+
+def build_theta(chart: BundleChart) -> CoordForm:
+    """Tautological m-form on the extended momentum chart."""
+    return canonical_part(chart, "M") + volume_form(chart, "M").scale(chart.pe)
 
 
 def build_omega(chart: BundleChart) -> CoordForm:
@@ -393,20 +396,12 @@ def build_omega(chart: BundleChart) -> CoordForm:
 
 
 def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
-    """The pair (theta_h, omega_h) on the restricted momentum chart."""
+    """The pair (theta_h, omega_h) on the restricted momentum chart.
+
+    theta_h is theta taken on the section pe = -h.
+    """
     h = chart.validate_on(h, "J1")
-    coords, index = _frame_index(chart, "J1")
-    theta_h = CoordForm(coords, chart.m)
-    for a in range(1, chart.n + 1):
-        for nu in range(1, chart.m + 1):
-            key, sign = base_contraction_key(chart, "J1", nu)
-            merged = _merge_keys((index[chart.y(a)],), key)
-            if merged is None:
-                continue
-            full_key, msign = merged
-            theta_h.add_term(full_key, sign * msign * chart.p(a, nu))
-    vol_key = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
-    theta_h.add_term(vol_key, -h)
+    theta_h = canonical_part(chart, "J1") + volume_form(chart, "J1").scale(-h)
     return theta_h, -theta_h.d()
 
 

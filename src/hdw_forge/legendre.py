@@ -17,8 +17,8 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError
-from .forms import CoordForm, base_contraction_key
-from .hdw import HamiltonianModel, derive_restricted
+from .forms import canonical_part, volume_form
+from .hdw import HamiltonianModel
 from .symbolic import simplify
 
 
@@ -183,22 +183,8 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples,
             + ", ".join(s.name for s in missing))
 
     # canonical part  sum p dy ^ d^{m-1}x  pulled back, minus h_P volume
-    coords = chart.coords("J1")
-    index = {s: i for i, s in enumerate(coords)}
-    theta = CoordForm(coords, chart.m)
-    from .forms import _merge_keys
-    for a in range(1, chart.n + 1):
-        for nu in range(1, chart.m + 1):
-            key, sign = base_contraction_key(chart, "J1", nu)
-            merged = _merge_keys((index[chart.y(a)],), key)
-            if merged is None:
-                continue
-            full_key, msign = merged
-            theta.add_term(full_key, sign * msign * chart.p(a, nu))
-    theta_P = theta.pullback(params, embedding)
-    vol_ids = [chart.x(nu) for nu in range(1, chart.m + 1)]
-    vol = CoordForm(coords, chart.m,
-                    {tuple(index[s] for s in vol_ids): 1}).pullback(params, embedding)
+    theta_P = canonical_part(chart, "J1").pullback(params, embedding)
+    vol = volume_form(chart, "J1").pullback(params, embedding)
     theta_P = theta_P + vol.scale(-h_P)
     omega_P = -theta_P.d()
 

@@ -197,8 +197,10 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
 
     A sample counts as zero when its value is within `tol` times the sum of
     the absolute values of the terms of the expanded expression there, so a
-    small coefficient cannot pass for zero.  Returns (verdict, method) with
-    method in {"structural", "numeric"}.
+    small coefficient cannot pass for zero.  An expression that evaluates at
+    none of the sample points is reported as not zero: an unevaluated value
+    is no evidence.  Returns (verdict, method) with method in
+    {"structural", "numeric"}.
     """
     e = sp.sympify(e)
     s = simplify(e)
@@ -209,6 +211,7 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
     rng = random.Random(seed)
     syms = sorted(s.free_symbols, key=lambda t: t.name)
     terms = sp.Add.make_args(s)
+    evaluated = False
     for _ in range(samples):
         point = {t: rng.uniform(0.1, 2.0) for t in syms}
         try:
@@ -217,4 +220,5 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
             continue
         if abs(math.fsum(values)) > tol * sum(map(abs, values)):
             return False, "numeric"
-    return True, "numeric"
+        evaluated = True
+    return evaluated, "numeric"

@@ -13,7 +13,7 @@ import sympy as sp
 
 from hdw_forge import BundleChart, HamiltonianModel, derive_extended
 from hdw_forge.forms import (CoordForm, _merge_keys, _normalize_key,
-                             hamilton_cartan)
+                             base_contraction_key, build_theta, hamilton_cartan)
 from hdw_forge.hdw import curvature
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
@@ -174,6 +174,37 @@ class TestPolynomialFragment:
         assert got.keys() == expected.keys()
         for key in expected:
             assert_same(got[key], expected[key])
+
+
+def reference_tautological(chart, level, vol_coeff):
+    """sum p dy ^ d^{m-1}x + vol_coeff vol, by the loop the builders once ran."""
+    coords = chart.coords(level)
+    index = {s: i for i, s in enumerate(coords)}
+    form = CoordForm(coords, chart.m)
+    for a in range(1, chart.n + 1):
+        for nu in range(1, chart.m + 1):
+            key, sign = base_contraction_key(chart, level, nu)
+            merged = _merge_keys((index[chart.y(a)],), key)
+            if merged is None:
+                continue
+            full_key, msign = merged
+            form.add_term(full_key, sign * msign * chart.p(a, nu))
+    form.add_term(tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1)), vol_coeff)
+    return form
+
+
+@pytest.mark.parametrize("m,n", MN_MATRIX)
+def test_tautological_builders_match_loop(m, n):
+    rng = random.Random(500 * m + n)
+    chart = BundleChart(m, n)
+    assert_same_terms(build_theta(chart), reference_tautological(chart, "M", chart.pe).terms)
+    transcendental = (sp.sin(chart.y(1)) * chart.p(1, 1) + sp.exp(chart.x(m)) / 3
+                      + 0.5 * chart.p(n, m) ** 2)
+    for h in (random_polynomial_h(chart, rng), transcendental):
+        theta_h, omega_h = hamilton_cartan(chart, h)
+        expected = reference_tautological(chart, "J1", -h)
+        assert_same_terms(theta_h, expected.terms)
+        assert_same_terms(omega_h, (-expected.d()).terms)
 
 
 y1, p1_1, x1 = sp.symbols("y1 p1_1 x1")

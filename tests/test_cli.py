@@ -1,6 +1,8 @@
+import importlib
 import json
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
 from hdw_forge.errors import ModelFileError
 from hdw_forge.solver import SectionGrid
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def run(capsys, *argv):
@@ -110,6 +113,23 @@ class TestCheck:
             "--debug-inject", str(inject), "--out", str(tmp_path))
         assert status == 1
         assert any(not c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("entry,status", [
+        ({"F[1][1]": "p1_1*(sin(y1)^2+cos(y1)^2)"}, 0),
+        ({"G[1][1][1]": "-y1*(sin(y1)^2+cos(y1)^2)"}, 0),
+        ({"F[1][1]": "p1_1 + 1"}, 1),
+        ({"F[1][1]": "p1_1 + log(y1 - 5)"}, 1),
+    ], ids=["trig-identity-F", "trig-identity-G", "shifted-F", "unevaluable-F"])
+    def test_injected_field_runs_full_battery(self, capsys, tmp_path, entry, status):
+        model = str(MODELS / "oscillator.hdw")
+        _, plain, _ = run_json(capsys, "check", model, "--out", str(tmp_path))
+        inject = tmp_path / "inject.json"
+        inject.write_text(json.dumps(entry))
+        got, report, _ = run_json(
+            capsys, "check", model, "--debug-inject", str(inject), "--out", str(tmp_path))
+        assert got == status
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in plain["checks"]]
+        assert all(c["passed"] for c in report["checks"]) == (status == 0)
 
     def test_bad_injection_key(self, capsys, tmp_path):
         inject = tmp_path / "inject.json"
@@ -302,3 +322,26 @@ class TestContract:
             "--gauge", "equal-split", "--out", str(tmp_path))
         assert status == 0
         assert report["gauge"]["mode"] == "equal-split"
+
+    def test_traced_check_calls_every_verdict_span(self, capsys, tmp_path, monkeypatch):
+        """The benchmark's traced runs require these spans to be called."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        tracing = importlib.import_module("tracer")
+        inject = tmp_path / "inject.json"
+        inject.write_text(json.dumps({"F[1][1]": "p1_1 + 1"}))
+        argv = ["check", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path)]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            main(argv)
+            main(argv + ["--debug-inject", str(inject)])
+        finally:
+            tracer.detach()
+        capsys.readouterr()
+        calls = {name: row["calls"]
+                 for name, row in tracing.aggregate(tracer.payload()).items()}
+        required = ["forms.CoordForm.is_zero", "forms.hamilton_cartan",
+                    "forms.interior_product"]
+        required += [name for name, _, _ in tracing.FUNCTIONS if name.startswith("hdw.")]
+        assert [name for name in required if not calls.get(name)] == []

@@ -153,3 +153,8 @@ class TestZeroRecognition:
         assert not verdict and method == "numeric"
         verdict, method = is_structurally_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1)
         assert verdict and method == "numeric"
+
+    def test_unevaluable_is_not_zero(self):
+        # log(y1 - 5) is not real anywhere in the sampled box: no evidence
+        verdict, method = is_structurally_zero(sp.log(q - 5))
+        assert not verdict and method == "numeric"
