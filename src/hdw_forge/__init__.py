@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .coords import BundleChart, CoordId
 from .forms import (CoordForm, CoordMultiVector, build_omega, build_theta,
-                    extended_alpha, exterior_derivative, hamilton_cartan,
-                    interior_product, volume_form, wedge)
+                    extended_alpha, hamilton_cartan, interior_product,
+                    volume_form)
 from .hdw import (GaugeChoice, HamiltonianModel, HdwField,
                   connection_equation_check, curvature, derive_extended,
                   derive_restricted, dof_count, mu_vertical_pairing,
@@ -28,11 +28,11 @@ __all__ = [
     "build_theta", "connection_equation_check", "conservation_diagnostics",
     "curvature", "derive_extended", "derive_restricted", "differentiate",
     "discrete_field_energy", "dof_count", "euler_lagrange", "evaluate",
-    "extended_alpha", "exterior_derivative", "fd_check", "hamilton_cartan",
+    "extended_alpha", "fd_check", "hamilton_cartan",
     "hamiltonian_from_lagrangian", "hdw_momentum_elimination",
     "interior_product", "is_structurally_zero", "legendre_maps",
     "max_discrepancy", "mu_vertical_pairing", "project_extended",
     "rank_diagnostics", "residual_extended", "residual_restricted",
     "simplify", "solve_field_1p1", "solve_ode", "tangency_check",
-    "transversality", "volume_form", "wedge",
+    "transversality", "volume_form",
 ]

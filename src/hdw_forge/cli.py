@@ -218,23 +218,38 @@ _INJECT_RE = re.compile(r"^(F|G|g)((?:\[\d+\])+)$")
 
 
 def _apply_injection(X: HdwField, path: str) -> HdwField:
-    """Overwrite coefficient entries from a debug JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
-    F, G, g = dict(X.F), dict(X.G), dict(X.g)
+    """Overwrite coefficient entries from a debug JSON file.
+
+    A restricted field has no g, so it skips g keys; the extended field
+    checks them.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            table = json.load(fh)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read injection file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: injection file is not valid JSON: {exc}") from exc
+    if not isinstance(table, dict):
+        raise ModelFileError(f"{path}: injection file must hold a JSON object")
+    tables = {"F": dict(X.F), "G": dict(X.G), "g": dict(X.g)}
     for key, text in table.items():
         m = _INJECT_RE.match(key)
         if not m:
-            raise ModelFileError(f"bad injection key {key!r}")
+            raise ModelFileError(f"{path}: bad injection key {key!r}")
+        name = m.group(1)
+        if name == "g" and X.kind != "extended":
+            continue
         idx = tuple(int(t) for t in re.findall(r"\d+", m.group(2)))
-        expr = parse_expression(text, X.chart, X.level)
-        if m.group(1) == "F":
-            F[idx] = expr
-        elif m.group(1) == "G":
-            G[idx] = expr
-        else:
-            g[idx[0]] = expr
-    return HdwField(X.kind, X.chart, F, G, g, X.gauge, X.f)
+        if name == "g" and len(idx) == 1:
+            idx = idx[0]
+        if idx not in tables[name]:
+            raise ModelFileError(f"{path}: injection key {key!r} names no coefficient "
+                                 f"of an (m, n) = ({X.chart.m}, {X.chart.n}) chart")
+        if not isinstance(text, str):
+            raise ModelFileError(f"{path}: injection value of {key!r} is not a string")
+        tables[name][idx] = parse_expression(text, X.chart, X.level)
+    return HdwField(X.kind, X.chart, tables["F"], tables["G"], tables["g"], X.gauge, X.f)
 
 
 def _select_gauge(model: ModelFile, args) -> GaugeChoice:

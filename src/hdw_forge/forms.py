@@ -27,50 +27,16 @@ from .errors import ChartMismatchError, DegreeError, WrongBundleError
 from .symbolic import is_structurally_zero, poly_ring, simplify, to_poly
 
 
-def _merge_keys(k1, k2):
-    """Merge two strictly increasing tuples; return (key, sign) or None."""
-    if set(k1) & set(k2):
-        return None
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(k1) and j < len(k2):
-        if k1[i] < k2[j]:
-            merged.append(k1[i])
-            i += 1
-        else:
-            merged.append(k2[j])
-            # k2[j] hops over the remaining entries of k1
-            if (len(k1) - i) % 2 == 1:
-                sign = -sign
-            j += 1
-    merged.extend(k1[i:])
-    merged.extend(k2[j:])
-    return tuple(merged), sign
-
-
 def _normalize_key(key):
-    """Sort a key tuple, returning (sorted_key, sign) or None if repeated."""
+    """Sort a key tuple; return (sorted_key, sign) or None if an index repeats.
+
+    The sign is the parity of the number of inversions in `key`.
+    """
     key = tuple(key)
     if len(set(key)) != len(key):
         return None
-    perm = sorted(range(len(key)), key=lambda i: key[i])
-    sign = 1
-    seen = list(perm)
-    # parity of the sorting permutation by cycle counting
-    visited = [False] * len(seen)
-    for i in range(len(seen)):
-        if visited[i]:
-            continue
-        j = i
-        length = 0
-        while not visited[j]:
-            visited[j] = True
-            j = seen[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(sorted(key)), sign
+    inversions = sum(a > b for i, a in enumerate(key) for b in key[i + 1:])
+    return tuple(sorted(key)), -1 if inversions % 2 else 1
 
 
 class CoordForm:
@@ -183,7 +149,7 @@ class CoordForm:
         out = CoordForm(self.coords, self.degree + other.degree)
         for k1, c1 in self._coeffs.items():
             for k2, c2 in other._coeffs.items():
-                merged = _merge_keys(k1, k2)
+                merged = _normalize_key(k1 + k2)
                 if merged is None:
                     continue
                 key, sign = merged
@@ -203,7 +169,7 @@ class CoordForm:
                 dc = coeff.diff(gens[idx]) if exact else sp.diff(coeff, sym)
                 if dc == 0:
                     continue
-                merged = _merge_keys((idx,), key)
+                merged = _normalize_key((idx,) + key)
                 if merged is None:
                     continue
                 new_key, sign = merged
@@ -211,11 +177,11 @@ class CoordForm:
         return out
 
     def interior_vector(self, components):
-        """Contract with a single vector field given as {coord index: Expr}."""
+        """Contract with a single vector field given as {coord index: coeff},
+        each coeff an `Expr` or an element of QQ[coords]."""
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
         out = CoordForm(self.coords, self.degree - 1)
-        polys = {idx: to_poly(comp, self.coords) for idx, comp in components.items()}
         for key, coeff in self._coeffs.items():
             for pos, idx in enumerate(key):
                 comp = components.get(idx, 0)
@@ -223,10 +189,10 @@ class CoordForm:
                     continue
                 rest = key[:pos] + key[pos + 1:]
                 sign = -1 if pos % 2 else 1
-                if polys[idx] is not None and isinstance(coeff, PolyElement):
-                    out.add_term(rest, sign * polys[idx] * coeff)
+                if isinstance(comp, PolyElement) and isinstance(coeff, PolyElement):
+                    out.add_term(rest, sign * comp * coeff)
                 else:
-                    out.add_term(rest, sign * sp.sympify(comp) * self._expr(coeff))
+                    out.add_term(rest, sign * sp.sympify(self._expr(comp)) * self._expr(coeff))
         return out
 
     def coefficient(self, key):
@@ -291,7 +257,10 @@ class CoordMultiVector:
     """A decomposed multivector X1 ^ ... ^ Xm over a frame.
 
     Component nu is  f * (d/dx_nu + sum_c coeff[c] d/dc)  where the base
-    positions carry the shared transverse scalar f (default 1).
+    positions carry the shared transverse scalar f (default 1).  Each
+    component's full table is built once, its coefficients held as
+    `CoordForm` holds its own: in QQ[coords] on the polynomial fragment, as
+    `Expr`s otherwise.
     """
 
     def __init__(self, coords, base_positions, fiber_components, f=1):
@@ -299,25 +268,21 @@ class CoordMultiVector:
         self.base_positions = tuple(base_positions)
         self.m = len(base_positions)
         self.f = sp.sympify(f)
-        # list (length m) of {coord index: Expr}, base positions excluded
-        self.components = [
-            {int(k): sp.sympify(v) for k, v in comp.items() if sp.sympify(v) != 0}
-            for comp in fiber_components
-        ]
-        if len(self.components) != self.m:
+        if len(fiber_components) != self.m:
             raise DegreeError("need exactly one component per base direction")
+        self._vectors = []
+        for base, comp in zip(self.base_positions, fiber_components):
+            table = {int(k): sp.sympify(v) for k, v in comp.items()}
+            table[base] = sp.Integer(1)
+            if self.f != 1:
+                table = {k: sp.expand(self.f * v) for k, v in table.items()}
+            polys = {k: to_poly(v, self.coords) for k, v in table.items() if v != 0}
+            self._vectors.append({k: table[k] if p is None else p for k, p in polys.items()})
 
     def vector(self, nu: int) -> dict:
-        """Full coefficient table of component nu (1-based), scaled by f."""
-        comp = dict(self.components[nu - 1])
-        comp[self.base_positions[nu - 1]] = sp.Integer(1)
-        if self.f != 1:
-            comp = {k: sp.expand(self.f * v) for k, v in comp.items()}
-        return comp
-
-    def scaled(self, factor):
-        return CoordMultiVector(self.coords, self.base_positions,
-                                self.components, sp.expand(self.f * sp.sympify(factor)))
+        """Full coefficient table of component nu (1-based), scaled by f; a
+        view to read."""
+        return self._vectors[nu - 1]
 
 
 def interior_product(X, F: CoordForm) -> CoordForm:
@@ -337,14 +302,6 @@ def interior_product(X, F: CoordForm) -> CoordForm:
     for nu in range(1, X.m + 1):
         out = out.interior_vector(X.vector(nu))
     return out
-
-
-def wedge(F: CoordForm, G: CoordForm) -> CoordForm:
-    return F.wedge(G)
-
-
-def exterior_derivative(F: CoordForm) -> CoordForm:
-    return F.d()
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +334,7 @@ def canonical_part(chart: BundleChart, level: str) -> CoordForm:
     for a in range(1, chart.n + 1):
         for nu in range(1, chart.m + 1):
             key, sign = base_contraction_key(chart, level, nu)
-            merged = _merge_keys((index[chart.y(a)],), key)
+            merged = _normalize_key((index[chart.y(a)],) + key)
             if merged is None:
                 continue
             full_key, msign = merged

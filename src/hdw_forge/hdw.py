@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, build_omega, extended_alpha,
                     hamilton_cartan, interior_product, volume_form)
-from .symbolic import is_structurally_zero, poly_ring, simplify, to_poly
+from .symbolic import is_structurally_zero, poly_ring, simplify
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ class HdwField:
     F[(a, nu)] are the fiber-velocity coefficients, G[(a, rho, nu)] the
     momentum coefficients, and g[nu] (extended kind only) the coefficients
     along the extra scalar direction.
+
+    The tables are read once, on the first `multivector()` call, and every
+    check reuses that multivector; to change a coefficient afterwards, build
+    a new field from edited copies of the tables.
     """
 
     kind: str  # "restricted" | "extended"
@@ -98,12 +103,16 @@ class HdwField:
     g: dict
     gauge: GaugeChoice
     f: sp.Expr = sp.Integer(1)
+    _multivector: CoordMultiVector | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def level(self) -> str:
         return "M" if self.kind == "extended" else "J1"
 
     def multivector(self) -> CoordMultiVector:
+        if self._multivector is not None:
+            return self._multivector
         chart = self.chart
         coords = chart.coords(self.level)
         index = {s: i for i, s in enumerate(coords)}
@@ -118,26 +127,20 @@ class HdwField:
             if self.kind == "extended":
                 comp[index[chart.pe]] = self.g[nu]
             comps.append(comp)
-        return CoordMultiVector(coords, base_positions, comps, self.f)
+        self._multivector = CoordMultiVector(coords, base_positions, comps, self.f)
+        return self._multivector
 
     def scaled(self, factor):
         return HdwField(self.kind, self.chart, self.F, self.G, self.g,
                         self.gauge, sp.expand(self.f * sp.sympify(factor)))
 
 
-def _partials(h, coords) -> dict:
-    """dh/ds for each frame symbol s, computed exactly in QQ[frame] when h is
-    a polynomial (then already canonical) and by `sp.diff` otherwise."""
-    poly = to_poly(h, coords)
-    if poly is None:
-        return {s: sp.diff(h, s) for s in coords}
-    return {s: poly.diff(g).as_expr(*coords) for s, g in zip(coords, poly.ring.gens)}
-
-
 def _coefficients(model: HamiltonianModel, gauge: GaugeChoice):
     chart, h = model.chart, model.h
     gauge.validate(chart)
-    dh = _partials(h, chart.coords("J1"))
+    coords = chart.coords("J1")
+    dh_terms = CoordForm(coords, 0, {(): h}).d().terms
+    dh = {s: dh_terms.get((i,), sp.Integer(0)) for i, s in enumerate(coords)}
     F = {}
     G = {}
     for a in range(1, chart.n + 1):
@@ -243,9 +246,9 @@ def curvature(X: HdwField) -> dict:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
-    the associated connection is flat (the field is integrable).  Polynomial
-    fields are bracketed exactly in QQ[chart coordinates], and each bracket
-    is converted to an `Expr` once.
+    the associated connection is flat (the field is integrable).  A field
+    whose multivector holds only ring elements is bracketed exactly in
+    QQ[chart coordinates], and each bracket is converted to an `Expr` once.
     """
     chart = X.chart
     coords = chart.coords(X.level)
@@ -253,12 +256,13 @@ def curvature(X: HdwField) -> dict:
     base_set = set(mv.base_positions)
     vertical = [i for i in range(len(coords)) if i not in base_set]
     vectors = [mv.vector(nu) for nu in range(1, chart.m + 1)]
-    polys = [{i: to_poly(c, coords) for i, c in v.items()} for v in vectors]
-    exact = all(p is not None for v in polys for p in v.values())
+    exact = all(isinstance(c, PolyElement) for v in vectors for c in v.values())
     if exact:
         ring = poly_ring(coords)
-        vectors, gens, zero = polys, ring.gens, ring.zero
+        gens, zero = ring.gens, ring.zero
     else:
+        vectors = [{i: c.as_expr(*coords) if isinstance(c, PolyElement) else c
+                    for i, c in v.items()} for v in vectors]
         gens, zero = coords, sp.Integer(0)
     out = {}
     for nu in range(1, chart.m + 1):

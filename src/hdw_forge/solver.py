@@ -35,9 +35,6 @@ class SectionGrid:
     def has_extended(self) -> bool:
         return "pe" in self.fields
 
-    def field_names(self):
-        return list(self.fields)
-
 
 @dataclass
 class SolveReport:
@@ -47,9 +44,6 @@ class SolveReport:
     drift_series: np.ndarray | None = None
     drift: float | None = None
     trajectory_residual: float | None = None
-    final_errors: dict = field(default_factory=dict)
-    max_projection_discrepancy: float | None = None
-    warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 

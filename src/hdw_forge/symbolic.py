@@ -128,7 +128,7 @@ def simplify(e) -> Expr:
     return e
 
 
-def differentiate(e, wrt, chart=None, level: str = "M") -> Expr:
+def differentiate(e, wrt, chart=None) -> Expr:
     """Partial derivative treating all other coordinates as independent."""
     s = _as_symbol(wrt)
     if chart is not None:

@@ -1,11 +1,14 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 import sympy as sp
 
-from hdw_forge import BundleChart, GaugeChoice
+from hdw_forge import BundleChart
 
 
 @pytest.fixture
@@ -27,44 +30,24 @@ def chart22():
 MN_MATRIX = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
 
 
-def random_polynomial_h(chart, rng, n_terms=5, p_degree=3, y_degree=2):
-    """Random polynomial Hamiltonian: degree <= 3 in p, <= 2 in y,
-    coefficients possibly base-coordinate dependent."""
-    terms = []
-    for _ in range(n_terms):
-        coeff = sp.Rational(rng.randint(-4, 4), rng.randint(1, 3))
-        if coeff == 0:
-            coeff = sp.Integer(1)
-        mon = coeff
-        if rng.random() < 0.4:
-            mon *= chart.x(rng.randint(1, chart.m)) ** rng.randint(1, 2)
-        for _ in range(rng.randint(0, p_degree)):
-            mon *= chart.p(rng.randint(1, chart.n), rng.randint(1, chart.m))
-        for _ in range(rng.randint(0, y_degree)):
-            mon *= chart.y(rng.randint(1, chart.n))
-        terms.append(mon)
-    return sp.Add(*terms)
+def _frozen_inputs():
+    """perfbench/inputs.py, loaded read-only: no sys.path entry, no bytecode."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
-def random_gauge(chart, rng, density=0.5):
-    """Random gauge table filling a random subset of the free slots."""
-    off = {}
-    red = {}
-    for a in range(1, chart.n + 1):
-        for rho in range(1, chart.m + 1):
-            for nu in range(1, chart.m + 1):
-                if rho != nu and rng.random() < density:
-                    off[(a, rho, nu)] = random_polynomial_h(
-                        chart, rng, n_terms=2, p_degree=1, y_degree=1)
-        for nu in range(1, chart.m):
-            if rng.random() < density:
-                red[(a, nu)] = random_polynomial_h(
-                    chart, rng, n_terms=2, p_degree=1, y_degree=1)
-    mode = "user-table" if (off or red) else "equal-split"
-    return GaugeChoice(mode, off, red)
-
-
-_SAFE_DENOMS = None
+# the seeded generators the benchmark freezes; without `coeff_rng` they draw
+# every number from `rng`
+_inputs = _frozen_inputs()
+random_polynomial_h = _inputs.random_polynomial_h
+random_gauge = _inputs.random_gauge
 
 
 def random_expr(symbols, rng, depth=4):

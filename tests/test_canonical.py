@@ -6,14 +6,15 @@ path.  Both must give the same `Expr`, equal under `==` and `str`, as the
 reference copies of the `Expr` code below.
 """
 
+import itertools
 import random
 
 import pytest
 import sympy as sp
 
 from hdw_forge import BundleChart, HamiltonianModel, derive_extended
-from hdw_forge.forms import (CoordForm, _merge_keys, _normalize_key,
-                             base_contraction_key, build_theta, hamilton_cartan)
+from hdw_forge.forms import (CoordForm, _normalize_key, base_contraction_key,
+                             build_theta, hamilton_cartan)
 from hdw_forge.hdw import curvature
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
@@ -28,6 +29,57 @@ def reference_simplify(e):
     if den != 1:
         e = sp.expand(sp.cancel(e))
     return e
+
+
+def reference_merge_keys(k1, k2):
+    """Merge two strictly increasing tuples; return (key, sign) or None."""
+    if set(k1) & set(k2):
+        return None
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(k1) and j < len(k2):
+        if k1[i] < k2[j]:
+            merged.append(k1[i])
+            i += 1
+        else:
+            merged.append(k2[j])
+            # k2[j] hops over the remaining entries of k1
+            if (len(k1) - i) % 2 == 1:
+                sign = -sign
+            j += 1
+    merged.extend(k1[i:])
+    merged.extend(k2[j:])
+    return tuple(merged), sign
+
+
+def reference_normalize_key(key):
+    """Sorted key and the parity of the sorting permutation by cycle counting."""
+    if len(set(key)) != len(key):
+        return None
+    perm = sorted(range(len(key)), key=lambda i: key[i])
+    sign = 1
+    visited = [False] * len(perm)
+    for i in range(len(perm)):
+        length = 0
+        j = i
+        while not visited[j]:
+            visited[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return tuple(sorted(key)), sign
+
+
+def test_key_sign_matches_references():
+    for length in range(6):
+        for key in itertools.product(range(6), repeat=length):
+            assert _normalize_key(key) == reference_normalize_key(key), key
+    increasing = [k for r in range(5) for k in itertools.combinations(range(8), r)]
+    for k1 in increasing:
+        for k2 in increasing:
+            assert _normalize_key(k1 + k2) == reference_merge_keys(k1, k2), (k1, k2)
 
 
 def reference_terms(insertions, terms=None):
@@ -50,7 +102,7 @@ def reference_wedge(t1, t2):
     out = []
     for k1, c1 in t1.items():
         for k2, c2 in t2.items():
-            merged = _merge_keys(k1, k2)
+            merged = reference_merge_keys(k1, k2)
             if merged is not None:
                 out.append((merged[0], merged[1] * c1 * c2))
     return reference_terms(out)
@@ -61,7 +113,7 @@ def reference_d(terms, coords):
     for key, coeff in terms.items():
         for idx, sym in enumerate(coords):
             dc = sp.diff(coeff, sym)
-            merged = _merge_keys((idx,), key)
+            merged = reference_merge_keys((idx,), key)
             if dc != 0 and merged is not None:
                 out.append((merged[0], merged[1] * dc))
     return reference_terms(out)
@@ -78,11 +130,30 @@ def reference_interior(terms, components):
     return reference_terms(out)
 
 
+def reference_vectors(X):
+    """The components f*(d/dx_nu + F d/dy + G d/dp + g d/dpe) of X, built
+    from its tables alone."""
+    chart = X.chart
+    index = {s: i for i, s in enumerate(chart.coords(X.level))}
+    vectors = []
+    for nu in range(1, chart.m + 1):
+        comp = {index[chart.x(nu)]: sp.Integer(1)}
+        for a in range(1, chart.n + 1):
+            comp[index[chart.y(a)]] = X.F[(a, nu)]
+            for rho in range(1, chart.m + 1):
+                comp[index[chart.p(a, rho)]] = X.G[(a, rho, nu)]
+        if X.kind == "extended":
+            comp[index[chart.pe]] = X.g[nu]
+        vectors.append({i: sp.expand(X.f * c) for i, c in comp.items()})
+    return vectors
+
+
 def reference_curvature(X):
     chart = X.chart
     coords = chart.coords(X.level)
-    mv = X.multivector()
-    vertical = [i for i in range(len(coords)) if i not in set(mv.base_positions)]
+    vectors = reference_vectors(X)
+    base = {coords.index(chart.x(nu)) for nu in range(1, chart.m + 1)}
+    vertical = [i for i in range(len(coords)) if i not in base]
 
     def apply(components, expr):
         out = sp.Integer(0)
@@ -92,9 +163,9 @@ def reference_curvature(X):
 
     out = {}
     for nu in range(1, chart.m + 1):
-        Xnu = mv.vector(nu)
+        Xnu = vectors[nu - 1]
         for eta in range(nu + 1, chart.m + 1):
-            Xeta = mv.vector(eta)
+            Xeta = vectors[eta - 1]
             for i in vertical:
                 bracket = (apply(Xnu, Xeta.get(i, sp.Integer(0)))
                            - apply(Xeta, Xnu.get(i, sp.Integer(0))))
@@ -184,7 +255,7 @@ def reference_tautological(chart, level, vol_coeff):
     for a in range(1, chart.n + 1):
         for nu in range(1, chart.m + 1):
             key, sign = base_contraction_key(chart, level, nu)
-            merged = _merge_keys((index[chart.y(a)],), key)
+            merged = reference_merge_keys((index[chart.y(a)],), key)
             if merged is None:
                 continue
             full_key, msign = merged

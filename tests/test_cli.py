@@ -140,6 +140,27 @@ class TestCheck:
         assert status == 2
         assert "injection" in err
 
+    @pytest.mark.parametrize("content,needle", [
+        (None, "missing.json"),
+        ('{"F[1][1]": ', "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"F[9][9]": "0"}', "'F[9][9]'"),
+        ('{"G[1][1]": "0"}', "'G[1][1]'"),
+        ('{"g[1][1]": "0"}', "'g[1][1]'"),
+        ('{"g[2]": "0"}', "'g[2]'"),
+        ('{"F[1][1]": 3}', "not a string"),
+    ], ids=["missing", "invalid-json", "json-list", "F-out-of-range", "G-wrong-arity",
+            "g-wrong-arity", "g-out-of-range", "non-string-value"])
+    def test_bad_injection_file_is_input_error(self, capsys, tmp_path, content, needle):
+        inject = tmp_path / "missing.json"
+        if content is not None:
+            inject.write_text(content)
+        status, out, err = run(
+            capsys, "check", str(MODELS / "oscillator.hdw"),
+            "--debug-inject", str(inject), "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and needle in err
+
 
 class TestLegendre:
     def test_wave_round_trip(self, capsys, tmp_path):

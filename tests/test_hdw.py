@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel,
                        derive_extended, derive_restricted, dof_count)
@@ -176,6 +177,37 @@ class TestResiduals:
         _, alpha = extended_alpha(model.chart, model.h)
         with pytest.raises(ChartMismatchError):
             residual_extended(derive_restricted(model), build_omega(model.chart), alpha)
+
+
+class TestHeldMultivector:
+    def test_built_once(self):
+        X = derive_extended(_oscillator())
+        assert X.multivector() is X.multivector()
+        assert X.scaled(2).multivector() is not X.multivector()
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+    def test_polynomial_field_holds_ring_elements(self, m, n):
+        rng = random.Random(600 * m + n)
+        chart = BundleChart(m, n)
+        X = derive_extended(HamiltonianModel(chart, random_polynomial_h(chart, rng)),
+                            random_gauge(chart, rng))
+        coords = chart.coords("M")
+        mv = X.multivector()
+        for nu in range(1, m + 1):
+            table = mv.vector(nu)
+            assert all(isinstance(c, PolyElement) and c != 0 for c in table.values())
+            assert table[coords.index(chart.x(nu))] == 1
+
+    def test_transcendental_entry_stays_expr(self):
+        chart = BundleChart(1, 1)
+        q, p = chart.y(1), chart.p(1, 1)
+        X = derive_restricted(HamiltonianModel(chart, p ** 2 / 2 + sp.sin(q)))
+        coords = chart.coords("J1")
+        table = X.multivector().vector(1)
+        assert isinstance(table[coords.index(q)], PolyElement)
+        held = table[coords.index(p)]
+        assert not isinstance(held, PolyElement)
+        assert held == X.G[(1, 1, 1)] == -sp.cos(q)
 
 
 class TestNormalizations:
