@@ -38,7 +38,7 @@ from .modelfile import ModelFile, parse_model
 from .solver import (SectionGrid, conservation_diagnostics,
                      discrete_field_energy, max_discrepancy, solve_field_1p1,
                      solve_ode)
-from .symbolic import is_structurally_zero
+from .symbolic import evaluate, is_structurally_zero
 
 SCHEMA_VERSION = 1
 
@@ -218,11 +218,9 @@ _INJECT_RE = re.compile(r"^(F|G|g)((?:\[\d+\])+)$")
 
 
 def _apply_injection(X: HdwField, path: str) -> HdwField:
-    """Overwrite coefficient entries from a debug JSON file.
-
-    A restricted field has no g, so it skips g keys; the extended field
-    checks them.
-    """
+    """Overwrite coefficient entries of an extended field from a debug JSON
+    file; F and G entries live on the restricted chart, g entries on the
+    extended one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             table = json.load(fh)
@@ -238,8 +236,6 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
         if not m:
             raise ModelFileError(f"{path}: bad injection key {key!r}")
         name = m.group(1)
-        if name == "g" and X.kind != "extended":
-            continue
         idx = tuple(int(t) for t in re.findall(r"\d+", m.group(2)))
         if name == "g" and len(idx) == 1:
             idx = idx[0]
@@ -248,7 +244,8 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
                                  f"of an (m, n) = ({X.chart.m}, {X.chart.n}) chart")
         if not isinstance(text, str):
             raise ModelFileError(f"{path}: injection value of {key!r} is not a string")
-        tables[name][idx] = parse_expression(text, X.chart, X.level)
+        tables[name][idx] = parse_expression(text, X.chart,
+                                             "M" if name == "g" else "J1")
     return HdwField(X.kind, X.chart, tables["F"], tables["G"], tables["g"], X.gauge, X.f)
 
 
@@ -294,12 +291,11 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
         report["note"] = str(exc)
         _add_rank_diagnostics(report, model)
         return report, 0
-    Xr = Xe = None
+    Xe = None
     inject = getattr(args, "debug_inject", None)
     if inject:
-        Xr = _apply_injection(derive_restricted(ham, gauge), inject)
         Xe = _apply_injection(derive_extended(ham, gauge), inject)
-    results = standard_checks(ham, gauge, Xr=Xr, Xe=Xe)
+    results = standard_checks(ham, gauge, Xe=Xe)
     checks = []
     failed = False
     for name, (ok, detail) in results.items():
@@ -365,9 +361,7 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
         init = {k: float(v) for k, v in run_block["init"].items()}
         if extended and "pe" not in init:
             # start on the zero level set of the total Hamiltonian
-            point = {chart.x(1).name: run_block["t0"], **init}
-            init["pe"] = -float(sp.lambdify(
-                [sp.Symbol(nm) for nm in point], ham.h, "numpy")(*point.values()))
+            init["pe"] = -evaluate(ham.h, {"x1": run_block["t0"], **init})
         grid = solve_ode(X, init, (run_block["t0"], run_block["t1"]), run_block["dt"])
         report["metrics"] = {
             "final": {nm: grid.fields[nm][-1] for nm in grid.fields},

@@ -285,14 +285,12 @@ class CoordMultiVector:
         return self._vectors[nu - 1]
 
 
-def interior_product(X, F: CoordForm) -> CoordForm:
+def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:
     """Full contraction of a decomposed multivector into a form.
 
     Component 1 contracts first (innermost); the result has degree
     deg(F) - m.
     """
-    if isinstance(X, dict):
-        return F.interior_vector(X)
     if tuple(X.coords) != tuple(F.coords):
         raise ChartMismatchError("multivector and form over different frames")
     if F.degree < X.m:

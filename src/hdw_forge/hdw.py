@@ -130,16 +130,23 @@ class HdwField:
         self._multivector = CoordMultiVector(coords, base_positions, comps, self.f)
         return self._multivector
 
+    def restricted(self) -> "HdwField":
+        """Projection onto the restricted chart: the same F, G, gauge and f,
+        without g."""
+        return HdwField("restricted", self.chart, self.F, self.G, {}, self.gauge, self.f)
+
     def scaled(self, factor):
         return HdwField(self.kind, self.chart, self.F, self.G, self.g,
                         self.gauge, sp.expand(self.f * sp.sympify(factor)))
 
 
-def _coefficients(model: HamiltonianModel, gauge: GaugeChoice):
-    chart, h = model.chart, model.h
+def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
+    """Solve the restricted coefficient system under the given gauge."""
+    gauge = gauge or GaugeChoice()
+    chart = model.chart
     gauge.validate(chart)
     coords = chart.coords("J1")
-    dh_terms = CoordForm(coords, 0, {(): h}).d().terms
+    dh_terms = CoordForm(coords, 0, {(): model.h}).d().terms
     dh = {s: dh_terms.get((i,), sp.Integer(0)) for i, s in enumerate(coords)}
     F = {}
     G = {}
@@ -154,32 +161,27 @@ def _coefficients(model: HamiltonianModel, gauge: GaugeChoice):
                 else:
                     G[(a, rho, nu)] = simplify(
                         sp.sympify(gauge.off_trace.get((a, rho, nu), 0)))
-    return F, G, dh
-
-
-def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
-    """Solve the restricted coefficient system under the given gauge."""
-    gauge = gauge or GaugeChoice()
-    F, G, _ = _coefficients(model, gauge)
-    return HdwField("restricted", model.chart, F, G, {}, gauge)
+    return HdwField("restricted", chart, F, G, {}, gauge)
 
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
-    """Restricted coefficients plus the scalar coefficients g."""
-    gauge = gauge or GaugeChoice()
-    chart = model.chart
-    F, G, dh = _coefficients(model, gauge)
+    """The restricted field plus the scalar coefficients g, which F, G and
+    the base partials of h fix."""
+    X = derive_restricted(model, gauge)
+    chart, F, G = model.chart, X.F, X.G
+    coords = chart.coords("J1")
+    dh = CoordForm(coords, 0, {(): model.h}).d().terms
     g = {}
     for nu in range(1, chart.m + 1):
-        expr = -dh[chart.x(nu)]
+        expr = -dh.get((coords.index(chart.x(nu)),), sp.Integer(0))
         for a in range(1, chart.n + 1):
             for eta in range(1, chart.m + 1):
                 if eta == nu:
                     continue
-                expr += dh[chart.p(a, nu)] * G[(a, eta, eta)]
-                expr -= dh[chart.p(a, eta)] * G[(a, eta, nu)]
+                expr += F[(a, nu)] * G[(a, eta, eta)]
+                expr -= F[(a, eta)] * G[(a, eta, nu)]
         g[nu] = simplify(expr)
-    return HdwField("extended", chart, F, G, g, gauge)
+    return HdwField("extended", chart, F, G, g, X.gauge)
 
 
 def residual_restricted(X: HdwField, omega_h: CoordForm) -> CoordForm:
@@ -216,18 +218,16 @@ def mu_vertical_pairing(alpha: CoordForm) -> sp.Expr:
     return simplify(alpha.coefficient((idx,)))
 
 
-def tangency_check(X: HdwField, H) -> list:
-    """Per-component contractions into dH; all zero means level-set tangency."""
+def tangency_check(X: HdwField, alpha: CoordForm) -> list:
+    """Per-component contractions into alpha = dH (from `extended_alpha`);
+    all zero means level-set tangency."""
     if X.kind != "extended":
         raise ChartMismatchError("tangency_check needs an extended field")
-    coords = X.chart.coords("M")
-    dH = CoordForm(coords, 0, {(): sp.sympify(H)}).d()
+    if alpha.degree != 1 or tuple(alpha.coords) != tuple(X.chart.coords("M")):
+        raise ChartMismatchError("tangency_check needs a 1-form on the extended chart")
     mv = X.multivector()
-    out = []
-    for nu in range(1, X.chart.m + 1):
-        res = dH.interior_vector(mv.vector(nu))
-        out.append(simplify(res.coefficient(())))
-    return out
+    return [simplify(alpha.interior_vector(mv.vector(nu)).coefficient(()))
+            for nu in range(1, X.chart.m + 1)]
 
 
 def _apply_vector(components, gens, expr):
@@ -293,20 +293,20 @@ def connection_equation_check(X: HdwField, omega_h: CoordForm) -> CoordForm:
 
 
 def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *,
-                    Xr: HdwField | None = None, Xe: HdwField | None = None) -> dict:
+                    Xe: HdwField | None = None) -> dict:
     """Run the whole structural battery for one Hamiltonian; returns a dict
     name -> (passed, detail).
 
-    `Xr` and `Xe` are the restricted and extended fields to check; the one
-    not given is derived from `model` under `gauge`.
+    `Xe` is the extended field to check, derived from `model` under `gauge`
+    when not given; the restricted checks run on its projection
+    `Xe.restricted()`.
     """
     chart = model.chart
-    gauge = gauge or GaugeChoice()
-    Xr = Xr or derive_restricted(model, gauge)
     Xe = Xe or derive_extended(model, gauge)
+    Xr = Xe.restricted()
     _, omega_h = hamilton_cartan(chart, model.h)
     omega = build_omega(chart)
-    H, alpha = extended_alpha(chart, model.h)
+    _, alpha = extended_alpha(chart, model.h)
     results = {}
     r1 = residual_restricted(Xr, omega_h)
     results["restricted residual i(X)omega_h = 0"] = (r1.is_zero(), repr(r1))
@@ -318,7 +318,7 @@ def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *
     tr = transversality(Xe)
     results["transversality normalization = 1"] = (
         is_structurally_zero(tr - 1)[0], str(tr))
-    tans = tangency_check(Xe, H)
+    tans = tangency_check(Xe, alpha)
     results["level-set tangency i(X_nu)dH = 0"] = (
         all(is_structurally_zero(t)[0] for t in tans), str(tans))
     conn = connection_equation_check(Xr, omega_h)

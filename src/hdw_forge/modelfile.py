@@ -181,7 +181,7 @@ def _parse_solve(entries, chart) -> dict:
             out["extended"] = v == "true"
         elif k in scalar_keys:
             out[k] = _get_float(v, ln, k)
-        elif k in ("steps", "points"):
+        elif k == "points":
             try:
                 out[k] = int(v)
             except ValueError:

@@ -1,16 +1,22 @@
 """Numerical integration of derived field equations.
 
-m=1 systems are integrated with classic RK4.  m=2, n=1 systems are solved by
-method of lines on a periodic spatial grid in evolution form: the spatial
-momentum is recovered algebraically each stage from the spatial relation
-dy/dx = dh/dp_x (affine in p_x), and (y, p_t) advance by RK4 with 4th-order
-centered differences for every spatial derivative.  All runs are
-deterministic: fixed step, fixed-order summation.
+Both solvers advance one state array with the same classic RK4 loop,
+`_rk4`.  m=1 systems advance the vector (y, p, [pe]).  m=2, n=1 systems are
+solved by method of lines on a periodic spatial grid in evolution form: the
+state is the (2, npoints) array of (y, p_t); the spatial momentum is
+recovered algebraically each stage from the spatial relation
+dy/dx = dh/dp_x (affine in p_x), and again for each stored row after the
+run, with 4th-order centered differences for every spatial derivative.
+
+One abort rule holds for both: if the right-hand side raises an arithmetic
+or domain error, or the state is not finite after step k, the run stops
+with `SolverAbortError` carrying k.  A non-finite stage value always makes
+the new state non-finite, so a run stops at the step that produced it.  All
+runs are deterministic: fixed step, fixed-order summation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +44,10 @@ class SectionGrid:
 
 @dataclass
 class SolveReport:
-    scheme: str
     steps: int
-    dt: float
     drift_series: np.ndarray | None = None
     drift: float | None = None
     trajectory_residual: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _fd4(series: np.ndarray, dt: float) -> np.ndarray:
@@ -60,6 +63,33 @@ def _periodic_dx4(arr: np.ndarray, dx: float) -> np.ndarray:
     a = np.concatenate((arr[..., -2:], arr, arr[..., :2]), axis=-1)
     return (-a[..., 4:] + 8.0 * a[..., 3:-1]
             - 8.0 * a[..., 1:-3] + a[..., :-4]) / (12.0 * dx)
+
+
+def _rk4(deriv, state: np.ndarray, t0: float, dt: float, steps: int) -> np.ndarray:
+    """Classic RK4 from `state` at t0; returns the (steps + 1, *state.shape)
+    trajectory, the initial state first.
+
+    numpy's overflow and invalid-value warnings are off inside the loop: the
+    finiteness check after each step reports the step instead.
+    """
+    out = np.empty((steps + 1,) + state.shape)
+    out[0] = state
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            tk = t0 + k * dt
+            try:
+                k1 = deriv(tk, state)
+                k2 = deriv(tk + dt / 2, state + dt / 2 * k1)
+                k3 = deriv(tk + dt / 2, state + dt / 2 * k2)
+                k4 = deriv(tk + dt, state + dt * k3)
+            except (ArithmeticError, ValueError) as exc:
+                raise SolverAbortError(
+                    f"evaluation failed at step {k} (t={tk:.6g})", k) from exc
+            state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(state).all():
+                raise SolverAbortError(f"solution blew up at step {k} (t={tk:.6g})", k)
+            out[k + 1] = state
+    return out
 
 
 def _state_names(X: HdwField) -> list:
@@ -97,30 +127,11 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
         raise ChartMismatchError(f"initial data missing coordinates: {missing}")
     state = np.array([init[nm] for nm in names], dtype=float)
 
-    t = np.linspace(t0, t1, steps + 1)
-    data = np.empty((steps + 1, len(names)))
-    data[0] = state
-
     def deriv(tk, s):
-        out = np.asarray(rhs(tk, *s), dtype=float)
-        # the state is short: a scalar loop beats numpy's reduction dispatch
-        if not all(map(math.isfinite, out.tolist())):
-            raise FloatingPointError
-        return out
+        return np.asarray(rhs(tk, *s), dtype=float)
 
-    for k in range(steps):
-        tk = t0 + k * dt
-        try:
-            k1 = deriv(tk, state)
-            k2 = deriv(tk + dt / 2, state + dt / 2 * k1)
-            k3 = deriv(tk + dt / 2, state + dt / 2 * k2)
-            k4 = deriv(tk + dt, state + dt * k3)
-        except (FloatingPointError, ZeroDivisionError, ValueError) as exc:
-            raise SolverAbortError(
-                f"evaluation failed at step {k} (t={tk:.6g})", k) from exc
-        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        data[k + 1] = state
-
+    data = _rk4(deriv, state, t0, dt, steps)
+    t = np.linspace(t0, t1, steps + 1)
     fields = {nm: data[:, i].copy() for i, nm in enumerate(names)}
     meta = {"scheme": "rk4", "dt": dt, "steps": steps, "kind": X.kind,
             "gauge": X.gauge.mode}
@@ -180,40 +191,29 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
     if dt > dx:
         warnings.append(f"dt={dt:.4g} exceeds dx={dx:.4g}; explicit scheme may be unstable")
 
-    y = np.array(init_y, dtype=float)
-    pt = np.array(init_pt, dtype=float)
+    y, pt = np.asarray(init_y, dtype=float), np.asarray(init_pt, dtype=float)
     if y.shape != (npoints,) or pt.shape != (npoints,):
         raise ValueError("initial arrays must match the spatial grid")
+    state = np.stack((y, pt))
 
     def recover_px(tk, yk):
         s = _periodic_dx4(yk, dx)
         return (s - f_a(tk, x, yk)) / f_b(tk, x, yk)
 
-    def deriv(tk, yk, ptk):
+    def deriv(tk, s):
+        yk, ptk = s
         pxk = recover_px(tk, yk)
-        dy = f_Ft(tk, x, yk, ptk, pxk) * np.ones(npoints)
-        dpt = -f_hy(tk, x, yk, ptk, pxk) * np.ones(npoints) - _periodic_dx4(pxk, dx)
-        return dy, dpt
+        out = np.empty_like(s)
+        out[0] = f_Ft(tk, x, yk, ptk, pxk)
+        out[1] = -f_hy(tk, x, yk, ptk, pxk) - _periodic_dx4(pxk, dx)
+        return out
 
-    nt = steps + 1
-    t = np.linspace(t0, t1, nt)
-    Y = np.empty((nt, npoints))
-    PT = np.empty((nt, npoints))
-    PX = np.empty((nt, npoints))
-    Y[0], PT[0] = y, pt
-    PX[0] = recover_px(t0, y)
-    for k in range(steps):
-        tk = t0 + k * dt
-        ky1, kp1 = deriv(tk, y, pt)
-        ky2, kp2 = deriv(tk + dt / 2, y + dt / 2 * ky1, pt + dt / 2 * kp1)
-        ky3, kp3 = deriv(tk + dt / 2, y + dt / 2 * ky2, pt + dt / 2 * kp2)
-        ky4, kp4 = deriv(tk + dt, y + dt * ky3, pt + dt * kp3)
-        y = y + dt / 6 * (ky1 + 2 * ky2 + 2 * ky3 + ky4)
-        pt = pt + dt / 6 * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(pt))):
-            raise SolverAbortError(f"solution blew up at step {k}", k)
-        Y[k + 1], PT[k + 1] = y, pt
-        PX[k + 1] = recover_px(t0 + (k + 1) * dt, y)
+    data = _rk4(deriv, state, t0, dt, steps)
+    t = np.linspace(t0, t1, steps + 1)
+    Y, PT = data[:, 0], data[:, 1]
+    PX = np.empty_like(Y)
+    for k, yk in enumerate(Y):
+        PX[k] = recover_px(t0 + k * dt, yk)
 
     fields = {"y1": Y, "p1_1": PT, "p1_2": PX}
     meta = {"scheme": "rk4/mol-fd4-periodic", "dt": dt, "dx": dx,
@@ -265,16 +265,12 @@ def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:
     pe = grid.fields["pe"]
     h_series = series - pe  # H = pe + h along the trajectory
     resid = _fd4(pe, dt) + _fd4(h_series, dt)
-    report = SolveReport(
-        scheme=grid.meta.get("scheme", "?"),
+    return SolveReport(
         steps=len(grid.t) - 1,
-        dt=dt,
         drift_series=series,
         drift=drift,
         trajectory_residual=float(np.max(np.abs(resid))),
-        meta={"kind": grid.meta.get("kind")},
     )
-    return report
 
 
 def max_discrepancy(g1: SectionGrid, g2: SectionGrid) -> float:

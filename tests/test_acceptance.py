@@ -72,7 +72,7 @@ def test_criterion_01_symbolic_residual_suite(announce):
         H, alpha = extended_alpha(chart, h)
         ok &= residual_restricted(Xr, omega_h).is_zero()
         ok &= residual_extended(Xe, build_omega(chart), alpha).is_zero()
-        ok &= all(t == 0 for t in tangency_check(Xe, H))
+        ok &= all(t == 0 for t in tangency_check(Xe, alpha))
         ok &= connection_equation_check(Xr, omega_h).is_zero()
         ok &= mu_vertical_pairing(alpha) == 1
         count += 1

@@ -265,6 +265,26 @@ class TestSolve:
             capsys, "solve", str(MODELS / "degenerate.hdw"), "--out", str(tmp_path))
         assert status == 2
 
+    @pytest.mark.parametrize("extended", ["true", "false"])
+    def test_missing_initial_momentum_is_input_error(self, capsys, tmp_path, extended):
+        text = (MODELS / "oscillator.hdw").read_text()
+        model = tmp_path / "osc.hdw"
+        model.write_text(text.replace("p1_1 = 0.0\n", "").replace(
+            "extended = true", f"extended = {extended}"))
+        status, out, err = run(capsys, "solve", str(model), "--out", str(tmp_path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and "p1_1" in err
+        if extended == "true":
+            assert "assignment missing variables: p1_1" in err
+
+    def test_steps_key_is_unknown(self, capsys, tmp_path):
+        text = (MODELS / "oscillator.hdw").read_text() + "steps = 5\n"
+        model = tmp_path / "osc.hdw"
+        model.write_text(text)
+        status, _, err = run(capsys, "solve", str(model), "--out", str(tmp_path))
+        assert status == 2
+        assert f"line {text.count(chr(10))}: unknown coordinate 'steps' in [solve]" in err
+
 
 class TestCompare:
     def test_compare_against_own_grid(self, capsys, tmp_path):

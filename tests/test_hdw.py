@@ -7,14 +7,31 @@ from sympy.polys.rings import PolyElement
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel,
                        derive_extended, derive_restricted, dof_count)
 from hdw_forge.errors import ChartMismatchError, GaugeError, WrongBundleError
-from hdw_forge.forms import build_omega, extended_alpha, hamilton_cartan
+from hdw_forge.forms import CoordForm, build_omega, extended_alpha, hamilton_cartan
 from hdw_forge.hdw import (connection_equation_check, curvature,
                            mu_vertical_pairing, residual_extended,
                            residual_restricted, standard_checks,
                            tangency_check, transversality)
 from hdw_forge.symbolic import simplify
 
-from conftest import random_gauge, random_polynomial_h
+from conftest import MN_MATRIX, random_gauge, random_polynomial_h
+
+
+def reference_g(model, Xr):
+    """g as it was derived before the extended field was built on the
+    restricted one: from the partials of h, not from F."""
+    chart, h = model.chart, model.h
+    g = {}
+    for nu in range(1, chart.m + 1):
+        expr = -sp.diff(h, chart.x(nu))
+        for a in range(1, chart.n + 1):
+            for eta in range(1, chart.m + 1):
+                if eta == nu:
+                    continue
+                expr += sp.diff(h, chart.p(a, nu)) * Xr.G[(a, eta, eta)]
+                expr -= sp.diff(h, chart.p(a, eta)) * Xr.G[(a, eta, nu)]
+        g[nu] = simplify(expr)
+    return g
 
 
 def _oscillator():
@@ -146,6 +163,27 @@ class TestDeriveExtended:
         Xe = derive_extended(model, gauge)
         assert Xr.F == Xe.F and Xr.G == Xe.G
 
+    @pytest.mark.parametrize("kind", ["poly", "trans", "rational"])
+    @pytest.mark.parametrize("m,n", MN_MATRIX)
+    def test_projection_is_restricted_field(self, m, n, kind):
+        rng = random.Random(f"projection {m} {n} {kind}")
+        chart = BundleChart(m, n)
+        h = random_polynomial_h(chart, rng)
+        if kind == "trans":
+            h += sp.sin(chart.y(1)) * chart.p(1, m) / 2 + sp.exp(chart.x(1) / 3)
+        elif kind == "rational":
+            h += chart.p(n, 1) / chart.y(1) + chart.x(m) * chart.y(n) ** 2
+        gauge = random_gauge(chart, rng)
+        model = HamiltonianModel(chart, h)
+        Xe = derive_extended(model, gauge)
+        Xr = derive_restricted(model, gauge)
+        proj = Xe.restricted()
+        assert (proj.kind, proj.chart, proj.g, proj.gauge, proj.f) == (
+            "restricted", chart, {}, Xe.gauge, Xe.f)
+        for ours, ref in ((proj.F, Xr.F), (proj.G, Xr.G), (Xe.g, reference_g(model, Xr))):
+            assert list(ours.items()) == list(ref.items())
+            assert [str(v) for v in ours.values()] == [str(v) for v in ref.values()]
+
 
 class TestResiduals:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
@@ -240,8 +278,8 @@ class TestNormalizations:
 class TestTangency:
     def test_oscillator(self):
         model = _oscillator()
-        H, _ = extended_alpha(model.chart, model.h)
-        assert tangency_check(derive_extended(model), H) == [0]
+        _, alpha = extended_alpha(model.chart, model.h)
+        assert tangency_check(derive_extended(model), alpha) == [0]
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1)])
     def test_random_corpus(self, m, n):
@@ -249,9 +287,19 @@ class TestTangency:
         chart = BundleChart(m, n)
         h = random_polynomial_h(chart, rng)
         gauge = random_gauge(chart, rng)
-        H, _ = extended_alpha(chart, h)
+        _, alpha = extended_alpha(chart, h)
         X = derive_extended(HamiltonianModel(chart, h), gauge)
-        assert all(t == 0 for t in tangency_check(X, H))
+        assert all(t == 0 for t in tangency_check(X, alpha))
+
+    def test_needs_one_form_on_extended_chart(self):
+        model = _oscillator()
+        X = derive_extended(model)
+        dh = CoordForm(model.chart.coords("J1"), 0, {(): model.h}).d()
+        H, alpha = extended_alpha(model.chart, model.h)
+        with pytest.raises(ChartMismatchError):
+            tangency_check(X, dh)
+        with pytest.raises(ChartMismatchError):
+            tangency_check(X, CoordForm(alpha.coords, 0, {(): H}))
 
 
 class TestConnection:

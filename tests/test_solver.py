@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hdw_forge import (BundleChart, HamiltonianModel, derive_extended,
 from hdw_forge.errors import (ChartMismatchError, SolverAbortError,
                               UnsupportedFormError)
 from hdw_forge.forms import extended_alpha
-from hdw_forge.solver import (_fd4, _periodic_dx4, conservation_diagnostics,
+from hdw_forge.solver import (_check_evolution_form, _fd4, _periodic_dx4,
+                              conservation_diagnostics,
                               discrete_field_energy, max_discrepancy,
                               project_extended, solve_field_1p1, solve_ode)
 
@@ -23,6 +25,159 @@ def _wave_field():
     chart = BundleChart(2, 1)
     h = (chart.p(1, 1) ** 2 - chart.p(1, 2) ** 2) / 2
     return derive_restricted(HamiltonianModel(chart, h))
+
+
+def reference_ode(X, init, t0, t1, dt):
+    """The m=1 RK4 loop as it stood before both solvers shared one loop:
+    it aborts at the first non-finite stage value."""
+    chart = X.chart
+    names = [chart.y(a).name for a in range(1, chart.n + 1)]
+    names += [chart.p(a, 1).name for a in range(1, chart.n + 1)]
+    exprs = [X.F[(a, 1)] for a in range(1, chart.n + 1)]
+    exprs += [X.G[(a, 1, 1)] for a in range(1, chart.n + 1)]
+    if X.kind == "extended":
+        names.append("pe")
+        exprs.append(X.g[1])
+    rhs = sp.lambdify([chart.x(1)] + [sp.Symbol(nm) for nm in names], exprs, "numpy")
+
+    def deriv(tk, s):
+        out = np.asarray(rhs(tk, *s), dtype=float)
+        if not np.isfinite(out).all():
+            raise SolverAbortError("stage", k)
+        return out
+
+    steps = int(round((t1 - t0) / dt))
+    state = np.array([init[nm] for nm in names], dtype=float)
+    data = np.empty((steps + 1, len(names)))
+    data[0] = state
+    for k in range(steps):
+        tk = t0 + k * dt
+        k1 = deriv(tk, state)
+        k2 = deriv(tk + dt / 2, state + dt / 2 * k1)
+        k3 = deriv(tk + dt / 2, state + dt / 2 * k2)
+        k4 = deriv(tk + dt, state + dt * k3)
+        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        data[k + 1] = state
+    return {nm: data[:, i] for i, nm in enumerate(names)}
+
+
+def reference_field(X, y, pt, t0, t1, dt, x0, x1, npoints):
+    """The 1+1 method-of-lines loop as it stood before both solvers shared
+    one loop: separate y and p_t arrays, p_x recovered inside the loop."""
+    chart = X.chart
+    a_expr, b_expr = _check_evolution_form(X)
+    t_s, x_s, y_s = chart.x(1), chart.x(2), chart.y(1)
+    args = (t_s, x_s, y_s, chart.p(1, 1), chart.p(1, 2))
+    f_Ft = sp.lambdify(args, X.F[(1, 1)], "numpy")
+    f_hy = sp.lambdify(args, -(X.G[(1, 1, 1)] + X.G[(1, 2, 2)]), "numpy")
+    f_a = sp.lambdify((t_s, x_s, y_s), a_expr, "numpy")
+    f_b = sp.lambdify((t_s, x_s, y_s), b_expr, "numpy")
+    dx = (x1 - x0) / npoints
+    x = x0 + dx * np.arange(npoints)
+
+    def recover_px(tk, yk):
+        return (_periodic_dx4(yk, dx) - f_a(tk, x, yk)) / f_b(tk, x, yk)
+
+    def deriv(tk, yk, ptk):
+        pxk = recover_px(tk, yk)
+        dy = f_Ft(tk, x, yk, ptk, pxk) * np.ones(npoints)
+        dpt = -f_hy(tk, x, yk, ptk, pxk) * np.ones(npoints) - _periodic_dx4(pxk, dx)
+        return dy, dpt
+
+    steps = int(round((t1 - t0) / dt))
+    Y, PT, PX = (np.empty((steps + 1, npoints)) for _ in range(3))
+    Y[0], PT[0], PX[0] = y, pt, recover_px(t0, y)
+    for k in range(steps):
+        tk = t0 + k * dt
+        ky1, kp1 = deriv(tk, y, pt)
+        ky2, kp2 = deriv(tk + dt / 2, y + dt / 2 * ky1, pt + dt / 2 * kp1)
+        ky3, kp3 = deriv(tk + dt / 2, y + dt / 2 * ky2, pt + dt / 2 * kp2)
+        ky4, kp4 = deriv(tk + dt, y + dt * ky3, pt + dt * kp3)
+        y = y + dt / 6 * (ky1 + 2 * ky2 + 2 * ky3 + ky4)
+        pt = pt + dt / 6 * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(pt))):
+            raise SolverAbortError("blew up", k)
+        Y[k + 1], PT[k + 1] = y, pt
+        PX[k + 1] = recover_px(t0 + (k + 1) * dt, y)
+    return {"y1": Y, "p1_1": PT, "p1_2": PX}
+
+
+def assert_bit_identical(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert (a.view(np.int64) == b.view(np.int64)).all()
+
+
+def _forced_field_model():
+    """An evolution-form Hamiltonian that exercises every term of the 1+1
+    right-hand side: x1- and x2-dependence, a nonzero -dh/dy and an affine
+    spatial relation with a nonzero offset."""
+    chart = BundleChart(2, 1)
+    t, x, y = chart.x(1), chart.x(2), chart.y(1)
+    pt, px = chart.p(1, 1), chart.p(1, 2)
+    h = (pt ** 2 - px ** 2) / 2 + y ** 2 / 2 + t * y / 5 + sp.sin(x) * px / 3
+    return HamiltonianModel(chart, h)
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("derive", [derive_restricted, derive_extended])
+    @pytest.mark.parametrize("h", ["oscillator", "forced"])
+    def test_ode_matches_reference_loop(self, derive, h):
+        chart = BundleChart(1, 1)
+        t, q, p = chart.x(1), chart.y(1), chart.p(1, 1)
+        model = (_oscillator_model() if h == "oscillator" else
+                 HamiltonianModel(chart, p ** 2 / 2 + q ** 4 / 4 + sp.cos(t) * q))
+        X = derive(model)
+        init = {"y1": 1.0, "p1_1": 0.25, "pe": -0.5}
+        grid = solve_ode(X, init, (0.0, 3.0), 0.01)
+        ref = reference_ode(X, init, 0.0, 3.0, 0.01)
+        assert list(grid.fields) == list(ref)
+        for nm in ref:
+            assert_bit_identical(grid.fields[nm], ref[nm])
+
+    @pytest.mark.parametrize("model", ["wave", "forced"])
+    def test_field_matches_reference_loop(self, model):
+        X = _wave_field() if model == "wave" else derive_restricted(_forced_field_model())
+        n = 16
+        x = 2 * np.pi * np.arange(n) / n
+        y0, pt0 = np.sin(x) + np.cos(2 * x) / 4, np.cos(x) / 2
+        grid = solve_field_1p1(X, y0, pt0, (0.0, 1.0), 0.05, (0.0, 2 * np.pi), n)
+        ref = reference_field(X, y0, pt0, 0.0, 1.0, 0.05, 0.0, 2 * np.pi, n)
+        assert list(grid.fields) == list(ref)
+        for nm in ref:
+            assert_bit_identical(grid.fields[nm], ref[nm])
+
+    def test_ode_abort_step_unchanged(self):
+        chart = BundleChart(1, 1)
+        X = derive_restricted(
+            HamiltonianModel(chart, chart.p(1, 1) * chart.y(1) ** 2))
+        init = {"y1": 1.0, "p1_1": 1.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the solver reports, numpy stays quiet
+            with pytest.raises(SolverAbortError, match="step") as ours:
+                solve_ode(X, init, (0.0, 3.0), 0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbortError) as ref:
+                reference_ode(X, init, 0.0, 3.0, 0.01)
+        assert ours.value.last_step == ref.value.last_step
+
+    def test_field_blow_up_aborts_with_step_index(self):
+        # y_tt = y_xx + 4 y^3 with a large uniform start escapes in finite time
+        chart = BundleChart(2, 1)
+        pt, px, y = chart.p(1, 1), chart.p(1, 2), chart.y(1)
+        X = derive_restricted(HamiltonianModel(chart, (pt ** 2 - px ** 2) / 2 - y ** 4))
+        n = 8
+        y0, pt0 = np.full(n, 10.0), np.zeros(n)
+        args = (y0, pt0, (0.0, 1.0), 0.01, (0.0, 2 * np.pi), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverAbortError, match="step") as ours:
+                solve_field_1p1(X, *args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbortError) as ref:
+                reference_field(X, y0, pt0, 0.0, 1.0, 0.01, 0.0, 2 * np.pi, n)
+        assert 0 <= ours.value.last_step < 100
+        assert ours.value.last_step == ref.value.last_step
 
 
 class TestStencils:

@@ -1,0 +1,149 @@
+"""Fingerprint the package's observable outputs, one sha256 per group.
+
+Run from any directory with the package to fingerprint first on the path:
+
+    PYTHONPATH=<checkout>/src python3 tools/same_outputs.py
+
+Two checkouts produce the same outputs when they print the same lines.
+The groups are:
+
+- `fields`, `battery`, `curvature`: the srepr and str of F, G and g of both
+  derived fields, the verdicts and details of `standard_checks`, and the
+  curvature brackets, over check-matrix seeds 7, 11 and 23 x 16 slots;
+- `cli ...`: exit status, stdout, stderr and written report of every
+  command on the bundled models, with timestamps and paths stripped;
+- `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
+  800-point wave run the field-solve benchmark makes.
+
+The check-matrix inputs come from `perfbench/inputs.py`, loaded read-only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import math
+import pathlib
+import re
+import sys
+import tempfile
+
+import sympy as sp
+
+from hdw_forge import cli, hdw, legendre
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
+SEEDS = (7, 11, 23)
+SLOTS = 16
+INJECTIONS = {
+    "F": {"F[1][1]": "p1_1 + y1"},
+    "g": {"g[1]": "pe"},
+    "F-pe": {"F[1][1]": "p1_1 + pe"},
+}
+
+
+def _frozen_inputs():
+    """perfbench/inputs.py, loaded read-only: no sys.path entry, no bytecode."""
+    path = ROOT / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _table_lines(X):
+    for name in ("F", "G", "g"):
+        for key, e in getattr(X, name).items():
+            yield f"{X.kind} {name}{key} {sp.srepr(e)} {e}"
+
+
+def symbolic_groups(inputs) -> dict:
+    groups = {"fields": [], "battery": [], "curvature": []}
+    for seed in SEEDS:
+        for slot in range(SLOTS):
+            inp = inputs.check_input(seed, slot)
+            if inp.kind == "lag":
+                model = legendre.hamiltonian_from_lagrangian(legendre.legendre_maps(
+                    legendre.LagrangianModel(inp.chart, inp.lag)))
+            else:
+                model = hdw.HamiltonianModel(inp.chart, inp.h)
+            tag = f"{seed}/{slot}"
+            Xr = hdw.derive_restricted(model, inp.gauge)
+            Xe = hdw.derive_extended(model, inp.gauge)
+            groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe)
+                                 for line in _table_lines(X)]
+            groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
+                                  in hdw.standard_checks(model, inp.gauge).items()]
+            groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
+                                    for key, v in hdw.curvature(Xe).items()]
+    return groups
+
+
+def _strip(text, tmp):
+    """Drop what differs from run to run: timestamps and directory names."""
+    text = text.replace(str(tmp), "<tmp>").replace(str(MODELS), "<models>")
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+
+def _run_cli(argv, tmp):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except Exception as exc:  # a crash is an output too
+            status = f"raised {type(exc).__name__}"
+    return _strip(f"{status}\n{out.getvalue()}\n{err.getvalue()}", tmp)
+
+
+def cli_groups(tmp) -> dict:
+    groups = {}
+    runs = []
+    for model in sorted(MODELS.glob("*.hdw")):
+        path = str(model)
+        runs += [[cmd, path] for cmd in ("derive", "check", "legendre")]
+        runs.append(["derive", path, "--format", "latex"])
+        for name, table in INJECTIONS.items():
+            inject = tmp / f"inject-{name}.json"
+            inject.write_text(json.dumps(table), encoding="utf-8")
+            runs.append(["check", path, "--debug-inject", str(inject)])
+        runs.append(["solve", path])
+        runs.append(["compare", path, "--against",
+                     str(tmp / "out" / f"{model.stem}.solve.grid.csv")])
+    wave = str(MODELS / "wave.hdw")
+    wide = ["--grid", "800", "--dt", repr(2 * math.pi / 800)]
+    runs.append(["solve", wave] + wide)
+    runs.append(["compare", wave] + wide
+                + ["--against", str(tmp / "out" / "wave.solve.grid.csv")])
+    for argv in runs:
+        argv = argv + ["--out", str(tmp / "out")]
+        key = _strip(" ".join(argv), tmp)
+        lines = [_run_cli(argv, tmp)]
+        for report in sorted((tmp / "out").glob("*.json")):
+            lines.append(report.name + "\n" + _strip(report.read_text(encoding="utf-8"), tmp))
+            report.unlink()
+        groups[f"cli {key}"] = lines
+        grid = tmp / "out" / f"{pathlib.Path(argv[1]).stem}.solve.grid.csv"
+        if argv[0] == "solve" and grid.exists():
+            groups[f"grid {key}"] = [hashlib.sha256(grid.read_bytes()).hexdigest()]
+    return groups
+
+
+def main():
+    groups = symbolic_groups(_frozen_inputs())
+    with tempfile.TemporaryDirectory() as tmp:
+        groups.update(cli_groups(pathlib.Path(tmp)))
+    for name, lines in groups.items():
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()
