@@ -281,6 +281,7 @@ def cmd_derive(model: ModelFile, args) -> tuple[dict, int]:
 def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
     gauge = _select_gauge(model, args)
     report = _base_report("check", model, gauge)
+    failed = False
     try:
         ham = _hamiltonian_of(model)
     except RegularityError as exc:
@@ -289,22 +290,18 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
         # no induced Hamiltonian; the rank diagnostics still apply
         report["checks"] = []
         report["note"] = str(exc)
-        _add_rank_diagnostics(report, model)
-        return report, 0
-    Xe = None
-    inject = getattr(args, "debug_inject", None)
-    if inject:
-        Xe = _apply_injection(derive_extended(ham, gauge), inject)
-    results = standard_checks(ham, gauge, Xe=Xe)
-    checks = []
-    failed = False
-    for name, (ok, detail) in results.items():
-        diagnostic = "diagnostic" in name
-        checks.append({"name": name, "passed": bool(ok),
-                       "diagnostic": diagnostic, "detail": detail})
-        if not ok and not diagnostic:
-            failed = True
-    report["checks"] = checks
+    else:
+        Xe = None
+        inject = getattr(args, "debug_inject", None)
+        if inject:
+            Xe = _apply_injection(derive_extended(ham, gauge), inject)
+        checks = []
+        for name, (ok, detail) in standard_checks(ham, gauge, Xe=Xe).items():
+            diagnostic = "diagnostic" in name
+            checks.append({"name": name, "passed": bool(ok),
+                           "diagnostic": diagnostic, "detail": detail})
+            failed |= not ok and not diagnostic
+        report["checks"] = checks
     _add_rank_diagnostics(report, model)
     return report, (1 if failed else 0)
 

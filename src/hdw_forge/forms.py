@@ -15,6 +15,9 @@ Sign conventions (fixed once, everything downstream derives from them):
     i(X1 ^ ... ^ Xm) F = i(Xm) ... i(X1) F  (X1 innermost).
 
 A worked example for the second and third rules is in docs/conventions.md.
+
+Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
+`_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,52 @@ from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import is_structurally_zero, poly_ring, simplify, to_poly
+from .symbolic import is_structurally_zero, simplify, to_poly
+
+
+# A coefficient on the polynomial fragment is held as an element of
+# QQ[coords] (`symbolic.to_poly`), any other as an `Expr`.  A product, sum or
+# derivative of ring elements stays in the ring; one involving an `Expr` is
+# taken on the `Expr` views.  `_diff` is the only derivative of a coefficient.
+
+def _coeff(value, coords):
+    """`value` as a coefficient is held: its element of QQ[coords] on the
+    polynomial fragment, else the sympified `Expr`."""
+    if isinstance(value, PolyElement):
+        return value
+    value = sp.sympify(value)
+    poly = to_poly(value, coords)
+    return value if poly is None else poly
+
+
+def _expr(c, coords):
+    """The `Expr` view of a held coefficient."""
+    return c.as_expr(*coords) if isinstance(c, PolyElement) else c
+
+
+def _mul(a, b, coords):
+    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+        return a * b
+    return sp.sympify(_expr(a, coords)) * _expr(b, coords)
+
+
+def _diff(c, idx, coords):
+    if isinstance(c, PolyElement):
+        return c.diff(c.ring.gens[idx])
+    return sp.diff(c, coords[idx])
+
+
+def _sum(values, coords, canonical=sp.expand):
+    """Sum in the ring when every value is a ring element, else `canonical`
+    of the sum of the `Expr` views."""
+    polys = [v for v in values if isinstance(v, PolyElement)]
+    exprs = [v for v in values if not isinstance(v, PolyElement)]
+    if polys:
+        total = sum(polys[1:], polys[0])
+        if not exprs:
+            return total
+        exprs.append(total.as_expr(*coords))
+    return canonical(sp.Add(*exprs))
 
 
 def _normalize_key(key):
@@ -42,10 +90,9 @@ def _normalize_key(key):
 class CoordForm:
     """A differential k-form over an ordered coordinate frame.
 
-    A coefficient on the polynomial fragment is held as an element of
-    QQ[coords] (see `symbolic.to_poly`), so sums, products and derivatives
-    of polynomial forms stay in the ring; any other coefficient is held as
-    an expanded `Expr`.  `terms` shows every coefficient as an `Expr`.
+    Coefficients are held as the helpers above decide: in QQ[coords] on
+    the polynomial fragment, as expanded `Expr`s otherwise.  `terms` shows
+    every coefficient as an `Expr`.
     """
 
     __slots__ = ("coords", "degree", "_coeffs", "_terms")
@@ -67,11 +114,8 @@ class CoordForm:
         """Nonzero coefficients as expanded `Expr`s, keyed by sorted index
         tuple; a view to read, changed only through `add_term`."""
         if self._terms is None:
-            self._terms = {key: self._expr(c) for key, c in self._coeffs.items()}
+            self._terms = {key: _expr(c, self.coords) for key, c in self._coeffs.items()}
         return self._terms
-
-    def _expr(self, coeff):
-        return coeff.as_expr(*self.coords) if isinstance(coeff, PolyElement) else coeff
 
     def add_term(self, key, coeff):
         """Add `coeff` (an `Expr`, or an element of QQ[coords]) at `key`."""
@@ -81,15 +125,10 @@ class CoordForm:
         if norm is None:
             return
         key, sign = norm
-        old = self._coeffs.get(key)
-        new = None
-        if old is None or isinstance(old, PolyElement):
-            new = coeff if isinstance(coeff, PolyElement) else to_poly(coeff, self.coords)
-        if new is not None:
-            total = sign * new if old is None else old + sign * new
-        else:
-            total = sp.expand(sign * sp.sympify(self._expr(coeff))
-                              + self._expr(self._coeffs.get(key, 0)))
+        values = [sign * _coeff(coeff, self.coords)]
+        if key in self._coeffs:
+            values.append(self._coeffs[key])
+        total = _sum(values, self.coords)
         self._terms = None
         if total == 0:
             self._coeffs.pop(key, None)
@@ -112,11 +151,8 @@ class CoordForm:
         return out
 
     def simplified(self):
-        """Canonical coefficients; ring elements already are."""
-        out = CoordForm(self.coords, self.degree)
-        for key, c in self._coeffs.items():
-            out.add_term(key, c if isinstance(c, PolyElement) else simplify(c))
-        return out
+        """Canonical coefficients (`symbolic.simplify`)."""
+        return self.map_coeffs(simplify)
 
     def __add__(self, other):
         self._check_same_frame(other)
@@ -134,14 +170,10 @@ class CoordForm:
         return self.scale(-1)
 
     def scale(self, factor):
-        factor = sp.sympify(factor)
-        poly = to_poly(factor, self.coords)
+        factor = _coeff(factor, self.coords)
         out = CoordForm(self.coords, self.degree)
         for key, c in self._coeffs.items():
-            if poly is not None and isinstance(c, PolyElement):
-                out.add_term(key, poly * c)
-            else:
-                out.add_term(key, factor * self._expr(c))
+            out.add_term(key, _mul(factor, c, self.coords))
         return out
 
     def wedge(self, other):
@@ -153,20 +185,15 @@ class CoordForm:
                 if merged is None:
                     continue
                 key, sign = merged
-                if isinstance(c1, PolyElement) and isinstance(c2, PolyElement):
-                    out.add_term(key, sign * c1 * c2)
-                else:
-                    out.add_term(key, sign * self._expr(c1) * other._expr(c2))
+                out.add_term(key, sign * _mul(c1, c2, self.coords))
         return out
 
     def d(self):
         """Exterior derivative over the frame coordinates."""
         out = CoordForm(self.coords, self.degree + 1)
-        gens = poly_ring(self.coords).gens
         for key, coeff in self._coeffs.items():
-            exact = isinstance(coeff, PolyElement)
-            for idx, sym in enumerate(self.coords):
-                dc = coeff.diff(gens[idx]) if exact else sp.diff(coeff, sym)
+            for idx in range(len(self.coords)):
+                dc = _diff(coeff, idx, self.coords)
                 if dc == 0:
                     continue
                 merged = _normalize_key((idx,) + key)
@@ -189,10 +216,7 @@ class CoordForm:
                     continue
                 rest = key[:pos] + key[pos + 1:]
                 sign = -1 if pos % 2 else 1
-                if isinstance(comp, PolyElement) and isinstance(coeff, PolyElement):
-                    out.add_term(rest, sign * comp * coeff)
-                else:
-                    out.add_term(rest, sign * sp.sympify(self._expr(comp)) * self._expr(coeff))
+                out.add_term(rest, sign * _mul(comp, coeff, self.coords))
         return out
 
     def coefficient(self, key):
@@ -200,12 +224,10 @@ class CoordForm:
         if norm is None:
             return sp.Integer(0)
         key, sign = norm
-        return sp.expand(sign * self._expr(self._coeffs.get(key, sp.Integer(0))))
+        return sp.expand(sign * _expr(self._coeffs.get(key, sp.Integer(0)), self.coords))
 
     def is_zero(self) -> bool:
-        # a ring element stored here is never zero
-        return all(not isinstance(c, PolyElement) and is_structurally_zero(c)[0]
-                   for c in self._coeffs.values())
+        return all(is_structurally_zero(c)[0] for c in self.terms.values())
 
     def structurally_equal(self, other) -> bool:
         return (self - other).is_zero()
@@ -259,8 +281,7 @@ class CoordMultiVector:
     Component nu is  f * (d/dx_nu + sum_c coeff[c] d/dc)  where the base
     positions carry the shared transverse scalar f (default 1).  Each
     component's full table is built once, its coefficients held as
-    `CoordForm` holds its own: in QQ[coords] on the polynomial fragment, as
-    `Expr`s otherwise.
+    `CoordForm` holds its own (`_coeff`).
     """
 
     def __init__(self, coords, base_positions, fiber_components, f=1):
@@ -276,13 +297,31 @@ class CoordMultiVector:
             table[base] = sp.Integer(1)
             if self.f != 1:
                 table = {k: sp.expand(self.f * v) for k, v in table.items()}
-            polys = {k: to_poly(v, self.coords) for k, v in table.items() if v != 0}
-            self._vectors.append({k: table[k] if p is None else p for k, p in polys.items()})
+            self._vectors.append({k: _coeff(v, self.coords)
+                                  for k, v in table.items() if v != 0})
 
     def vector(self, nu: int) -> dict:
         """Full coefficient table of component nu (1-based), scaled by f; a
         view to read."""
         return self._vectors[nu - 1]
+
+    def bracket(self, nu: int, eta: int) -> dict:
+        """Vertical part of the bracket [X_nu, X_eta] of two components
+        (1-based), as canonical `Expr`s keyed by coordinate index."""
+        a, b, coords = self.vector(nu), self.vector(eta), self.coords
+        out = {}
+        for i in range(len(coords)):
+            if i in self.base_positions:
+                continue
+            # a missing entry is zero: differentiating sp.Integer(0) instead
+            # would take every product with it off the ring
+            terms = []
+            if i in b:
+                terms += [_mul(c, _diff(b[i], j, coords), coords) for j, c in a.items()]
+            if i in a:
+                terms += [-_mul(c, _diff(a[i], j, coords), coords) for j, c in b.items()]
+            out[i] = _expr(_sum(terms, coords, simplify), coords)
+        return out
 
 
 def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:

@@ -8,6 +8,11 @@ determines the scalar coefficients g uniquely from F and G.  The checkers
 below turn the structural statements about these fields (residual equations,
 transversality normalization, level-set tangency, connection flatness) into
 computable forms.
+
+Every coefficient this module holds is an `Expr`.  Whether a product or
+derivative of form and multivector coefficients is taken in the polynomial
+ring or on `Expr`s is decided in `forms` alone, which also takes the
+brackets behind `curvature`.
 """
 
 from __future__ import annotations
@@ -15,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
-from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, build_omega, extended_alpha,
                     hamilton_cartan, interior_product, volume_form)
-from .symbolic import is_structurally_zero, poly_ring, simplify
+from .symbolic import is_structurally_zero, simplify
 
 
 @dataclass(frozen=True)
@@ -230,50 +234,20 @@ def tangency_check(X: HdwField, alpha: CoordForm) -> list:
             for nu in range(1, X.chart.m + 1)]
 
 
-def _apply_vector(components, gens, expr):
-    """Directional derivative of a scalar along a coefficient table.
-
-    Works alike on `Expr`s (gens: coordinate symbols) and on ring elements
-    (gens: the ring's generators).
-    """
-    out = 0
-    for idx, coeff in components.items():
-        out += coeff * expr.diff(gens[idx])
-    return out
-
-
 def curvature(X: HdwField) -> dict:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
-    the associated connection is flat (the field is integrable).  A field
-    whose multivector holds only ring elements is bracketed exactly in
-    QQ[chart coordinates], and each bracket is converted to an `Expr` once.
+    the associated connection is flat (the field is integrable).  Each value
+    is `CoordMultiVector.bracket` of the field's multivector.
     """
-    chart = X.chart
-    coords = chart.coords(X.level)
+    coords = X.chart.coords(X.level)
     mv = X.multivector()
-    base_set = set(mv.base_positions)
-    vertical = [i for i in range(len(coords)) if i not in base_set]
-    vectors = [mv.vector(nu) for nu in range(1, chart.m + 1)]
-    exact = all(isinstance(c, PolyElement) for v in vectors for c in v.values())
-    if exact:
-        ring = poly_ring(coords)
-        gens, zero = ring.gens, ring.zero
-    else:
-        vectors = [{i: c.as_expr(*coords) if isinstance(c, PolyElement) else c
-                    for i, c in v.items()} for v in vectors]
-        gens, zero = coords, sp.Integer(0)
     out = {}
-    for nu in range(1, chart.m + 1):
-        Xnu = vectors[nu - 1]
-        for eta in range(nu + 1, chart.m + 1):
-            Xeta = vectors[eta - 1]
-            for i in vertical:
-                bracket = (_apply_vector(Xnu, gens, Xeta.get(i, zero))
-                           - _apply_vector(Xeta, gens, Xnu.get(i, zero)))
-                out[(nu, eta, coords[i].name)] = (
-                    bracket.as_expr(*coords) if exact else simplify(bracket))
+    for nu in range(1, X.chart.m + 1):
+        for eta in range(nu + 1, X.chart.m + 1):
+            for i, v in mv.bracket(nu, eta).items():
+                out[(nu, eta, coords[i].name)] = v
     return out
 
 

@@ -41,7 +41,6 @@ class LegendreResult:
     hessian: dict            # ((a, nu), (b, eta)) -> Expr
     classification: str      # hyper-regular-closed-form | regular-local | degenerate
     inverse_velocities: dict = field(default_factory=dict)  # (a, nu) -> Expr in (x, y, p)
-    induced_h: sp.Expr | None = None
 
 
 def _velocity_slots(chart: BundleChart):
@@ -69,10 +68,9 @@ def legendre_maps(model: LagrangianModel) -> LegendreResult:
     else:
         classification = "hyper-regular-closed-form"
     result = LegendreResult(model, momenta, extended, hessian, classification)
-    if classification == "hyper-regular-closed-form" and all(
-            hessian[(s1, s2)].free_symbols == set() or
-            not (hessian[(s1, s2)].free_symbols & {chart.v(*s) for s in slots})
-            for s1 in slots for s2 in slots):
+    vsyms = {chart.v(*s) for s in slots}
+    if classification == "hyper-regular-closed-form" and not any(
+            e.free_symbols & vsyms for e in hessian.values()):
         result.inverse_velocities = _invert_linear(chart, momenta, slots)
     return result
 
@@ -151,12 +149,15 @@ def hdw_momentum_elimination(model: LagrangianModel) -> list:
     return out
 
 
-def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples,
-                     params=None, tol_factor: float = 1e-9) -> list:
+_RANK_TOL = 1e-9
+
+
+def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
+                     params) -> list:
     """Kernel dimension of the contracted pullback structure at sample points.
 
     `embedding` maps every restricted-chart coordinate to an expression over
-    the parameter symbols; `h_P` is an expression over the parameters.  At
+    the parameter symbols `params`; `h_P` is an expression over them.  At
     each sample the (m+1)-form built from the pulled-back canonical part and
     h_P is flattened to the matrix of single-vector contractions; the
     reported number is the dimension of its kernel intersected with the
@@ -165,14 +166,7 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples,
     underlying Lagrangian obstructs; without it the m=1 case would always
     report the one-dimensional evolution direction.
     """
-    embedding = {sp.Symbol(str(k)) if not isinstance(k, sp.Symbol) else k:
-                 sp.sympify(v) for k, v in embedding.items()}
-    h_P = sp.sympify(h_P)
-    if params is None:
-        params = sorted({s for e in embedding.values() for s in e.free_symbols}
-                        | set(h_P.free_symbols), key=lambda s: s.name)
-    params = tuple(sp.Symbol(str(p)) if not isinstance(p, sp.Symbol) else p
-                   for p in params)
+    params = tuple(params)
     d = len(params)
     if d == 0:
         raise ChartMismatchError("embedding needs at least one parameter")
@@ -192,32 +186,27 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples,
         raise ChartMismatchError(
             f"pullback degree {omega_P.degree} exceeds parameter count {d}")
 
-    lam_terms = [(key, sp.lambdify(params, coeff, "numpy"))
-                 for key, coeff in omega_P.terms.items()]
-    k = omega_P.degree
-    cols = {c: i for i, c in enumerate(itertools.combinations(range(d), k - 1))}
-    base_jac = [[sp.lambdify(params, sp.diff(embedding[chart.x(nu)], u), "numpy")
-                 for u in params] for nu in range(1, chart.m + 1)]
+    # row i: the contraction i(d/du_i) omega_P, then the base Jacobian column
+    # d x_nu / d u_i (verticality: kernel vectors must not move the base)
+    cols = list(itertools.combinations(range(d), omega_P.degree - 1))
+    rows = []
+    for i, u in enumerate(params):
+        contracted = omega_P.interior_vector({i: 1})
+        rows.append([contracted.coefficient(c) for c in cols]
+                    + [sp.diff(embedding[chart.x(nu)], u) for nu in range(1, chart.m + 1)])
+    system = sp.lambdify(params, sp.Matrix(rows), "numpy")
     out = []
     for pt in samples:
         vals = [float(v) for v in pt]
         if len(vals) != d:
             raise ChartMismatchError(
                 f"sample {pt} has {len(vals)} entries, expected {d}")
-        M = np.zeros((d, len(cols)))
-        for key, fn in lam_terms:
-            c = float(fn(*vals))
-            for pos, i in enumerate(key):
-                rest = key[:pos] + key[pos + 1:]
-                M[i, cols[rest]] += ((-1) ** pos) * c
-        # verticality rows: kernel vectors must not move the base coordinates
-        B = np.array([[float(fn(*vals)) for fn in row] for row in base_jac])
-        vert_dim = d - int(np.linalg.matrix_rank(B))
-        K = np.hstack([M, B.T])
+        K = np.array(system(*vals), dtype=float)
+        vert_dim = d - int(np.linalg.matrix_rank(K[:, len(cols):]))
         if np.allclose(K, 0.0):
             out.append(vert_dim)
             continue
         svals = np.linalg.svd(K, compute_uv=False)
-        rank = int(np.sum(svals > tol_factor * svals[0]))
+        rank = int(np.sum(svals > _RANK_TOL * svals[0]))
         out.append(d - rank)
     return out

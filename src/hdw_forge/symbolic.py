@@ -53,11 +53,6 @@ def _ring(ngens: int) -> PolyRing:
     return PolyRing([f"_{i}" for i in range(ngens)], QQ)
 
 
-def poly_ring(gens) -> PolyRing:
-    """The ring `to_poly(., gens)` maps into."""
-    return _ring(len(gens))
-
-
 class _OffFragment(Exception):
     pass
 

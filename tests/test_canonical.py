@@ -3,7 +3,9 @@
 `simplify`, `CoordForm.add_term` and `curvature` canonicalize polynomial
 input exactly in QQ[frame]; every other input keeps the expand / cancel
 path.  Both must give the same `Expr`, equal under `==` and `str`, as the
-reference copies of the `Expr` code below.
+reference copies of the `Expr` code below.  `curvature` brackets each term
+in the ring or on `Expr`s as its factors are held, and must give what the
+all-or-nothing bracket it replaced gave.
 """
 
 import itertools
@@ -11,10 +13,11 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
-from hdw_forge import BundleChart, HamiltonianModel, derive_extended
-from hdw_forge.forms import (CoordForm, _normalize_key, base_contraction_key,
-                             build_theta, hamilton_cartan)
+from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, derive_extended
+from hdw_forge.forms import (CoordForm, CoordMultiVector, _normalize_key,
+                             base_contraction_key, build_theta, hamilton_cartan)
 from hdw_forge.hdw import curvature
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
@@ -348,3 +351,95 @@ class TestOffFragment:
         got, expected = curvature(X), reference_curvature(X)
         for key in expected:
             assert_same(got[key], expected[key])
+
+
+def all_or_nothing_curvature(X):
+    """`curvature` as it was computed before `CoordMultiVector.bracket`:
+    wholly in QQ[coords] when every entry of every component is on the
+    polynomial fragment, else wholly on `Expr`s and simplified."""
+    chart = X.chart
+    coords = chart.coords(X.level)
+    vectors = []
+    for table in reference_vectors(X):
+        held = {i: to_poly(c, coords) for i, c in table.items() if c != 0}
+        vectors.append({i: table[i] if p is None else p for i, p in held.items()})
+    base = {coords.index(chart.x(nu)) for nu in range(1, chart.m + 1)}
+    vertical = [i for i in range(len(coords)) if i not in base]
+    exact = all(isinstance(c, PolyElement) for v in vectors for c in v.values())
+    if exact:
+        ring = vectors[0][min(base)].ring
+        gens, zero = ring.gens, ring.zero
+    else:
+        vectors = [{i: c.as_expr(*coords) if isinstance(c, PolyElement) else c
+                    for i, c in v.items()} for v in vectors]
+        gens, zero = coords, sp.Integer(0)
+
+    def apply(components, expr):
+        out = 0
+        for idx, coeff in components.items():
+            out += coeff * expr.diff(gens[idx])
+        return out
+
+    out = {}
+    for nu in range(1, chart.m + 1):
+        Xnu = vectors[nu - 1]
+        for eta in range(nu + 1, chart.m + 1):
+            Xeta = vectors[eta - 1]
+            for i in vertical:
+                bracket = apply(Xnu, Xeta.get(i, zero)) - apply(Xeta, Xnu.get(i, zero))
+                out[(nu, eta, coords[i].name)] = (
+                    bracket.as_expr(*coords) if exact else simplify(bracket))
+    return out
+
+
+def case_field(m, n, kind):
+    """An extended field whose coefficients are polynomial ("poly"), carry
+    sin/exp terms ("trans") or a 1/y1 term ("rational") through h, or are
+    polynomial but for one sin(y1) off-trace gauge entry ("mixed")."""
+    rng = random.Random(f"one rule {m} {n} {kind}")
+    chart = BundleChart(m, n)
+    h = random_polynomial_h(chart, rng, n_terms=3)
+    gauge = random_gauge(chart, rng, density=0.3)
+    if kind == "trans":
+        h += sp.sin(chart.y(1)) * chart.p(1, m) / 2 + sp.exp(chart.x(1) / 3)
+    elif kind == "rational":
+        h += chart.p(n, 1) / chart.y(1) + chart.x(m) * chart.y(n) ** 2
+    elif kind == "mixed":
+        gauge = GaugeChoice("user-table", {**gauge.off_trace, (1, 2, 1): sp.sin(chart.y(1))},
+                            gauge.redistribution)
+    return derive_extended(HamiltonianModel(chart, h), gauge)
+
+
+CURVATURE_CASES = ([(m, n, kind) for m, n in MN_MATRIX for kind in ("poly", "trans", "rational")]
+                   + [(m, n, "mixed") for m, n in MN_MATRIX if m > 1])
+
+
+class TestOneCoefficientRule:
+    @pytest.mark.parametrize("m,n,kind", CURVATURE_CASES)
+    def test_curvature_matches_all_or_nothing(self, m, n, kind):
+        X = case_field(m, n, kind)
+        got, expected = curvature(X), all_or_nothing_curvature(X)
+        assert list(got) == list(expected)
+        for key in expected:
+            assert_same(got[key], expected[key])
+            assert sp.srepr(got[key]) == sp.srepr(expected[key])
+
+    def test_bracket_is_simplified(self):
+        # X1 = d/dx1 + A d/dy1 and X2 = d/dx2 + B d/dy1, with A off the ring
+        # and B on it: the bracket's terms mix, and its fractions only
+        # combine under `simplify`, not under `expand`
+        A, B = 1 / (y1 - 1), x1 * y1
+        x2 = sp.Symbol("x2")
+        mv = CoordMultiVector((x1, x2, y1), (0, 1), [{2: A}, {2: B}])
+        bracket = sp.diff(B, x1) + A * sp.diff(B, y1) - B * sp.diff(A, y1)
+        expected = reference_simplify(bracket)
+        assert expected != sp.expand(bracket)
+        assert list(mv.bracket(1, 2)) == [2]
+        assert_same(mv.bracket(1, 2)[2], expected)
+
+    def test_mixed_field_brackets_mix(self):
+        X = case_field(2, 1, "mixed")
+        held = X.multivector().vector(1)
+        kinds = {isinstance(c, PolyElement) for c in held.values()}
+        assert kinds == {True, False}
+        assert any(v != 0 and has_transcendental(v) for v in curvature(X).values())

@@ -223,18 +223,19 @@ class TestHeldMultivector:
         assert X.multivector() is X.multivector()
         assert X.scaled(2).multivector() is not X.multivector()
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("m,n", MN_MATRIX)
     def test_polynomial_field_holds_ring_elements(self, m, n):
         rng = random.Random(600 * m + n)
         chart = BundleChart(m, n)
-        X = derive_extended(HamiltonianModel(chart, random_polynomial_h(chart, rng)),
-                            random_gauge(chart, rng))
-        coords = chart.coords("M")
-        mv = X.multivector()
-        for nu in range(1, m + 1):
-            table = mv.vector(nu)
-            assert all(isinstance(c, PolyElement) and c != 0 for c in table.values())
-            assert table[coords.index(chart.x(nu))] == 1
+        Xe = derive_extended(HamiltonianModel(chart, random_polynomial_h(chart, rng)),
+                             random_gauge(chart, rng))
+        for X in (Xe, Xe.restricted()):
+            coords = chart.coords(X.level)
+            mv = X.multivector()
+            for nu in range(1, m + 1):
+                table = mv.vector(nu)
+                assert all(isinstance(c, PolyElement) and c != 0 for c in table.values())
+                assert table[coords.index(chart.x(nu))] == 1
 
     def test_transcendental_entry_stays_expr(self):
         chart = BundleChart(1, 1)

@@ -1,15 +1,22 @@
+import itertools
+import pathlib
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from hdw_forge import BundleChart
 from hdw_forge.errors import ChartMismatchError, RegularityError
+from hdw_forge.forms import canonical_part, volume_form
 from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
                                 hamiltonian_from_lagrangian,
                                 hdw_momentum_elimination, legendre_maps,
                                 rank_diagnostics, second_order_symbol)
+from hdw_forge.modelfile import parse_model
 from hdw_forge.symbolic import simplify
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def _oscillator_lagrangian():
@@ -139,6 +146,60 @@ def _identity_embedding_m1():
     return chart, (u1, u2, u3), embedding
 
 
+def per_term_rank_diagnostics(chart, embedding, h_P, samples, params):
+    """`rank_diagnostics` as it once assembled its matrix: one compiled
+    function per coefficient of omega_P and per base-Jacobian entry, with the
+    contraction signs (-1)**pos applied by hand."""
+    d = len(params)
+    theta_P = canonical_part(chart, "J1").pullback(params, embedding)
+    theta_P = theta_P + volume_form(chart, "J1").pullback(params, embedding).scale(-h_P)
+    omega_P = -theta_P.d()
+    lam_terms = [(key, sp.lambdify(params, coeff, "numpy"))
+                 for key, coeff in omega_P.terms.items()]
+    cols = {c: i for i, c in enumerate(itertools.combinations(range(d), omega_P.degree - 1))}
+    base_jac = [[sp.lambdify(params, sp.diff(embedding[chart.x(nu)], u), "numpy")
+                 for u in params] for nu in range(1, chart.m + 1)]
+    out = []
+    for pt in samples:
+        vals = [float(v) for v in pt]
+        M = np.zeros((d, len(cols)))
+        for key, fn in lam_terms:
+            c = float(fn(*vals))
+            for pos, i in enumerate(key):
+                M[i, cols[key[:pos] + key[pos + 1:]]] += ((-1) ** pos) * c
+        B = np.array([[float(fn(*vals)) for fn in row] for row in base_jac])
+        vert_dim = d - int(np.linalg.matrix_rank(B))
+        K = np.hstack([M, B.T])
+        if np.allclose(K, 0.0):
+            out.append(vert_dim)
+            continue
+        svals = np.linalg.svd(K, compute_uv=False)
+        out.append(d - int(np.sum(svals > 1e-9 * svals[0])))
+    return out
+
+
+def _rank_case(case):
+    """(chart, embedding, h_P, samples, params) of a named diagnostics case."""
+    if case == "degenerate.hdw":
+        sub = parse_model(MODELS / case).submanifold
+        return BundleChart(2, 1), sub["embedding"], sub["h_P"], sub["samples"], sub["params"]
+    if case == "m2":
+        chart = BundleChart(2, 1)
+        params = sp.symbols("u1 u2 u3 u4 u5")
+        embedding = dict(zip(
+            (chart.x(1), chart.x(2), chart.y(1), chart.p(1, 1), chart.p(1, 2)), params))
+        h_P = (params[3] ** 2 - params[4] ** 2) / 2
+        return chart, embedding, h_P, [(0.3, 0.1, 0.5, 0.7, 0.2)], params
+    chart, params, embedding = _identity_embedding_m1()
+    u1, u2, u3 = params
+    samples = [(0.1, 0.3, 0.7), (1.0, -0.5, 0.2), (0.4, 0.0, 0.0), (-0.3, 0.8, 0.0)]
+    if case == "m1":
+        return chart, embedding, (u3 ** 2 + u2 ** 2) / 2, samples, params
+    # the momentum folds over the fiber: p = u2 * u3, with h_P = u3**2
+    embedding[chart.p(1, 1)] = u2 * u3
+    return chart, embedding, u3 ** 2, samples, params
+
+
 class TestRankDiagnostics:
     def test_regular_m1_has_trivial_vertical_kernel(self):
         chart, params, embedding = _identity_embedding_m1()
@@ -169,6 +230,12 @@ class TestRankDiagnostics:
         dims = rank_diagnostics(chart, embedding, h_P,
                                 [(0.3, 0.1, 0.5, 0.7, 0.2)], params=params)
         assert dims == [0]
+
+    @pytest.mark.parametrize("case", ["degenerate.hdw", "m1", "m2", "m1-folded"])
+    def test_matches_per_term_assembly(self, case):
+        chart, embedding, h_P, samples, params = _rank_case(case)
+        dims = rank_diagnostics(chart, embedding, h_P, samples, params=params)
+        assert dims == per_term_rank_diagnostics(chart, embedding, h_P, samples, params)
 
     def test_rejects_zero_parameters(self):
         chart = BundleChart(1, 1)

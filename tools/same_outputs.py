@@ -7,9 +7,12 @@ Run from any directory with the package to fingerprint first on the path:
 Two checkouts produce the same outputs when they print the same lines.
 The groups are:
 
-- `fields`, `battery`, `curvature`: the srepr and str of F, G and g of both
-  derived fields, the verdicts and details of `standard_checks`, and the
-  curvature brackets, over check-matrix seeds 7, 11 and 23 x 16 slots;
+- `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
+  g of both derived fields, the verdicts and details of `standard_checks`,
+  the curvature brackets, and the repr of omega, omega_h, alpha and of the
+  restricted residual of the field with F[1][1] + 1 (the tampered field the
+  check-matrix benchmark rejects), over check-matrix seeds 7, 11 and 23 x 16
+  slots;
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -33,7 +36,7 @@ import tempfile
 
 import sympy as sp
 
-from hdw_forge import cli, hdw, legendre
+from hdw_forge import cli, forms, hdw, legendre
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -65,8 +68,20 @@ def _table_lines(X):
             yield f"{X.kind} {name}{key} {sp.srepr(e)} {e}"
 
 
+def _forms(model, Xr):
+    chart = model.chart
+    _, omega_h = forms.hamilton_cartan(chart, model.h)
+    F = dict(Xr.F)
+    F[(1, 1)] = F[(1, 1)] + 1
+    tampered = hdw.HdwField(Xr.kind, chart, F, Xr.G, Xr.g, Xr.gauge, Xr.f)
+    yield "omega", forms.build_omega(chart)
+    yield "omega_h", omega_h
+    yield "alpha", forms.extended_alpha(chart, model.h)[1]
+    yield "tampered residual", hdw.residual_restricted(tampered, omega_h)
+
+
 def symbolic_groups(inputs) -> dict:
-    groups = {"fields": [], "battery": [], "curvature": []}
+    groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
     for seed in SEEDS:
         for slot in range(SLOTS):
             inp = inputs.check_input(seed, slot)
@@ -84,6 +99,8 @@ def symbolic_groups(inputs) -> dict:
                                   in hdw.standard_checks(model, inp.gauge).items()]
             groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
                                     for key, v in hdw.curvature(Xe).items()]
+            groups["forms"] += [f"{tag} {name} {form!r}"
+                                for name, form in _forms(model, Xr)]
     return groups
 
 
