@@ -296,7 +296,7 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
         if inject:
             Xe = _apply_injection(derive_extended(ham, gauge), inject)
         checks = []
-        for name, (ok, detail) in standard_checks(ham, gauge, Xe=Xe).items():
+        for name, (ok, detail) in standard_checks(ham, gauge, Xe=Xe, seed=args.seed).items():
             diagnostic = "diagnostic" in name
             checks.append({"name": name, "passed": bool(ok),
                            "diagnostic": diagnostic, "detail": detail})
@@ -327,7 +327,7 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
         ham = hamiltonian_from_lagrangian(res)
         report["induced_h"] = _equation_entry(render_plain(ham.h), render_latex(ham.h))
         elim = hdw_momentum_elimination(lag)
-        ok = all(is_structurally_zero(a - b)[0] for a, b in zip(el, elim))
+        ok = all(is_structurally_zero(a - b, args.seed)[0] for a, b in zip(el, elim))
         report["round_trip"] = {"passed": ok}
         status = 0 if ok else 1
     else:

@@ -17,7 +17,9 @@ Sign conventions (fixed once, everything downstream derives from them):
 A worked example for the second and third rules is in docs/conventions.md.
 
 Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
-`_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.
+`_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.  A ring element is a
+polynomial in the frame and in sin, cos and exp atoms (`symbolic.to_ring`),
+differentiated by the chain rule.
 """
 
 from __future__ import annotations
@@ -27,51 +29,59 @@ from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import is_structurally_zero, simplify, to_poly
+from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify, to_ring,
+                       unify)
 
 
-# A coefficient on the polynomial fragment is held as an element of
-# QQ[coords] (`symbolic.to_poly`), any other as an `Expr`.  A product, sum or
-# derivative of ring elements stays in the ring; one involving an `Expr` is
-# taken on the `Expr` views.  `_diff` is the only derivative of a coefficient.
+# A coefficient polynomial in the frame and its sin/cos/exp atoms is held as
+# an element of QQ[coords, atoms] (`symbolic.to_ring`), any other as an
+# `Expr`.  A product, sum or derivative of ring elements stays in a ring, the
+# one over the union of their atoms, unless those atoms depend on each other;
+# one involving an `Expr` is taken on the `Expr` views.  `_diff` is the only
+# derivative of a coefficient.
 
 def _coeff(value, coords):
-    """`value` as a coefficient is held: its element of QQ[coords] on the
-    polynomial fragment, else the sympified `Expr`."""
+    """`value` as a coefficient is held: its ring element on the fragment,
+    else the sympified `Expr`."""
     if isinstance(value, PolyElement):
         return value
     value = sp.sympify(value)
-    poly = to_poly(value, coords)
+    poly = to_ring(value, coords)
     return value if poly is None else poly
 
 
 def _expr(c, coords):
     """The `Expr` view of a held coefficient."""
-    return c.as_expr(*coords) if isinstance(c, PolyElement) else c
+    return ring_expr(c, coords) if isinstance(c, PolyElement) else c
 
 
 def _mul(a, b, coords):
     if isinstance(a, PolyElement) and isinstance(b, PolyElement):
-        return a * b
+        pair = unify((a, b), coords)
+        if pair is not None:
+            return pair[0] * pair[1]
     return sp.sympify(_expr(a, coords)) * _expr(b, coords)
 
 
 def _diff(c, idx, coords):
     if isinstance(c, PolyElement):
-        return c.diff(c.ring.gens[idx])
+        return ring_diff(c, idx, coords)
     return sp.diff(c, coords[idx])
 
 
 def _sum(values, coords, canonical=sp.expand):
-    """Sum in the ring when every value is a ring element, else `canonical`
-    of the sum of the `Expr` views."""
+    """Sum in a ring when every value is a ring element and their atoms are
+    independent, else `canonical` of the sum of the `Expr` views."""
     polys = [v for v in values if isinstance(v, PolyElement)]
     exprs = [v for v in values if not isinstance(v, PolyElement)]
-    if polys:
-        total = sum(polys[1:], polys[0])
+    lifted = unify(polys, coords) if polys else None
+    if lifted is None:
+        exprs += [ring_expr(p, coords) for p in polys]
+    else:
+        total = sum(lifted[1:], lifted[0])
         if not exprs:
             return total
-        exprs.append(total.as_expr(*coords))
+        exprs.append(ring_expr(total, coords))
     return canonical(sp.Add(*exprs))
 
 
@@ -226,8 +236,9 @@ class CoordForm:
         key, sign = norm
         return sp.expand(sign * _expr(self._coeffs.get(key, sp.Integer(0)), self.coords))
 
-    def is_zero(self) -> bool:
-        return all(is_structurally_zero(c)[0] for c in self.terms.values())
+    def is_zero(self, seed: int = 0) -> bool:
+        """Every coefficient passes `is_structurally_zero` with `seed`."""
+        return all(is_structurally_zero(c, seed)[0] for c in self.terms.values())
 
     def structurally_equal(self, other) -> bool:
         return (self - other).is_zero()

@@ -4,7 +4,7 @@ Expressions are plain sympy expressions over chart coordinate symbols, with
 exact rational literals throughout the symbolic pipeline; floats only appear
 at evaluation time.  `simplify` fixes a canonical form that makes zero-testing
 a structural check for the rational-function fragment; transcendental
-identities fall back to numeric sampling (see `is_structurally_zero`).
+identities fall back to seeded numeric sampling (see `is_structurally_zero`).
 
 Canonical form.  The polynomial fragment -- sums and products of symbols and
 Integer/Rational numbers, raised only to non-negative integer powers, with no
@@ -14,6 +14,14 @@ the polynomial ring QQ[frame] (`to_poly`) and converted back to its expanded
 a symbol outside the given frame) takes the `sp.expand` / `sp.cancel` path.
 Both paths give the same `Expr` on the fragment, so the choice is invisible
 to callers.
+
+Coefficient rings.  `to_ring` extends the fragment by sin, cos and exp of
+frame polynomials, held as generators of QQ[frame, atoms]; `unify` lifts
+elements of such rings into the ring over the union of their atoms,
+`ring_diff` differentiates by the chain rule and `ring_expr` converts back.
+No relation between the atoms is imposed, so the ring decides zero and
+prints each element exactly as `sp.expand` does; the `forms` coefficient
+helpers use it.
 """
 
 from __future__ import annotations
@@ -42,15 +50,18 @@ def _as_symbol(wrt) -> sp.Symbol:
     return CoordId.from_name(str(wrt)).symbol
 
 
-@functools.lru_cache(maxsize=32)
-def _ring(ngens: int) -> PolyRing:
-    """QQ[_0, ..., _{ngens-1}], shared by every frame of that size.
+@functools.lru_cache(maxsize=256)
+def _ring(ngens: int, atoms: tuple = ()) -> PolyRing:
+    """QQ[_0, ..., _{ngens-1}, *atoms]; without atoms, shared by every frame
+    of that size.
 
     Keying on the size, not the symbols, keeps the number of rings (each
     costs milliseconds to build) small when frames vary per expression.  An
-    element carries no frame: whoever holds it also holds its frame.
+    element carries no frame: whoever holds it also holds its frame.  The
+    atom generators (`to_ring`) follow the frame's and are their own
+    symbols, so `poly.ring.symbols[len(frame):]` are the atoms.
     """
-    return PolyRing([f"_{i}" for i in range(ngens)], QQ)
+    return PolyRing([sp.Symbol(f"_{i}") for i in range(ngens)] + list(atoms), QQ)
 
 
 class _OffFragment(Exception):
@@ -58,7 +69,7 @@ class _OffFragment(Exception):
 
 
 def _rebuild(e, ring, index):
-    if e.is_Symbol:
+    if e.is_Symbol or e.is_Function:
         try:
             return index[e]
         except KeyError:
@@ -96,6 +107,175 @@ def to_poly(e, gens):
         return _rebuild(e, ring, index)
     except _OffFragment:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Transcendental atoms
+# ---------------------------------------------------------------------------
+#
+# An atom is sin(u), cos(u) or exp(u) with u a non-constant expanded
+# polynomial of the frame.  `to_ring` holds an expression polynomial in the
+# frame and such atoms in QQ[frame, generators], where
+#
+#   * sin(u) and cos(u) are both generators when either occurs, so that the
+#     chain rule stays in the ring;
+#   * exp(c*t), with c rational and t a monomial, is the k-th power of the
+#     generator exp(s*t), s the signed rational gcd of every c seen with
+#     that t.  sympy merges exp(a*t)*exp(b*t) into exp((a+b)*t) on its own,
+#     so this keeps the ring's products equal to sympy's.  exp(t) next to
+#     exp(-t) (sympy's product is 1) and exp of a sum (which `sp.expand`
+#     splits) stay off the ring.
+#
+# No relation such as cos(u)^2 + sin(u)^2 = 1 is imposed: the ring decides
+# zero exactly as `sp.expand` does, and `poly.as_expr` gives the `Expr` that
+# `sp.expand` gives.
+
+_ATOMS = (sp.sin, sp.cos, sp.exp)
+
+
+def _atom_images(atoms, coords):
+    """{atom: (generator, power)} for `atoms` and the partners of its sin and
+    cos atoms, or None when one of them is off the fragment."""
+    images = {}
+    exps = {}
+    for atom in atoms:
+        u = atom.args[0]
+        poly = to_poly(u, coords)
+        if poly is None or poly.is_ground or poly.as_expr(*coords) != u:
+            return None
+        if isinstance(atom, sp.exp):
+            c, t = u.as_coeff_Mul()
+            if t.is_Add:
+                return None
+            exps.setdefault(t, []).append((c, atom))
+            continue
+        for partner in (sp.sin(u), sp.cos(u)):
+            images[partner] = (partner, 1)
+    for t, pairs in exps.items():
+        cs = [c for c, _ in pairs]
+        if min(cs) < 0 < max(cs):
+            return None
+        step = sp.Rational(math.gcd(*(c.p for c in cs)), math.lcm(*(c.q for c in cs)))
+        step = step if cs[0] > 0 else -step
+        gen = sp.exp(step * t)
+        images.update((atom, (gen, int(c / step))) for c, atom in pairs)
+    return images
+
+
+@functools.lru_cache(maxsize=1024)
+def _atom_frame(atoms: frozenset, coords: tuple):
+    """(ring, index) for expressions in `coords` and `atoms`: the ring over
+    the atoms' generators and a map from each coordinate and atom to its
+    ring element; None when an atom is off the fragment."""
+    images = _atom_images(atoms, coords)
+    if images is None:
+        return None
+    gens = tuple(sorted({g for g, _ in images.values()}, key=sp.default_sort_key))
+    ring = _ring(len(coords), gens)
+    of = dict(zip(ring.symbols, ring.gens))
+    index = dict(zip(coords, ring.gens))
+    index.update((atom, of[g] ** k) for atom, (g, k) in images.items())
+    return ring, index
+
+
+def to_ring(e, coords):
+    """`e` as an element of QQ[coords, atoms], or None off that fragment.
+
+    On the polynomial fragment this is `to_poly(e, coords)`.  Convert back
+    with `ring_expr`.
+    """
+    e = sp.sympify(e)
+    coords = tuple(coords)
+    poly = to_poly(e, coords)
+    if poly is not None or not e.is_commutative:
+        return poly
+    atoms = frozenset(e.atoms(*_ATOMS))
+    frame = _atom_frame(atoms, coords) if atoms else None
+    if frame is None:
+        return None
+    try:
+        return _rebuild(e, *frame)
+    except _OffFragment:
+        return None
+
+
+def ring_expr(poly, coords):
+    """The expanded `Expr` of an element of `to_ring`'s rings."""
+    return poly.as_expr(*coords, *poly.ring.symbols[len(coords):])
+
+
+@functools.lru_cache(maxsize=1024)
+def _lifts(rings: tuple, coords: tuple):
+    """{ring: lift} taking the elements of each ring into the ring over the
+    union of their atoms; None when those atoms depend on each other."""
+    n = len(coords)
+    frame = _atom_frame(frozenset(a for ring in rings for a in ring.symbols[n:]), coords)
+    if frame is None:
+        return None
+    target, index = frame
+
+    def lifter(ring):
+        # generator i goes to generator j to the power k
+        moves = [(i, i, 1) for i in range(n)]
+        for i, atom in enumerate(ring.symbols[n:], n):
+            (monom,) = index[atom].keys()
+            j = next(j for j, k in enumerate(monom) if k)
+            moves.append((i, j, monom[j]))
+
+        def lift(poly):
+            out = {}
+            for monom, coeff in poly.items():
+                new = [0] * target.ngens
+                for i, j, k in moves:
+                    new[j] += monom[i] * k
+                out[tuple(new)] = coeff
+            return target.dtype(out)
+        return lift
+
+    return {ring: lifter(ring) for ring in rings}
+
+
+def unify(polys, coords):
+    """Elements of `to_ring`'s rings, lifted into the one ring over the union
+    of their atoms; None when those atoms depend on each other."""
+    rings = tuple(dict.fromkeys(p.ring for p in polys))
+    if len(rings) == 1:
+        return polys
+    lifts = _lifts(rings, tuple(coords))
+    return None if lifts is None else [lifts[p.ring](p) for p in polys]
+
+
+@functools.lru_cache(maxsize=1024)
+def _chain(ring, coords: tuple, idx: int):
+    """[(generator position, its derivative along coords[idx])] for the
+    atom generators of `ring` that depend on that coordinate."""
+    n = len(coords)
+    of = dict(zip(ring.symbols, ring.gens))
+    index = dict(zip(coords, ring.gens))
+    out = []
+    for j, atom in enumerate(ring.symbols[n:], n):
+        u = atom.args[0]
+        du = _rebuild(sp.diff(u, coords[idx]), ring, index)
+        if not du:
+            continue
+        if atom.func is sp.exp:
+            out.append((j, of[atom] * du))
+        elif atom.func is sp.sin:
+            out.append((j, of[sp.cos(u)] * du))
+        else:
+            out.append((j, -of[sp.sin(u)] * du))
+    return out
+
+
+def ring_diff(poly, idx, coords):
+    """Derivative of an element of `to_ring`'s rings along coords[idx], by
+    the chain rule: D sin u = cos u Du, D cos u = -sin u Du,
+    D exp u = exp u Du."""
+    ring = poly.ring
+    out = poly.diff(ring.gens[idx])
+    for j, factor in _chain(ring, tuple(coords), idx):
+        out += poly.diff(ring.gens[j]) * factor
+    return out
 
 
 def simplify(e) -> Expr:
@@ -187,15 +367,32 @@ def has_transcendental(e) -> bool:
     return any(e.has(f) for f in _TRANSCENDENTAL)
 
 
+# a zero verdict by sampling needs this many points at which the expression
+# evaluates; boxes of both signs and these widths are sampled until it has
+_MIN_POINTS = 5
+_WIDER = (20.0, 200.0, 2000.0)
+
+
+def _point(syms, rng, width=None):
+    """A point in the box [0.1, 2.0], or with `width` in [-width, -0.1] u
+    [0.1, width] in every coordinate."""
+    if width is None:
+        return {t: rng.uniform(0.1, 2.0) for t in syms}
+    return {t: rng.choice((-1, 1)) * rng.uniform(0.1, width) for t in syms}
+
+
 def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10):
     """Zero test: structural for rational expressions, sampled otherwise.
 
     A sample counts as zero when its value is within `tol` times the sum of
     the absolute values of the terms of the expanded expression there, so a
-    small coefficient cannot pass for zero.  An expression that evaluates at
-    none of the sample points is reported as not zero: an unevaluated value
-    is no evidence.  Returns (verdict, method) with method in
-    {"structural", "numeric"}.
+    small coefficient cannot pass for zero.  `samples` points are drawn with
+    `random.Random(seed)` in the box [0.1, 2.0]; while fewer than
+    `_MIN_POINTS` of the points drawn so far evaluate, `samples` more are
+    drawn from each of the boxes [-w, -0.1] u [0.1, w], w = 20, 200, 2000, in
+    turn.  The expression is zero when no point is nonzero and at least
+    `_MIN_POINTS` evaluated: an unevaluated value is no evidence.  Returns
+    (verdict, method) with method in {"structural", "numeric"}.
     """
     e = sp.sympify(e)
     s = simplify(e)
@@ -206,14 +403,17 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
     rng = random.Random(seed)
     syms = sorted(s.free_symbols, key=lambda t: t.name)
     terms = sp.Add.make_args(s)
-    evaluated = False
-    for _ in range(samples):
-        point = {t: rng.uniform(0.1, 2.0) for t in syms}
-        try:
-            values = [evaluate(term, point) for term in terms]
-        except EvaluationDomainError:
-            continue
-        if abs(math.fsum(values)) > tol * sum(map(abs, values)):
-            return False, "numeric"
-        evaluated = True
-    return evaluated, "numeric"
+    evaluated = 0
+    for width in (None,) + _WIDER:
+        if evaluated >= _MIN_POINTS:
+            break
+        for _ in range(samples):
+            point = _point(syms, rng, width)
+            try:
+                values = [evaluate(term, point) for term in terms]
+            except EvaluationDomainError:
+                continue
+            if abs(math.fsum(values)) > tol * sum(map(abs, values)):
+                return False, "numeric"
+            evaluated += 1
+    return evaluated >= _MIN_POINTS, "numeric"

@@ -16,9 +16,10 @@ import sympy as sp
 from sympy.polys.rings import PolyElement
 
 from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, derive_extended
-from hdw_forge.forms import (CoordForm, CoordMultiVector, _normalize_key,
-                             base_contraction_key, build_theta, hamilton_cartan)
-from hdw_forge.hdw import curvature
+from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
+                             _normalize_key, _sum, base_contraction_key, build_theta,
+                             hamilton_cartan)
+from hdw_forge.hdw import HdwField, curvature, derive_restricted, residual_restricted
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
 from conftest import MN_MATRIX, random_gauge, random_polynomial_h
@@ -353,6 +354,110 @@ class TestOffFragment:
             assert_same(got[key], expected[key])
 
 
+def random_atom_coefficient(chart, rng, terms=3):
+    """A rational combination of monomials of the extended frame times
+    sin, cos and exp atoms.  The exp atoms of one coefficient share a sign,
+    so the coefficient is held in a ring."""
+    coords = chart.coords("M")
+    sign = rng.choice((-1, 1))
+    out = sp.Integer(0)
+    for _ in range(terms):
+        u = rng.choice(coords) * rng.choice((1, 2, rng.choice(coords)))
+        c = sign * sp.Rational(rng.randint(1, 3), rng.randint(1, 2))
+        atom = rng.choice((sp.sin(u), sp.cos(u), sp.exp(c * u)))
+        out += (sp.Rational(rng.randint(-4, 4), rng.randint(1, 3))
+                * atom ** rng.randint(1, 2) * rng.choice(coords) ** rng.randint(0, 2))
+    return sp.expand(out)
+
+
+def tampered_residual(h, extra):
+    """repr of the restricted residual of the (1, 1) field of h with `extra`
+    added to F[1][1]."""
+    chart = BundleChart(1, 1)
+    model = HamiltonianModel(chart, h)
+    X = derive_restricted(model)
+    F = dict(X.F)
+    F[(1, 1)] = F[(1, 1)] + extra
+    _, omega_h = hamilton_cartan(chart, model.h)
+    return repr(residual_restricted(HdwField(X.kind, chart, F, X.G, X.g, X.gauge), omega_h))
+
+
+class TestAtomRing:
+    @pytest.mark.parametrize("m,n", MN_MATRIX)
+    def test_diff_matches_sp_diff(self, m, n):
+        rng = random.Random(f"atom diff {m} {n}")
+        chart = BundleChart(m, n)
+        coords = chart.coords("M")
+        for _ in range(3):
+            e = random_atom_coefficient(chart, rng)
+            held = _coeff(e, coords)
+            assert isinstance(held, PolyElement)
+            assert sp.srepr(_expr(held, coords)) == sp.srepr(e)
+            for idx, s in enumerate(coords):
+                got = _expr(_diff(held, idx, coords), coords)
+                expected = sp.expand(sp.diff(e, s))
+                assert got == expected and sp.srepr(got) == sp.srepr(expected), (e, s)
+
+    @pytest.mark.parametrize("m,n", MN_MATRIX)
+    def test_form_algebra_matches_expand(self, m, n):
+        # coefficients of both exp signs meet in products, which sympy may
+        # merge to 1; those products are taken on `Expr`s
+        rng = random.Random(f"atom forms {m} {n}")
+        chart = BundleChart(m, n)
+        coords = chart.coords("M")
+        coeffs = [random_atom_coefficient(chart, rng, terms=2) for _ in range(5)]
+        forms = []
+        for degree in range(1, min(3, len(coords)) + 1):
+            insertions = random_insertions(coords, degree, rng, coeffs, count=6)
+            form = CoordForm(coords, degree)
+            for key, coeff in insertions:
+                form.add_term(key, coeff)
+            assert_same_terms(form, reference_terms(insertions))
+            forms.append(form)
+        one, two = forms[:2]
+        comps = {i: rng.choice(coeffs) for i in rng.sample(range(len(coords)), 3)}
+        assert_same_terms(one.wedge(two), reference_wedge(one.terms, two.terms))
+        assert_same_terms(one.d(), reference_d(one.terms, coords))
+        assert_same_terms(two.interior_vector(comps), reference_interior(two.terms, comps))
+
+    def test_exp_multiples_share_a_generator(self):
+        coords = (x1, y1, p1_1)
+        e = sp.exp(y1 / 2) + p1_1 * sp.exp(y1) - sp.exp(3 * y1 / 2) / 5
+        held = _coeff(e, coords)
+        assert isinstance(held, PolyElement)
+        assert held.ring.symbols[len(coords):] == (sp.exp(y1 / 2),)
+        assert sp.srepr(_expr(held, coords)) == sp.srepr(e)
+        square = _mul(held, held, coords)
+        assert sp.srepr(_expr(square, coords)) == sp.srepr(sp.expand(e * e))
+
+    @pytest.mark.parametrize("e", [sp.exp(y1) + sp.exp(-y1), sp.sin(sp.log(y1)),
+                                   sp.exp(y1 + x1), sp.cos(y1) * sp.log(y1)], ids=str)
+    def test_dependent_or_off_fragment_atoms_stay_expr(self, e):
+        held = _coeff(e, (x1, y1, p1_1))
+        assert not isinstance(held, PolyElement)
+        assert held == e
+
+    def test_exp_of_both_signs_multiply_on_exprs(self):
+        # sympy's exp(y1)*exp(-y1) is 1; the free ring would keep the product
+        coords = (x1, y1, p1_1)
+        up, down = _coeff(sp.exp(y1), coords), _coeff(p1_1 * sp.exp(-y1), coords)
+        assert isinstance(up, PolyElement) and isinstance(down, PolyElement)
+        assert _mul(up, down, coords) == p1_1
+        assert _sum([up, down], coords) == sp.exp(y1) + p1_1 * sp.exp(-y1)
+
+    @pytest.mark.parametrize("h,extra,expected", [
+        (p1_1 ** 2 / 2 + p1_1 * sp.exp(y1 / 2) + sp.exp(y1), p1_1 * sp.exp(y1 / 2),
+         "(p1_1**2*exp(y1)/2 + p1_1*exp(3*y1/2)) dx1 + (p1_1*exp(y1/2)) dp1_1"),
+        (p1_1 ** 2 / 2 + p1_1 * sp.exp(y1) + sp.exp(-y1), p1_1 * sp.exp(-y1),
+         "(p1_1**2 - p1_1*exp(-2*y1)) dx1 + (p1_1*exp(-y1)) dp1_1"),
+        (p1_1 ** 2 / 2 + p1_1 * sp.sin(sp.log(y1)), sp.cos(sp.log(y1)),
+         "(p1_1*cos(log(y1))**2/y1) dx1 + (cos(log(y1))) dp1_1"),
+    ], ids=["exp-multiples", "exp-both-signs", "sin-of-log"])
+    def test_residual_repr_as_on_exprs(self, h, extra, expected):
+        # the expected strings are what the all-`Expr` algebra printed
+        assert tampered_residual(h, extra) == expected
+
+
 def all_or_nothing_curvature(X):
     """`curvature` as it was computed before `CoordMultiVector.bracket`:
     wholly in QQ[coords] when every entry of every component is on the
@@ -395,7 +500,8 @@ def all_or_nothing_curvature(X):
 def case_field(m, n, kind):
     """An extended field whose coefficients are polynomial ("poly"), carry
     sin/exp terms ("trans") or a 1/y1 term ("rational") through h, or are
-    polynomial but for one sin(y1) off-trace gauge entry ("mixed")."""
+    polynomial but for one log(y1) off-trace gauge entry ("mixed"), which
+    stays an `Expr` while the rest are ring elements."""
     rng = random.Random(f"one rule {m} {n} {kind}")
     chart = BundleChart(m, n)
     h = random_polynomial_h(chart, rng, n_terms=3)
@@ -405,7 +511,7 @@ def case_field(m, n, kind):
     elif kind == "rational":
         h += chart.p(n, 1) / chart.y(1) + chart.x(m) * chart.y(n) ** 2
     elif kind == "mixed":
-        gauge = GaugeChoice("user-table", {**gauge.off_trace, (1, 2, 1): sp.sin(chart.y(1))},
+        gauge = GaugeChoice("user-table", {**gauge.off_trace, (1, 2, 1): sp.log(chart.y(1))},
                             gauge.redistribution)
     return derive_extended(HamiltonianModel(chart, h), gauge)
 

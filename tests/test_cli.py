@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from hdw_forge import symbolic
 from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
 from hdw_forge.errors import ModelFileError
 from hdw_forge.solver import SectionGrid
@@ -130,6 +131,29 @@ class TestCheck:
         assert got == status
         assert [c["name"] for c in report["checks"]] == [c["name"] for c in plain["checks"]]
         assert all(c["passed"] for c in report["checks"]) == (status == 0)
+
+    def test_seed_picks_the_sampled_points(self, capsys, tmp_path, monkeypatch):
+        # sin^2 + cos^2 in F leaves residual terms that only sampling decides
+        inject = tmp_path / "inject.json"
+        inject.write_text(json.dumps({"F[1][1]": "p1_1*(sin(y1)^2+cos(y1)^2)"}))
+        evaluate = symbolic.evaluate
+        points = []
+        for seed in ("0", "1", "0"):
+            seen = []
+
+            def spy(e, assignment, seen=seen):
+                seen.append(tuple(sorted((str(k), v) for k, v in assignment.items())))
+                return evaluate(e, assignment)
+
+            monkeypatch.setattr(symbolic, "evaluate", spy)
+            status, _, _ = run_json(
+                capsys, "check", str(MODELS / "oscillator.hdw"), "--seed", seed,
+                "--debug-inject", str(inject), "--out", str(tmp_path))
+            assert status == 0 and seen
+            points.append(seen)
+        # every sampled check follows the seed: no point of seed 0 recurs
+        assert not set(points[0]) & set(points[1])
+        assert points[0] == points[2]
 
     def test_bad_injection_key(self, capsys, tmp_path):
         inject = tmp_path / "inject.json"

@@ -12,7 +12,7 @@ from hdw_forge.hdw import (connection_equation_check, curvature,
                            mu_vertical_pairing, residual_extended,
                            residual_restricted, standard_checks,
                            tangency_check, transversality)
-from hdw_forge.symbolic import simplify
+from hdw_forge.symbolic import ring_expr, simplify
 
 from conftest import MN_MATRIX, random_gauge, random_polynomial_h
 
@@ -237,16 +237,24 @@ class TestHeldMultivector:
                 assert all(isinstance(c, PolyElement) and c != 0 for c in table.values())
                 assert table[coords.index(chart.x(nu))] == 1
 
-    def test_transcendental_entry_stays_expr(self):
+    def test_atom_entries_are_ring_elements(self):
+        # sin, cos and exp of a polynomial are generators of the coefficient
+        # ring; log, a denominator or a Float keep an entry an `Expr`
         chart = BundleChart(1, 1)
         q, p = chart.y(1), chart.p(1, 1)
-        X = derive_restricted(HamiltonianModel(chart, p ** 2 / 2 + sp.sin(q)))
         coords = chart.coords("J1")
+        X = derive_restricted(HamiltonianModel(
+            chart, p ** 2 / 2 + sp.sin(q) + p * sp.exp(q / 2)))
         table = X.multivector().vector(1)
-        assert isinstance(table[coords.index(q)], PolyElement)
-        held = table[coords.index(p)]
-        assert not isinstance(held, PolyElement)
-        assert held == X.G[(1, 1, 1)] == -sp.cos(q)
+        for i, entry in ((coords.index(q), X.F[(1, 1)]), (coords.index(p), X.G[(1, 1, 1)])):
+            assert isinstance(table[i], PolyElement)
+            assert ring_expr(table[i], coords) == entry
+        assert X.G[(1, 1, 1)] == -sp.cos(q) - p * sp.exp(q / 2) / 2
+        for off in (sp.log(q), 1 / q, 0.5 * q):
+            X = derive_restricted(HamiltonianModel(chart, p ** 2 / 2 + p * off))
+            held = X.multivector().vector(1)[coords.index(q)]
+            assert not isinstance(held, PolyElement)
+            assert held == X.F[(1, 1)] == p + off
 
 
 class TestNormalizations:

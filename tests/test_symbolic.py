@@ -154,6 +154,12 @@ class TestZeroRecognition:
         verdict, method = is_structurally_zero(sp.sin(q) ** 2 + sp.cos(q) ** 2 - 1)
         assert verdict and method == "numeric"
 
+    def test_identity_outside_the_default_box(self):
+        # log(y1 - 5) is real only for y1 > 5, outside the box [0.1, 2.0]
+        e = sp.sin(sp.log(q - 5)) ** 2 + sp.cos(sp.log(q - 5)) ** 2 - 1
+        assert is_structurally_zero(e) == (True, "numeric")
+        assert is_structurally_zero(e + sp.log(q - 5) / 10**6) == (False, "numeric")
+
     def test_unevaluable_is_not_zero(self):
         # log(y1 - 5) is not real anywhere in the sampled box: no evidence
         verdict, method = is_structurally_zero(sp.log(q - 5))

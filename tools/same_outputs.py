@@ -12,7 +12,8 @@ The groups are:
   the curvature brackets, and the repr of omega, omega_h, alpha and of the
   restricted residual of the field with F[1][1] + 1 (the tampered field the
   check-matrix benchmark rejects), over check-matrix seeds 7, 11 and 23 x 16
-  slots;
+  slots and over the two fields of `atom_fields`, whose exp and sin atoms
+  have arguments that are multiples of each other;
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -36,7 +37,7 @@ import tempfile
 
 import sympy as sp
 
-from hdw_forge import cli, forms, hdw, legendre
+from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -46,6 +47,7 @@ INJECTIONS = {
     "F": {"F[1][1]": "p1_1 + y1"},
     "g": {"g[1]": "pe"},
     "F-pe": {"F[1][1]": "p1_1 + pe"},
+    "trig": {"F[1][1]": "p1_1*(sin(y1)^2+cos(y1)^2)"},
 }
 
 
@@ -80,8 +82,22 @@ def _forms(model, Xr):
     yield "tampered residual", hdw.residual_restricted(tampered, omega_h)
 
 
+def atom_fields():
+    """(tag, model, gauge) of two (2, 1) fields: one with exp(y1/2) and
+    exp(y1), one with sin(2*y1) and sin(y1)."""
+    chart = BundleChart(2, 1)
+    x1, x2, y1 = chart.x(1), chart.x(2), chart.y(1)
+    p1, p2 = chart.p(1, 1), chart.p(1, 2)
+    kinetic = (p1 ** 2 - p2 ** 2) / 2
+    exps = kinetic + p1 * sp.exp(y1 / 2) + x1 * sp.exp(y1) + p2 * y1
+    sins = kinetic + p2 * sp.sin(2 * y1) + x2 * p1 * sp.sin(y1) + sp.cos(y1)
+    for tag, h, entry in (("exp", exps, p1 * sp.exp(y1 / 2)), ("sin", sins, sp.sin(2 * y1))):
+        gauge = GaugeChoice("user-table", {(1, 2, 1): entry}, {})
+        yield f"atoms/{tag}", HamiltonianModel(chart, h), gauge
+
+
 def symbolic_groups(inputs) -> dict:
-    groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
+    cases = []
     for seed in SEEDS:
         for slot in range(SLOTS):
             inp = inputs.check_input(seed, slot)
@@ -89,18 +105,18 @@ def symbolic_groups(inputs) -> dict:
                 model = legendre.hamiltonian_from_lagrangian(legendre.legendre_maps(
                     legendre.LagrangianModel(inp.chart, inp.lag)))
             else:
-                model = hdw.HamiltonianModel(inp.chart, inp.h)
-            tag = f"{seed}/{slot}"
-            Xr = hdw.derive_restricted(model, inp.gauge)
-            Xe = hdw.derive_extended(model, inp.gauge)
-            groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe)
-                                 for line in _table_lines(X)]
-            groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
-                                  in hdw.standard_checks(model, inp.gauge).items()]
-            groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
-                                    for key, v in hdw.curvature(Xe).items()]
-            groups["forms"] += [f"{tag} {name} {form!r}"
-                                for name, form in _forms(model, Xr)]
+                model = HamiltonianModel(inp.chart, inp.h)
+            cases.append((f"{seed}/{slot}", model, inp.gauge))
+    groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
+    for tag, model, gauge in cases + list(atom_fields()):
+        Xr = hdw.derive_restricted(model, gauge)
+        Xe = hdw.derive_extended(model, gauge)
+        groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe) for line in _table_lines(X)]
+        groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
+                              in hdw.standard_checks(model, gauge).items()]
+        groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
+                                for key, v in hdw.curvature(Xe).items()]
+        groups["forms"] += [f"{tag} {name} {form!r}" for name, form in _forms(model, Xr)]
     return groups
 
 
