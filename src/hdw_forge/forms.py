@@ -19,7 +19,8 @@ A worked example for the second and third rules is in docs/conventions.md.
 Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
 `_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.  A ring element is a
 polynomial in the frame and in sin, cos and exp atoms (`symbolic.to_ring`),
-differentiated by the chain rule.
+differentiated by the chain rule.  Other modules hold, combine and read back
+coefficients through the public `hold`, `sum_of_products` and `held_expr`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,28 @@ def _sum(values, coords, canonical=sp.expand):
     return canonical(sp.Add(*exprs))
 
 
+def hold(value, coords):
+    """`value` held canonically: its ring element on the fragment, else its
+    `simplify`d `Expr`."""
+    c = _coeff(value, coords)
+    return c if isinstance(c, PolyElement) else simplify(c)
+
+
+def held_expr(c, coords):
+    """The canonical `Expr` of a held value: `ring_expr` of a ring element,
+    `simplify` of an `Expr`."""
+    return ring_expr(c, coords) if isinstance(c, PolyElement) else simplify(c)
+
+
+def sum_of_products(pairs, coords):
+    """The sum of a*b over pairs (a, b) of held values, held.
+
+    A product with a zero factor is skipped: a zero `Expr` factor would take
+    the whole sum off the ring.
+    """
+    return _sum([_mul(a, b, coords) for a, b in pairs if a != 0 and b != 0], coords)
+
+
 def _normalize_key(key):
     """Sort a key tuple; return (sorted_key, sign) or None if an index repeats.
 
@@ -118,6 +141,12 @@ class CoordForm:
         if terms:
             for key, coeff in terms.items():
                 self.add_term(key, coeff)
+
+    @property
+    def coeffs(self) -> dict:
+        """Nonzero coefficients as held: ring elements, or expanded `Expr`s
+        off the ring, keyed by sorted index tuple; a view to read."""
+        return self._coeffs
 
     @property
     def terms(self) -> dict:
@@ -318,7 +347,9 @@ class CoordMultiVector:
 
     def bracket(self, nu: int, eta: int) -> dict:
         """Vertical part of the bracket [X_nu, X_eta] of two components
-        (1-based), as canonical `Expr`s keyed by coordinate index."""
+        (1-based), held and keyed by coordinate index: a ring element when
+        every term stays in a ring, else the `simplify`d `Expr`.  Either
+        compares to 0 exactly; `held_expr` reads its `Expr`."""
         a, b, coords = self.vector(nu), self.vector(eta), self.coords
         out = {}
         for i in range(len(coords)):
@@ -331,7 +362,7 @@ class CoordMultiVector:
                 terms += [_mul(c, _diff(b[i], j, coords), coords) for j, c in a.items()]
             if i in a:
                 terms += [-_mul(c, _diff(a[i], j, coords), coords) for j, c in b.items()]
-            out[i] = _expr(_sum(terms, coords, simplify), coords)
+            out[i] = _sum(terms, coords, simplify)
         return out
 
 

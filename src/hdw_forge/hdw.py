@@ -9,14 +9,18 @@ below turn the structural statements about these fields (residual equations,
 transversality normalization, level-set tangency, connection flatness) into
 computable forms.
 
-Every coefficient this module holds is an `Expr`.  Whether a product or
-derivative of form and multivector coefficients is taken in a coefficient
-ring (polynomial in the frame and its sin/cos/exp atoms) or on `Expr`s is
-decided in `forms` alone, which also takes the brackets behind `curvature`.
+Coefficients are held as `forms` holds them (`forms.hold`): a ring element
+when polynomial in the frame and its sin/cos/exp atoms, a canonical `Expr`
+otherwise.  That choice is made in `forms` alone; this module derives F, G
+and g in held arithmetic (`forms.sum_of_products`) and reads each entry
+back to its `Expr` once (`forms.held_expr`), so the F, G and g tables of an
+`HdwField` are `Expr`s.  `curvature` keeps the held brackets of
+`CoordMultiVector.bracket` and converts one only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -24,7 +28,8 @@ import sympy as sp
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, build_omega, extended_alpha,
-                    hamilton_cartan, interior_product, volume_form)
+                    hamilton_cartan, held_expr, hold, interior_product, sum_of_products,
+                    volume_form)
 from .symbolic import is_structurally_zero, simplify
 
 
@@ -150,21 +155,23 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     chart = model.chart
     gauge.validate(chart)
     coords = chart.coords("J1")
-    dh_terms = CoordForm(coords, 0, {(): model.h}).d().terms
-    dh = {s: dh_terms.get((i,), sp.Integer(0)) for i, s in enumerate(coords)}
+    zero, one = hold(0, coords), hold(1, coords)
+    share = hold(sp.Rational(-1, chart.m), coords)
+    dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
+    dh = {s: dh.get((i,), zero) for i, s in enumerate(coords)}
     F = {}
     G = {}
     for a in range(1, chart.n + 1):
-        h_y = simplify(dh[chart.y(a)])
+        h_y = dh[chart.y(a)]
         for nu in range(1, chart.m + 1):
-            F[(a, nu)] = simplify(dh[chart.p(a, nu)])
+            F[(a, nu)] = held_expr(dh[chart.p(a, nu)], coords)
             for rho in range(1, chart.m + 1):
                 if rho == nu:
-                    G[(a, rho, nu)] = simplify(
-                        -h_y / chart.m + gauge.psi(chart, a, nu))
+                    psi = hold(gauge.psi(chart, a, nu), coords)
+                    held = sum_of_products([(share, h_y), (one, psi)], coords)
                 else:
-                    G[(a, rho, nu)] = simplify(
-                        sp.sympify(gauge.off_trace.get((a, rho, nu), 0)))
+                    held = hold(gauge.off_trace.get((a, rho, nu), 0), coords)
+                G[(a, rho, nu)] = held_expr(held, coords)
     return HdwField("restricted", chart, F, G, {}, gauge)
 
 
@@ -172,20 +179,22 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
     """The restricted field plus the scalar coefficients g, which F, G and
     the base partials of h fix."""
     X = derive_restricted(model, gauge)
-    chart, F, G = model.chart, X.F, X.G
+    chart = model.chart
     coords = chart.coords("J1")
-    dh = CoordForm(coords, 0, {(): model.h}).d().terms
+    F = {key: hold(e, coords) for key, e in X.F.items()}
+    G = {key: hold(e, coords) for key, e in X.G.items()}
+    dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
+    minus = hold(-1, coords)
     g = {}
     for nu in range(1, chart.m + 1):
-        expr = -dh.get((coords.index(chart.x(nu)),), sp.Integer(0))
+        pairs = [(minus, dh.get((coords.index(chart.x(nu)),), 0))]
         for a in range(1, chart.n + 1):
             for eta in range(1, chart.m + 1):
-                if eta == nu:
-                    continue
-                expr += F[(a, nu)] * G[(a, eta, eta)]
-                expr -= F[(a, eta)] * G[(a, eta, nu)]
-        g[nu] = simplify(expr)
-    return HdwField("extended", chart, F, G, g, X.gauge)
+                if eta != nu:
+                    pairs += [(F[(a, nu)], G[(a, eta, eta)]),
+                              (-F[(a, eta)], G[(a, eta, nu)])]
+        g[nu] = held_expr(sum_of_products(pairs, coords), coords)
+    return HdwField("extended", chart, X.F, X.G, g, X.gauge)
 
 
 def residual_restricted(X: HdwField, omega_h: CoordForm) -> CoordForm:
@@ -234,21 +243,44 @@ def tangency_check(X: HdwField, alpha: CoordForm) -> list:
             for nu in range(1, X.chart.m + 1)]
 
 
-def curvature(X: HdwField) -> dict:
+class _Brackets(Mapping):
+    """Read-only view of held bracket components (`held`), each converted
+    to its canonical `Expr` on first read."""
+
+    def __init__(self, held: dict, coords):
+        self.held = held
+        self._coords = coords
+        self._exprs = {}
+
+    def __getitem__(self, key):
+        if key not in self._exprs:
+            self._exprs[key] = held_expr(self.held[key], self._coords)
+        return self._exprs[key]
+
+    def __iter__(self):
+        return iter(self.held)
+
+    def __len__(self):
+        return len(self.held)
+
+
+def curvature(X: HdwField) -> Mapping:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
     the associated connection is flat (the field is integrable).  Each value
-    is `CoordMultiVector.bracket` of the field's multivector.
+    is `CoordMultiVector.bracket` of the field's multivector, held until it
+    is read and then its canonical `Expr`; the view's `held` table gives the
+    held values, which compare to 0 exactly.
     """
     coords = X.chart.coords(X.level)
     mv = X.multivector()
-    out = {}
+    held = {}
     for nu in range(1, X.chart.m + 1):
         for eta in range(nu + 1, X.chart.m + 1):
             for i, v in mv.bracket(nu, eta).items():
-                out[(nu, eta, coords[i].name)] = v
-    return out
+                held[(nu, eta, coords[i].name)] = v
+    return _Brackets(held, coords)
 
 
 def connection_equation_check(X: HdwField, omega_h: CoordForm) -> CoordForm:
@@ -297,10 +329,11 @@ def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *
         all(is_structurally_zero(t, seed)[0] for t in tans), str(tans))
     conn = connection_equation_check(Xr, omega_h)
     results["connection contraction identity"] = (conn.is_zero(seed), repr(conn))
-    curv = curvature(Xe)
-    # flatness is a diagnostic and decides no verdict, so it keeps the plain
-    # comparison: sampling its transcendental brackets would add about an
-    # eighth to the battery's time
+    curv = curvature(Xe).held
+    # flatness is a diagnostic and decides no verdict, so it is not sampled:
+    # a held bracket compares to 0 exactly, in the ring (which imposes no
+    # relation between atoms) or as its `simplify`d `Expr`, and none is
+    # turned into an `Expr` to decide it
     flat = all(v == 0 for v in curv.values())
     nonzero = sorted(k for k, v in curv.items() if v != 0)
     results["connection flatness (diagnostic)"] = (

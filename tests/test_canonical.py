@@ -5,21 +5,29 @@ input exactly in QQ[frame]; every other input keeps the expand / cancel
 path.  Both must give the same `Expr`, equal under `==` and `str`, as the
 reference copies of the `Expr` code below.  `curvature` brackets each term
 in the ring or on `Expr`s as its factors are held, and must give what the
-all-or-nothing bracket it replaced gave.
+all-or-nothing bracket it replaced gave.  `derive_restricted` and
+`derive_extended` form F, G and g on held coefficients and must give what
+the `Expr` derivation they replaced gave.
 """
 
+import ast
+import collections.abc
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, derive_extended
+from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms, hdw
 from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
                              _normalize_key, _sum, base_contraction_key, build_theta,
                              hamilton_cartan)
-from hdw_forge.hdw import HdwField, curvature, derive_restricted, residual_restricted
+from hdw_forge.hdw import (HdwField, curvature, derive_restricted, residual_restricted,
+                          standard_checks)
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
 from conftest import MN_MATRIX, random_gauge, random_polynomial_h
@@ -549,3 +557,167 @@ class TestOneCoefficientRule:
         kinds = {isinstance(c, PolyElement) for c in held.values()}
         assert kinds == {True, False}
         assert any(v != 0 and has_transcendental(v) for v in curvature(X).values())
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _same_outputs_tool():
+    """tools/same_outputs.py, loaded read-only: no sys.path entry, no bytecode."""
+    path = ROOT / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("_same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+# the fields of the tool's `offring` group: polynomial, sin/cos/exp, exp of
+# both signs, 1/y1, 0.5*p1_1**2 and log(y1) Hamiltonians under a gauge with
+# 1/y1, sin(log(y1)) and 0.5*y1 entries, and one with zero F and G entries
+OFFRING = {tag: (model, gauge)
+           for tag, model, gauge in _same_outputs_tool().offring_fields(MN_MATRIX)}
+
+
+def expr_derivation(model, gauge):
+    """F, G and g as derived before coefficients were held: each F and G
+    entry `simplify`d from the `Expr` partials of h, g `simplify`d from
+    `Expr` products."""
+    chart = model.chart
+    coords = chart.coords("J1")
+    dh_terms = CoordForm(coords, 0, {(): model.h}).d().terms
+    dh = {s: dh_terms.get((i,), sp.Integer(0)) for i, s in enumerate(coords)}
+    F, G, g = {}, {}, {}
+    for a in range(1, chart.n + 1):
+        h_y = simplify(dh[chart.y(a)])
+        for nu in range(1, chart.m + 1):
+            F[(a, nu)] = simplify(dh[chart.p(a, nu)])
+            for rho in range(1, chart.m + 1):
+                if rho == nu:
+                    G[(a, rho, nu)] = simplify(-h_y / chart.m + gauge.psi(chart, a, nu))
+                else:
+                    G[(a, rho, nu)] = simplify(
+                        sp.sympify(gauge.off_trace.get((a, rho, nu), 0)))
+    for nu in range(1, chart.m + 1):
+        expr = -dh[chart.x(nu)]
+        for a in range(1, chart.n + 1):
+            for eta in range(1, chart.m + 1):
+                if eta == nu:
+                    continue
+                expr += F[(a, nu)] * G[(a, eta, eta)]
+                expr -= F[(a, eta)] * G[(a, eta, nu)]
+        g[nu] = simplify(expr)
+    return F, G, g
+
+
+def assert_same_table(got, expected):
+    assert list(got) == list(expected)
+    for key in expected:
+        assert_same(got[key], expected[key])
+        assert sp.srepr(got[key]) == sp.srepr(expected[key])
+
+
+def _count_calls(monkeypatch, module, name, when=lambda frame: True):
+    """Count the calls of `module.name` made while `when(caller frame)`."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        if when(sys._getframe(1)):
+            calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _inside(names):
+    def when(frame):
+        while frame is not None:
+            if frame.f_code.co_name in names:
+                return True
+            frame = frame.f_back
+        return False
+    return when
+
+
+class TestHeldDerivation:
+    @pytest.mark.parametrize("tag", list(OFFRING))
+    def test_tables_match_expr_derivation(self, tag):
+        model, gauge = OFFRING[tag]
+        F, G, g = expr_derivation(model, gauge)
+        Xr, Xe = derive_restricted(model, gauge), derive_extended(model, gauge)
+        for X in (Xr, Xe):
+            assert_same_table(X.F, F)
+            assert_same_table(X.G, G)
+        assert Xr.g == {}
+        assert_same_table(Xe.g, g)
+
+    def test_cases_cover_zero_and_off_ring_entries(self):
+        X = derive_extended(*OFFRING["(2,1)/zero"])
+        assert X.F[(1, 1)] != 0 and X.F[(1, 2)] == 0
+        assert all(v == 0 for v in X.G.values())
+        X = derive_extended(*OFFRING["(2,2)/exp-both-signs"])
+        held = [forms.hold(v, X.chart.coords("J1")) for v in (*X.F.values(), *X.G.values())]
+        assert {isinstance(c, PolyElement) for c in held} == {True, False}
+
+    def test_polynomial_field_with_zeros_is_never_simplified(self, monkeypatch):
+        # an autonomous h has no partial along x: a plain 0 in g's sum of
+        # products would take g off the ring, to be read back by `simplify`
+        chart = BundleChart(2, 2)
+        x, y, p = chart.x, chart.y, chart.p
+        h = (p(1, 1) ** 2 - p(2, 2) ** 2) / 2 + y(1) * y(2) * p(1, 2)
+        gauge = GaugeChoice("user-table", {(1, 2, 1): y(2) ** 2}, {})
+        model = HamiltonianModel(chart, h)
+        calls = [_count_calls(monkeypatch, module, "simplify") for module in (forms, hdw)]
+        X = derive_extended(model, gauge)
+        assert calls == [[], []]
+        F, G, g = expr_derivation(model, gauge)
+        assert X.F[(2, 1)] == 0 and X.G[(2, 1, 2)] == 0
+        assert (X.F, X.G, X.g) == (F, G, g)
+
+    def test_flatness_is_decided_on_held_brackets(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        p1, p2 = chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + chart.x(1) * chart.y(1) ** 2)
+        gauge = GaugeChoice("user-table", {(1, 1, 2): chart.y(1) * p1}, {})
+        X = derive_extended(model, gauge)
+        calls = _count_calls(monkeypatch, forms, "ring_expr", _inside({"bracket", "curvature"}))
+        flat, detail = standard_checks(model, gauge, Xe=X)["connection flatness (diagnostic)"]
+        assert not flat and detail.startswith("nonzero bracket components: [(1, 2, ")
+        assert calls == []
+        curv, expected = curvature(X), reference_curvature(X)
+        assert isinstance(curv, collections.abc.Mapping)
+        assert not isinstance(curv, collections.abc.MutableMapping)
+        with pytest.raises(TypeError):
+            curv[(1, 2, "y1")] = 0
+        assert curv == expected and expected == curv
+        assert list(curv) == list(expected) and len(curv) == len(expected)
+        for key in expected:
+            assert sp.srepr(curv[key]) == sp.srepr(expected[key])
+
+
+def test_ring_types_stay_in_forms_and_symbolic():
+    """Only `forms` and `symbolic` name `PolyElement` or `sympy.polys`, so the
+    choice between ring element and `Expr` cannot leak into other modules."""
+    leaks = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        if path.name in ("forms.py", "symbolic.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(name in ("PolyElement", "polys") or name.startswith("sympy.polys")
+                   or name.endswith(".PolyElement") for name in names):
+                leaks.append((path.name, node.lineno))
+    assert not leaks

@@ -14,6 +14,10 @@ The groups are:
   check-matrix benchmark rejects), over check-matrix seeds 7, 11 and 23 x 16
   slots and over the two fields of `atom_fields`, whose exp and sin atoms
   have arguments that are multiples of each other;
+- `offring`: the same F, G, g, battery and curvature lines for the fields of
+  `offring_fields`, whose Hamiltonians and gauge entries leave the
+  coefficient ring (exp of both signs, `1/y1`, Floats, `log`), next to
+  polynomial and sin/cos/exp ones, over the check-matrix charts;
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -96,6 +100,50 @@ def atom_fields():
         yield f"atoms/{tag}", HamiltonianModel(chart, h), gauge
 
 
+def offring_fields(charts):
+    """(tag, model, gauge) for each chart and each Hamiltonian below: the
+    "zero" one, with zero F and G entries, under the equal-split gauge, the
+    others under a gauge with `1/y1`, `sin(log(y1))` and `0.5*y1` entries
+    where the chart has free slots."""
+    for m, n in charts:
+        chart = BundleChart(m, n)
+        x, y, p = chart.x, chart.y, chart.p
+        rest = sum(p(a, nu) ** 2 for a in range(1, n + 1) for nu in range(1, m + 1)
+                   if (a, nu) != (1, 1)) / 2
+        kinetic = rest + p(1, 1) ** 2 / 2
+        hamiltonians = {
+            "poly": kinetic + x(1) * y(1) ** 2 - x(m) * y(n) * p(n, m),
+            "atoms": kinetic + sp.sin(y(1)) * p(1, m) + sp.cos(y(n)) * x(m)
+            + sp.exp(y(1) / 2) * p(1, 1),
+            "exp-both-signs": kinetic + sp.exp(y(1)) * p(1, 1) + x(1) * sp.exp(-y(1)),
+            "rational": kinetic + p(n, 1) / y(1),
+            "float": rest + sp.Float(0.5) * p(1, 1) ** 2,
+            "log": kinetic + sp.log(y(1)) * p(1, m),
+            "zero": x(1) * p(1, 1),
+        }
+        off_ring = GaugeChoice("user-table")
+        if m > 1:
+            off_ring = GaugeChoice("user-table",
+                                   {(1, 2, 1): 1 / y(1), (n, 1, m): sp.sin(sp.log(y(1)))},
+                                   {(1, 1): sp.Float(0.5) * y(1)})
+        for kind, h in hamiltonians.items():
+            gauge = GaugeChoice() if kind == "zero" else off_ring
+            yield f"({m},{n})/{kind}", HamiltonianModel(chart, h), gauge
+
+
+def _symbolic_lines(tag, model, gauge, groups):
+    """Append the fields, battery and curvature lines of one input to
+    `groups`; returns its restricted field."""
+    Xr = hdw.derive_restricted(model, gauge)
+    Xe = hdw.derive_extended(model, gauge)
+    groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe) for line in _table_lines(X)]
+    groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
+                          in hdw.standard_checks(model, gauge).items()]
+    groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
+                            for key, v in hdw.curvature(Xe).items()]
+    return Xr
+
+
 def symbolic_groups(inputs) -> dict:
     cases = []
     for seed in SEEDS:
@@ -109,14 +157,12 @@ def symbolic_groups(inputs) -> dict:
             cases.append((f"{seed}/{slot}", model, inp.gauge))
     groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
     for tag, model, gauge in cases + list(atom_fields()):
-        Xr = hdw.derive_restricted(model, gauge)
-        Xe = hdw.derive_extended(model, gauge)
-        groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe) for line in _table_lines(X)]
-        groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
-                              in hdw.standard_checks(model, gauge).items()]
-        groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
-                                for key, v in hdw.curvature(Xe).items()]
+        Xr = _symbolic_lines(tag, model, gauge, groups)
         groups["forms"] += [f"{tag} {name} {form!r}" for name, form in _forms(model, Xr)]
+    offring = {"fields": [], "battery": [], "curvature": []}
+    for tag, model, gauge in offring_fields(inputs.CHARTS):
+        _symbolic_lines(tag, model, gauge, offring)
+    groups["offring"] = [line for lines in offring.values() for line in lines]
     return groups
 
 
