@@ -326,7 +326,7 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
     if res.classification == "hyper-regular-closed-form" and res.inverse_velocities:
         ham = hamiltonian_from_lagrangian(res)
         report["induced_h"] = _equation_entry(render_plain(ham.h), render_latex(ham.h))
-        elim = hdw_momentum_elimination(lag)
+        elim = hdw_momentum_elimination(res)
         ok = all(is_structurally_zero(a - b, args.seed)[0] for a, b in zip(el, elim))
         report["round_trip"] = {"passed": ok}
         status = 0 if ok else 1

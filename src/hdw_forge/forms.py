@@ -19,8 +19,11 @@ A worked example for the second and third rules is in docs/conventions.md.
 Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
 `_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.  A ring element is a
 polynomial in the frame and in sin, cos and exp atoms (`symbolic.to_ring`),
-differentiated by the chain rule.  Other modules hold, combine and read back
-coefficients through the public `hold`, `sum_of_products` and `held_expr`.
+differentiated by the chain rule.  `_diff` is the package's one derivative;
+other modules, and `pullback`, take partials as `CoordForm.d` of a 0-form.
+Other modules hold, combine and read back coefficients through the public
+`hold` (`_coeff`: an off-ring `Expr` as it stands), `sum_of_products` and
+`held_expr` (the canonical `Expr`).
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify, to_
 
 def _coeff(value, coords):
     """`value` as a coefficient is held: its ring element on the fragment,
-    else the sympified `Expr`."""
+    else the sympified `Expr` as it stands."""
     if isinstance(value, PolyElement):
         return value
     value = sp.sympify(value)
     poly = to_ring(value, coords)
     return value if poly is None else poly
+
+
+hold = _coeff
 
 
 def _expr(c, coords):
@@ -84,13 +90,6 @@ def _sum(values, coords, canonical=sp.expand):
             return total
         exprs.append(ring_expr(total, coords))
     return canonical(sp.Add(*exprs))
-
-
-def hold(value, coords):
-    """`value` held canonically: its ring element on the fragment, else its
-    `simplify`d `Expr`."""
-    c = _coeff(value, coords)
-    return c if isinstance(c, PolyElement) else simplify(c)
 
 
 def held_expr(c, coords):
@@ -279,16 +278,8 @@ class CoordForm:
         """
         new_coords = tuple(new_coords)
         subs = {sp.sympify(k): sp.sympify(v) for k, v in submap.items()}
-        basis = {}
-        for idx, sym in enumerate(self.coords):
-            if sym not in subs:
-                continue
-            one = CoordForm(new_coords, 1)
-            for j, u in enumerate(new_coords):
-                dv = sp.diff(subs[sym], u)
-                if dv != 0:
-                    one.add_term((j,), dv)
-            basis[idx] = one
+        basis = {idx: CoordForm(new_coords, 0, {(): subs[sym]}).d()
+                 for idx, sym in enumerate(self.coords) if sym in subs}
         out = CoordForm(new_coords, self.degree)
         for key, coeff in self.terms.items():
             term = CoordForm(new_coords, 0, {(): sp.sympify(coeff).subs(subs, simultaneous=True)})

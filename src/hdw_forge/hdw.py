@@ -10,11 +10,11 @@ transversality normalization, level-set tangency, connection flatness) into
 computable forms.
 
 Coefficients are held as `forms` holds them (`forms.hold`): a ring element
-when polynomial in the frame and its sin/cos/exp atoms, a canonical `Expr`
+when polynomial in the frame and its sin/cos/exp atoms, the `Expr` as given
 otherwise.  That choice is made in `forms` alone; this module derives F, G
 and g in held arithmetic (`forms.sum_of_products`) and reads each entry
-back to its `Expr` once (`forms.held_expr`), so the F, G and g tables of an
-`HdwField` are `Expr`s.  `curvature` keeps the held brackets of
+back once to its canonical `Expr` (`forms.held_expr`), so the F, G and g
+tables of an `HdwField` are canonical `Expr`s.  `curvature` keeps the held brackets of
 `CoordMultiVector.bracket` and converts one only when it is read.
 """
 

@@ -1,10 +1,12 @@
 """Lagrangian input: momentum maps, regularity, induced Hamiltonians.
 
-The momentum map and its extended scalar entry are direct derivative
-formulas.  Closed-form inversion is supported for Lagrangians quadratic in
-the velocities (linear momentum-velocity relation solved exactly); the
+Every partial derivative is `CoordForm.d` of a 0-form (`_partials`).
+Closed-form inversion is supported for Lagrangians quadratic in the
+velocities (linear momentum-velocity relation solved exactly); the
 Euler-Lagrange residuals act as an independent oracle for the derived field
 equations, using formal second-order symbols that never leave this module.
+It shares one divergence with the momentum elimination, which takes the
+`LegendreResult` a command holds: the map is computed once per command.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError
-from .forms import canonical_part, volume_form
+from .forms import CoordForm, canonical_part, held_expr, volume_form
 from .hdw import HamiltonianModel
 from .symbolic import simplify
 
@@ -47,18 +49,25 @@ def _velocity_slots(chart: BundleChart):
     return [(a, nu) for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)]
 
 
+def _partials(expr, coords) -> dict:
+    """{coordinate: canonical partial of `expr` along it} over `coords`,
+    taken by `CoordForm.d`; a zero partial is `sp.Integer(0)`."""
+    d = CoordForm(coords, 0, {(): expr}).d().coeffs
+    return {s: held_expr(d[(i,)], coords) if (i,) in d else sp.Integer(0)
+            for i, s in enumerate(coords)}
+
+
 def legendre_maps(model: LagrangianModel) -> LegendreResult:
     """Momentum map, extended entry, Hessian, and regularity classification."""
     chart, lag = model.chart, model.lag
+    coords = chart.coords("L")
     slots = _velocity_slots(chart)
-    momenta = {(a, nu): simplify(sp.diff(lag, chart.v(a, nu))) for a, nu in slots}
+    dlag = _partials(lag, coords)
+    momenta = {s: dlag[chart.v(*s)] for s in slots}
     extended = simplify(
         lag - sum(chart.v(a, nu) * momenta[(a, nu)] for a, nu in slots))
-    hessian = {}
-    for s1 in slots:
-        for s2 in slots:
-            hessian[(s1, s2)] = simplify(
-                sp.diff(lag, chart.v(*s1), chart.v(*s2)))
+    dp = {s: _partials(momenta[s], coords) for s in slots}
+    hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     hmat = sp.Matrix([[hessian[(s1, s2)] for s2 in slots] for s1 in slots])
     det = simplify(hmat.det())
     if det == 0:
@@ -106,47 +115,47 @@ def second_order_symbol(a: int, nu: int, eta: int) -> sp.Symbol:
     return sp.Symbol(f"y{a}_dd{lo}_{hi}")
 
 
-def _total_derivative(chart: BundleChart, nu: int, expr) -> sp.Expr:
-    """Formal total derivative along x^nu treating y, v as field functions."""
-    out = sp.diff(expr, chart.x(nu))
-    for a in range(1, chart.n + 1):
-        out += chart.v(a, nu) * sp.diff(expr, chart.y(a))
-        for eta in range(1, chart.m + 1):
-            out += second_order_symbol(a, nu, eta) * sp.diff(expr, chart.v(a, eta))
+def _divergence(chart: BundleChart, a: int, momenta: dict) -> sp.Expr:
+    """sum_nu D_nu momenta[(a, nu)], D_nu the formal total derivative along
+    x^nu treating y, v as field functions."""
+    coords = chart.coords("L")
+    out = sp.Integer(0)
+    for nu in range(1, chart.m + 1):
+        dp = _partials(momenta[(a, nu)], coords)
+        out += dp[chart.x(nu)]
+        for b in range(1, chart.n + 1):
+            out += chart.v(b, nu) * dp[chart.y(b)]
+            for eta in range(1, chart.m + 1):
+                out += second_order_symbol(b, nu, eta) * dp[chart.v(b, eta)]
     return out
 
 
 def euler_lagrange(model: LagrangianModel) -> list:
     """The n Euler-Lagrange residuals over formal first/second-order symbols."""
-    chart, lag = model.chart, model.lag
-    out = []
-    for a in range(1, chart.n + 1):
-        res = -sp.diff(lag, chart.y(a))
-        for nu in range(1, chart.m + 1):
-            res += _total_derivative(chart, nu, sp.diff(lag, chart.v(a, nu)))
-        out.append(simplify(res))
-    return out
+    chart = model.chart
+    dlag = _partials(model.lag, chart.coords("L"))
+    momenta = {s: dlag[chart.v(*s)] for s in _velocity_slots(chart)}
+    return [simplify(_divergence(chart, a, momenta) - dlag[chart.y(a)])
+            for a in range(1, chart.n + 1)]
 
 
-def hdw_momentum_elimination(model: LagrangianModel) -> list:
-    """Trace HDW equations with momenta eliminated through the momentum map.
+def hdw_momentum_elimination(source) -> list:
+    """Trace HDW equations with momenta eliminated through the momentum map
+    of `source`, a `LegendreResult` or a `LagrangianModel`.
 
     Substituting p = dlag/dv into the derived field's trace constraint and
     expanding the divergence with formal total derivatives yields n residual
     expressions over the same symbols as `euler_lagrange`; structural
     equality of the two lists is the round-trip correspondence check.
     """
-    res = legendre_maps(model)
+    res = source if isinstance(source, LegendreResult) else legendre_maps(source)
     ham = hamiltonian_from_lagrangian(res)
-    chart = model.chart
+    chart = res.model.chart
+    dh = _partials(ham.h, chart.coords("J1"))
     subs = {chart.p(*s): res.momenta[s] for s in _velocity_slots(chart)}
-    out = []
-    for a in range(1, chart.n + 1):
-        expr = sp.diff(ham.h, chart.y(a)).subs(subs, simultaneous=True)
-        for nu in range(1, chart.m + 1):
-            expr += _total_derivative(chart, nu, res.momenta[(a, nu)])
-        out.append(simplify(expr))
-    return out
+    return [simplify(dh[chart.y(a)].subs(subs, simultaneous=True)
+                     + _divergence(chart, a, res.momenta))
+            for a in range(1, chart.n + 1)]
 
 
 _RANK_TOL = 1e-9
@@ -189,11 +198,11 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
     # row i: the contraction i(d/du_i) omega_P, then the base Jacobian column
     # d x_nu / d u_i (verticality: kernel vectors must not move the base)
     cols = list(itertools.combinations(range(d), omega_P.degree - 1))
+    base = [_partials(embedding[chart.x(nu)], params) for nu in range(1, chart.m + 1)]
     rows = []
     for i, u in enumerate(params):
         contracted = omega_P.interior_vector({i: 1})
-        rows.append([contracted.coefficient(c) for c in cols]
-                    + [sp.diff(embedding[chart.x(nu)], u) for nu in range(1, chart.m + 1)])
+        rows.append([contracted.coefficient(c) for c in cols] + [dx[u] for dx in base])
     system = sp.lambdify(params, sp.Matrix(rows), "numpy")
     out = []
     for pt in samples:
@@ -202,10 +211,6 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
             raise ChartMismatchError(
                 f"sample {pt} has {len(vals)} entries, expected {d}")
         K = np.array(system(*vals), dtype=float)
-        vert_dim = d - int(np.linalg.matrix_rank(K[:, len(cols):]))
-        if np.allclose(K, 0.0):
-            out.append(vert_dim)
-            continue
         svals = np.linalg.svd(K, compute_uv=False)
         rank = int(np.sum(svals > _RANK_TOL * svals[0]))
         out.append(d - rank)

@@ -24,7 +24,7 @@ import sympy as sp
 
 from .errors import (ChartMismatchError, SolverAbortError, UnsupportedFormError)
 from .hdw import HdwField
-from .symbolic import simplify
+from .symbolic import differentiate, simplify
 
 
 @dataclass
@@ -156,7 +156,7 @@ def _check_evolution_form(X: HdwField):
     if F_x.has(pt):
         raise UnsupportedFormError(
             "not evolution form: dh/dp_x depends on the time momentum")
-    b = simplify(sp.diff(F_x, px))
+    b = differentiate(F_x, px)
     if b == 0 or b.has(px):
         raise UnsupportedFormError(
             "not evolution form: dh/dp_x is not affine in p_x with nonzero slope")

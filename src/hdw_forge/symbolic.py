@@ -283,11 +283,11 @@ def simplify(e) -> Expr:
 
     Idempotent, and a rational expression simplifies to the literal 0 iff it
     is identically zero.  On the polynomial fragment the result is the exact
-    canonical form in QQ[free symbols of e]; `together`/`cancel` run only off
-    it.  Expressions containing transcendental functions are only expanded
-    (full zero-recognition is limited to the rational fragment; identity
-    checks on transcendental expressions fall back to numeric sampling, see
-    `is_structurally_zero`).
+    canonical form in QQ[free symbols of e]; `cancel` runs only off it, when
+    a term has a denominator.  Expressions containing transcendental
+    functions are only expanded (full zero-recognition is limited to the
+    rational fragment; identity checks on transcendental expressions fall
+    back to numeric sampling, see `is_structurally_zero`).
     """
     e = sp.sympify(e)
     gens = tuple(e.free_symbols)
@@ -297,8 +297,8 @@ def simplify(e) -> Expr:
     e = sp.expand(e)
     if has_transcendental(e):
         return e
-    num, den = sp.fraction(sp.together(e))
-    if den != 1:
+    # per term: y/(y+1) + 1/(y+1) has no denominator once put `together`
+    if any(sp.fraction(term)[1] != 1 for term in sp.Add.make_args(e)):
         e = sp.expand(sp.cancel(e))
     return e
 

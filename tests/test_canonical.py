@@ -721,3 +721,20 @@ def test_ring_types_stay_in_forms_and_symbolic():
                    or name.endswith(".PolyElement") for name in names):
                 leaks.append((path.name, node.lineno))
     assert not leaks
+
+
+def test_sp_diff_stays_in_forms_and_symbolic():
+    """Only `forms` (`_diff`, behind `CoordForm.d`) and `symbolic` call
+    `sp.diff`, so every partial derivative goes through one of them."""
+    calls = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        if path.name in ("forms.py", "symbolic.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy"):
+                if any(a.name == "diff" for a in node.names):
+                    calls.append((path.name, node.lineno))
+            elif (isinstance(node, ast.Attribute) and node.attr == "diff"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("sp", "sympy")):
+                calls.append((path.name, node.lineno))
+    assert not calls

@@ -209,6 +209,23 @@ class TestLegendre:
         assert status == 2
         assert "lagrangian" in err
 
+    def test_legendre_map_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        # the elimination reuses the command's LegendreResult
+        from hdw_forge import cli, legendre
+        calls = []
+        real = legendre.legendre_maps
+
+        def spy(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(cli, "legendre_maps", spy)
+        monkeypatch.setattr(legendre, "legendre_maps", spy)
+        status, report, _ = run_json(
+            capsys, "legendre", str(MODELS / "wave.hdw"), "--out", str(tmp_path))
+        assert status == 0 and report["round_trip"]["passed"] is True
+        assert len(calls) == 1
+
 
 class TestSolve:
     def test_oscillator_run_writes_grid(self, capsys, tmp_path):

@@ -77,6 +77,15 @@ class TestLegendreMaps:
         res = legendre_maps(LagrangianModel(chart, chart.v(1, 1) ** 3))
         assert res.classification == "regular-local"
 
+    def test_hessian_of_a_rational_momentum_is_canonical(self):
+        # the Hessian differentiates the canonical momentum
+        # v + 1/(1 + y^2), whose terms all carry the denominator
+        chart = BundleChart(1, 1)
+        v, y = chart.v(1, 1), chart.y(1)
+        res = legendre_maps(LagrangianModel(chart, v ** 2 / 2 + v / (1 + y ** 2)))
+        assert res.hessian[((1, 1), (1, 1))] == 1
+        assert res.classification == "hyper-regular-closed-form"
+
     def test_rejects_momentum_coordinates(self):
         chart = BundleChart(1, 1)
         with pytest.raises(Exception):
@@ -137,6 +146,14 @@ class TestEulerLagrangeOracle:
             el = euler_lagrange(lag)
             elim = hdw_momentum_elimination(lag)
             assert all(simplify(a - b) == 0 for a, b in zip(el, elim))
+
+    def test_elimination_takes_a_legendre_result(self):
+        rng = random.Random(35)
+        for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+            lag = _random_quadratic_lagrangian(m, n, rng)
+            from_result = hdw_momentum_elimination(legendre_maps(lag))
+            from_model = hdw_momentum_elimination(lag)
+            assert [sp.srepr(e) for e in from_result] == [sp.srepr(e) for e in from_model]
 
 
 def _identity_embedding_m1():
@@ -230,6 +247,17 @@ class TestRankDiagnostics:
         dims = rank_diagnostics(chart, embedding, h_P,
                                 [(0.3, 0.1, 0.5, 0.7, 0.2)], params=params)
         assert dims == [0]
+
+    @pytest.mark.parametrize("scale", [sp.Integer(1), sp.Rational(1, 10 ** 9)])
+    def test_small_coefficients_do_not_read_as_zero(self, scale):
+        # the base Jacobian vanishes at u1 = 0, where the kernel is the u1
+        # direction alone however small the scale of p and h_P
+        chart, params, embedding = _identity_embedding_m1()
+        u1, u2, u3 = params
+        embedding[chart.x(1)] = u1 ** 2
+        embedding[chart.p(1, 1)] = scale * u3
+        h_P = scale * (u3 ** 2 + u2 ** 2) / 2
+        assert rank_diagnostics(chart, embedding, h_P, [(0.0, 0.3, 0.7)], params=params) == [1]
 
     @pytest.mark.parametrize("case", ["degenerate.hdw", "m1", "m2", "m1-folded"])
     def test_matches_per_term_assembly(self, case):

@@ -65,6 +65,15 @@ class TestSimplify:
             s = simplify(e)
             assert simplify(s) == s
 
+    def test_fractions_that_combine_to_a_polynomial_cancel(self):
+        # each term has a denominator, their sum has none
+        y = sp.Symbol("y1")
+        e = y ** 2 / (y ** 2 + 1) + 1 / (y ** 2 + 1)
+        assert simplify(e) == 1
+        assert simplify(e - 1) == 0
+        assert is_structurally_zero(e - 1) == (True, "structural")
+        assert simplify(q * e + p) == q + p
+
     def test_preserves_evaluation(self):
         rng = random.Random(13)
         for _ in range(30):

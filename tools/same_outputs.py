@@ -18,6 +18,12 @@ The groups are:
   `offring_fields`, whose Hamiltonians and gauge entries leave the
   coefficient ring (exp of both signs, `1/y1`, Floats, `log`), next to
   polynomial and sin/cos/exp ones, over the check-matrix charts;
+- `legendre`: the srepr of every `LegendreResult` field, of the
+  Euler-Lagrange residuals and of the momentum elimination (or the name of
+  the error it raises) for the Lagrangians of `legendre_cases`: the `lag`
+  inputs of check-matrix seeds 7, 11, 23 and 31 over their first 64 slots
+  (4 per chart) and 8 off-ring ones (sin, exp, `1/(1+y1^2)`, `log`, a
+  Float, a cubic, a degenerate one and one with a y-dependent Hessian);
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -131,6 +137,55 @@ def offring_fields(charts):
             yield f"({m},{n})/{kind}", HamiltonianModel(chart, h), gauge
 
 
+def offring_lagrangians():
+    """(tag, LagrangianModel) of 8 Lagrangians that leave the coefficient
+    ring or the hyper-regular class."""
+    c11, c12, c21 = BundleChart(1, 1), BundleChart(1, 2), BundleChart(2, 1)
+    x1, y1, y2 = c21.x(1), c21.y(1), c12.y(2)
+    v, w = c21.v, c12.v
+    wave = (v(1, 1) ** 2 - v(1, 2) ** 2) / 2
+    lags = {
+        "sin": (c21, wave + sp.sin(y1) * v(1, 1) - sp.cos(y1)),
+        "exp": (c12, (w(1, 1) ** 2 + w(2, 1) ** 2) / 2 + sp.exp(y1) * w(2, 1)
+                - sp.exp(y2 / 2)),
+        "rational": (c21, wave + v(1, 1) / (1 + y1 ** 2)),
+        "log": (c11, c11.v(1, 1) ** 2 / 2 + x1 * sp.log(y1) * c11.v(1, 1)),
+        "float": (c21, sp.Float(0.5) * v(1, 1) ** 2 - v(1, 2) ** 2 / 2 + y1 ** 2),
+        "cubic": (c21, v(1, 1) ** 3 / 3 + v(1, 1) * v(1, 2)),
+        "degenerate": (c21, y1 * v(1, 1) + x1 * v(1, 2)),
+        "y-hessian": (c11, (1 + y1 ** 2) * c11.v(1, 1) ** 2 / 2 - y1 ** 2),
+    }
+    for tag, (chart, lag) in lags.items():
+        yield f"lag/{tag}", legendre.LagrangianModel(chart, lag)
+
+
+def legendre_cases(inputs):
+    """(tag, LagrangianModel) of the check-matrix `lag` inputs of seeds 7,
+    11, 23 and 31 over 64 slots, then `offring_lagrangians`."""
+    for seed in SEEDS + (31,):
+        for slot in range(8 * len(inputs.CHARTS)):
+            inp = inputs.check_input(seed, slot)
+            if inp.kind == "lag":
+                yield f"{seed}/{slot}", legendre.LagrangianModel(inp.chart, inp.lag)
+    yield from offring_lagrangians()
+
+
+def legendre_lines(tag, lm):
+    """The `legendre` group's lines of one Lagrangian."""
+    res = legendre.legendre_maps(lm)
+    for name in ("momenta", "hessian", "inverse_velocities"):
+        yield from (f"{tag} {name}{key} {sp.srepr(e)}"
+                    for key, e in getattr(res, name).items())
+    yield f"{tag} extended {sp.srepr(res.extended)}"
+    yield f"{tag} classification {res.classification}"
+    yield from (f"{tag} EL {sp.srepr(e)}" for e in legendre.euler_lagrange(lm))
+    try:
+        elim = [sp.srepr(e) for e in legendre.hdw_momentum_elimination(lm)]
+    except Exception as exc:  # an error is an output too
+        elim = [f"raised {type(exc).__name__}"]
+    yield from (f"{tag} elimination {line}" for line in elim)
+
+
 def _symbolic_lines(tag, model, gauge, groups):
     """Append the fields, battery and curvature lines of one input to
     `groups`; returns its restricted field."""
@@ -163,6 +218,8 @@ def symbolic_groups(inputs) -> dict:
     for tag, model, gauge in offring_fields(inputs.CHARTS):
         _symbolic_lines(tag, model, gauge, offring)
     groups["offring"] = [line for lines in offring.values() for line in lines]
+    groups["legendre"] = [line for tag, lm in legendre_cases(inputs)
+                          for line in legendre_lines(tag, lm)]
     return groups
 
 
