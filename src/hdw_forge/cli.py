@@ -34,7 +34,7 @@ from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
 from .legendre import (LagrangianModel, euler_lagrange,
                        hamiltonian_from_lagrangian, hdw_momentum_elimination,
                        legendre_maps, rank_diagnostics)
-from .modelfile import ModelFile, parse_model
+from .modelfile import ModelFile, parse_model, solve_problem
 from .solver import (SectionGrid, conservation_diagnostics,
                      discrete_field_energy, max_discrepancy, solve_field_1p1,
                      solve_ode)
@@ -218,9 +218,9 @@ _INJECT_RE = re.compile(r"^(F|G|g)((?:\[\d+\])+)$")
 
 
 def _apply_injection(X: HdwField, path: str) -> HdwField:
-    """Overwrite coefficient entries of an extended field from a debug JSON
-    file; F and G entries live on the restricted chart, g entries on the
-    extended one."""
+    """Overwrite coefficient entries of an extended field, in place, from a
+    debug JSON file; F and G entries live on the restricted chart, g entries
+    on the extended one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             table = json.load(fh)
@@ -230,7 +230,7 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
         raise ModelFileError(f"{path}: injection file is not valid JSON: {exc}") from exc
     if not isinstance(table, dict):
         raise ModelFileError(f"{path}: injection file must hold a JSON object")
-    tables = {"F": dict(X.F), "G": dict(X.G), "g": dict(X.g)}
+    tables = {"F": X.F, "G": X.G, "g": X.g}
     for key, text in table.items():
         m = _INJECT_RE.match(key)
         if not m:
@@ -246,7 +246,7 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
             raise ModelFileError(f"{path}: injection value of {key!r} is not a string")
         tables[name][idx] = parse_expression(text, X.chart,
                                              "M" if name == "g" else "J1")
-    return HdwField(X.kind, X.chart, tables["F"], tables["G"], tables["g"], X.gauge, X.f)
+    return X
 
 
 def _select_gauge(model: ModelFile, args) -> GaugeChoice:
@@ -342,13 +342,18 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
 def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianModel]:
     if model.solve is None:
         raise ModelFileError("model has no [solve] section")
+    run_block = dict(model.solve)
+    if getattr(args, "dt", None) is not None:
+        run_block["dt"] = float(args.dt)
+    if getattr(args, "grid", None) is not None:
+        run_block["points"] = int(args.grid)
+    problem = solve_problem(run_block)
+    if problem is not None:
+        key, bound = problem
+        flag = {"dt": "--dt", "points": "--grid"}.get(key, key)
+        raise ModelFileError(f"{flag} must be {bound}, got {run_block[key]!r}")
     gauge = _select_gauge(model, args)
     ham = _hamiltonian_of(model)
-    run_block = dict(model.solve)
-    if getattr(args, "dt", None):
-        run_block["dt"] = float(args.dt)
-    if getattr(args, "grid", None):
-        run_block["points"] = int(args.grid)
     report = _base_report("solve", model, gauge)
     chart = model.chart
 

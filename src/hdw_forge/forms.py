@@ -21,12 +21,16 @@ Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
 polynomial in the frame and in sin, cos and exp atoms (`symbolic.to_ring`),
 differentiated by the chain rule.  `_diff` is the package's one derivative;
 other modules, and `pullback`, take partials as `CoordForm.d` of a 0-form.
-Other modules hold, combine and read back coefficients through the public
-`hold` (`_coeff`: an off-ring `Expr` as it stands), `sum_of_products` and
-`held_expr` (the canonical `Expr`).
+Other modules hold and combine coefficients through the public `hold`
+(`_coeff`: an off-ring `Expr` as it stands) and `sum_of_products`, and read
+them back through `HeldView`, the one lazy `Expr` view of held values:
+`CoordForm.terms`, curvature, the partials of `legendre`, and a field's F, G
+and g tables (`HeldTable`, which takes writes and reads canonical `Expr`s).
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
@@ -92,12 +96,6 @@ def _sum(values, coords, canonical=sp.expand):
     return canonical(sp.Add(*exprs))
 
 
-def held_expr(c, coords):
-    """The canonical `Expr` of a held value: `ring_expr` of a ring element,
-    `simplify` of an `Expr`."""
-    return ring_expr(c, coords) if isinstance(c, PolyElement) else simplify(c)
-
-
 def sum_of_products(pairs, coords):
     """The sum of a*b over pairs (a, b) of held values, held.
 
@@ -105,6 +103,48 @@ def sum_of_products(pairs, coords):
     the whole sum off the ring.
     """
     return _sum([_mul(a, b, coords) for a, b in pairs if a != 0 and b != 0], coords)
+
+
+class HeldView(Mapping):
+    """A read-only mapping over held values, kept as held in `held`.  A read
+    gives a value's `Expr` (`_expr`), converted on its first read and again
+    only after the value is replaced."""
+
+    def __init__(self, coords, held=None):
+        self.coords = tuple(coords)
+        self.held = {} if held is None else held
+        self._read = {}   # key -> (held value, its Expr)
+
+    def __getitem__(self, key):
+        c = self.held[key]
+        read = self._read.get(key)
+        if read is None or read[0] is not c:
+            read = self._read[key] = (c, _expr(c, self.coords))
+        return read[1]
+
+    def __iter__(self):
+        return iter(self.held)
+
+    def __len__(self):
+        return len(self.held)
+
+
+class HeldTable(HeldView):
+    """A `HeldView` that takes writes: a value is held (`hold`), and one off
+    the ring as `hold(simplify(value))`.  `writes` counts the writes."""
+
+    def __init__(self, coords, values=()):
+        super().__init__(coords)
+        self.writes = 0
+        for key, value in dict(values).items():
+            self[key] = value
+
+    def __setitem__(self, key, value):
+        value = _coeff(value, self.coords)
+        if not isinstance(value, PolyElement):
+            value = _coeff(simplify(value), self.coords)
+        self.held[key] = value
+        self.writes += 1
 
 
 def _normalize_key(key):
@@ -123,11 +163,12 @@ class CoordForm:
     """A differential k-form over an ordered coordinate frame.
 
     Coefficients are held as the helpers above decide: in QQ[coords] on
-    the polynomial fragment, as expanded `Expr`s otherwise.  `terms` shows
-    every coefficient as an `Expr`.
+    the polynomial fragment, as expanded `Expr`s otherwise.  `terms` is a
+    `HeldView` of the nonzero coefficients keyed by sorted index tuple, to
+    read and changed only through `add_term`.
     """
 
-    __slots__ = ("coords", "degree", "_coeffs", "_terms")
+    __slots__ = ("coords", "degree", "_coeffs", "terms")
 
     def __init__(self, coords, degree, terms=None):
         self.coords = tuple(coords)
@@ -136,7 +177,7 @@ class CoordForm:
                 f"degree {degree} out of range for a {len(self.coords)}-coordinate frame")
         self.degree = degree
         self._coeffs = {}   # sorted key -> ring element or Expr, never zero
-        self._terms = None  # the Expr view, rebuilt on first use after a change
+        self.terms = HeldView(self.coords, self._coeffs)
         if terms:
             for key, coeff in terms.items():
                 self.add_term(key, coeff)
@@ -146,14 +187,6 @@ class CoordForm:
         """Nonzero coefficients as held: ring elements, or expanded `Expr`s
         off the ring, keyed by sorted index tuple; a view to read."""
         return self._coeffs
-
-    @property
-    def terms(self) -> dict:
-        """Nonzero coefficients as expanded `Expr`s, keyed by sorted index
-        tuple; a view to read, changed only through `add_term`."""
-        if self._terms is None:
-            self._terms = {key: _expr(c, self.coords) for key, c in self._coeffs.items()}
-        return self._terms
 
     def add_term(self, key, coeff):
         """Add `coeff` (an `Expr`, or an element of QQ[coords]) at `key`."""
@@ -167,7 +200,6 @@ class CoordForm:
         if key in self._coeffs:
             values.append(self._coeffs[key])
         total = _sum(values, self.coords)
-        self._terms = None
         if total == 0:
             self._coeffs.pop(key, None)
         else:
@@ -179,7 +211,7 @@ class CoordForm:
 
     def copy(self):
         out = CoordForm(self.coords, self.degree)
-        out._coeffs = dict(self._coeffs)
+        out._coeffs.update(self._coeffs)
         return out
 
     def map_coeffs(self, fn):
@@ -262,7 +294,7 @@ class CoordForm:
         if norm is None:
             return sp.Integer(0)
         key, sign = norm
-        return sp.expand(sign * _expr(self._coeffs.get(key, sp.Integer(0)), self.coords))
+        return sp.expand(sign * self.terms.get(key, sp.Integer(0)))
 
     def is_zero(self, seed: int = 0) -> bool:
         """Every coefficient passes `is_structurally_zero` with `seed`."""
@@ -312,7 +344,8 @@ class CoordMultiVector:
     Component nu is  f * (d/dx_nu + sum_c coeff[c] d/dc)  where the base
     positions carry the shared transverse scalar f (default 1).  Each
     component's full table is built once, its coefficients held as
-    `CoordForm` holds its own (`_coeff`).
+    `CoordForm` holds its own (`_coeff`; a held value as it is) and scaled
+    by f in held arithmetic.
     """
 
     def __init__(self, coords, base_positions, fiber_components, f=1):
@@ -322,14 +355,17 @@ class CoordMultiVector:
         self.f = sp.sympify(f)
         if len(fiber_components) != self.m:
             raise DegreeError("need exactly one component per base direction")
+        coords = self.coords
+        one = _coeff(1, coords)
+        scale = None if self.f == 1 else _coeff(self.f, coords)
         self._vectors = []
         for base, comp in zip(self.base_positions, fiber_components):
-            table = {int(k): sp.sympify(v) for k, v in comp.items()}
-            table[base] = sp.Integer(1)
-            if self.f != 1:
-                table = {k: sp.expand(self.f * v) for k, v in table.items()}
-            self._vectors.append({k: _coeff(v, self.coords)
-                                  for k, v in table.items() if v != 0})
+            table = {int(k): _coeff(v, coords) for k, v in comp.items()}
+            table[base] = one
+            if scale is not None:
+                table = {k: _coeff(_sum([_mul(scale, c, coords)], coords), coords)
+                         for k, c in table.items()}
+            self._vectors.append({k: c for k, c in table.items() if c != 0})
 
     def vector(self, nu: int) -> dict:
         """Full coefficient table of component nu (1-based), scaled by f; a
@@ -340,7 +376,7 @@ class CoordMultiVector:
         """Vertical part of the bracket [X_nu, X_eta] of two components
         (1-based), held and keyed by coordinate index: a ring element when
         every term stays in a ring, else the `simplify`d `Expr`.  Either
-        compares to 0 exactly; `held_expr` reads its `Expr`."""
+        compares to 0 exactly; a `HeldView` reads its `Expr`."""
         a, b, coords = self.vector(nu), self.vector(eta), self.coords
         out = {}
         for i in range(len(coords)):

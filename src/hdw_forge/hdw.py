@@ -12,10 +12,10 @@ computable forms.
 Coefficients are held as `forms` holds them (`forms.hold`): a ring element
 when polynomial in the frame and its sin/cos/exp atoms, the `Expr` as given
 otherwise.  That choice is made in `forms` alone; this module derives F, G
-and g in held arithmetic (`forms.sum_of_products`) and reads each entry
-back once to its canonical `Expr` (`forms.held_expr`), so the F, G and g
-tables of an `HdwField` are canonical `Expr`s.  `curvature` keeps the held brackets of
-`CoordMultiVector.bracket` and converts one only when it is read.
+and g in held arithmetic (`forms.sum_of_products`) into the `forms.HeldTable`s
+of an `HdwField`, which read each entry as its canonical `Expr` only when it
+is read.  `curvature` is a `forms.HeldView` of the held brackets of
+`CoordMultiVector.bracket`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
-from .forms import (CoordForm, CoordMultiVector, build_omega, extended_alpha,
-                    hamilton_cartan, held_expr, hold, interior_product, sum_of_products,
-                    volume_form)
-from .symbolic import is_structurally_zero, simplify
+from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, build_omega,
+                    extended_alpha, hamilton_cartan, hold, interior_product,
+                    sum_of_products, volume_form)
+from .symbolic import is_structurally_zero, ring_widen, simplify
 
 
 @dataclass(frozen=True)
@@ -98,46 +98,56 @@ class HdwField:
 
     F[(a, nu)] are the fiber-velocity coefficients, G[(a, rho, nu)] the
     momentum coefficients, and g[nu] (extended kind only) the coefficients
-    along the extra scalar direction.
-
-    The tables are read once, on the first `multivector()` call, and every
-    check reuses that multivector; to change a coefficient afterwards, build
-    a new field from edited copies of the tables.
+    along the extra scalar direction.  Each is a `forms.HeldTable` on the
+    restricted chart; a `HeldTable` given for one is shared, any other
+    mapping is held into a new one.  `multivector()` is built on its first
+    call and reused, until a write to any table makes it build it again.
     """
 
     kind: str  # "restricted" | "extended"
     chart: BundleChart
-    F: dict
-    G: dict
-    g: dict
+    F: Mapping
+    G: Mapping
+    g: Mapping
     gauge: GaugeChoice
     f: sp.Expr = sp.Integer(1)
-    _multivector: CoordMultiVector | None = field(
+    _multivector: tuple | None = field(  # (writes when built, multivector)
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coords = self.chart.coords("J1")
+        for name in ("F", "G", "g"):
+            if not isinstance(getattr(self, name), HeldTable):
+                setattr(self, name, HeldTable(coords, getattr(self, name)))
 
     @property
     def level(self) -> str:
         return "M" if self.kind == "extended" else "J1"
 
     def multivector(self) -> CoordMultiVector:
-        if self._multivector is not None:
-            return self._multivector
+        writes = self.F.writes + self.G.writes + self.g.writes
+        if self._multivector is not None and self._multivector[0] == writes:
+            return self._multivector[1]
         chart = self.chart
         coords = chart.coords(self.level)
         index = {s: i for i, s in enumerate(coords)}
         base_positions = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
+        held_on = chart.coords("J1")
+        F, G, g = ({key: ring_widen(c, held_on, coords) for key, c in table.held.items()}
+                   for table in (self.F, self.G, self.g))
         comps = []
         for nu in range(1, chart.m + 1):
             comp = {}
             for a in range(1, chart.n + 1):
-                comp[index[chart.y(a)]] = self.F[(a, nu)]
+                comp[index[chart.y(a)]] = F[(a, nu)]
                 for rho in range(1, chart.m + 1):
-                    comp[index[chart.p(a, rho)]] = self.G[(a, rho, nu)]
+                    comp[index[chart.p(a, rho)]] = G[(a, rho, nu)]
             if self.kind == "extended":
-                comp[index[chart.pe]] = self.g[nu]
+                comp[index[chart.pe]] = g[nu]
             comps.append(comp)
-        self._multivector = CoordMultiVector(coords, base_positions, comps, self.f)
-        return self._multivector
+        mv = CoordMultiVector(coords, base_positions, comps, self.f)
+        self._multivector = (writes, mv)
+        return mv
 
     def restricted(self) -> "HdwField":
         """Projection onto the restricted chart: the same F, G, gauge and f,
@@ -159,20 +169,18 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     share = hold(sp.Rational(-1, chart.m), coords)
     dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
     dh = {s: dh.get((i,), zero) for i, s in enumerate(coords)}
-    F = {}
-    G = {}
+    X = HdwField("restricted", chart, {}, {}, {}, gauge)
     for a in range(1, chart.n + 1):
         h_y = dh[chart.y(a)]
         for nu in range(1, chart.m + 1):
-            F[(a, nu)] = held_expr(dh[chart.p(a, nu)], coords)
+            X.F[(a, nu)] = dh[chart.p(a, nu)]
             for rho in range(1, chart.m + 1):
                 if rho == nu:
                     psi = hold(gauge.psi(chart, a, nu), coords)
-                    held = sum_of_products([(share, h_y), (one, psi)], coords)
+                    X.G[(a, rho, nu)] = sum_of_products([(share, h_y), (one, psi)], coords)
                 else:
-                    held = hold(gauge.off_trace.get((a, rho, nu), 0), coords)
-                G[(a, rho, nu)] = held_expr(held, coords)
-    return HdwField("restricted", chart, F, G, {}, gauge)
+                    X.G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), 0)
+    return X
 
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
@@ -181,11 +189,10 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
     X = derive_restricted(model, gauge)
     chart = model.chart
     coords = chart.coords("J1")
-    F = {key: hold(e, coords) for key, e in X.F.items()}
-    G = {key: hold(e, coords) for key, e in X.G.items()}
+    F, G = X.F.held, X.G.held
     dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
     minus = hold(-1, coords)
-    g = {}
+    Xe = HdwField("extended", chart, X.F, X.G, {}, X.gauge)
     for nu in range(1, chart.m + 1):
         pairs = [(minus, dh.get((coords.index(chart.x(nu)),), 0))]
         for a in range(1, chart.n + 1):
@@ -193,8 +200,8 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
                 if eta != nu:
                     pairs += [(F[(a, nu)], G[(a, eta, eta)]),
                               (-F[(a, eta)], G[(a, eta, nu)])]
-        g[nu] = held_expr(sum_of_products(pairs, coords), coords)
-    return HdwField("extended", chart, X.F, X.G, g, X.gauge)
+        Xe.g[nu] = sum_of_products(pairs, coords)
+    return Xe
 
 
 def residual_restricted(X: HdwField, omega_h: CoordForm) -> CoordForm:
@@ -243,35 +250,14 @@ def tangency_check(X: HdwField, alpha: CoordForm) -> list:
             for nu in range(1, X.chart.m + 1)]
 
 
-class _Brackets(Mapping):
-    """Read-only view of held bracket components (`held`), each converted
-    to its canonical `Expr` on first read."""
-
-    def __init__(self, held: dict, coords):
-        self.held = held
-        self._coords = coords
-        self._exprs = {}
-
-    def __getitem__(self, key):
-        if key not in self._exprs:
-            self._exprs[key] = held_expr(self.held[key], self._coords)
-        return self._exprs[key]
-
-    def __iter__(self):
-        return iter(self.held)
-
-    def __len__(self):
-        return len(self.held)
-
-
 def curvature(X: HdwField) -> Mapping:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
-    the associated connection is flat (the field is integrable).  Each value
-    is `CoordMultiVector.bracket` of the field's multivector, held until it
-    is read and then its canonical `Expr`; the view's `held` table gives the
-    held values, which compare to 0 exactly.
+    the associated connection is flat (the field is integrable).  The
+    result is a `forms.HeldView` of `CoordMultiVector.bracket` of the field's
+    multivector: a value is read as its canonical `Expr`, and the view's
+    `held` table gives the held values, which compare to 0 exactly.
     """
     coords = X.chart.coords(X.level)
     mv = X.multivector()
@@ -280,7 +266,7 @@ def curvature(X: HdwField) -> Mapping:
         for eta in range(nu + 1, X.chart.m + 1):
             for i, v in mv.bracket(nu, eta).items():
                 held[(nu, eta, coords[i].name)] = v
-    return _Brackets(held, coords)
+    return HeldView(coords, held)
 
 
 def connection_equation_check(X: HdwField, omega_h: CoordForm) -> CoordForm:

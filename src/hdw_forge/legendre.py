@@ -19,7 +19,7 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError
-from .forms import CoordForm, canonical_part, held_expr, volume_form
+from .forms import CoordForm, HeldTable, canonical_part, hold, volume_form
 from .hdw import HamiltonianModel
 from .symbolic import simplify
 
@@ -49,12 +49,12 @@ def _velocity_slots(chart: BundleChart):
     return [(a, nu) for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)]
 
 
-def _partials(expr, coords) -> dict:
+def _partials(expr, coords) -> HeldTable:
     """{coordinate: canonical partial of `expr` along it} over `coords`,
-    taken by `CoordForm.d`; a zero partial is `sp.Integer(0)`."""
+    taken by `CoordForm.d` and read as `Expr`s."""
     d = CoordForm(coords, 0, {(): expr}).d().coeffs
-    return {s: held_expr(d[(i,)], coords) if (i,) in d else sp.Integer(0)
-            for i, s in enumerate(coords)}
+    zero = hold(0, coords)
+    return HeldTable(coords, {s: d.get((i,), zero) for i, s in enumerate(coords)})
 
 
 def legendre_maps(model: LagrangianModel) -> LegendreResult:

@@ -8,6 +8,7 @@ bundle's coordinate names; every error carries the source line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -199,8 +200,11 @@ def _parse_solve(entries, chart) -> dict:
         if key not in out:
             raise ModelFileError(f"[solve] kind={kind} needs key {key!r}",
                                  entries[0][0] if entries else 1)
-    if out.get("t1") is not None and out["t1"] <= out["t0"]:
-        raise ModelFileError("need t1 > t0", entries[0][0])
+    problem = solve_problem(out)
+    if problem is not None:
+        key, bound = problem
+        raise ModelFileError(f"{key} must be {bound}, got {out[key]!r}",
+                             max(ln for ln, k, _ in entries if k == key))
 
     init = {}
     for name, (ln, v) in out["init"].items():
@@ -214,6 +218,23 @@ def _parse_solve(entries, chart) -> dict:
             init[name] = parse_expression(v, chart, "E", line=ln)
     out["init"] = init
     return out
+
+
+def solve_problem(run: dict):
+    """(key, bound) for the first value of a [solve] block that no run can
+    take, or None: the time and space bounds finite, t1 > t0, dt > 0 with
+    at least one step, and at least 5 points (the 4th-order stencil)."""
+    for key in ("t0", "t1", "dt", "xmin", "xmax"):
+        if key in run and not math.isfinite(run[key]):
+            return key, "finite"
+    t0, t1, dt = run["t0"], run["t1"], run["dt"]
+    if t1 <= t0:
+        return "t1", f"> t0 = {t0!r}"
+    if dt <= 0 or round((t1 - t0) / dt) < 1:
+        return "dt", f"> 0 and give at least one step from t0 = {t0!r} to t1 = {t1!r}"
+    if run.get("points", 5) < 5:
+        return "points", "at least 5"
+    return None
 
 
 def _parse_submanifold(entries, chart) -> dict:

@@ -18,6 +18,7 @@ to callers.
 Coefficient rings.  `to_ring` extends the fragment by sin, cos and exp of
 frame polynomials, held as generators of QQ[frame, atoms]; `unify` lifts
 elements of such rings into the ring over the union of their atoms,
+`ring_widen` into the ring over a frame with coordinates appended,
 `ring_diff` differentiates by the chain rule and `ring_expr` converts back.
 No relation between the atoms is imposed, so the ring decides zero and
 prints each element exactly as `sp.expand` does; the `forms` coefficient
@@ -32,7 +33,7 @@ import random
 
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .coords import CoordId
 from .errors import EvaluationDomainError, IncompleteAssignmentError
@@ -101,7 +102,7 @@ def to_poly(e, gens):
     e = sp.sympify(e)
     if not e.is_commutative:
         return None
-    ring = _ring(len(gens))
+    ring = _ring(len(gens), ())
     index = dict(zip(gens, ring.gens))
     try:
         return _rebuild(e, ring, index)
@@ -202,6 +203,17 @@ def to_ring(e, coords):
 def ring_expr(poly, coords):
     """The expanded `Expr` of an element of `to_ring`'s rings."""
     return poly.as_expr(*coords, *poly.ring.symbols[len(coords):])
+
+
+def ring_widen(c, coords, wider):
+    """`c` over `coords` taken into `wider`, a frame that appends coordinates
+    to `coords`: an element of `to_ring`'s rings gains a zero exponent for
+    each in every monomial; any other value is returned as it is."""
+    n, zeros = len(coords), (0,) * (len(wider) - len(coords))
+    if not zeros or not isinstance(c, PolyElement):
+        return c
+    ring = _ring(len(wider), tuple(c.ring.symbols[n:]))
+    return ring.dtype({m[:n] + zeros + m[n:]: v for m, v in c.items()})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -371,6 +383,8 @@ def has_transcendental(e) -> bool:
 # evaluates; boxes of both signs and these widths are sampled until it has
 _MIN_POINTS = 5
 _WIDER = (20.0, 200.0, 2000.0)
+_SAMPLES = 20
+_TOL = 1e-10
 
 
 def _point(syms, rng, width=None):
@@ -381,14 +395,14 @@ def _point(syms, rng, width=None):
     return {t: rng.choice((-1, 1)) * rng.uniform(0.1, width) for t in syms}
 
 
-def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10):
+def is_structurally_zero(e, seed: int = 0):
     """Zero test: structural for rational expressions, sampled otherwise.
 
-    A sample counts as zero when its value is within `tol` times the sum of
+    A sample counts as zero when its value is within `_TOL` times the sum of
     the absolute values of the terms of the expanded expression there, so a
-    small coefficient cannot pass for zero.  `samples` points are drawn with
-    `random.Random(seed)` in the box [0.1, 2.0]; while fewer than
-    `_MIN_POINTS` of the points drawn so far evaluate, `samples` more are
+    small coefficient cannot pass for zero.  `_SAMPLES` points are drawn
+    with `random.Random(seed)` in the box [0.1, 2.0]; while fewer than
+    `_MIN_POINTS` of the points drawn so far evaluate, `_SAMPLES` more are
     drawn from each of the boxes [-w, -0.1] u [0.1, w], w = 20, 200, 2000, in
     turn.  The expression is zero when no point is nonzero and at least
     `_MIN_POINTS` evaluated: an unevaluated value is no evidence.  Returns
@@ -407,13 +421,13 @@ def is_structurally_zero(e, seed: int = 0, samples: int = 20, tol: float = 1e-10
     for width in (None,) + _WIDER:
         if evaluated >= _MIN_POINTS:
             break
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             point = _point(syms, rng, width)
             try:
                 values = [evaluate(term, point) for term in terms]
             except EvaluationDomainError:
                 continue
-            if abs(math.fsum(values)) > tol * sum(map(abs, values)):
+            if abs(math.fsum(values)) > _TOL * sum(map(abs, values)):
                 return False, "numeric"
             evaluated += 1
     return evaluated >= _MIN_POINTS, "numeric"

@@ -22,7 +22,8 @@ import pytest
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms, hdw
+from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms,
+                       hdw, symbolic)
 from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
                              _normalize_key, _sum, base_contraction_key, build_theta,
                              hamilton_cartan)
@@ -697,6 +698,45 @@ class TestHeldDerivation:
         assert list(curv) == list(expected) and len(curv) == len(expected)
         for key in expected:
             assert sp.srepr(curv[key]) == sp.srepr(expected[key])
+
+    def test_derivation_converts_no_entry(self, monkeypatch):
+        # the tables hold what derivation made, and each multivector takes
+        # them held: only h, the gauge entries and numbers are held
+        chart = BundleChart(3, 2)
+        rng = random.Random("held (3,2)")
+        model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+        gauge = random_gauge(chart, rng)
+        inputs = {model.h, *gauge.off_trace.values(), *gauge.redistribution.values()}
+        inputs |= {gauge.psi(chart, a, nu) for a in range(1, chart.n + 1)
+                   for nu in range(1, chart.m + 1)}
+        holds = [_count_calls(monkeypatch, module, "to_ring") for module in (forms, symbolic)]
+        reads = _count_calls(monkeypatch, forms, "ring_expr")
+        Xe = derive_extended(model, gauge)
+        Xe.multivector()
+        Xe.restricted().multivector()
+        assert reads == []
+        held = [sp.sympify(args[0]) for calls in holds for args in calls]
+        assert held and all(e in inputs or e.is_Rational for e in held)
+
+    def test_projection_and_tampered_field_reuse_held_values(self, monkeypatch):
+        chart = BundleChart(3, 2)
+        rng = random.Random("reuse (3,2)")
+        model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+        gauge = random_gauge(chart, rng)
+        Xe = derive_extended(model, gauge)
+        Xr = Xe.restricted()
+        for name in ("F", "G"):
+            ours, theirs = getattr(Xr, name).held, getattr(Xe, name).held
+            assert all(ours[key] is theirs[key] for key in theirs)
+        Xr = derive_restricted(model, gauge)
+        F = dict(Xr.F)
+        F[(1, 1)] = F[(1, 1)] + 1
+        calls = _count_calls(monkeypatch, forms, "to_ring")
+        tampered = HdwField(Xr.kind, chart, F, Xr.G, Xr.g, Xr.gauge, Xr.f)
+        tampered.multivector()
+        assert all(tampered.G.held[key] is c for key, c in Xr.G.held.items())
+        entries = set(F.values())
+        assert all(args[0] in entries or args[0].is_Rational for args in calls)
 
 
 def test_ring_types_stay_in_forms_and_symbolic():

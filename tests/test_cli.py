@@ -326,6 +326,36 @@ class TestSolve:
         assert status == 2
         assert f"line {text.count(chr(10))}: unknown coordinate 'steps' in [solve]" in err
 
+    @pytest.mark.parametrize("model,flag,value,needle", [
+        ("oscillator", "--dt", "0", "must be > 0 and give at least one step"),
+        ("oscillator", "--dt", "1e-400", "must be > 0 and give at least one step"),
+        ("oscillator", "--dt", "-1", "must be > 0 and give at least one step"),
+        ("oscillator", "--dt", "nan", "must be finite"),
+        ("oscillator", "--dt", "100", "must be > 0 and give at least one step"),
+        ("wave", "--grid", "3", "must be at least 5"),
+        ("wave", "--grid", "-5", "must be at least 5"),
+    ])
+    def test_bad_flag_is_input_error(self, capsys, tmp_path, model, flag, value, needle):
+        status, _, err = run(capsys, "solve", str(MODELS / f"{model}.hdw"),
+                             flag, value, "--out", str(tmp_path))
+        assert status == 2
+        assert f"error: {flag} {needle}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("model,entry,bad,needle", [
+        ("oscillator", "dt = 0.001", "dt = 0", "dt must be > 0"),
+        ("oscillator", "dt = 0.001", "dt = nan", "dt must be finite"),
+        ("wave", "points = 200", "points = 2", "points must be at least 5"),
+    ])
+    def test_bad_model_value_is_input_error(self, capsys, tmp_path, model, entry, bad, needle):
+        text = (MODELS / f"{model}.hdw").read_text()
+        line = text[:text.index(entry)].count("\n") + 1
+        path = tmp_path / "bad.hdw"
+        path.write_text(text.replace(entry, bad))
+        status, _, err = run(capsys, "solve", str(path), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert f"error: line {line}: {needle}" in err
+
 
 class TestCompare:
     def test_compare_against_own_grid(self, capsys, tmp_path):

@@ -206,6 +206,25 @@ class TestResiduals:
         X.F[(1, 1)] = X.F[(1, 1)] + 1
         assert not residual_restricted(X, omega_h).is_zero()
 
+    def test_write_after_multivector_is_seen(self):
+        rng = random.Random("write after multivector")
+        chart = BundleChart(2, 1)
+        model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+        gauge = random_gauge(chart, rng)
+        _, omega_h = hamilton_cartan(chart, model.h)
+        X = derive_restricted(model, gauge)
+        assert residual_restricted(X, omega_h).is_zero()
+        X.F[(1, 1)] += 1
+        assert not residual_restricted(X, omega_h).is_zero()
+        # the projection shares the extended field's tables
+        Xe = derive_extended(model, gauge)
+        residuals = ["restricted residual i(X)omega_h = 0",
+                     "extended residual i(X)omega = (-1)^(m+1) alpha"]
+        assert all(standard_checks(model, gauge, Xe=Xe)[name][0] for name in residuals)
+        Xe.g[1] += 1
+        Xe.F[(1, 2)] += 1
+        assert not any(standard_checks(model, gauge, Xe=Xe)[name][0] for name in residuals)
+
     def test_kind_mismatch_errors(self):
         model = _oscillator()
         _, omega_h = hamilton_cartan(model.chart, model.h)

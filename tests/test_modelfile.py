@@ -191,6 +191,20 @@ psi[1][1] = x1
         with pytest.raises(ModelFileError):
             parse_model_text(text)
 
+    @pytest.mark.parametrize("entry,needle", [
+        ("dt = 0", "dt must be > 0"),
+        ("dt = -0.5", "dt must be > 0"),
+        ("dt = nan", "dt must be finite"),
+        ("t1 = inf", "t1 must be finite"),
+        ("dt = 5", "dt must be > 0 and give at least one step"),
+        ("points = 4", "points must be at least 5"),
+    ])
+    def test_solve_value_out_of_range_reports_its_line(self, entry, needle):
+        text = OSC + "\n[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1\n" + entry + "\n"
+        with pytest.raises(ModelFileError, match=needle) as exc:
+            parse_model_text(text)
+        assert exc.value.line == text.count("\n")
+
     def test_solve_field_profiles_parse_against_base(self):
         text = """\
 [bundle]

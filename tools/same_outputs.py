@@ -11,13 +11,14 @@ The groups are:
   g of both derived fields, the verdicts and details of `standard_checks`,
   the curvature brackets, and the repr of omega, omega_h, alpha and of the
   restricted residual of the field with F[1][1] + 1 (the tampered field the
-  check-matrix benchmark rejects), over check-matrix seeds 7, 11 and 23 x 16
-  slots and over the two fields of `atom_fields`, whose exp and sin atoms
-  have arguments that are multiples of each other;
-- `offring`: the same F, G, g, battery and curvature lines for the fields of
-  `offring_fields`, whose Hamiltonians and gauge entries leave the
-  coefficient ring (exp of both signs, `1/y1`, Floats, `log`), next to
-  polynomial and sin/cos/exp ones, over the check-matrix charts;
+  check-matrix benchmark rejects), and the `scaled_lines` of both fields
+  (f = 2 and f = y1), over check-matrix seeds 7, 11 and 23 x 16 slots and
+  over the two fields of `atom_fields`, whose exp and sin atoms have
+  arguments that are multiples of each other;
+- `offring`: the same F, G, g, battery, curvature and `scaled_lines` lines
+  for the fields of `offring_fields`, whose Hamiltonians and gauge entries
+  leave the coefficient ring (exp of both signs, `1/y1`, Floats, `log`),
+  next to polynomial and sin/cos/exp ones, over the check-matrix charts;
 - `legendre`: the srepr of every `LegendreResult` field, of the
   Euler-Lagrange residuals and of the momentum elimination (or the name of
   the error it raises) for the Lagrangians of `legendre_cases`: the `lag`
@@ -46,6 +47,7 @@ import sys
 import tempfile
 
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre
 
@@ -80,6 +82,13 @@ def _table_lines(X):
             yield f"{X.kind} {name}{key} {sp.srepr(e)} {e}"
 
 
+def _held_line(c, coords):
+    """Kind (ring element or `Expr`) and srepr of the `Expr` of a held value."""
+    if isinstance(c, PolyElement):
+        return f"ring {sp.srepr(c.as_expr(*coords, *c.ring.symbols[len(coords):]))}"
+    return f"expr {sp.srepr(c)}"
+
+
 def _forms(model, Xr):
     chart = model.chart
     _, omega_h = forms.hamilton_cartan(chart, model.h)
@@ -90,6 +99,26 @@ def _forms(model, Xr):
     yield "omega_h", omega_h
     yield "alpha", forms.extended_alpha(chart, model.h)[1]
     yield "tampered residual", hdw.residual_restricted(tampered, omega_h)
+
+
+def scaled_lines(tag, model, Xr, Xe):
+    """For both fields scaled by f = 2 and by f = y1: the held multivector
+    tables, the transversality and the residual."""
+    chart = model.chart
+    _, omega_h = forms.hamilton_cartan(chart, model.h)
+    omega = forms.build_omega(chart)
+    _, alpha = forms.extended_alpha(chart, model.h)
+    for factor in (2, chart.y(1)):
+        for X in (Xr.scaled(factor), Xe.scaled(factor)):
+            head = f"{tag} {X.kind} f={factor}"
+            mv = X.multivector()
+            for nu in range(1, chart.m + 1):
+                yield from (f"{head} X{nu}[{k}] {_held_line(c, mv.coords)}"
+                            for k, c in mv.vector(nu).items())
+            yield f"{head} transversality {sp.srepr(hdw.transversality(X))}"
+            residual = (hdw.residual_restricted(X, omega_h) if X.kind == "restricted"
+                        else hdw.residual_extended(X, omega, alpha))
+            yield f"{head} residual {residual!r}"
 
 
 def atom_fields():
@@ -188,7 +217,7 @@ def legendre_lines(tag, lm):
 
 def _symbolic_lines(tag, model, gauge, groups):
     """Append the fields, battery and curvature lines of one input to
-    `groups`; returns its restricted field."""
+    `groups`; returns its restricted and extended fields."""
     Xr = hdw.derive_restricted(model, gauge)
     Xe = hdw.derive_extended(model, gauge)
     groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe) for line in _table_lines(X)]
@@ -196,7 +225,7 @@ def _symbolic_lines(tag, model, gauge, groups):
                           in hdw.standard_checks(model, gauge).items()]
     groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
                             for key, v in hdw.curvature(Xe).items()]
-    return Xr
+    return Xr, Xe
 
 
 def symbolic_groups(inputs) -> dict:
@@ -212,11 +241,13 @@ def symbolic_groups(inputs) -> dict:
             cases.append((f"{seed}/{slot}", model, inp.gauge))
     groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
     for tag, model, gauge in cases + list(atom_fields()):
-        Xr = _symbolic_lines(tag, model, gauge, groups)
+        Xr, Xe = _symbolic_lines(tag, model, gauge, groups)
         groups["forms"] += [f"{tag} {name} {form!r}" for name, form in _forms(model, Xr)]
-    offring = {"fields": [], "battery": [], "curvature": []}
+        groups["forms"] += scaled_lines(tag, model, Xr, Xe)
+    offring = {"fields": [], "battery": [], "curvature": [], "scaled": []}
     for tag, model, gauge in offring_fields(inputs.CHARTS):
-        _symbolic_lines(tag, model, gauge, offring)
+        Xr, Xe = _symbolic_lines(tag, model, gauge, offring)
+        offring["scaled"] += scaled_lines(tag, model, Xr, Xe)
     groups["offring"] = [line for lines in offring.values() for line in lines]
     groups["legendre"] = [line for tag, lm in legendre_cases(inputs)
                           for line in legendre_lines(tag, lm)]
