@@ -22,7 +22,6 @@ import os
 import re
 import sys
 
-import numpy as np
 import sympy as sp
 
 from . import __version__
@@ -114,6 +113,7 @@ def _emit(report: dict, out_dir: str, stem: str, fmt: str):
 
 
 def _floats(values) -> list:
+    import numpy as np
     return np.asarray(values, dtype=float).tolist()
 
 
@@ -156,6 +156,7 @@ def _first_bad_line(path: str):
 
 
 def read_grid_csv(path: str) -> SectionGrid:
+    import numpy as np
     meta = {}
     header = None
     try:
@@ -340,6 +341,7 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianModel]:
+    import numpy as np
     if model.solve is None:
         raise ModelFileError("model has no [solve] section")
     run_block = dict(model.solve)
@@ -347,7 +349,7 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
         run_block["dt"] = float(args.dt)
     if getattr(args, "grid", None) is not None:
         run_block["points"] = int(args.grid)
-    problem = solve_problem(run_block)
+    problem = solve_problem(run_block, model.chart)
     if problem is not None:
         key, bound = problem
         flag = {"dt": "--dt", "points": "--grid"}.get(key, key)
@@ -384,7 +386,7 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
         def profile(name):
             e = run_block["init"].get(name, sp.Integer(0))
             return np.broadcast_to(
-                np.asarray(sp.lambdify([xsym], e, "numpy")(x), dtype=float),
+                np.asarray(sp.lambdify([xsym], e, [np])(x), dtype=float),
                 (npoints,)).copy()
 
         grid = solve_field_1p1(X, profile("y1"), profile("p1_1"),

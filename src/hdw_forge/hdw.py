@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import sympy as sp
 
@@ -43,6 +44,15 @@ class HamiltonianModel:
 
     def __post_init__(self):
         object.__setattr__(self, "h", self.chart.validate_on(self.h, "J1"))
+
+    @cached_property
+    def partials(self) -> dict:
+        """The held first partials of h by restricted-chart coordinate, taken
+        by `CoordForm.d` on the first read: both derivations read them."""
+        coords = self.chart.coords("J1")
+        dh = CoordForm(coords, 0, {(): self.h}).d().coeffs
+        zero = hold(0, coords)
+        return {s: dh.get((i,), zero) for i, s in enumerate(coords)}
 
 
 def dof_count(chart: BundleChart) -> int:
@@ -165,10 +175,8 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     chart = model.chart
     gauge.validate(chart)
     coords = chart.coords("J1")
-    zero, one = hold(0, coords), hold(1, coords)
-    share = hold(sp.Rational(-1, chart.m), coords)
-    dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
-    dh = {s: dh.get((i,), zero) for i, s in enumerate(coords)}
+    one, share = hold(1, coords), hold(sp.Rational(-1, chart.m), coords)
+    dh = model.partials
     X = HdwField("restricted", chart, {}, {}, {}, gauge)
     for a in range(1, chart.n + 1):
         h_y = dh[chart.y(a)]
@@ -185,16 +193,16 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
     """The restricted field plus the scalar coefficients g, which F, G and
-    the base partials of h fix."""
+    the base partials of h (`model.partials`, as `derive_restricted` read
+    them) fix."""
     X = derive_restricted(model, gauge)
     chart = model.chart
     coords = chart.coords("J1")
     F, G = X.F.held, X.G.held
-    dh = CoordForm(coords, 0, {(): model.h}).d().coeffs
     minus = hold(-1, coords)
     Xe = HdwField("extended", chart, X.F, X.G, {}, X.gauge)
     for nu in range(1, chart.m + 1):
-        pairs = [(minus, dh.get((coords.index(chart.x(nu)),), 0))]
+        pairs = [(minus, model.partials[chart.x(nu)])]
         for a in range(1, chart.n + 1):
             for eta in range(1, chart.m + 1):
                 if eta != nu:

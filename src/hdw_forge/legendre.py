@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
 import sympy as sp
 
 from .coords import BundleChart
@@ -175,6 +174,7 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
     underlying Lagrangian obstructs; without it the m=1 case would always
     report the one-dimensional evolution direction.
     """
+    import numpy as np
     params = tuple(params)
     d = len(params)
     if d == 0:
@@ -203,7 +203,7 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
     for i, u in enumerate(params):
         contracted = omega_P.interior_vector({i: 1})
         rows.append([contracted.coefficient(c) for c in cols] + [dx[u] for dx in base])
-    system = sp.lambdify(params, sp.Matrix(rows), "numpy")
+    system = sp.lambdify(params, sp.Matrix(rows), [np])
     out = []
     for pt in samples:
         vals = [float(v) for v in pt]

@@ -200,7 +200,7 @@ def _parse_solve(entries, chart) -> dict:
         if key not in out:
             raise ModelFileError(f"[solve] kind={kind} needs key {key!r}",
                                  entries[0][0] if entries else 1)
-    problem = solve_problem(out)
+    problem = solve_problem(out, chart)
     if problem is not None:
         key, bound = problem
         raise ModelFileError(f"{key} must be {bound}, got {out[key]!r}",
@@ -220,20 +220,40 @@ def _parse_solve(entries, chart) -> dict:
     return out
 
 
-def solve_problem(run: dict):
+# The most values a run may store: (steps + 1) x values per time step, 8
+# bytes each, about 160 MB per copy.  The 800-point wave stores 1.9 million.
+MAX_RUN_VALUES = 20_000_000
+
+
+def solve_problem(run: dict, chart: BundleChart):
     """(key, bound) for the first value of a [solve] block that no run can
     take, or None: the time and space bounds finite, t1 > t0, dt > 0 with
-    at least one step, and at least 5 points (the 4th-order stencil)."""
+    at least one step, at least 5 points (the 4th-order stencil), and at
+    most MAX_RUN_VALUES stored values.  A time step stores the 2n (or, with
+    `extended`, 2n + 1) coordinates of an ode run, and y1, p1_1 and p1_2
+    at every point of a field1p1 run."""
     for key in ("t0", "t1", "dt", "xmin", "xmax"):
         if key in run and not math.isfinite(run[key]):
             return key, "finite"
     t0, t1, dt = run["t0"], run["t1"], run["dt"]
     if t1 <= t0:
         return "t1", f"> t0 = {t0!r}"
-    if dt <= 0 or round((t1 - t0) / dt) < 1:
+    span = (t1 - t0) / dt if dt > 0 else 0.0   # inf when the quotient overflows
+    steps = round(span) if span < math.inf else math.inf
+    if steps < 1:
         return "dt", f"> 0 and give at least one step from t0 = {t0!r} to t1 = {t1!r}"
     if run.get("points", 5) < 5:
         return "points", "at least 5"
+    if run["kind"] == "field1p1":
+        per_step = 3 * run["points"]
+        if 2 * per_step > MAX_RUN_VALUES:
+            return "points", (f"at most {MAX_RUN_VALUES // 6}, 3 values per point "
+                              f"over at least 2 time rows within {MAX_RUN_VALUES}")
+    else:
+        per_step = 2 * chart.n + run.get("extended", False)
+    if (steps + 1) * per_step > MAX_RUN_VALUES:
+        return "dt", (f"large enough for at most {MAX_RUN_VALUES} stored values, "
+                      f"(steps + 1) x {per_step} per step")
     return None
 
 

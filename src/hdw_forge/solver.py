@@ -1,10 +1,13 @@
 """Numerical integration of derived field equations.
 
-Both solvers advance one state array with the same classic RK4 loop,
-`_rk4`.  m=1 systems advance the vector (y, p, [pe]).  m=2, n=1 systems are
+Both solvers advance their state with the same classic RK4 loop, `_rk4`,
+which holds the state as a list of components and combines them one by
+one.  m=1 systems advance one `np.float64` per coordinate, (y, p, [pe]):
+the lambdified right-hand side takes the components and returns them as a
+list, so a step makes no ufunc call on a small array.  m=2, n=1 systems are
 solved by method of lines on a periodic spatial grid in evolution form: the
-state is the (2, npoints) array of (y, p_t); the spatial momentum is
-recovered algebraically each stage from the spatial relation
+state is one component, the (2, npoints) array of (y, p_t); the spatial
+momentum is recovered algebraically each stage from the spatial relation
 dy/dx = dh/dp_x (affine in p_x), and again for each stored row after the
 run, with 4th-order centered differences for every spatial derivative.
 
@@ -13,13 +16,15 @@ or domain error, or the state is not finite after step k, the run stops
 with `SolverAbortError` carrying k.  A non-finite stage value always makes
 the new state non-finite, so a run stops at the step that produced it.  All
 runs are deterministic: fixed step, fixed-order summation.
+
+numpy is imported by the functions that compute, not with the module, and
+every right-hand side is lambdified against the numpy module object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import sympy as sp
 
 from .errors import (ChartMismatchError, SolverAbortError, UnsupportedFormError)
@@ -52,6 +57,7 @@ class SolveReport:
 
 def _fd4(series: np.ndarray, dt: float) -> np.ndarray:
     """4th-order centered first derivative on the interior of a sampled series."""
+    import numpy as np
     f = np.asarray(series, dtype=float)
     if f.size < 5:
         raise ValueError("need at least 5 samples for the 4th-order stencil")
@@ -59,36 +65,51 @@ def _fd4(series: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _periodic_dx4(arr: np.ndarray, dx: float) -> np.ndarray:
-    """4th-order centered derivative along the last axis with periodic wrap."""
+    """4th-order centered derivative along the last axis with periodic wrap.
+
+    8 a[i+1] - a[i+2] rounds to the same double as -a[i+2] + 8 a[i+1] (x - y
+    is x + (-y) in IEEE arithmetic), with one ufunc call fewer.
+    """
+    import numpy as np
     a = np.concatenate((arr[..., -2:], arr, arr[..., :2]), axis=-1)
-    return (-a[..., 4:] + 8.0 * a[..., 3:-1]
+    return (8.0 * a[..., 3:-1] - a[..., 4:]
             - 8.0 * a[..., 1:-3] + a[..., :-4]) / (12.0 * dx)
 
 
-def _rk4(deriv, state: np.ndarray, t0: float, dt: float, steps: int) -> np.ndarray:
-    """Classic RK4 from `state` at t0; returns the (steps + 1, *state.shape)
-    trajectory, the initial state first.
+def _rk4(deriv, state: list, t0: float, dt: float, steps: int) -> np.ndarray:
+    """Classic RK4 from `state` at t0; returns the (steps + 1, *shape of the
+    stacked state) trajectory, the initial state first.
 
-    numpy's overflow and invalid-value warnings are off inside the loop: the
-    finiteness check after each step reports the step instead.
+    `state` is a list of components, scalars or arrays, and `deriv(t,
+    *state)` returns the derivative's components in the same order.  Each
+    stage combines the components one by one with the operations, and in
+    the order, that one stacked array would take, so a run does not depend
+    on how its state is split.  numpy's overflow and invalid-value warnings
+    are off inside the loop: the finiteness check of each stored row
+    reports the step instead.
     """
-    out = np.empty((steps + 1,) + state.shape)
+    import numpy as np
+    out = np.empty((steps + 1,) + np.shape(state))
     out[0] = state
+    half, sixth = dt / 2, dt / 6
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(steps):
             tk = t0 + k * dt
             try:
-                k1 = deriv(tk, state)
-                k2 = deriv(tk + dt / 2, state + dt / 2 * k1)
-                k3 = deriv(tk + dt / 2, state + dt / 2 * k2)
-                k4 = deriv(tk + dt, state + dt * k3)
+                k1 = deriv(tk, *state)
+                k2 = deriv(tk + half, *[s + half * d for s, d in zip(state, k1)])
+                k3 = deriv(tk + half, *[s + half * d for s, d in zip(state, k2)])
+                k4 = deriv(tk + dt, *[s + dt * d for s, d in zip(state, k3)])
             except (ArithmeticError, ValueError) as exc:
                 raise SolverAbortError(
                     f"evaluation failed at step {k} (t={tk:.6g})", k) from exc
-            state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(state).all():
+            state = [s + sixth * (a + 2 * b + 2 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            row = out[k + 1]
+            # same_kind: a complex value raises instead of losing its imaginary part
+            np.copyto(row, state, casting="same_kind")
+            if not np.isfinite(row).all():
                 raise SolverAbortError(f"solution blew up at step {k} (t={tk:.6g})", k)
-            out[k + 1] = state
     return out
 
 
@@ -102,7 +123,9 @@ def _state_names(X: HdwField) -> list:
 
 
 def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
-    """RK4 on the m=1 system dy/dt = F, dp/dt = G (and dpe/dt = g)."""
+    """RK4 on the m=1 system dy/dt = F, dp/dt = G (and dpe/dt = g), one
+    `np.float64` state component per coordinate."""
+    import numpy as np
     chart = X.chart
     if chart.m != 1:
         raise ChartMismatchError("solve_ode requires a chart with m = 1")
@@ -119,18 +142,15 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
     rhs_exprs += [X.G[(a, 1, 1)] for a in range(1, chart.n + 1)]
     if X.kind == "extended":
         rhs_exprs.append(X.g[1])
-    rhs = sp.lambdify(args, rhs_exprs, "numpy")
+    rhs = sp.lambdify(args, rhs_exprs, [np])
 
     init = {str(k): float(v) for k, v in init.items()}
     missing = [nm for nm in names if nm not in init]
     if missing:
         raise ChartMismatchError(f"initial data missing coordinates: {missing}")
-    state = np.array([init[nm] for nm in names], dtype=float)
+    state = [np.float64(init[nm]) for nm in names]
 
-    def deriv(tk, s):
-        return np.asarray(rhs(tk, *s), dtype=float)
-
-    data = _rk4(deriv, state, t0, dt, steps)
+    data = _rk4(rhs, state, t0, dt, steps)
     t = np.linspace(t0, t1, steps + 1)
     fields = {nm: data[:, i].copy() for i, nm in enumerate(names)}
     meta = {"scheme": "rk4", "dt": dt, "steps": steps, "kind": X.kind,
@@ -166,7 +186,9 @@ def _check_evolution_form(X: HdwField):
 
 def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
                     t_range, dt: float, x_range, npoints: int) -> SectionGrid:
-    """Method-of-lines run of the 1+1 evolution-form system."""
+    """Method-of-lines run of the 1+1 evolution-form system; its RK4 state
+    is one component, the (2, npoints) array of (y, p_t)."""
+    import numpy as np
     chart = X.chart
     a_expr, b_expr = _check_evolution_form(X)
     if dt <= 0:
@@ -182,10 +204,10 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
     t_s, x_s = chart.x(1), chart.x(2)
     y_s, pt_s, px_s = chart.y(1), chart.p(1, 1), chart.p(1, 2)
     args = (t_s, x_s, y_s, pt_s, px_s)
-    f_Ft = sp.lambdify(args, X.F[(1, 1)], "numpy")
-    f_hy = sp.lambdify(args, -(X.G[(1, 1, 1)] + X.G[(1, 2, 2)]), "numpy")
-    f_a = sp.lambdify((t_s, x_s, y_s), a_expr, "numpy")
-    f_b = sp.lambdify((t_s, x_s, y_s), b_expr, "numpy")
+    f_Ft = sp.lambdify(args, X.F[(1, 1)], [np])
+    f_hy = sp.lambdify(args, -(X.G[(1, 1, 1)] + X.G[(1, 2, 2)]), [np])
+    f_a = sp.lambdify((t_s, x_s, y_s), a_expr, [np])
+    f_b = sp.lambdify((t_s, x_s, y_s), b_expr, [np])
 
     warnings = []
     if dt > dx:
@@ -206,9 +228,9 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
         out = np.empty_like(s)
         out[0] = f_Ft(tk, x, yk, ptk, pxk)
         out[1] = -f_hy(tk, x, yk, ptk, pxk) - _periodic_dx4(pxk, dx)
-        return out
+        return (out,)
 
-    data = _rk4(deriv, state, t0, dt, steps)
+    data = _rk4(deriv, [state], t0, dt, steps)[:, 0]
     t = np.linspace(t0, t1, steps + 1)
     Y, PT = data[:, 0], data[:, 1]
     PX = np.empty_like(Y)
@@ -236,6 +258,7 @@ def project_extended(grid: SectionGrid) -> SectionGrid:
 
 def discrete_field_energy(grid: SectionGrid) -> np.ndarray:
     """Energy series 1/2 sum(p_t^2 + (dy/dx)^2) dx of a 1+1 run."""
+    import numpy as np
     if grid.kind != "field1p1":
         raise ChartMismatchError("energy series needs a 1+1 field run")
     dx = grid.meta["dx"]
@@ -251,12 +274,13 @@ def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:
     4th-order finite differences, which must vanish along solutions whether
     or not the Hamiltonian is time-dependent.
     """
+    import numpy as np
     if not grid.has_extended:
         raise ChartMismatchError("conservation diagnostics need an extended run")
     H = sp.sympify(H)
     names = ["x1"] + list(grid.fields)
     syms = [sp.Symbol(nm) for nm in names]
-    fH = sp.lambdify(syms, H, "numpy")
+    fH = sp.lambdify(syms, H, [np])
     cols = [grid.t] + [grid.fields[nm] for nm in grid.fields]
     series = fH(*cols) * np.ones_like(grid.t)
     drift = float(np.max(np.abs(series - series[0])))
@@ -275,6 +299,7 @@ def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:
 
 def max_discrepancy(g1: SectionGrid, g2: SectionGrid) -> float:
     """Max absolute difference over the fields common to two runs."""
+    import numpy as np
     common = [k for k in g1.fields if k in g2.fields]
     if not common or g1.t.shape != g2.t.shape:
         raise ChartMismatchError("grids are not comparable")

@@ -739,6 +739,20 @@ class TestHeldDerivation:
         assert all(args[0] in entries or args[0].is_Rational for args in calls)
 
 
+    def test_extended_derivation_holds_h_once(self, monkeypatch):
+        # derive_extended reads the partials derive_restricted took, and still
+        # calls it through the module, where a tracer finds it
+        chart = BundleChart(2, 1)
+        p1, p2 = chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + chart.x(1) * chart.y(1) ** 2)
+        holds = _count_calls(monkeypatch, forms, "to_ring")
+        restricted = _count_calls(monkeypatch, hdw, "derive_restricted")
+        X = derive_extended(model)
+        assert len(restricted) == 1
+        assert [args for args in holds if args[0] == model.h] == [(model.h, chart.coords("J1"))]
+        assert_same_table(X.g, expr_derivation(model, GaugeChoice())[2])
+
+
 def test_ring_types_stay_in_forms_and_symbolic():
     """Only `forms` and `symbolic` name `PolyElement` or `sympy.polys`, so the
     choice between ring element and `Expr` cannot leak into other modules."""

@@ -1,12 +1,15 @@
 import importlib
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hdw_forge
 from hdw_forge import symbolic
 from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
 from hdw_forge.errors import ModelFileError
@@ -334,6 +337,13 @@ class TestSolve:
         ("oscillator", "--dt", "100", "must be > 0 and give at least one step"),
         ("wave", "--grid", "3", "must be at least 5"),
         ("wave", "--grid", "-5", "must be at least 5"),
+        ("oscillator", "--dt", "1e-300", "must be large enough for at most 20000000 "
+         "stored values, (steps + 1) x 3 per step, got 1e-300"),
+        ("oscillator", "--dt", "5e-324", "must be large enough for at most 20000000"),
+        ("oscillator", "--dt", "1e-7", "must be large enough for at most 20000000"),
+        ("wave", "--dt", "1e-5", "must be large enough for at most 20000000 "
+         "stored values, (steps + 1) x 600 per step"),
+        ("wave", "--grid", "4000000", "must be at most 3333333"),
     ])
     def test_bad_flag_is_input_error(self, capsys, tmp_path, model, flag, value, needle):
         status, _, err = run(capsys, "solve", str(MODELS / f"{model}.hdw"),
@@ -346,6 +356,9 @@ class TestSolve:
         ("oscillator", "dt = 0.001", "dt = 0", "dt must be > 0"),
         ("oscillator", "dt = 0.001", "dt = nan", "dt must be finite"),
         ("wave", "points = 200", "points = 2", "points must be at least 5"),
+        ("oscillator", "dt = 0.001", "dt = 1e-300", "dt must be large enough"),
+        ("wave", "dt = 0.031415926535897934", "dt = 1e-6", "dt must be large enough"),
+        ("wave", "points = 200", "points = 10000000", "points must be at most 3333333"),
     ])
     def test_bad_model_value_is_input_error(self, capsys, tmp_path, model, entry, bad, needle):
         text = (MODELS / f"{model}.hdw").read_text()
@@ -355,6 +368,42 @@ class TestSolve:
         status, _, err = run(capsys, "solve", str(path), "--out", str(tmp_path / "out"))
         assert status == 2
         assert f"error: line {line}: {needle}" in err
+
+
+def _numpy_modules_after(tmp_path, *argv):
+    """Status of `cli.main(argv)` in a fresh interpreter, and the numpy
+    modules loaded when it returns."""
+    code = ("import json, sys\n"
+            "from hdw_forge import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "sys.stderr.write(json.dumps([status, mods]))\n")
+    env = dict(os.environ)
+    src = pathlib.Path(hdw_forge.__file__).resolve().parent.parent  # the package under test
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    status, mods = json.loads(done.stderr.splitlines()[-1])
+    return status, set(mods)
+
+
+class TestStartUpCost:
+    """A command imports numpy only when it computes with it, and the
+    lambdified functions import none of numpy's optional subpackages."""
+
+    @pytest.mark.parametrize("argv", [("derive", "oscillator"), ("check", "oscillator"),
+                                      ("legendre", "wave")])
+    def test_symbolic_commands_import_no_numpy(self, tmp_path, argv):
+        command, model = argv
+        status, mods = _numpy_modules_after(tmp_path, command, str(MODELS / f"{model}.hdw"))
+        assert status == 0
+        assert mods == set()
+
+    def test_solve_loads_no_optional_numpy_subpackage(self, tmp_path):
+        status, mods = _numpy_modules_after(tmp_path, "solve", str(MODELS / "oscillator.hdw"))
+        assert status == 0
+        assert "numpy" in mods
+        assert not mods & {"numpy.f2py", "numpy.testing"}
 
 
 class TestCompare:

@@ -1,13 +1,16 @@
+import math
 import pathlib
 
 import pytest
 import sympy as sp
 
-from hdw_forge import BundleChart
+from hdw_forge import BundleChart, modelfile
 from hdw_forge.errors import (ExpressionSyntaxError, ModelFileError,
                               UnknownCoordinateError)
 from hdw_forge.exprparse import parse_expression, render_latex, render_plain
 from hdw_forge.modelfile import parse_model, parse_model_text
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 class TestExpressionParser:
@@ -198,12 +201,39 @@ psi[1][1] = x1
         ("t1 = inf", "t1 must be finite"),
         ("dt = 5", "dt must be > 0 and give at least one step"),
         ("points = 4", "points must be at least 5"),
+        ("dt = 1e-9", "dt must be large enough for at most 20000000 stored values, "
+         r"\(steps \+ 1\) x 2 per step"),
+        ("dt = 5e-324", "dt must be large enough"),
     ])
     def test_solve_value_out_of_range_reports_its_line(self, entry, needle):
         text = OSC + "\n[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1\n" + entry + "\n"
         with pytest.raises(ModelFileError, match=needle) as exc:
             parse_model_text(text)
         assert exc.value.line == text.count("\n")
+
+    @pytest.mark.parametrize("kind,extras,per_step", [
+        ("ode", {"extended": False}, 2 * 2),
+        ("ode", {"extended": True}, 2 * 2 + 1),
+        ("field1p1", {"points": 800}, 3 * 800),
+    ])
+    def test_stored_values_bound_is_inclusive(self, kind, extras, per_step):
+        chart = BundleChart(1, 2) if kind == "ode" else BundleChart(2, 1)
+        steps = modelfile.MAX_RUN_VALUES // per_step - 1
+        run = {"kind": kind, "t0": 0.0, "t1": float(steps), "dt": 1.0, **extras}
+        assert modelfile.solve_problem(run, chart) is None
+        run["t1"] += 1
+        key, bound = modelfile.solve_problem(run, chart)
+        assert key == "dt" and f"x {per_step} per step" in bound
+
+    def test_bundled_runs_fit_the_bound(self):
+        # the largest run the tests and the benchmark make: the wave at 800 x 800
+        for path in sorted(MODELS.glob("*.hdw")):
+            model = parse_model(path)
+            if model.solve is not None:
+                assert modelfile.solve_problem(model.solve, model.chart) is None
+        wave = parse_model(MODELS / "wave.hdw")
+        wide = dict(wave.solve, points=800, dt=2 * math.pi / 800)
+        assert modelfile.solve_problem(wide, wave.chart) is None
 
     def test_solve_field_profiles_parse_against_base(self):
         text = """\

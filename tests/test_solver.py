@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -405,3 +406,74 @@ class TestDiscrepancy:
         g2 = solve_ode(X, {"y1": 1.0, "p1_1": 0.0}, (0.0, 2.0), 0.02)
         with pytest.raises(ChartMismatchError):
             max_discrepancy(g1, g2)
+
+
+class TestLambdifyModule:
+    """The package lambdifies against the numpy module object, which skips
+    the `from numpy import *` namespace of the "numpy" string and prints the
+    same source."""
+
+    u, v = sp.symbols("u v")
+    EXPRS = {
+        "sqrt": sp.sqrt(u) + sp.sqrt(2) * v,
+        "abs": sp.Abs(u - v) * sp.Abs(v),
+        "log": sp.log(u) + sp.log(1 + v ** 2),
+        "constants": sp.E * u + sp.pi * v ** 2 + sp.exp(u),
+        "float-rational": sp.Float(0.5) * u + sp.Rational(1, 3) * v ** 3,
+        "matrix": sp.Matrix([[u, 0], [sp.sin(v), sp.Rational(2, 7) * u * v]]),
+        "list-with-zero": [0, u * v, sp.Integer(1), sp.cos(u) - v],
+    }
+
+    @pytest.mark.parametrize("name", list(EXPRS))
+    def test_same_source_and_values(self, name):
+        args = (self.u, self.v)
+        ours = sp.lambdify(args, self.EXPRS[name], [np])
+        theirs = sp.lambdify(args, self.EXPRS[name], "numpy")
+        assert inspect.getsource(ours) == inspect.getsource(theirs)
+        rng = np.random.default_rng(13)
+        points = [(np.float64(0.7), np.float64(-1.3))]
+        if name != "matrix":  # a Matrix is evaluated at scalars, as rank_diagnostics does
+            points.append(tuple(rng.uniform(0.1, 3.0, (2, 9))))
+        for point in points:
+            a, b = ours(*point), theirs(*point)
+            if isinstance(a, list):
+                assert [type(c) for c in a] == [type(c) for c in b]
+                a, b = np.broadcast_arrays(*a), np.broadcast_arrays(*b)
+            assert_bit_identical(a, b)
+
+
+def test_ode_state_is_float64_components(monkeypatch):
+    # the right-hand side gets np.float64 components, also when it returns
+    # plain numbers, and the steps are those of the stacked-array loop
+    chart = BundleChart(1, 1)
+    t, q, p = chart.x(1), chart.y(1), chart.p(1, 1)
+    real = sp.lambdify
+    for h in (p + 2 * t, p ** 2 / 2 - sp.cos(q) + t * q):
+        X = derive_extended(HamiltonianModel(chart, h))
+        seen = set()
+
+        def spy(*args, **kwargs):
+            f = real(*args, **kwargs)
+
+            def rhs(tk, *state):
+                seen.update(type(c) for c in state)
+                return f(tk, *state)
+            return rhs
+        monkeypatch.setattr(sp, "lambdify", spy)
+        init = {"y1": 0.5, "p1_1": -0.25, "pe": 0.0}
+        grid = solve_ode(X, init, (0.0, 1.0), 0.125)
+        monkeypatch.undo()
+        assert seen == {np.float64}
+        ref = reference_ode(X, init, 0.0, 1.0, 0.125)
+        for nm in ref:
+            assert_bit_identical(grid.fields[nm], ref[nm])
+
+
+def test_complex_rhs_value_is_not_cast_to_real():
+    # x1^(1/3) of a negative time is complex: the run raises, as the
+    # stacked-array loop did, instead of storing the real part
+    chart = BundleChart(1, 1)
+    h = chart.p(1, 1) ** 2 / 2 + chart.x(1) ** sp.Rational(1, 3) * chart.y(1)
+    X = derive_restricted(HamiltonianModel(chart, h))
+    with pytest.raises(TypeError):
+        solve_ode(X, {"y1": 1.0, "p1_1": 0.0}, (-1.0, 1.0), 0.01)

@@ -28,7 +28,11 @@ The groups are:
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
-  800-point wave run the field-solve benchmark makes.
+  800-point wave run the field-solve benchmark makes;
+- `ode ...`: the bytes of every array of the `solve_ode` runs of
+  `ode_runs`, whose right-hand sides are transcendental and time-dependent
+  (restricted and extended, n = 1 and n = 2), or the message of the
+  `SolverAbortError` of the two that fail, whose abort step the line names.
 
 The check-matrix inputs come from `perfbench/inputs.py`, loaded read-only.
 """
@@ -49,7 +53,9 @@ import tempfile
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from hdw_forge import BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre
+from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre,
+                       solver)
+from hdw_forge.errors import SolverAbortError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -254,6 +260,43 @@ def symbolic_groups(inputs) -> dict:
     return groups
 
 
+def ode_runs():
+    """(tag, field, initial values, t range, dt) of m = 1 runs: a forced
+    pendulum, h = p1_1^2/2 - cos(y1) + x1*y1, restricted and extended; an
+    n = 2 extended run with sin, exp and a time-dependent coupling; one run
+    that blows up (y'' = y^3) and one that leaves the domain of sqrt."""
+    c11, c12 = BundleChart(1, 1), BundleChart(1, 2)
+    t, q, p = c11.x(1), c11.y(1), c11.p(1, 1)
+    pendulum = HamiltonianModel(c11, p ** 2 / 2 - sp.cos(q) + t * q)
+    for derive in (hdw.derive_restricted, hdw.derive_extended):
+        X = derive(pendulum)
+        yield f"pendulum/{X.kind}", X, {"y1": 1.0, "p1_1": 0.0, "pe": 0.5}, (0.0, 5.0), 0.01
+    y1, y2, p1, p2 = c12.y(1), c12.y(2), c12.p(1, 1), c12.p(2, 1)
+    coupled = HamiltonianModel(c12, (p1 ** 2 + p2 ** 2) / 2 + sp.sin(y1) * y2
+                               + sp.exp(-c12.x(1)) * y1 ** 2 / 2 + p1 * y2 / 3)
+    init = {"y1": 0.5, "y2": -0.25, "p1_1": 0.0, "p2_1": 1.0, "pe": 0.0}
+    yield "coupled/extended", hdw.derive_extended(coupled), init, (0.0, 4.0), 0.005
+    blowup = HamiltonianModel(c11, p ** 2 / 2 - q ** 4 / 4)
+    yield "blowup", hdw.derive_restricted(blowup), {"y1": 1.0, "p1_1": 1.0}, (0.0, 10.0), 0.01
+    domain = HamiltonianModel(c11, p ** 2 / 2 + sp.sqrt(q))
+    yield "domain", hdw.derive_extended(domain), {"y1": 1.0, "p1_1": -1.0, "pe": 0.0}, \
+        (0.0, 10.0), 0.01
+
+
+def ode_groups() -> dict:
+    groups = {}
+    for tag, X, init, t_range, dt in ode_runs():
+        try:
+            grid = solver.solve_ode(X, init, t_range, dt)
+        except SolverAbortError as exc:
+            groups[f"ode {tag} (abort step {exc.last_step})"] = [str(exc)]
+            continue
+        lines = [repr(grid.meta), grid.t.tobytes().hex()]
+        lines += [f"{nm} {v.tobytes().hex()}" for nm, v in grid.fields.items()]
+        groups[f"ode {tag}"] = lines
+    return groups
+
+
 def _strip(text, tmp):
     """Drop what differs from run to run: timestamps and directory names."""
     text = text.replace(str(tmp), "<tmp>").replace(str(MODELS), "<models>")
@@ -305,6 +348,7 @@ def cli_groups(tmp) -> dict:
 
 def main():
     groups = symbolic_groups(_frozen_inputs())
+    groups.update(ode_groups())
     with tempfile.TemporaryDirectory() as tmp:
         groups.update(cli_groups(pathlib.Path(tmp)))
     for name, lines in groups.items():
