@@ -352,6 +352,9 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
     problem = solve_problem(run_block, model.chart)
     if problem is not None:
         key, bound = problem
+        if key == "dt" and getattr(args, "dt", None) is None:
+            # the model's dt passed when read: --grid broke the stored-value bound
+            key, bound = "points", bound.replace("large enough", "small enough", 1)
         flag = {"dt": "--dt", "points": "--grid"}.get(key, key)
         raise ModelFileError(f"{flag} must be {bound}, got {run_block[key]!r}")
     gauge = _select_gauge(model, args)

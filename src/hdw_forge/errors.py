@@ -57,6 +57,10 @@ class SolverAbortError(HdwForgeError):
         self.last_step = last_step
 
 
+class NonRealValueError(SolverAbortError, TypeError):
+    """A run's state turned complex; a `TypeError` too, as `float(1j)` is."""
+
+
 class ModelFileError(HdwForgeError):
     """A model file failed to parse or validate; carries a position."""
 

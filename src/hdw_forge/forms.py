@@ -16,16 +16,19 @@ Sign conventions (fixed once, everything downstream derives from them):
 
 A worked example for the second and third rules is in docs/conventions.md.
 
-Coefficient arithmetic (ring element or `Expr`) is decided by the helpers
-`_coeff`, `_expr`, `_mul`, `_diff` and `_sum` alone.  A ring element is a
-polynomial in the frame and in sin, cos and exp atoms (`symbolic.to_ring`),
-differentiated by the chain rule.  `_diff` is the package's one derivative;
-other modules, and `pullback`, take partials as `CoordForm.d` of a 0-form.
-Other modules hold and combine coefficients through the public `hold`
-(`_coeff`: an off-ring `Expr` as it stands) and `sum_of_products`, and read
-them back through `HeldView`, the one lazy `Expr` view of held values:
-`CoordForm.terms`, curvature, the partials of `legendre`, and a field's F, G
-and g tables (`HeldTable`, which takes writes and reads canonical `Expr`s).
+Coefficient arithmetic is decided by the helpers `_coeff`, `_expr`, `_mul`,
+`_diff` and `_sum` alone.  A coefficient polynomial in the frame and its
+sin, cos and exp atoms is held as an element of QQ[coords, atoms]
+(`symbolic.to_ring`), any other as an `Expr`; a product, sum or derivative
+(`_diff`, the package's one, by the chain rule) of ring elements stays in
+the ring over the union of their atoms unless those atoms depend on each
+other.  A held value is canonical: no ring element is expanded, simplified
+or held again.  Other modules hold and combine coefficients through `hold`
+(`_coeff`: an off-ring `Expr` as it stands) and `sum_of_products`, take
+first partials from `partials` (a 0-form's `CoordForm.d`), and read values
+back through `HeldView`, the one lazy `Expr` view of held values:
+`CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
+(`HeldTable`, which takes writes and reads canonical `Expr`s).
 """
 
 from __future__ import annotations
@@ -40,13 +43,6 @@ from .errors import ChartMismatchError, DegreeError, WrongBundleError
 from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify, to_ring,
                        unify)
 
-
-# A coefficient polynomial in the frame and its sin/cos/exp atoms is held as
-# an element of QQ[coords, atoms] (`symbolic.to_ring`), any other as an
-# `Expr`.  A product, sum or derivative of ring elements stays in a ring, the
-# one over the union of their atoms, unless those atoms depend on each other;
-# one involving an `Expr` is taken on the `Expr` views.  `_diff` is the only
-# derivative of a coefficient.
 
 def _coeff(value, coords):
     """`value` as a coefficient is held: its ring element on the fragment,
@@ -131,11 +127,15 @@ class HeldView(Mapping):
 
 class HeldTable(HeldView):
     """A `HeldView` that takes writes: a value is held (`hold`), and one off
-    the ring as `hold(simplify(value))`.  `writes` counts the writes."""
+    the ring as `hold(simplify(value))`.  `writes` counts the writes.  The
+    held values of a `HeldView` given as `values` are taken as they are."""
 
     def __init__(self, coords, values=()):
         super().__init__(coords)
         self.writes = 0
+        if isinstance(values, HeldView):
+            self.held.update(values.held)
+            return
         for key, value in dict(values).items():
             self[key] = value
 
@@ -182,12 +182,6 @@ class CoordForm:
             for key, coeff in terms.items():
                 self.add_term(key, coeff)
 
-    @property
-    def coeffs(self) -> dict:
-        """Nonzero coefficients as held: ring elements, or expanded `Expr`s
-        off the ring, keyed by sorted index tuple; a view to read."""
-        return self._coeffs
-
     def add_term(self, key, coeff):
         """Add `coeff` (an `Expr`, or an element of QQ[coords]) at `key`."""
         if len(key) != self.degree:
@@ -221,8 +215,14 @@ class CoordForm:
         return out
 
     def simplified(self):
-        """Canonical coefficients (`symbolic.simplify`)."""
-        return self.map_coeffs(simplify)
+        """Canonical coefficients: a ring element as it is, an `Expr` held as
+        its `symbolic.simplify`."""
+        out = CoordForm(self.coords, self.degree)
+        for key, c in self._coeffs.items():
+            c = c if isinstance(c, PolyElement) else _coeff(simplify(c), self.coords)
+            if c != 0:
+                out._coeffs[key] = c
+        return out
 
     def __add__(self, other):
         self._check_same_frame(other)
@@ -294,7 +294,7 @@ class CoordForm:
         if norm is None:
             return sp.Integer(0)
         key, sign = norm
-        return sp.expand(sign * self.terms.get(key, sp.Integer(0)))
+        return sign * self.terms.get(key, sp.Integer(0))
 
     def is_zero(self, seed: int = 0) -> bool:
         """Every coefficient passes `is_structurally_zero` with `seed`."""
@@ -343,9 +343,9 @@ class CoordMultiVector:
 
     Component nu is  f * (d/dx_nu + sum_c coeff[c] d/dc)  where the base
     positions carry the shared transverse scalar f (default 1).  Each
-    component's full table is built once, its coefficients held as
-    `CoordForm` holds its own (`_coeff`; a held value as it is) and scaled
-    by f in held arithmetic.
+    component's full table is built once from coefficients taken as held
+    values (a ring element, or an `Expr` as it stands: none is held again)
+    and scaled by f in held arithmetic.
     """
 
     def __init__(self, coords, base_positions, fiber_components, f=1):
@@ -360,7 +360,7 @@ class CoordMultiVector:
         scale = None if self.f == 1 else _coeff(self.f, coords)
         self._vectors = []
         for base, comp in zip(self.base_positions, fiber_components):
-            table = {int(k): _coeff(v, coords) for k, v in comp.items()}
+            table = {int(k): v for k, v in comp.items()}
             table[base] = one
             if scale is not None:
                 table = {k: _coeff(_sum([_mul(scale, c, coords)], coords), coords)
@@ -391,6 +391,14 @@ class CoordMultiVector:
                 terms += [-_mul(c, _diff(a[i], j, coords), coords) for j, c in b.items()]
             out[i] = _sum(terms, coords, simplify)
         return out
+
+
+def partials(expr, coords) -> HeldTable:
+    """The first partials of `expr` along `coords` (`CoordForm.d` of the
+    0-form), held in a `HeldTable` keyed by coordinate; a zero one reads 0."""
+    d = CoordForm(coords, 0, {(): expr}).d()._coeffs
+    zero = hold(0, coords)
+    return HeldTable(coords, {s: d.get((i,), zero) for i, s in enumerate(coords)})
 
 
 def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:
@@ -469,9 +477,8 @@ def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
 
 
 def extended_alpha(chart: BundleChart, h) -> tuple[sp.Expr, CoordForm]:
-    """Total Hamiltonian H = pe + h and the exact 1-form alpha = dH."""
+    """Total Hamiltonian H = pe + h, read from its held 0-form, and alpha = dH."""
     h = chart.validate_on(h, "J1")
     coords, _ = _frame_index(chart, "M")
-    H = sp.expand(chart.pe + h)
-    alpha = CoordForm(coords, 0, {(): H}).d()
-    return H, alpha
+    H = CoordForm(coords, 0, {(): chart.pe + h})
+    return H.terms[()], H.d()

@@ -29,7 +29,7 @@ import sympy as sp
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, build_omega,
-                    extended_alpha, hamilton_cartan, hold, interior_product,
+                    extended_alpha, hamilton_cartan, hold, interior_product, partials,
                     sum_of_products, volume_form)
 from .symbolic import is_structurally_zero, ring_widen, simplify
 
@@ -46,13 +46,9 @@ class HamiltonianModel:
         object.__setattr__(self, "h", self.chart.validate_on(self.h, "J1"))
 
     @cached_property
-    def partials(self) -> dict:
-        """The held first partials of h by restricted-chart coordinate, taken
-        by `CoordForm.d` on the first read: both derivations read them."""
-        coords = self.chart.coords("J1")
-        dh = CoordForm(coords, 0, {(): self.h}).d().coeffs
-        zero = hold(0, coords)
-        return {s: dh.get((i,), zero) for i, s in enumerate(coords)}
+    def partials(self) -> HeldTable:
+        """`forms.partials` of h, taken once: both derivations read them."""
+        return partials(self.h, self.chart.coords("J1"))
 
 
 def dof_count(chart: BundleChart) -> int:
@@ -109,9 +105,10 @@ class HdwField:
     F[(a, nu)] are the fiber-velocity coefficients, G[(a, rho, nu)] the
     momentum coefficients, and g[nu] (extended kind only) the coefficients
     along the extra scalar direction.  Each is a `forms.HeldTable` on the
-    restricted chart; a `HeldTable` given for one is shared, any other
-    mapping is held into a new one.  `multivector()` is built on its first
-    call and reused, until a write to any table makes it build it again.
+    restricted chart: a `HeldTable` given is shared, a `HeldView`'s held
+    values are taken as they are, and any other mapping is held.
+    `multivector()` takes the tables' values as held; it is built once and
+    reused, until a write to any table makes it build it again.
     """
 
     kind: str  # "restricted" | "extended"
@@ -176,12 +173,13 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     gauge.validate(chart)
     coords = chart.coords("J1")
     one, share = hold(1, coords), hold(sp.Rational(-1, chart.m), coords)
-    dh = model.partials
-    X = HdwField("restricted", chart, {}, {}, {}, gauge)
+    dh = model.partials.held
+    F = {(a, nu): dh[chart.p(a, nu)]
+         for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)}
+    X = HdwField("restricted", chart, HeldView(coords, F), {}, {}, gauge)
     for a in range(1, chart.n + 1):
         h_y = dh[chart.y(a)]
         for nu in range(1, chart.m + 1):
-            X.F[(a, nu)] = dh[chart.p(a, nu)]
             for rho in range(1, chart.m + 1):
                 if rho == nu:
                     psi = hold(gauge.psi(chart, a, nu), coords)
@@ -202,7 +200,7 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
     minus = hold(-1, coords)
     Xe = HdwField("extended", chart, X.F, X.G, {}, X.gauge)
     for nu in range(1, chart.m + 1):
-        pairs = [(minus, model.partials[chart.x(nu)])]
+        pairs = [(minus, model.partials.held[chart.x(nu)])]
         for a in range(1, chart.n + 1):
             for eta in range(1, chart.m + 1):
                 if eta != nu:

@@ -1,6 +1,6 @@
 """Lagrangian input: momentum maps, regularity, induced Hamiltonians.
 
-Every partial derivative is `CoordForm.d` of a 0-form (`_partials`).
+Every partial derivative is read from `forms.partials`.
 Closed-form inversion is supported for Lagrangians quadratic in the
 velocities (linear momentum-velocity relation solved exactly); the
 Euler-Lagrange residuals act as an independent oracle for the derived field
@@ -18,7 +18,7 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError
-from .forms import CoordForm, HeldTable, canonical_part, hold, volume_form
+from .forms import canonical_part, partials, volume_form
 from .hdw import HamiltonianModel
 from .symbolic import simplify
 
@@ -48,24 +48,16 @@ def _velocity_slots(chart: BundleChart):
     return [(a, nu) for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)]
 
 
-def _partials(expr, coords) -> HeldTable:
-    """{coordinate: canonical partial of `expr` along it} over `coords`,
-    taken by `CoordForm.d` and read as `Expr`s."""
-    d = CoordForm(coords, 0, {(): expr}).d().coeffs
-    zero = hold(0, coords)
-    return HeldTable(coords, {s: d.get((i,), zero) for i, s in enumerate(coords)})
-
-
 def legendre_maps(model: LagrangianModel) -> LegendreResult:
     """Momentum map, extended entry, Hessian, and regularity classification."""
     chart, lag = model.chart, model.lag
     coords = chart.coords("L")
     slots = _velocity_slots(chart)
-    dlag = _partials(lag, coords)
+    dlag = partials(lag, coords)
     momenta = {s: dlag[chart.v(*s)] for s in slots}
     extended = simplify(
         lag - sum(chart.v(a, nu) * momenta[(a, nu)] for a, nu in slots))
-    dp = {s: _partials(momenta[s], coords) for s in slots}
+    dp = {s: partials(momenta[s], coords) for s in slots}
     hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     hmat = sp.Matrix([[hessian[(s1, s2)] for s2 in slots] for s1 in slots])
     det = simplify(hmat.det())
@@ -120,7 +112,7 @@ def _divergence(chart: BundleChart, a: int, momenta: dict) -> sp.Expr:
     coords = chart.coords("L")
     out = sp.Integer(0)
     for nu in range(1, chart.m + 1):
-        dp = _partials(momenta[(a, nu)], coords)
+        dp = partials(momenta[(a, nu)], coords)
         out += dp[chart.x(nu)]
         for b in range(1, chart.n + 1):
             out += chart.v(b, nu) * dp[chart.y(b)]
@@ -132,7 +124,7 @@ def _divergence(chart: BundleChart, a: int, momenta: dict) -> sp.Expr:
 def euler_lagrange(model: LagrangianModel) -> list:
     """The n Euler-Lagrange residuals over formal first/second-order symbols."""
     chart = model.chart
-    dlag = _partials(model.lag, chart.coords("L"))
+    dlag = partials(model.lag, chart.coords("L"))
     momenta = {s: dlag[chart.v(*s)] for s in _velocity_slots(chart)}
     return [simplify(_divergence(chart, a, momenta) - dlag[chart.y(a)])
             for a in range(1, chart.n + 1)]
@@ -150,9 +142,8 @@ def hdw_momentum_elimination(source) -> list:
     res = source if isinstance(source, LegendreResult) else legendre_maps(source)
     ham = hamiltonian_from_lagrangian(res)
     chart = res.model.chart
-    dh = _partials(ham.h, chart.coords("J1"))
     subs = {chart.p(*s): res.momenta[s] for s in _velocity_slots(chart)}
-    return [simplify(dh[chart.y(a)].subs(subs, simultaneous=True)
+    return [simplify(ham.partials[chart.y(a)].subs(subs, simultaneous=True)
                      + _divergence(chart, a, res.momenta))
             for a in range(1, chart.n + 1)]
 
@@ -198,7 +189,7 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
     # row i: the contraction i(d/du_i) omega_P, then the base Jacobian column
     # d x_nu / d u_i (verticality: kernel vectors must not move the base)
     cols = list(itertools.combinations(range(d), omega_P.degree - 1))
-    base = [_partials(embedding[chart.x(nu)], params) for nu in range(1, chart.m + 1)]
+    base = [partials(embedding[chart.x(nu)], params) for nu in range(1, chart.m + 1)]
     rows = []
     for i, u in enumerate(params):
         contracted = omega_P.interior_vector({i: 1})

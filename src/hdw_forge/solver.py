@@ -12,10 +12,10 @@ dy/dx = dh/dp_x (affine in p_x), and again for each stored row after the
 run, with 4th-order centered differences for every spatial derivative.
 
 One abort rule holds for both: if the right-hand side raises an arithmetic
-or domain error, or the state is not finite after step k, the run stops
-with `SolverAbortError` carrying k.  A non-finite stage value always makes
-the new state non-finite, so a run stops at the step that produced it.  All
-runs are deterministic: fixed step, fixed-order summation.
+or domain error, or the state is not finite or not real after step k, the
+run stops with `SolverAbortError` carrying k.  A non-finite or complex stage
+value always makes the new state so, and a run stops at the step that
+produced it.  All runs are deterministic: fixed step, fixed-order summation.
 
 numpy is imported by the functions that compute, not with the module, and
 every right-hand side is lambdified against the numpy module object.
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .errors import (ChartMismatchError, SolverAbortError, UnsupportedFormError)
+from .errors import (ChartMismatchError, NonRealValueError, SolverAbortError,
+                     UnsupportedFormError)
 from .hdw import HdwField
 from .symbolic import differentiate, simplify
 
@@ -106,8 +107,11 @@ def _rk4(deriv, state: list, t0: float, dt: float, steps: int) -> np.ndarray:
             state = [s + sixth * (a + 2 * b + 2 * c + d)
                      for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
             row = out[k + 1]
-            # same_kind: a complex value raises instead of losing its imaginary part
-            np.copyto(row, state, casting="same_kind")
+            try:
+                np.copyto(row, state, casting="same_kind")
+            except TypeError:   # same_kind refuses to drop an imaginary part
+                raise NonRealValueError(
+                    f"non-real value at step {k} (t={tk:.6g})", k) from None
             if not np.isfinite(row).all():
                 raise SolverAbortError(f"solution blew up at step {k} (t={tk:.6g})", k)
     return out
@@ -225,9 +229,9 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
     def deriv(tk, s):
         yk, ptk = s
         pxk = recover_px(tk, yk)
-        out = np.empty_like(s)
-        out[0] = f_Ft(tk, x, yk, ptk, pxk)
-        out[1] = -f_hy(tk, x, yk, ptk, pxk) - _periodic_dx4(pxk, dx)
+        dy, dpt = f_Ft(tk, x, yk, ptk, pxk), -f_hy(tk, x, yk, ptk, pxk) - _periodic_dx4(pxk, dx)
+        out = np.empty(s.shape, np.result_type(dy, dpt))   # complex when either is
+        out[0], out[1] = dy, dpt
         return (out,)
 
     data = _rk4(deriv, [state], t0, dt, steps)[:, 0]

@@ -6,23 +6,18 @@ at evaluation time.  `simplify` fixes a canonical form that makes zero-testing
 a structural check for the rational-function fragment; transcendental
 identities fall back to seeded numeric sampling (see `is_structurally_zero`).
 
-Canonical form.  The polynomial fragment -- sums and products of symbols and
-Integer/Rational numbers, raised only to non-negative integer powers, with no
-function, no constant such as pi and no Float -- is canonicalized exactly in
-the polynomial ring QQ[frame] (`to_poly`) and converted back to its expanded
-`Expr`.  Every other input (Float, constant, transcendental, denominator, or
-a symbol outside the given frame) takes the `sp.expand` / `sp.cancel` path.
-Both paths give the same `Expr` on the fragment, so the choice is invisible
-to callers.
-
-Coefficient rings.  `to_ring` extends the fragment by sin, cos and exp of
-frame polynomials, held as generators of QQ[frame, atoms]; `unify` lifts
-elements of such rings into the ring over the union of their atoms,
-`ring_widen` into the ring over a frame with coordinates appended,
-`ring_diff` differentiates by the chain rule and `ring_expr` converts back.
-No relation between the atoms is imposed, so the ring decides zero and
-prints each element exactly as `sp.expand` does; the `forms` coefficient
-helpers use it.
+Canonical form.  `to_ring` holds sums and products of symbols, rationals
+and sin, cos and exp atoms of polynomials, under non-negative integer
+powers, in QQ[frame, atoms] (`to_poly` is its atom-free step); `ring_expr`
+reads an element back as its expanded `Expr`.  `simplify` canonicalizes
+whatever `to_ring` accepts over the expression's free symbols this way, and
+only the rest (Floats, constants, denominators, log, dependent atoms)
+through `sp.expand` / `sp.cancel`: one algorithm for one fragment, shared
+with the `forms` coefficients.  `unify` lifts ring elements into the ring
+over the union of their atoms, `ring_widen` into a frame with coordinates
+appended, and `ring_diff` differentiates by the chain rule.  No relation
+such as cos(u)^2 + sin(u)^2 = 1 is imposed, so the ring decides zero and
+prints each element exactly as `sp.expand` does.
 """
 
 from __future__ import annotations
@@ -126,10 +121,6 @@ def to_poly(e, gens):
 #     so this keeps the ring's products equal to sympy's.  exp(t) next to
 #     exp(-t) (sympy's product is 1) and exp of a sum (which `sp.expand`
 #     splits) stay off the ring.
-#
-# No relation such as cos(u)^2 + sin(u)^2 = 1 is imposed: the ring decides
-# zero exactly as `sp.expand` does, and `poly.as_expr` gives the `Expr` that
-# `sp.expand` gives.
 
 _ATOMS = (sp.sin, sp.cos, sp.exp)
 
@@ -208,9 +199,14 @@ def ring_expr(poly, coords):
 def ring_widen(c, coords, wider):
     """`c` over `coords` taken into `wider`, a frame that appends coordinates
     to `coords`: an element of `to_ring`'s rings gains a zero exponent for
-    each in every monomial; any other value is returned as it is."""
+    each in every monomial, and an `Expr` that names an appended coordinate
+    is held over `wider` when `to_ring` accepts it there; any other value
+    is returned as it is."""
     n, zeros = len(coords), (0,) * (len(wider) - len(coords))
-    if not zeros or not isinstance(c, PolyElement):
+    if not isinstance(c, PolyElement):
+        poly = None if c.free_symbols.isdisjoint(wider[n:]) else to_ring(c, wider)
+        return c if poly is None else poly
+    if not zeros:
         return c
     ring = _ring(len(wider), tuple(c.ring.symbols[n:]))
     return ring.dtype({m[:n] + zeros + m[n:]: v for m, v in c.items()})
@@ -293,19 +289,16 @@ def ring_diff(poly, idx, coords):
 def simplify(e) -> Expr:
     """Canonicalize: expanded numerator over a common denominator.
 
-    Idempotent, and a rational expression simplifies to the literal 0 iff it
-    is identically zero.  On the polynomial fragment the result is the exact
-    canonical form in QQ[free symbols of e]; `cancel` runs only off it, when
-    a term has a denominator.  Expressions containing transcendental
-    functions are only expanded (full zero-recognition is limited to the
-    rational fragment; identity checks on transcendental expressions fall
-    back to numeric sampling, see `is_structurally_zero`).
+    Idempotent; a rational expression simplifies to 0 iff it is identically
+    zero.  What `to_ring` accepts over the free symbols of `e` is read back
+    from its ring element; anything else is expanded, and cancelled when a
+    term has a denominator and no transcendental function occurs.
     """
     e = sp.sympify(e)
-    gens = tuple(e.free_symbols)
-    poly = to_poly(e, gens)
+    gens = tuple(sorted(e.free_symbols, key=str))
+    poly = to_ring(e, gens)
     if poly is not None:
-        return poly.as_expr(*gens)
+        return ring_expr(poly, gens)
     e = sp.expand(e)
     if has_transcendental(e):
         return e
@@ -408,7 +401,6 @@ def is_structurally_zero(e, seed: int = 0):
     `_MIN_POINTS` evaluated: an unevaluated value is no evidence.  Returns
     (verdict, method) with method in {"structural", "numeric"}.
     """
-    e = sp.sympify(e)
     s = simplify(e)
     if s == 0:
         return True, "structural"

@@ -753,6 +753,70 @@ class TestHeldDerivation:
         assert_same_table(X.g, expr_derivation(model, GaugeChoice())[2])
 
 
+class TestCanonicalOnce:
+    """A held value is canonical: `simplify` reads what the ring holds back
+    from it, and nothing already held is expanded, simplified or held again."""
+
+    def test_simplify_goes_through_the_ring(self, monkeypatch):
+        e = p1_1 * sp.sin(y1) + (y1 + sp.cos(y1)) ** 2
+        expected = sp.expand(e)
+        calls = _count_calls(monkeypatch, sp, "expand")
+        got = simplify(e)
+        assert calls == []
+        assert_same(got, expected)
+        assert sp.srepr(got) == sp.srepr(expected)
+
+    def test_simplified_keeps_ring_coefficients(self, monkeypatch):
+        coords = (x1, y1, p1_1)
+        form = CoordForm(coords, 1, {(0,): p1_1 * sp.sin(y1) + x1 ** 2,
+                                     (2,): sp.exp(y1 / 2) * x1 - sp.Rational(1, 3)})
+        held = dict(form._coeffs)
+        assert all(isinstance(c, PolyElement) for c in held.values())
+        reads = _count_calls(monkeypatch, forms, "ring_expr")
+        simplified = _count_calls(monkeypatch, forms, "simplify")
+        out = form.simplified()
+        assert reads == [] and simplified == []
+        assert out._coeffs == held
+        assert all(out._coeffs[key] is c for key, c in held.items())
+
+    def test_extended_alpha_reads_h_from_its_held_form(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        p1, p2, y = chart.p(1, 1), chart.p(1, 2), chart.y(1)
+        h = (p1 ** 2 - p2 ** 2) / 2 + sp.sin(y) * (p1 + chart.x(1)) ** 2
+        expected = sp.expand(chart.pe + h)
+        calls = _count_calls(monkeypatch, sp, "expand")
+        H, alpha = forms.extended_alpha(chart, h)
+        assert calls == []
+        assert sp.srepr(H) == sp.srepr(expected)
+        assert alpha.degree == 1 and alpha.coords == chart.coords("M")
+
+    def test_multivector_takes_table_values_as_held(self, monkeypatch):
+        # the table failed to hold its off-ring entries on this frame already
+        X = derive_restricted(*OFFRING["(3,2)/rational"])
+        assert not all(isinstance(c, PolyElement) for c in X.G.held.values())
+        holds = [_count_calls(monkeypatch, module, "to_ring") for module in (forms, symbolic)]
+        mv = X.multivector()
+        assert len(holds[0]) + len(holds[1]) <= 1
+        index = {s: i for i, s in enumerate(X.chart.coords("J1"))}
+        y, p = X.chart.y, X.chart.p
+        assert mv.vector(1)[index[y(1)]] is X.F.held[(1, 1)]
+        assert X.G[(1, 2, 1)] == 1 / y(1)
+        assert mv.vector(1)[index[p(1, 2)]] is X.G.held[(1, 2, 1)]
+
+    def test_injected_pe_entry_is_held_on_the_extended_frame(self):
+        # docs/conventions.md: an injected `p1_1 + pe` is a ring element on
+        # the extended frame, which the restricted one cannot hold
+        chart = BundleChart(2, 1)
+        p1, p2 = chart.p(1, 1), chart.p(1, 2)
+        X = derive_extended(HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2))
+        X.g[1] = p1 + chart.pe
+        assert not isinstance(X.g.held[1], PolyElement)
+        coords = chart.coords("M")
+        entry = X.multivector().vector(1)[coords.index(chart.pe)]
+        assert isinstance(entry, PolyElement)
+        assert_same(forms._expr(entry, coords), p1 + chart.pe)
+
+
 def test_ring_types_stay_in_forms_and_symbolic():
     """Only `forms` and `symbolic` name `PolyElement` or `sympy.polys`, so the
     choice between ring element and `Expr` cannot leak into other modules."""
@@ -792,3 +856,24 @@ def test_sp_diff_stays_in_forms_and_symbolic():
                   and isinstance(node.value, ast.Name) and node.value.id in ("sp", "sympy")):
                 calls.append((path.name, node.lineno))
     assert not calls
+
+
+def test_zero_forms_stay_in_forms():
+    """Only `forms` builds a 0-form (`CoordForm(..., 0, ...)`), whose one use
+    is to be differentiated: every other module takes first partials from
+    `forms.partials`."""
+    builds = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            degree = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "degree"), None)
+            if (name == "CoordForm" and isinstance(degree, ast.Constant)
+                    and degree.value == 0):
+                builds.append((path.name, node.lineno))
+    assert not builds

@@ -344,6 +344,8 @@ class TestSolve:
         ("wave", "--dt", "1e-5", "must be large enough for at most 20000000 "
          "stored values, (steps + 1) x 600 per step"),
         ("wave", "--grid", "4000000", "must be at most 3333333"),
+        ("wave", "--grid", "100000", "must be small enough for at most 20000000 "
+         "stored values, (steps + 1) x 300000 per step, got 100000"),
     ])
     def test_bad_flag_is_input_error(self, capsys, tmp_path, model, flag, value, needle):
         status, _, err = run(capsys, "solve", str(MODELS / f"{model}.hdw"),
@@ -368,6 +370,24 @@ class TestSolve:
         status, _, err = run(capsys, "solve", str(path), "--out", str(tmp_path / "out"))
         assert status == 2
         assert f"error: line {line}: {needle}" in err
+
+    @pytest.mark.parametrize("h,solve", [
+        ("p1_1^2/2 + x1^(1/3)*y1", "kind = ode\ny1 = 1.0\np1_1 = 0.0"),
+        ("(p1_1^2 - p1_2^2)/2 + x1^(1/3)*y1",
+         "kind = field1p1\nxmin = 0\nxmax = 6.283185307179586\npoints = 16\n"
+         "y1 = sin(x2)\np1_1 = 0"),
+    ], ids=["ode", "field1p1"])
+    def test_complex_right_hand_side_aborts(self, capsys, tmp_path, h, solve):
+        # x1^(1/3) of a negative time is complex: the run stops at its first
+        # step, for either solver, instead of dropping the imaginary part
+        m = 2 if "field1p1" in solve else 1
+        path = tmp_path / "complex.hdw"
+        path.write_text(f"[bundle]\nm = {m}\nn = 1\n\n[hamiltonian]\nh = {h}\n\n"
+                        f"[solve]\n{solve}\nt0 = -1\nt1 = 0\ndt = 0.01\n")
+        status, _, err = run(capsys, "solve", str(path), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "error: non-real value at step 0 (t=-1)" in err
+        assert not (tmp_path / "out").exists()
 
 
 def _numpy_modules_after(tmp_path, *argv):

@@ -25,6 +25,12 @@ The groups are:
   inputs of check-matrix seeds 7, 11, 23 and 31 over their first 64 slots
   (4 per chart) and 8 off-ring ones (sin, exp, `1/(1+y1^2)`, `log`, a
   Float, a cubic, a degenerate one and one with a y-dependent Hessian);
+- `simplify`: the srepr of `symbolic.simplify` of the check-matrix
+  Hamiltonians of seeds 7, 11 and 23 x 16 slots and of their first
+  partials, of the `offring_fields` Hamiltonians, and of `OFF_FRAGMENT`, a
+  list of expressions on and off the coefficient ring (a Float, `pi`,
+  `1/y1`, `sqrt`, exp of both signs, exp of a sum, `sin(2*y1)` next to
+  `sin(y1)`, unexpanded powers with atoms, a cancelling fraction);
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -54,7 +60,7 @@ import sympy as sp
 from sympy.polys.rings import PolyElement
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre,
-                       solver)
+                       solver, symbolic)
 from hdw_forge.errors import SolverAbortError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -234,7 +240,9 @@ def _symbolic_lines(tag, model, gauge, groups):
     return Xr, Xe
 
 
-def symbolic_groups(inputs) -> dict:
+def check_matrix_cases(inputs) -> list:
+    """(tag, model, gauge) of check-matrix seeds 7, 11 and 23 x 16 slots; a
+    `lag` input gives its induced Hamiltonian."""
     cases = []
     for seed in SEEDS:
         for slot in range(SLOTS):
@@ -245,6 +253,31 @@ def symbolic_groups(inputs) -> dict:
             else:
                 model = HamiltonianModel(inp.chart, inp.h)
             cases.append((f"{seed}/{slot}", model, inp.gauge))
+    return cases
+
+
+_x1, _y1, _p1 = sp.symbols("x1 y1 p1_1")
+OFF_FRAGMENT = [
+    sp.Float(0.5) * _y1, sp.pi * _y1, 1 / _y1, sp.sqrt(_y1) + _p1,
+    sp.exp(_y1) * _p1 + _x1 * sp.exp(-_y1), sp.exp(_y1 + _x1) * _p1,
+    sp.sin(2 * _y1) * _p1 + sp.sin(_y1) ** 2, (sp.exp(_y1 / 2) + _x1) ** 2 * sp.exp(_y1),
+    _p1 * sp.sin(_y1) + (_y1 + sp.cos(_y1)) ** 2, (_y1 + 1) / (_y1 ** 2 - 1) + _x1,
+]
+
+
+def simplify_lines(inputs):
+    """The `simplify` group's lines."""
+    exprs = []
+    for tag, model, _ in check_matrix_cases(inputs):
+        exprs.append((f"{tag} h", model.h))
+        exprs += [(f"{tag} dh/d{s}", sp.diff(model.h, s)) for s in model.chart.coords("J1")]
+    exprs += [(f"{tag} h", model.h) for tag, model, _ in offring_fields(inputs.CHARTS)]
+    exprs += [(f"off/{i}", e) for i, e in enumerate(OFF_FRAGMENT)]
+    return [f"{tag} {sp.srepr(symbolic.simplify(e))}" for tag, e in exprs]
+
+
+def symbolic_groups(inputs) -> dict:
+    cases = check_matrix_cases(inputs)
     groups = {"fields": [], "battery": [], "curvature": [], "forms": []}
     for tag, model, gauge in cases + list(atom_fields()):
         Xr, Xe = _symbolic_lines(tag, model, gauge, groups)
@@ -257,6 +290,7 @@ def symbolic_groups(inputs) -> dict:
     groups["offring"] = [line for lines in offring.values() for line in lines]
     groups["legendre"] = [line for tag, lm in legendre_cases(inputs)
                           for line in legendre_lines(tag, lm)]
+    groups["simplify"] = simplify_lines(inputs)
     return groups
 
 
