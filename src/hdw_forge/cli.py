@@ -8,24 +8,29 @@ Commands:
     compare <model> --against <grid.csv>   solve and diff against a saved grid
 
 Reports are JSON (schema_version 1); grids are CSV with a '#' metadata
-preamble.  Exit status: 0 ok, 1 check failure, 2 input error.
+preamble.  Exit status: 0 ok, 1 check failure, 2 input or output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import functools
 import hashlib
 import itertools
 import json
 import os
 import re
+import selectors
+import signal
 import sys
+import warnings
 
 import sympy as sp
 
 from . import __version__
-from .errors import HdwForgeError, ModelFileError, RegularityError
+from .errors import HdwForgeError, ModelFileError, OutputError, RegularityError
 from .exprparse import parse_expression, render_latex, render_plain
 from .forms import extended_alpha
 from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
@@ -97,12 +102,19 @@ def _field_equations(X: HdwField) -> list:
     return eqs
 
 
+def _cannot_write(path: str, exc: OSError) -> OutputError:
+    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(report: dict, out_dir: str, stem: str, fmt: str):
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -117,25 +129,252 @@ def _floats(values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
+# A grid CSV's body is written and read in contiguous blocks of time rows,
+# one per CPU, each formatted or parsed by a forked child: `repr` and
+# `np.loadtxt` hold the interpreter for the whole body, so one process sets
+# the floor.  A grid of fewer values than the floor is one block, done
+# in-process, as is every grid where `os.fork` or `os.sched_getaffinity` is
+# missing.  A block whose child fails is done again in-process, which
+# raises the real error.
+_BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
+_CHUNK_VALUES = 1 << 10  # values a writer holds as Python floats at a time
+_CHUNK_BYTES = 1 << 20   # bytes of CSV a reader parses at a time
+
+
+def _cpus() -> int:
+    """Block count of a grid at or above the floor."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _block_bounds(n: int, values: int) -> list:
+    """Split range(n) into contiguous (start, stop) blocks: one per CPU for
+    `values` at or above the floor, else one."""
+    k = max(1, min(n, _cpus() if values >= _BLOCK_FLOOR else 1))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+class _Forks:
+    """Forked children that do not outlive the `with` block.  A child runs
+    one job and ends with `os._exit`, status 0 if the job returned, so it
+    never returns into the caller's stack and flushes none of its buffers.
+    On leaving, children not yet waited for are killed, and all are reaped.
+    """
+
+    def __init__(self):
+        self._pids = []
+
+    def __enter__(self):
+        return self
+
+    def start(self, job) -> int:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                job()
+                status = 0
+            finally:
+                os._exit(status)
+        self._pids.append(pid)
+        return pid
+
+    def ok(self, pid: int) -> bool:
+        """Wait for child `pid`: whether its job returned."""
+        _, status = os.waitpid(pid, 0)
+        self._pids.remove(pid)
+        return status == 0
+
+    def __exit__(self, *exc):
+        for pid in self._pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in self._pids:
+            os.waitpid(pid, 0)
+        self._pids.clear()
+
+
+def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
+    """Write time rows start..stop-1 of `grid`: a time row of an `ode` grid
+    is one CSV line, of a field grid one line per x node."""
+    import numpy as np
+    xs = [] if grid.kind == "ode" else [[repr(v) for v in _floats(grid.x)]]
+    nx = len(xs[0]) if xs else 1
+    t = np.asarray(grid.t, dtype=float)
+    cols = [np.asarray(grid.fields[nm], dtype=float) for nm in grid.fields]
+    step = max(1, _CHUNK_VALUES // (nx * (len(xs) + 1 + len(cols))))
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
+        ts = itertools.chain.from_iterable(
+            itertools.repeat(repr(v), nx) for v in _floats(t[a:b]))
+        x = [itertools.chain.from_iterable(itertools.repeat(xs[0], b - a))] if xs else []
+        vals = [map(repr, _floats(c[a:b].ravel())) for c in cols]
+        fh.write("\n".join(map(",".join, zip(ts, *x, *vals))) + "\n")
+
+
+def _write_part(grid: SectionGrid, part: str, start: int, stop: int):
+    with open(part, "w", encoding="utf-8") as fh:
+        _write_rows(fh, grid, start, stop)
+
+
+def _append(fd: int, part: str):
+    """Append file `part` to descriptor `fd` with a kernel copy; `fd` must
+    not be O_APPEND, which `os.sendfile` rejects with EINVAL."""
+    with open(part, "rb") as src:
+        size = os.fstat(src.fileno()).st_size
+        done = 0
+        while done < size:
+            sent = os.sendfile(fd, src.fileno(), done, size - done)
+            if not sent:
+                raise OSError(f"{part} shrank while it was appended")
+            done += sent
+
+
 def write_grid_csv(grid: SectionGrid, path: str):
-    """Write every value as its shortest round-trip `repr`, one row per point."""
-    names = list(grid.fields)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# hdw-forge grid v{SCHEMA_VERSION}\n")
-        for k in sorted(grid.meta):
-            if k != "warnings":
-                fh.write(f"# {k} = {grid.meta[k]}\n")
-        if grid.kind == "ode":
-            fh.write(",".join(["x1"] + names) + "\n")
-            cols = [_floats(grid.t)] + [_floats(grid.fields[nm]) for nm in names]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
-        else:
-            fh.write(",".join(["x1", "x2"] + names) + "\n")
-            xs = [repr(v) for v in _floats(grid.x)]
-            for i, tv in enumerate(_floats(grid.t)):
-                vals = [map(repr, _floats(grid.fields[nm][i])) for nm in names]
-                rows = zip(itertools.repeat(repr(tv)), xs, *vals)
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+    """Write every value as its shortest round-trip `repr`, one row per point.
+
+    Each block of the body but the first is written by a forked child into
+    a part file next to `path` while this process writes the first; the
+    parts are then appended in order and removed.  Once `path` is open, a
+    failure removes it.
+    """
+    nt = len(grid.t)
+    header = (["x1"] if grid.kind == "ode" else ["x1", "x2"]) + list(grid.fields)
+    nx = 1 if grid.kind == "ode" else len(grid.x)
+    blocks = _block_bounds(nt, nt * nx * len(header))
+    parts = [f"{path}.part{k}" for k in range(1, len(blocks))]
+    try:
+        with _Forks() as forks:
+            pids = [forks.start(functools.partial(_write_part, grid, part, *block))
+                    for part, block in zip(parts, blocks[1:])]
+            with open(path, "w", encoding="utf-8") as fh:
+                try:
+                    fh.write(f"# hdw-forge grid v{SCHEMA_VERSION}\n")
+                    for k in sorted(grid.meta):
+                        if k != "warnings":
+                            fh.write(f"# {k} = {grid.meta[k]}\n")
+                    fh.write(",".join(header) + "\n")
+                    _write_rows(fh, grid, *blocks[0])
+                    for pid, part, block in zip(pids, parts, blocks[1:]):
+                        if forks.ok(pid):
+                            fh.flush()
+                            _append(fh.fileno(), part)
+                        else:
+                            _write_rows(fh, grid, *block)
+                except BaseException:
+                    os.unlink(path)
+                    raise
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
+
+
+def _line_chunks(fh, size: int):
+    """The next `size` bytes of binary `fh`, about `_CHUNK_BYTES` at a time,
+    each piece cut after a line end."""
+    rest = b""
+    while size > 0:
+        data = fh.read(min(size, _CHUNK_BYTES))
+        if not data:
+            break
+        size -= len(data)
+        data = rest + data
+        cut = len(data) if size <= 0 else data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest
+
+
+def _send_block(path: str, start: int, stop: int, ncols: int, fd: int):
+    """Parse bytes start..stop of grid CSV `path` and write to pipe `fd` an
+    8-byte line count (a bound on the rows), then the rows as float64s."""
+    import numpy as np
+    with open(path, "rb") as fh, open(fd, "wb") as out:
+        fh.seek(start)
+        lines, last = 0, b"\n"
+        for data in _line_chunks(fh, stop - start):
+            lines, last = lines + data.count(b"\n"), data[-1:]
+        out.write((lines + (last != b"\n")).to_bytes(8, "little"))
+        out.flush()
+        fh.seek(start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a piece of comment lines has no data
+            for data in _line_chunks(fh, stop - start):
+                rows = np.loadtxt(data.decode("utf-8").split("\n"), delimiter=",", ndmin=2)
+                if rows.size and rows.shape[1] != ncols:
+                    raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
+                out.write(rows.data)
+
+
+def _read_blocks(path: str, start: int, ncols: int, first: int):
+    """The rows of grid CSV `path` from byte `start`, a line start, as one
+    (rows, ncols) float array parsed in blocks by forked children; None for
+    one block, or when a block fails.  `first` is the byte length of the
+    first row, which sets the estimate of the values held.
+
+    Each child streams its rows over a pipe into its slot of one array,
+    sized by the children's line counts; a block of comment or blank lines
+    holds fewer rows than lines, and the blocks are then moved together.
+    """
+    import numpy as np
+    size = os.path.getsize(path)
+    blocks = _block_bounds(size - start, (size - start) * ncols // first)
+    if len(blocks) == 1:
+        return None
+    cuts = [start]
+    with open(path, "rb") as fh:
+        for a, _ in blocks[1:]:
+            fh.seek(start + a - 1)
+            cuts.append(max(cuts[-1], start + a - 1 + len(fh.readline())))
+    cuts.append(size)
+    row = 8 * ncols
+    with _Forks() as forks, selectors.DefaultSelector() as sel:
+        pipes = []
+        for a, b in zip(cuts, cuts[1:]):
+            r, w = os.pipe()
+            try:
+                pid = forks.start(functools.partial(_send_block, path, a, b, ncols, w))
+            finally:
+                os.close(w)
+            pipes.append((pid, open(r, "rb", buffering=0)))
+        try:
+            counts = []
+            for _, pipe in pipes:
+                head = pipe.read(8)
+                if len(head) != 8:
+                    return None
+                counts.append(int.from_bytes(head, "little"))
+            data = np.empty((sum(counts), ncols))
+            view = memoryview(data).cast("B")
+            slots = list(itertools.accumulate([0] + counts))
+            got = [slot * row for slot in slots[:-1]]
+            for k, (_, pipe) in enumerate(pipes):
+                sel.register(pipe, selectors.EVENT_READ, k)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    k = key.data
+                    end = slots[k + 1] * row
+                    n = os.readv(key.fd, [view[got[k]:end] if got[k] < end else bytearray(1)])
+                    if not n:
+                        sel.unregister(key.fileobj)
+                    elif got[k] == end:
+                        return None
+                    else:
+                        got[k] += n
+        finally:
+            for _, pipe in pipes:
+                pipe.close()
+        if not all([forks.ok(pid) for pid, _ in pipes]) or any(g % row for g in got):
+            return None
+    rows = 0
+    for slot, g in zip(slots, got):
+        if rows != slot:
+            view[rows * row:rows * row + g - slot * row] = view[slot * row:g]
+        rows += g // row - slot
+    return data[:rows]
 
 
 def _first_bad_line(path: str):
@@ -160,20 +399,25 @@ def read_grid_csv(path: str) -> SectionGrid:
     meta = {}
     header = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # lines keep their line ends, so `start` counts the bytes before the body
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            start = 0
             for line in fh:
                 if line.startswith("#"):
                     if "=" in line:
                         k, v = line[1:].split("=", 1)
                         meta[k.strip()] = v.strip()
-                elif line != "\n":
+                elif line.rstrip("\r\n"):
                     if header is not None:
                         break
-                    header = line.rstrip("\n").split(",")
+                    header = line.rstrip("\r\n").split(",")
+                start += len(line.encode("utf-8"))
             else:
                 raise ModelFileError(f"{path}: empty grid file")
-            # numpy's C parser rounds correctly: the same doubles as float()
-            data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+            data = _read_blocks(path, start, len(header), len(line.encode("utf-8")))
+            if data is None:
+                # numpy's C parser rounds correctly: the same doubles as float()
+                data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
     except ValueError:
@@ -408,16 +652,12 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
 
 def cmd_solve(model: ModelFile, args) -> tuple[dict, int]:
     report, grid, _ = _run_solve(model, args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    stem = _stem(model, args)
-    csv_path = os.path.join(out_dir, f"{stem}.grid.csv")
+    csv_path = os.path.join(args.out, f"{_stem(model, args)}.grid.csv")
     try:
+        os.makedirs(args.out, exist_ok=True)
         write_grid_csv(grid, csv_path)
-    except Exception:
-        if os.path.exists(csv_path):
-            os.unlink(csv_path)
-        raise
+    except OSError as exc:
+        raise _cannot_write(csv_path, exc) from exc
     report["outputs"] = {"grid_csv": csv_path}
     return report, 0
 
@@ -483,10 +723,10 @@ def main(argv=None) -> int:
                    "legendre": cmd_legendre, "solve": cmd_solve,
                    "compare": cmd_compare}[args.command]
         report, status = handler(model, args)
+        _emit(report, args.out, _stem(model, args), args.format)
     except HdwForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.out, _stem(model, args), args.format)
     return status
 
 

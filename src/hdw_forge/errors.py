@@ -61,6 +61,10 @@ class NonRealValueError(SolverAbortError, TypeError):
     """A run's state turned complex; a `TypeError` too, as `float(1j)` is."""
 
 
+class OutputError(HdwForgeError):
+    """A report or grid could not be written."""
+
+
 class ModelFileError(HdwForgeError):
     """A model file failed to parse or validate; carries a position."""
 

@@ -40,8 +40,8 @@ from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify, to_ring,
-                       unify)
+from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify,
+                       simplify_off_ring, to_ring, unify)
 
 
 def _coeff(value, coords):
@@ -127,7 +127,8 @@ class HeldView(Mapping):
 
 class HeldTable(HeldView):
     """A `HeldView` that takes writes: a value is held (`hold`), and one off
-    the ring as `hold(simplify(value))`.  `writes` counts the writes.  The
+    the ring as `hold(simplify_off_ring(value))`, which tries the ring once
+    more only on the simplified value.  `writes` counts the writes.  The
     held values of a `HeldView` given as `values` are taken as they are."""
 
     def __init__(self, coords, values=()):
@@ -142,7 +143,7 @@ class HeldTable(HeldView):
     def __setitem__(self, key, value):
         value = _coeff(value, self.coords)
         if not isinstance(value, PolyElement):
-            value = _coeff(simplify(value), self.coords)
+            value = _coeff(simplify_off_ring(value), self.coords)
         self.held[key] = value
         self.writes += 1
 

@@ -299,6 +299,14 @@ def simplify(e) -> Expr:
     poly = to_ring(e, gens)
     if poly is not None:
         return ring_expr(poly, gens)
+    return simplify_off_ring(e)
+
+
+def simplify_off_ring(e) -> Expr:
+    """`simplify` of an expression that `to_ring` rejects over a frame
+    holding its free symbols (so over those symbols too), without trying
+    the ring again: expanded, and cancelled when a term has a denominator
+    and no transcendental function occurs."""
     e = sp.expand(e)
     if has_transcendental(e):
         return e

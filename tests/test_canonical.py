@@ -679,6 +679,31 @@ class TestHeldDerivation:
         assert X.F[(2, 1)] == 0 and X.G[(2, 1, 2)] == 0
         assert (X.F, X.G, X.g) == (F, G, g)
 
+    def test_off_ring_write_tries_the_ring_at_most_twice(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        y1, p1 = chart.y(1), chart.p(1, 1)
+        table = forms.HeldTable(chart.coords("J1"))
+        calls = [_count_calls(monkeypatch, module, "to_ring") for module in (forms, symbolic)]
+        table[1] = 1 / y1 + p1
+        assert sum(map(len, calls)) <= 2
+        assert table.held[1] == simplify(1 / y1 + p1) and table[1] == simplify(1 / y1 + p1)
+        # a value that `cancel` takes into the ring is held there
+        table[2] = (y1 ** 2 - 1) / (y1 - 1)
+        assert isinstance(table.held[2], PolyElement) and table[2] == y1 + 1
+
+    def test_checks_read_ring_coefficients_without_simplify(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        y1, p1, p2 = chart.y(1), chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + chart.x(1) * y1 ** 2)
+        gauge = GaugeChoice("user-table", {(1, 1, 2): y1 * p1}, {})
+        X = derive_extended(model, gauge)
+        before = {name: (ok, detail) for name, (ok, detail)
+                  in standard_checks(model, gauge, Xe=X).items()}
+        calls = [_count_calls(monkeypatch, module, "simplify") for module in (forms, hdw)]
+        assert standard_checks(model, gauge, Xe=derive_extended(model, gauge)) == before
+        assert calls == [[], []]
+        assert all(ok for name, (ok, _) in before.items() if "diagnostic" not in name)
+
     def test_flatness_is_decided_on_held_brackets(self, monkeypatch):
         chart = BundleChart(2, 1)
         p1, p2 = chart.p(1, 1), chart.p(1, 2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hdw_forge
-from hdw_forge import symbolic
+from hdw_forge import cli, symbolic
 from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
 from hdw_forge.errors import ModelFileError
 from hdw_forge.solver import SectionGrid
@@ -58,6 +58,44 @@ def assert_bit_identical(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     assert (a.view(np.int64) == b.view(np.int64)).all()
+
+
+def assert_same_grid(got, want):
+    assert got.kind == want.kind
+    assert_bit_identical(got.t, want.t)
+    if want.x is not None:
+        assert_bit_identical(got.x, want.x)
+    assert list(got.fields) == list(want.fields)
+    for nm in want.fields:
+        assert_bit_identical(got.fields[nm], want.fields[nm])
+
+
+def odd_grids():
+    """An `ode` and a field grid holding -0.0, a subnormal and values whose
+    shortest `repr` switches notation, and two larger random grids."""
+    odd = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])
+    rng = np.random.default_rng(7)
+    return [
+        SectionGrid("ode", np.arange(5) * 0.1, {"y1": odd, "p1_1": -odd[::-1]},
+                    meta={"scheme": "rk4", "warnings": ["dropped"]}),
+        SectionGrid("field1p1", np.linspace(0.0, 1.0, 4),
+                    {"y1": rng.standard_normal((4, 5)),
+                     "p1_1": np.tile(odd, (4, 1)), "p1_2": rng.random((4, 5))},
+                    x=2 * np.pi * np.arange(5) / 5, meta={"dx": 0.2}),
+        SectionGrid("ode", np.linspace(0.0, 2.0, 13),
+                    {"y1": rng.standard_normal(13), "pe": rng.random(13) * 1e-300}),
+        SectionGrid("field1p1", np.linspace(0.0, 1.0, 7),
+                    {"y1": rng.standard_normal((7, 6)) * 1e8}, x=np.arange(6) / 6),
+    ]
+
+
+def assert_writes_reference(tmp_path, grids):
+    """Each grid is written as `reference_grid_csv` and read back bit for bit."""
+    for k, g in enumerate(grids):
+        path = tmp_path / f"copy{k}.csv"
+        write_grid_csv(g, str(path))
+        assert path.read_bytes() == reference_grid_csv(g).encode()
+        assert_same_grid(read_grid_csv(str(path)), g)
 
 
 class TestDerive:
@@ -254,28 +292,7 @@ class TestSolve:
             capsys, "solve", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path))
         assert status == 0
         grid = read_grid_csv(report["outputs"]["grid_csv"])
-        odd = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])
-        rng = np.random.default_rng(7)
-        grids = [
-            grid,
-            SectionGrid("ode", np.arange(5) * 0.1, {"y1": odd, "p1_1": -odd[::-1]},
-                        meta={"scheme": "rk4", "warnings": ["dropped"]}),
-            SectionGrid("field1p1", np.linspace(0.0, 1.0, 4),
-                        {"y1": rng.standard_normal((4, 5)),
-                         "p1_1": np.tile(odd, (4, 1)), "p1_2": rng.random((4, 5))},
-                        x=2 * np.pi * np.arange(5) / 5, meta={"dx": 0.2}),
-        ]
-        for k, g in enumerate(grids):
-            path = tmp_path / f"copy{k}.csv"
-            write_grid_csv(g, str(path))
-            assert path.read_bytes() == reference_grid_csv(g).encode()
-            again = read_grid_csv(str(path))
-            assert again.kind == g.kind
-            assert_bit_identical(again.t, g.t)
-            if g.x is not None:
-                assert_bit_identical(again.x, g.x)
-            for nm in g.fields:
-                assert_bit_identical(again.fields[nm], g.fields[nm])
+        assert_writes_reference(tmp_path, [grid] + odd_grids())
 
     def test_field_grid_rows_in_any_order(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -296,6 +313,38 @@ class TestSolve:
         duplicated.write_text("".join(lines[:body] + rows[:-1] + rows[:1]))
         with pytest.raises(ModelFileError, match="rows do not fill x1 by x2"):
             read_grid_csv(str(duplicated))
+
+    def test_unwritable_grid_path_is_output_error(self, capsys, tmp_path):
+        # the grid path is a directory: it is reported, and left in place
+        (tmp_path / "oscillator.solve.grid.csv").mkdir()
+        status, out, err = run(
+            capsys, "solve", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot write {tmp_path}/oscillator.solve.grid.csv: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "oscillator.solve.grid.csv").is_dir()
+
+    @pytest.mark.parametrize("command", ["solve", "derive"])
+    def test_out_dir_under_a_file_is_output_error(self, capsys, tmp_path, command):
+        (tmp_path / "plain").write_text("")
+        out_dir = tmp_path / "plain" / "out"
+        status, out, err = run(
+            capsys, command, str(MODELS / "oscillator.hdw"), "--out", str(out_dir))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_dir}/oscillator.{command}.")
+        assert "Not a directory" in err
+
+    def test_failed_grid_write_removes_the_grid(self, tmp_path, monkeypatch):
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        path.write_text("an older grid\n")
+
+        def full(fh, grid, start, stop):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "_write_rows", full)
+        with pytest.raises(OSError, match="No space left"):
+            write_grid_csv(grid, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_dt_override(self, capsys, tmp_path):
         status, report, _ = run_json(
@@ -388,6 +437,110 @@ class TestSolve:
         assert status == 2
         assert "error: non-real value at step 0 (t=-1)" in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """`blocks(n)`: every grid CSV from here on is cut into n blocks."""
+    def split(n):
+        monkeypatch.setattr(cli, "_BLOCK_FLOOR", 1)
+        monkeypatch.setattr(cli, "_cpus", lambda: n)
+    return split
+
+
+def fail_in_children(monkeypatch, name, when):
+    """Make `cli.<name>` raise in forked children when `when(*args)`."""
+    parent, real = os.getpid(), getattr(cli, name)
+
+    def job(*args):
+        if os.getpid() != parent and when(*args):
+            raise OSError("a child failed")
+        return real(*args)
+    monkeypatch.setattr(cli, name, job)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGridBlocks:
+    """Grid CSVs cut into blocks of time rows, each done by a forked child."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_writes_match_reference(self, tmp_path, blocks, workers):
+        blocks(workers)
+        assert_writes_reference(tmp_path, odd_grids())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"copy{k}.csv" for k in range(4)]
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_reads_any_layout_bit_for_bit(self, tmp_path, blocks, workers):
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("x1,x2,y1\n") + 1
+        rows = lines[body:]
+        rng = np.random.default_rng(5)
+        layouts = {
+            "shuffled": lines[:body] + [rows[i] for i in rng.permutation(len(rows))],
+            "crlf": [line.replace("\n", "\r\n") for line in lines],
+            "cr": [line.replace("\n", "\r") for line in lines],
+            "comment": lines[:body + 20] + ["# a note\n"] + rows[20:],
+            "blank": lines[:body + 1] + ["\n"] * 3 + rows[1:-1] + ["\n", rows[-1]],
+            "no last line end": lines[:-1] + [lines[-1].rstrip("\n")],
+        }
+        for name, text in layouts.items():
+            copy = tmp_path / f"{name}.csv"
+            copy.write_bytes("".join(text).encode())
+            blocks(workers)
+            got = read_grid_csv(str(copy))
+            blocks(1)
+            assert_same_grid(got, read_grid_csv(str(copy)))
+            assert_same_grid(got, grid)
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_malformed_last_block_reads_as_one_block(self, tmp_path, blocks, workers):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(odd_grids()[3], str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-2] = "0.5,abc,1.0\n"
+        path.write_text("".join(lines))
+        errors = []
+        for n in (workers, 1):
+            blocks(n)
+            with pytest.raises(ModelFileError) as exc:
+                read_grid_csv(str(path))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert f"line {len(lines) - 1}: " in errors[0]
+        assert_no_children()
+
+    def test_failed_child_is_redone_in_process(self, tmp_path, blocks, monkeypatch):
+        # the last block's child fails, after the middle block's part is appended
+        blocks(3)
+        grid = odd_grids()[3]
+        fail_in_children(monkeypatch, "_write_rows",
+                         lambda fh, g, start, stop: stop == len(g.t))
+        fail_in_children(monkeypatch, "_send_block",
+                         lambda path, start, stop, *_: stop == os.path.getsize(path))
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+        assert path.read_bytes() == reference_grid_csv(grid).encode()
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        assert_no_children()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, blocks, monkeypatch):
+        blocks(3)
+        monkeypatch.setattr(cli, "_append", lambda fd, part: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            write_grid_csv(odd_grids()[3], str(tmp_path / "grid.csv"))
+        assert list(tmp_path.iterdir()) == []
+        assert_no_children()
 
 
 def _numpy_modules_after(tmp_path, *argv):

@@ -35,6 +35,9 @@ The groups are:
   command on the bundled models, with timestamps and paths stripped;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
+- `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
+  returns for that 800-point wave grid, for a copy with its rows shuffled
+  and for a copy with CRLF line ends;
 - `ode ...`: the bytes of every array of the `solve_ode` runs of
   `ode_runs`, whose right-hand sides are transcendental and time-dependent
   (restricted and extended, n = 1 and n = 2), or the message of the
@@ -377,7 +380,31 @@ def cli_groups(tmp) -> dict:
         grid = tmp / "out" / f"{pathlib.Path(argv[1]).stem}.solve.grid.csv"
         if argv[0] == "solve" and grid.exists():
             groups[f"grid {key}"] = [hashlib.sha256(grid.read_bytes()).hexdigest()]
+    groups["grid read"] = grid_read_lines(tmp / "out" / "wave.solve.grid.csv", tmp)
     return groups
+
+
+def grid_read_lines(grid: pathlib.Path, tmp) -> list:
+    """The `grid read` group's lines for the grid CSV `grid`."""
+    import random
+    text = grid.read_bytes()
+    lines = text.splitlines(keepends=True)
+    body = next(k for k, line in enumerate(lines) if not line.startswith(b"#")) + 1
+    rows = lines[body:]
+    random.Random(0).shuffle(rows)
+    copies = {"as written": grid, "rows shuffled": tmp / "shuffled.csv",
+              "crlf": tmp / "crlf.csv"}
+    copies["rows shuffled"].write_bytes(b"".join(lines[:body] + rows))
+    copies["crlf"].write_bytes(text.replace(b"\n", b"\r\n"))
+    del text, lines, rows
+    out = []
+    for name, path in copies.items():
+        g = cli.read_grid_csv(str(path))
+        digest = hashlib.sha256()
+        for arr in [g.t, g.x] + [g.fields[nm] for nm in sorted(g.fields)]:
+            digest.update(arr.tobytes())
+        out.append(f"{name} {digest.hexdigest()}")
+    return out
 
 
 def main():
