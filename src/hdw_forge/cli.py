@@ -22,9 +22,9 @@ import itertools
 import json
 import os
 import re
-import selectors
 import signal
 import sys
+import tempfile
 import warnings
 
 import sympy as sp
@@ -130,28 +130,29 @@ def _floats(values) -> list:
 
 
 # A grid CSV's body is written and read in contiguous blocks of time rows,
-# one per CPU, each formatted or parsed by a forked child: `repr` and
-# `np.loadtxt` hold the interpreter for the whole body, so one process sets
-# the floor.  A grid of fewer values than the floor is one block, done
-# in-process, as is every grid where `os.fork` or `os.sched_getaffinity` is
-# missing.  A block whose child fails is done again in-process, which
-# raises the real error.
+# each formatted or parsed by a forked child: `repr` and `np.loadtxt` hold
+# the interpreter for the whole body, so one process sets the floor.  A grid
+# gets one block per CPU, but no more than one per `_BLOCK_FLOOR` values; a
+# smaller grid is one block, done in-process, as is every grid where
+# `os.fork` or `os.sched_getaffinity` is missing, or where a part file, a
+# shared buffer or a child cannot be had.  A block whose child fails is done
+# again in-process, which raises the real error.
 _BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
 _CHUNK_VALUES = 1 << 10  # values a writer holds as Python floats at a time
 _CHUNK_BYTES = 1 << 20   # bytes of CSV a reader parses at a time
 
 
 def _cpus() -> int:
-    """Block count of a grid at or above the floor."""
+    """Most blocks a grid is cut into."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
 def _block_bounds(n: int, values: int) -> list:
-    """Split range(n) into contiguous (start, stop) blocks: one per CPU for
-    `values` at or above the floor, else one."""
-    k = max(1, min(n, _cpus() if values >= _BLOCK_FLOOR else 1))
+    """Split range(n) into contiguous (start, stop) blocks: one per CPU, at
+    most one per `_BLOCK_FLOOR` of `values`, at least one."""
+    k = max(1, min(n, _cpus(), values // _BLOCK_FLOOR))
     return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
@@ -159,7 +160,8 @@ class _Forks:
     """Forked children that do not outlive the `with` block.  A child runs
     one job and ends with `os._exit`, status 0 if the job returned, so it
     never returns into the caller's stack and flushes none of its buffers.
-    On leaving, children not yet waited for are killed, and all are reaped.
+    `stop`, and leaving the block, kill the children not yet waited for and
+    reap them.
     """
 
     def __init__(self):
@@ -186,12 +188,15 @@ class _Forks:
         self._pids.remove(pid)
         return status == 0
 
-    def __exit__(self, *exc):
+    def stop(self):
         for pid in self._pids:
             os.kill(pid, signal.SIGKILL)
         for pid in self._pids:
             os.waitpid(pid, 0)
         self._pids.clear()
+
+    def __exit__(self, *exc):
+        self.stop()
 
 
 def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
@@ -212,8 +217,8 @@ def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
         fh.write("\n".join(map(",".join, zip(ts, *x, *vals))) + "\n")
 
 
-def _write_part(grid: SectionGrid, part: str, start: int, stop: int):
-    with open(part, "w", encoding="utf-8") as fh:
+def _write_part(fh, grid: SectionGrid, start: int, stop: int):
+    with fh:
         _write_rows(fh, grid, start, stop)
 
 
@@ -234,19 +239,29 @@ def write_grid_csv(grid: SectionGrid, path: str):
     """Write every value as its shortest round-trip `repr`, one row per point.
 
     Each block of the body but the first is written by a forked child into
-    a part file next to `path` while this process writes the first; the
-    parts are then appended in order and removed.  Once `path` is open, a
-    failure removes it.
+    a part file of its own, made next to `path`, while this process writes
+    the first; the parts are then appended in order and removed.  Once
+    `path` is open, a failure removes it.
     """
     nt = len(grid.t)
     header = (["x1"] if grid.kind == "ode" else ["x1", "x2"]) + list(grid.fields)
     nx = 1 if grid.kind == "ode" else len(grid.x)
     blocks = _block_bounds(nt, nt * nx * len(header))
-    parts = [f"{path}.part{k}" for k in range(1, len(blocks))]
+    parts, pids = [], []
     try:
         with _Forks() as forks:
-            pids = [forks.start(functools.partial(_write_part, grid, part, *block))
-                    for part, block in zip(parts, blocks[1:])]
+            try:
+                for block in blocks[1:]:
+                    fd, part = tempfile.mkstemp(
+                        suffix=".part", prefix=os.path.basename(path) + ".",
+                        dir=os.path.dirname(path) or ".")
+                    parts.append(part)
+                    with open(fd, "w", encoding="utf-8") as fh:
+                        pids.append(forks.start(
+                            functools.partial(_write_part, fh, grid, *block)))
+            except OSError:
+                forks.stop()
+                pids, blocks = [], [(0, nt)]
             with open(path, "w", encoding="utf-8") as fh:
                 try:
                     fh.write(f"# hdw-forge grid v{SCHEMA_VERSION}\n")
@@ -288,25 +303,36 @@ def _line_chunks(fh, size: int):
         yield rest
 
 
-def _send_block(path: str, start: int, stop: int, ncols: int, fd: int):
-    """Parse bytes start..stop of grid CSV `path` and write to pipe `fd` an
-    8-byte line count (a bound on the rows), then the rows as float64s."""
+def _parse_block(path: str, start: int, stop: int, rows, count):
+    """Parse bytes start..stop of grid CSV `path` into the leading rows of
+    float array `rows`, and store how many in `count[0]`."""
     import numpy as np
-    with open(path, "rb") as fh, open(fd, "wb") as out:
+    done = 0
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a piece of comment lines has no data
         fh.seek(start)
-        lines, last = 0, b"\n"
         for data in _line_chunks(fh, stop - start):
-            lines, last = lines + data.count(b"\n"), data[-1:]
-        out.write((lines + (last != b"\n")).to_bytes(8, "little"))
-        out.flush()
-        fh.seek(start)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a piece of comment lines has no data
-            for data in _line_chunks(fh, stop - start):
-                rows = np.loadtxt(data.decode("utf-8").split("\n"), delimiter=",", ndmin=2)
-                if rows.size and rows.shape[1] != ncols:
-                    raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
-                out.write(rows.data)
+            got = np.loadtxt(data.decode("utf-8").split("\n"), delimiter=",", ndmin=2)
+            if not got.size:
+                continue
+            if got.shape[1] != rows.shape[1]:
+                raise ValueError(f"{got.shape[1]} columns, not {rows.shape[1]}")
+            rows[done:done + len(got)] = got  # ValueError past the slot's end
+            done += len(got)
+    count[0] = done
+
+
+def _count_lines(fh, start: int, stop: int) -> int:
+    """Lines in bytes start..stop of binary `fh`, with a last line that has
+    no line end."""
+    fh.seek(start)
+    lines, last = 0, b"\n"
+    while start < stop:
+        data = fh.read(min(_CHUNK_BYTES, stop - start))
+        if not data:
+            break
+        lines, last, start = lines + data.count(b"\n"), data[-1:], start + len(data)
+    return lines + (last != b"\n")
 
 
 def _read_blocks(path: str, start: int, ncols: int, first: int):
@@ -315,10 +341,13 @@ def _read_blocks(path: str, start: int, ncols: int, first: int):
     one block, or when a block fails.  `first` is the byte length of the
     first row, which sets the estimate of the values held.
 
-    Each child streams its rows over a pipe into its slot of one array,
-    sized by the children's line counts; a block of comment or blank lines
-    holds fewer rows than lines, and the blocks are then moved together.
+    This process counts the lines of each block, and each child parses its
+    block into its slot of one shared array sized by the counts; a block
+    of comment or blank lines holds fewer rows than lines, and the blocks
+    are then moved together.
     """
+    import mmap
+
     import numpy as np
     size = os.path.getsize(path)
     blocks = _block_bounds(size - start, (size - start) * ncols // first)
@@ -329,51 +358,31 @@ def _read_blocks(path: str, start: int, ncols: int, first: int):
         for a, _ in blocks[1:]:
             fh.seek(start + a - 1)
             cuts.append(max(cuts[-1], start + a - 1 + len(fh.readline())))
-    cuts.append(size)
-    row = 8 * ncols
-    with _Forks() as forks, selectors.DefaultSelector() as sel:
-        pipes = []
-        for a, b in zip(cuts, cuts[1:]):
-            r, w = os.pipe()
-            try:
-                pid = forks.start(functools.partial(_send_block, path, a, b, ncols, w))
-            finally:
-                os.close(w)
-            pipes.append((pid, open(r, "rb", buffering=0)))
-        try:
-            counts = []
-            for _, pipe in pipes:
-                head = pipe.read(8)
-                if len(head) != 8:
-                    return None
-                counts.append(int.from_bytes(head, "little"))
-            data = np.empty((sum(counts), ncols))
-            view = memoryview(data).cast("B")
-            slots = list(itertools.accumulate([0] + counts))
-            got = [slot * row for slot in slots[:-1]]
-            for k, (_, pipe) in enumerate(pipes):
-                sel.register(pipe, selectors.EVENT_READ, k)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    k = key.data
-                    end = slots[k + 1] * row
-                    n = os.readv(key.fd, [view[got[k]:end] if got[k] < end else bytearray(1)])
-                    if not n:
-                        sel.unregister(key.fileobj)
-                    elif got[k] == end:
-                        return None
-                    else:
-                        got[k] += n
-        finally:
-            for _, pipe in pipes:
-                pipe.close()
-        if not all([forks.ok(pid) for pid, _ in pipes]) or any(g % row for g in got):
+        # a block holding no line start is merged with the one before it
+        cuts = list(dict.fromkeys(cuts + [size]))
+        if len(cuts) == 2:
             return None
-    rows = 0
-    for slot, g in zip(slots, got):
+        lines = [_count_lines(fh, a, b) for a, b in zip(cuts, cuts[1:])]
+    slots = list(itertools.accumulate([0] + lines))
+    with _Forks() as forks:
+        try:
+            data = np.frombuffer(mmap.mmap(-1, 8 * ncols * slots[-1]))
+            data = data.reshape(-1, ncols)
+            counts = np.frombuffer(mmap.mmap(-1, 8 * len(lines)), dtype=np.int64)
+            pids = [forks.start(functools.partial(
+                        _parse_block, path, a, b, data[slots[k]:slots[k + 1]],
+                        counts[k:k + 1]))
+                    for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+        except OSError:
+            return None
+        if not all([forks.ok(pid) for pid in pids]):
+            return None
+    view = memoryview(data).cast("B")
+    row, rows = 8 * ncols, 0
+    for slot, n in zip(slots, counts.tolist()):
         if rows != slot:
-            view[rows * row:rows * row + g - slot * row] = view[slot * row:g]
-        rows += g // row - slot
+            view[rows * row:(rows + n) * row] = view[slot * row:(slot + n) * row]
+        rows += n
     return data[:rows]
 
 

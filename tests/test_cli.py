@@ -525,7 +525,7 @@ class TestGridBlocks:
         grid = odd_grids()[3]
         fail_in_children(monkeypatch, "_write_rows",
                          lambda fh, g, start, stop: stop == len(g.t))
-        fail_in_children(monkeypatch, "_send_block",
+        fail_in_children(monkeypatch, "_parse_block",
                          lambda path, start, stop, *_: stop == os.path.getsize(path))
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, str(path))
@@ -541,6 +541,66 @@ class TestGridBlocks:
             write_grid_csv(odd_grids()[3], str(tmp_path / "grid.csv"))
         assert list(tmp_path.iterdir()) == []
         assert_no_children()
+
+    @pytest.mark.parametrize("error", [BlockingIOError(11, "Resource temporarily unavailable"),
+                                       OSError(12, "Cannot allocate memory")],
+                             ids=["EAGAIN", "ENOMEM"])
+    def test_no_child_to_be_had_is_one_block(self, tmp_path, blocks, monkeypatch, error):
+        # the second fork of a call fails (EAGAIN under a pids limit, or
+        # ENOMEM): the first child is killed and reaped, and the grid is
+        # done in-process
+        blocks(3)
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        forks, real = [], os.fork
+
+        def fork():
+            forks.append(None)
+            if len(forks) > 1:
+                raise error
+            return real()
+        monkeypatch.setattr(os, "fork", fork)
+        copy = tmp_path / "copy.csv"
+        write_grid_csv(grid, str(copy))
+        assert copy.read_bytes() == path.read_bytes() and len(forks) == 2
+        forks.clear()
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        assert len(forks) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "grid.csv"]
+        assert_no_children()
+
+    def test_no_part_file_is_one_block(self, tmp_path, blocks, monkeypatch):
+        blocks(3)
+        grid = odd_grids()[3]
+
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.tempfile, "mkstemp", full)
+        write_grid_csv(grid, str(tmp_path / "grid.csv"))
+        assert (tmp_path / "grid.csv").read_bytes() == reference_grid_csv(grid).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+        assert_no_children()
+
+    def test_files_beside_the_grid_are_left_alone(self, tmp_path, blocks):
+        blocks(3)
+        grid = odd_grids()[3]
+        beside = {f"grid.csv.part{k}": f"a file of the user's {k}\n" for k in range(4)}
+        for name, text in beside.items():
+            (tmp_path / name).write_text(text)
+        write_grid_csv(grid, str(tmp_path / "grid.csv"))
+        assert (tmp_path / "grid.csv").read_bytes() == reference_grid_csv(grid).encode()
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()
+                if p.name != "grid.csv"} == beside
+
+    def test_block_count_is_capped_by_size(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 256)
+        floor = cli._BLOCK_FLOOR
+        assert cli._block_bounds(801, floor - 1) == [(0, 801)]
+        assert len(cli._block_bounds(801, 2 * floor - 1)) == 1
+        assert len(cli._block_bounds(801, 801 * 800 * 4)) == 801 * 800 * 4 // floor == 5
+        assert len(cli._block_bounds(801, 10 ** 12)) == 256
+        assert len(cli._block_bounds(3, 10 ** 12)) == 3
 
 
 def _numpy_modules_after(tmp_path, *argv):
