@@ -18,8 +18,10 @@ import contextlib
 import datetime
 import functools
 import hashlib
+import io
 import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -30,7 +32,8 @@ import warnings
 import sympy as sp
 
 from . import __version__
-from .errors import HdwForgeError, ModelFileError, OutputError, RegularityError
+from .errors import (HdwForgeError, ModelFileError, OutputError, RegularityError,
+                     SolverAbortError)
 from .exprparse import parse_expression, render_latex, render_plain
 from .forms import extended_alpha
 from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
@@ -108,38 +111,43 @@ def _cannot_write(path: str, exc: OSError) -> OutputError:
 
 def _emit(report: dict, out_dir: str, stem: str, fmt: str):
     path = os.path.join(out_dir, f"{stem}.json")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     try:
         os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
     if fmt == "json":
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     elif fmt == "latex":
         for eq in report.get("equations", []):
             print(eq["latex"])
     return path
 
 
-def _floats(values) -> list:
-    import numpy as np
-    return np.asarray(values, dtype=float).tolist()
-
-
 # A grid CSV's body is written and read in contiguous blocks of time rows,
-# each formatted or parsed by a forked child: `repr` and `np.loadtxt` hold
-# the interpreter for the whole body, so one process sets the floor.  A grid
-# gets one block per CPU, but no more than one per `_BLOCK_FLOOR` values; a
-# smaller grid is one block, done in-process, as is every grid where
-# `os.fork` or `os.sched_getaffinity` is missing, or where a part file, a
-# shared buffer or a child cannot be had.  A block whose child fails is done
-# again in-process, which raises the real error.
+# each formatted or parsed by a forked child: even with orjson's compiled
+# float codec, formatting and parsing hold the interpreter for the whole
+# body, so one process sets the floor.  A grid gets one block per CPU, but
+# no more than one per `_BLOCK_FLOOR` values; a smaller grid is one block,
+# done in-process, as is every grid where `os.fork` or
+# `os.sched_getaffinity` is missing, or where a part file, a shared buffer
+# or a child cannot be had.  A block whose child fails is done again
+# in-process, which raises the real error.
 _BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
-_CHUNK_VALUES = 1 << 10  # values a writer holds as Python floats at a time
-_CHUNK_BYTES = 1 << 20   # bytes of CSV a reader parses at a time
+_CHUNK_VALUES = 1 << 10  # values a writer formats at a time
+_CHUNK_BYTES = 1 << 16   # bytes of CSV a reader parses at a time
+
+# orjson prints the shortest round-trip digits that `repr` prints, in its
+# own notation; these turn it into `repr`'s.  Each pattern starts with a
+# literal, which the regex engine scans for fast.
+_EXPONENT = re.compile(rb"e(-?)(\d+)")       # 1e16 -> 1e+16, 1.5e-7 -> 1.5e-07
+_FIXED_E05 = re.compile(rb"0\.0000(\d)(\d*)")  # 0.000012 -> 1.2e-05
+# a chunk goes to orjson only if it is made of these bytes and holds no
+# bare `-0`, which orjson reads as +0.0
+_NUMBER_BYTES = b"0123456789.eE+-,\n"
+_NEGATIVE_ZERO = re.compile(rb"-0(?:[,\n]|\Z)")
 
 
 def _cpus() -> int:
@@ -199,22 +207,46 @@ class _Forks:
         self.stop()
 
 
-def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
-    """Write time rows start..stop-1 of `grid`: a time row of an `ode` grid
-    is one CSV line, of a field grid one line per x node."""
+def _exponent(m) -> bytes:
+    return b"e" + (m[1] or b"+") + m[2].rjust(2, b"0")
+
+
+def _e05(m) -> bytes:
+    """`repr`'s e-05 notation for a token orjson prints as 0.0000d...; a
+    match inside a longer token (10.00001) is left as it is."""
+    if m.string[m.start() - 1] not in b"[,-":
+        return m[0]
+    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
+
+
+def _format_rows(rows) -> bytes:
+    """CSV lines of the float (rows, ncols) array `rows`, every value as
+    its shortest round-trip `repr`."""
     import numpy as np
-    xs = [] if grid.kind == "ode" else [[repr(v) for v in _floats(grid.x)]]
-    nx = len(xs[0]) if xs else 1
+    import orjson
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
+    finite = np.isfinite(rows)
+    if not finite.all():  # orjson writes nan, inf and -inf as null
+        text = text.replace(b"null", b"%b") % tuple(
+            repr(v).encode() for v in rows[~finite].tolist())
+    text = _FIXED_E05.sub(_e05, _EXPONENT.sub(_exponent, text))
+    return text[2:-2].replace(b"],[", b"\n") + b"\n"
+
+
+def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
+    """Write time rows start..stop-1 of `grid` to binary `fh`: a time row
+    of an `ode` grid is one CSV line, of a field grid one line per x node."""
+    import numpy as np
+    x = None if grid.kind == "ode" else np.asarray(grid.x, dtype=float)
+    nx = 1 if x is None else len(x)
     t = np.asarray(grid.t, dtype=float)
     cols = [np.asarray(grid.fields[nm], dtype=float) for nm in grid.fields]
-    step = max(1, _CHUNK_VALUES // (nx * (len(xs) + 1 + len(cols))))
+    step = max(1, _CHUNK_VALUES // (nx * (len(cols) + 1 + (x is not None))))
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        ts = itertools.chain.from_iterable(
-            itertools.repeat(repr(v), nx) for v in _floats(t[a:b]))
-        x = [itertools.chain.from_iterable(itertools.repeat(xs[0], b - a))] if xs else []
-        vals = [map(repr, _floats(c[a:b].ravel())) for c in cols]
-        fh.write("\n".join(map(",".join, zip(ts, *x, *vals))) + "\n")
+        xs = [] if x is None else [np.tile(x, b - a)]
+        fh.write(_format_rows(np.column_stack(
+            [np.repeat(t[a:b], nx)] + xs + [c[a:b].ravel() for c in cols])))
 
 
 def _write_part(fh, grid: SectionGrid, start: int, stop: int):
@@ -256,19 +288,18 @@ def write_grid_csv(grid: SectionGrid, path: str):
                         suffix=".part", prefix=os.path.basename(path) + ".",
                         dir=os.path.dirname(path) or ".")
                     parts.append(part)
-                    with open(fd, "w", encoding="utf-8") as fh:
+                    with open(fd, "wb") as fh:
                         pids.append(forks.start(
                             functools.partial(_write_part, fh, grid, *block)))
             except OSError:
                 forks.stop()
                 pids, blocks = [], [(0, nt)]
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 try:
-                    fh.write(f"# hdw-forge grid v{SCHEMA_VERSION}\n")
-                    for k in sorted(grid.meta):
-                        if k != "warnings":
-                            fh.write(f"# {k} = {grid.meta[k]}\n")
-                    fh.write(",".join(header) + "\n")
+                    preamble = [f"# hdw-forge grid v{SCHEMA_VERSION}"]
+                    preamble += [f"# {k} = {grid.meta[k]}"
+                                 for k in sorted(grid.meta) if k != "warnings"]
+                    fh.write("\n".join(preamble + [",".join(header), ""]).encode())
                     _write_rows(fh, grid, *blocks[0])
                     for pid, part, block in zip(pids, parts, blocks[1:]):
                         if forks.ok(pid):
@@ -287,32 +318,57 @@ def write_grid_csv(grid: SectionGrid, path: str):
 
 def _line_chunks(fh, size: int):
     """The next `size` bytes of binary `fh`, about `_CHUNK_BYTES` at a time,
-    each piece cut after a line end."""
-    rest = b""
+    each piece cut after its last LF, or after its last CR where it holds no
+    LF (a file with bare CR line ends).  A line longer than a read is joined
+    from its reads once."""
+    rest = []
     while size > 0:
         data = fh.read(min(size, _CHUNK_BYTES))
         if not data:
             break
         size -= len(data)
-        data = rest + data
-        cut = len(data) if size <= 0 else data.rfind(b"\n") + 1
-        rest = data[cut:]
+        cut = len(data) if size <= 0 else (data.rfind(b"\n") + 1 or data.rfind(b"\r") + 1)
         if cut:
-            yield data[:cut]
+            yield b"".join(rest + [data[:cut]])
+            rest = []
+        rest.append(data[cut:])
+    rest = b"".join(rest)
     if rest:
         yield rest
+
+
+def _parse_chunk(data: bytes):
+    """The rows of CSV bytes `data`, whole lines, as a 2-d float array.
+
+    orjson reads a chunk of plain numbers as one JSON array of rows, with
+    the doubles `np.loadtxt` reads.  A chunk holding any other byte (words,
+    spaces, comments, bare CR line ends) or a bare `-0`, or one orjson
+    refuses (`.5`, `+1.0`, `1e400`, ragged rows), goes to `np.loadtxt`,
+    which gives its doubles or its error.
+    """
+    import numpy as np
+    import orjson
+    data = data.replace(b"\r\n", b"\n")
+    if not data.translate(None, _NUMBER_BYTES) and not _NEGATIVE_ZERO.search(data):
+        try:
+            return np.array(orjson.loads(
+                b"[[" + data.rstrip(b"\n").replace(b"\n", b"],[") + b"]]"), dtype=float)
+        except ValueError:
+            pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a piece of comment lines has no data
+        return np.loadtxt(io.StringIO(data.decode("utf-8"), newline=""),
+                          delimiter=",", ndmin=2)
 
 
 def _parse_block(path: str, start: int, stop: int, rows, count):
     """Parse bytes start..stop of grid CSV `path` into the leading rows of
     float array `rows`, and store how many in `count[0]`."""
-    import numpy as np
     done = 0
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a piece of comment lines has no data
+    with open(path, "rb") as fh:
         fh.seek(start)
         for data in _line_chunks(fh, stop - start):
-            got = np.loadtxt(data.decode("utf-8").split("\n"), delimiter=",", ndmin=2)
+            got = _parse_chunk(data)
             if not got.size:
                 continue
             if got.shape[1] != rows.shape[1]:
@@ -324,35 +380,33 @@ def _parse_block(path: str, start: int, stop: int, rows, count):
 
 def _count_lines(fh, start: int, stop: int) -> int:
     """Lines in bytes start..stop of binary `fh`, with a last line that has
-    no line end."""
+    no line end: exact for LF line ends, an upper bound for CR and CRLF,
+    each of whose CRs is counted as a line end too."""
     fh.seek(start)
     lines, last = 0, b"\n"
     while start < stop:
         data = fh.read(min(_CHUNK_BYTES, stop - start))
         if not data:
             break
-        lines, last, start = lines + data.count(b"\n"), data[-1:], start + len(data)
+        lines += data.count(b"\n") + data.count(b"\r")
+        last, start = data[-1:], start + len(data)
     return lines + (last != b"\n")
 
 
-def _read_blocks(path: str, start: int, ncols: int, first: int):
-    """The rows of grid CSV `path` from byte `start`, a line start, as one
-    (rows, ncols) float array parsed in blocks by forked children; None for
-    one block, or when a block fails.  `first` is the byte length of the
-    first row, which sets the estimate of the values held.
+def _read_body(path: str, start: int, ncols: int, first: int):
+    """The rows of grid CSV `path` from byte `start`, a line start, to its
+    end, as one (rows, ncols) float array.  `first` is the byte length of
+    the first row, which sets the estimate of the values held.
 
-    This process counts the lines of each block, and each child parses its
-    block into its slot of one shared array sized by the counts; a block
-    of comment or blank lines holds fewer rows than lines, and the blocks
-    are then moved together.
+    This process counts the lines of each block, and each block is parsed
+    into its slot of one array sized by the counts, by a forked child when
+    there is more than one block.  One block, or a block that fails, makes
+    this process parse the whole body as one block, which raises the real
+    error.
     """
-    import mmap
-
     import numpy as np
     size = os.path.getsize(path)
     blocks = _block_bounds(size - start, (size - start) * ncols // first)
-    if len(blocks) == 1:
-        return None
     cuts = [start]
     with open(path, "rb") as fh:
         for a, _ in blocks[1:]:
@@ -360,9 +414,24 @@ def _read_blocks(path: str, start: int, ncols: int, first: int):
             cuts.append(max(cuts[-1], start + a - 1 + len(fh.readline())))
         # a block holding no line start is merged with the one before it
         cuts = list(dict.fromkeys(cuts + [size]))
-        if len(cuts) == 2:
-            return None
         lines = [_count_lines(fh, a, b) for a, b in zip(cuts, cuts[1:])]
+    data = _read_blocks(path, cuts, lines, ncols) if len(lines) > 1 else None
+    if data is None:
+        data, count = np.empty((sum(lines), ncols)), [0]
+        _parse_block(path, start, size, data, count)
+        data = data[:count[0]]
+    return data
+
+
+def _read_blocks(path: str, cuts: list, lines: list, ncols: int):
+    """The rows of bytes cuts[0]..cuts[-1] of grid CSV `path`, each block
+    cuts[k]..cuts[k+1] of at most lines[k] lines parsed by a forked child
+    into its slot of one shared array; None when a block fails.  A block of
+    comment or blank lines, or of CRLF line ends, holds fewer rows than its
+    slot, and the blocks are then moved together."""
+    import mmap
+
+    import numpy as np
     slots = list(itertools.accumulate([0] + lines))
     with _Forks() as forks:
         try:
@@ -423,15 +492,12 @@ def read_grid_csv(path: str) -> SectionGrid:
                 start += len(line.encode("utf-8"))
             else:
                 raise ModelFileError(f"{path}: empty grid file")
-            data = _read_blocks(path, start, len(header), len(line.encode("utf-8")))
-            if data is None:
-                # numpy's C parser rounds correctly: the same doubles as float()
-                data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+        data = _read_body(path, start, len(header), len(line.encode("utf-8")))
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
     except ValueError:
         data = None
-    if data is None or data.shape[1] != len(header) or "x1" not in header:
+    if data is None or "x1" not in header:
         raise ModelFileError(f"{path}: malformed grid, need an x1 column and one "
                              "number per header column", line=_first_bad_line(path))
     cols = {nm: data[:, i] for i, nm in enumerate(header)}
@@ -655,6 +721,15 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
             "energy_drift_rel": float(np.max(np.abs(energy - energy[0])) / scale),
             "warnings": grid.meta.get("warnings", []),
         }
+    metrics = report["metrics"]
+    values = {f"final {nm}": v for nm, v in metrics.get("final", {}).items()}
+    values.update((k, metrics[k]) for k in ("energy_drift_rel", "H_drift", "trajectory_residual")
+                  if k in metrics)
+    for name, value in values.items():
+        if not math.isfinite(value):
+            # the states stayed finite, but the run is no solution: refuse it
+            # before a grid or a report, which strict JSON could not hold
+            raise SolverAbortError(f"{name} is {value}, not finite: the run blew up", None)
     report["scheme"] = grid.meta["scheme"]
     return report, grid, ham
 
@@ -675,6 +750,9 @@ def cmd_compare(model: ModelFile, args) -> tuple[dict, int]:
     report, grid, _ = _run_solve(model, args)
     ref = read_grid_csv(args.against)
     disc = max_discrepancy(grid, ref)
+    if not math.isfinite(disc):
+        raise ModelFileError(f"{args.against}: max_discrepancy is {disc}, not finite: "
+                             "the grid holds a nan or an infinity")
     report["command"] = "compare"
     report["comparison"] = {"against": args.against, "max_discrepancy": disc}
     return report, 0

@@ -50,7 +50,9 @@ class UnsupportedFormError(HdwForgeError):
 
 
 class SolverAbortError(HdwForgeError):
-    """A numeric run hit an evaluation domain error mid-integration."""
+    """A numeric run hit an evaluation domain error mid-integration, or
+    ended with a non-finite metric; `last_step` is None when no one step is
+    to blame."""
 
     def __init__(self, message, last_step):
         super().__init__(message)

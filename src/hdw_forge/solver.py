@@ -267,8 +267,10 @@ def discrete_field_energy(grid: SectionGrid) -> np.ndarray:
         raise ChartMismatchError("energy series needs a 1+1 field run")
     dx = grid.meta["dx"]
     pt = grid.fields["p1_1"]
-    dydx = _periodic_dx4(grid.fields["y1"], dx)
-    return 0.5 * np.sum(pt ** 2 + dydx ** 2, axis=1) * dx
+    # a blown-up run overflows here; the caller refuses the non-finite drift
+    with np.errstate(over="ignore", invalid="ignore"):
+        dydx = _periodic_dx4(grid.fields["y1"], dx)
+        return 0.5 * np.sum(pt ** 2 + dydx ** 2, axis=1) * dx
 
 
 def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:
@@ -302,7 +304,8 @@ def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:
 
 
 def max_discrepancy(g1: SectionGrid, g2: SectionGrid) -> float:
-    """Max absolute difference over the fields common to two runs."""
+    """Max absolute difference over the fields common to two runs; nan
+    when either holds a nan."""
     import numpy as np
     common = [k for k in g1.fields if k in g2.fields]
     if not common or g1.t.shape != g2.t.shape:
@@ -311,5 +314,5 @@ def max_discrepancy(g1: SectionGrid, g2: SectionGrid) -> float:
     for k in common:
         if g1.fields[k].shape != g2.fields[k].shape:
             raise ChartMismatchError(f"field {k} has mismatched shapes")
-        worst = max(worst, float(np.max(np.abs(g1.fields[k] - g2.fields[k]))))
+        worst = float(np.maximum(worst, np.max(np.abs(g1.fields[k] - g2.fields[k]))))
     return worst

@@ -1,6 +1,7 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
 import importlib.util
+import json
 import pathlib
 import random
 import sys
@@ -9,6 +10,23 @@ import pytest
 import sympy as sp
 
 from hdw_forge import BundleChart
+
+
+def _not_strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def reports_are_strict_json(request):
+    """Every report a test leaves under its `tmp_path` parses as strict
+    JSON, which has no NaN or Infinity."""
+    yield
+    tmp = request.node.funcargs.get("tmp_path")
+    if tmp is None:
+        return
+    for command in ("derive", "check", "legendre", "solve", "compare"):
+        for path in tmp.rglob(f"*.{command}.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_strict_json)
 
 
 @pytest.fixture

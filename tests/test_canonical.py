@@ -886,6 +886,28 @@ def test_sp_diff_stays_in_forms_and_symbolic():
     assert not calls
 
 
+def test_orjson_is_imported_only_inside_cli_functions():
+    """Only `cli` imports orjson, the grid CSV codec, and only in the
+    functions that use it, so `derive`, `check` and `legendre` never load
+    it."""
+    where = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {id(node) for f in ast.walk(tree)
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "orjson" for name in names):
+                where.append((path.name, id(node) in in_functions))
+    assert where and set(where) == {("cli.py", True)}
+
+
 def test_zero_forms_stay_in_forms():
     """Only `forms` builds a 0-form (`CoordForm(..., 0, ...)`), whose one use
     is to be differentiated: every other module takes first partials from

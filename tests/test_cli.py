@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import os
 import pathlib
@@ -70,9 +71,31 @@ def assert_same_grid(got, want):
         assert_bit_identical(got.fields[nm], want.fields[nm])
 
 
+def bit_pattern_grid():
+    """An `ode` grid of 10**5 rows: y1 holds seeded random finite bit
+    patterns, pe values on both sides of the points where orjson's notation
+    differs from `repr`'s (1e-5, 1e-4, 1e16), subnormals, +-0.0, every
+    power of ten from 1e-308 to 1e308, values holding 0.0000 after a
+    first digit, nan and +-inf."""
+    n = 10 ** 5
+    bits = np.random.default_rng(16).integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+    y1 = bits.view(np.float64)
+    y1[~np.isfinite(y1)] = 1.5
+    sides = np.array([1e-5, 1e-4, 1e16, 2.2250738585072014e-308])
+    sides = np.concatenate([sides, np.nextafter(sides, 0), np.nextafter(sides, np.inf)])
+    powers = 10.0 ** np.arange(-308, 309)
+    inside = [10.00001, 100.0000125, 7.00000001e-05]  # 0.0000d inside a longer token
+    edges = np.concatenate([sides, powers, 1.25 * powers[:-1], inside,
+                            [5e-324, 1e-320, 0.0, np.inf]])
+    edges = np.concatenate([edges, -edges, [np.nan]])  # `repr` drops a nan's sign
+    return SectionGrid("ode", np.arange(n) * 0.25,
+                       {"y1": y1, "pe": np.resize(edges, n)}, meta={"scheme": "rk4"})
+
+
 def odd_grids():
     """An `ode` and a field grid holding -0.0, a subnormal and values whose
-    shortest `repr` switches notation, and two larger random grids."""
+    shortest `repr` switches notation, two larger random grids and
+    `bit_pattern_grid`."""
     odd = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])
     rng = np.random.default_rng(7)
     return [
@@ -86,6 +109,7 @@ def odd_grids():
                     {"y1": rng.standard_normal(13), "pe": rng.random(13) * 1e-300}),
         SectionGrid("field1p1", np.linspace(0.0, 1.0, 7),
                     {"y1": rng.standard_normal((7, 6)) * 1e8}, x=np.arange(6) / 6),
+        bit_pattern_grid(),
     ]
 
 
@@ -287,6 +311,15 @@ class TestSolve:
         assert grid.kind == "field1p1"
         assert grid.fields["y1"].shape == (201, 200)
 
+    def test_blown_up_run_is_refused_before_any_output(self, capsys, tmp_path):
+        # the file's dt over an 800-point dx is dt/dx = 4, past the RK4 x fd4
+        # limit: every state stays finite but the energy overflows
+        status, out, err = run(capsys, "solve", str(MODELS / "wave.hdw"), "--grid", "800",
+                               "--out", str(tmp_path / "out"))
+        assert status == 2 and out == ""
+        assert err == "error: energy_drift_rel is inf, not finite: the run blew up\n"
+        assert not (tmp_path / "out").exists()
+
     def test_grid_csv_round_trip(self, tmp_path, capsys):
         status, report, _ = run_json(
             capsys, "solve", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path))
@@ -470,13 +503,14 @@ class TestGridBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_writes_match_reference(self, tmp_path, blocks, workers):
         blocks(workers)
-        assert_writes_reference(tmp_path, odd_grids())
+        grids = odd_grids()
+        assert_writes_reference(tmp_path, grids)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"copy{k}.csv" for k in range(4)]
+            f"copy{k}.csv" for k in range(len(grids))]
         assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_reads_any_layout_bit_for_bit(self, tmp_path, blocks, workers):
+    def test_reads_any_layout_bit_for_bit(self, tmp_path, blocks, monkeypatch, workers):
         grid = odd_grids()[3]
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, str(path))
@@ -492,9 +526,11 @@ class TestGridBlocks:
             "blank": lines[:body + 1] + ["\n"] * 3 + rows[1:-1] + ["\n", rows[-1]],
             "no last line end": lines[:-1] + [lines[-1].rstrip("\n")],
         }
-        for name, text in layouts.items():
+        # reads of about one line cut every piece, many of them at a bare CR
+        for name, chunk in itertools.product(layouts, [cli._CHUNK_BYTES, 40]):
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
             copy = tmp_path / f"{name}.csv"
-            copy.write_bytes("".join(text).encode())
+            copy.write_bytes("".join(layouts[name]).encode())
             blocks(workers)
             got = read_grid_csv(str(copy))
             blocks(1)
@@ -517,6 +553,42 @@ class TestGridBlocks:
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
         assert f"line {len(lines) - 1}: " in errors[0]
+        assert_no_children()
+
+    @pytest.mark.parametrize("token", ["-0", "true", "null", "nan", "inf", "+1.0", ".5", "1.",
+                                       "1e400", " 0.5", "0.5\t", "# a comment line"])
+    def test_tokens_off_the_codec_read_as_loadtxt_reads_them(self, tmp_path, blocks, token):
+        # a chunk holding any of these is parsed by np.loadtxt, not orjson
+        path = tmp_path / "grid.csv"
+        write_grid_csv(odd_grids()[2], str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("x1,y1,pe\n") + 1
+        if token.startswith("#"):
+            lines.insert(-2, token + "\n")
+        else:
+            row = lines[-2].split(",")
+            lines[-2] = ",".join([row[0], token] + row[2:])
+        path.write_text("".join(lines))
+        try:
+            want = np.loadtxt(lines[body:], delimiter=",", ndmin=2)
+        except ValueError:
+            want = None
+        got = []
+        for split in (None, 2):  # one block in-process, then two forked blocks
+            if split:
+                blocks(split)
+            try:
+                grid = read_grid_csv(str(path))
+            except ModelFileError as exc:
+                got.append(str(exc))
+            else:
+                got.append(np.column_stack([grid.t] + list(grid.fields.values())))
+        if want is None:
+            assert got[0] == got[1]
+            assert got[0].startswith(f"line {len(lines) - 1}: {path}: malformed grid")
+        else:
+            for data in got:
+                assert_bit_identical(data, want)
         assert_no_children()
 
     def test_failed_child_is_redone_in_process(self, tmp_path, blocks, monkeypatch):
@@ -598,7 +670,7 @@ class TestGridBlocks:
         floor = cli._BLOCK_FLOOR
         assert cli._block_bounds(801, floor - 1) == [(0, 801)]
         assert len(cli._block_bounds(801, 2 * floor - 1)) == 1
-        assert len(cli._block_bounds(801, 801 * 800 * 4)) == 801 * 800 * 4 // floor == 5
+        assert len(cli._block_bounds(801, 801 * 800 * 5)) == 801 * 800 * 5 // floor == 6
         assert len(cli._block_bounds(801, 10 ** 12)) == 256
         assert len(cli._block_bounds(3, 10 ** 12)) == 3
 
@@ -650,6 +722,23 @@ class TestCompare:
             "--against", csv_path, "--out", str(tmp_path))
         assert status == 0
         assert report["comparison"]["max_discrepancy"] == 0.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_discrepancy_is_input_error(self, capsys, tmp_path, value):
+        status, report, _ = run_json(
+            capsys, "solve", str(MODELS / "oscillator.hdw"), "--out", str(tmp_path))
+        ref = pathlib.Path(report["outputs"]["grid_csv"])
+        lines = ref.read_text().splitlines(keepends=True)
+        row = lines[-5].split(",")
+        lines[-5] = ",".join(row[:1] + [value] + row[2:])
+        ref.write_text("".join(lines))
+        (tmp_path / "oscillator.solve.json").unlink()
+        status, out, err = run(capsys, "compare", str(MODELS / "oscillator.hdw"),
+                               "--against", str(ref), "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert err == (f"error: {ref}: max_discrepancy is {value}, not finite: "
+                       "the grid holds a nan or an infinity\n")
+        assert not list(tmp_path.glob("*.json"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body, where", [

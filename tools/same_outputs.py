@@ -36,8 +36,13 @@ The groups are:
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
-  returns for that 800-point wave grid, for a copy with its rows shuffled
-  and for a copy with CRLF line ends;
+  returns for that 800-point wave grid, for a copy with its rows shuffled,
+  for a copy with CRLF line ends and for one copy per token of
+  `OFF_CODEC`, which the CSV codec leaves to `np.loadtxt`, written into a
+  p1_2 cell near the end (or the error message, if the copy is refused);
+- `grid write`: the sha256 of the bytes `write_grid_csv` writes for
+  `bit_pattern_grid`, 10**5 seeded random finite bit patterns next to the
+  values where orjson's float notation differs from `repr`'s;
 - `ode ...`: the bytes of every array of the `solve_ode` runs of
   `ode_runs`, whose right-hand sides are transcendental and time-dependent
   (restricted and extended, n = 1 and n = 2), or the message of the
@@ -49,6 +54,7 @@ The check-matrix inputs come from `perfbench/inputs.py`, loaded read-only.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -64,7 +70,7 @@ from sympy.polys.rings import PolyElement
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre,
                        solver, symbolic)
-from hdw_forge.errors import SolverAbortError
+from hdw_forge.errors import HdwForgeError, SolverAbortError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -381,7 +387,13 @@ def cli_groups(tmp) -> dict:
         if argv[0] == "solve" and grid.exists():
             groups[f"grid {key}"] = [hashlib.sha256(grid.read_bytes()).hexdigest()]
     groups["grid read"] = grid_read_lines(tmp / "out" / "wave.solve.grid.csv", tmp)
+    groups["grid write"] = grid_write_lines(tmp)
     return groups
+
+
+# cell values the grid CSV codec does not read, and a comment line
+OFF_CODEC = ["-0", "true", "null", "nan", "inf", "+1.0", ".5", "1.", "1e400", " 0.5",
+             "0.5\t", "# a comment line"]
 
 
 def grid_read_lines(grid: pathlib.Path, tmp) -> list:
@@ -392,19 +404,63 @@ def grid_read_lines(grid: pathlib.Path, tmp) -> list:
     body = next(k for k, line in enumerate(lines) if not line.startswith(b"#")) + 1
     rows = lines[body:]
     random.Random(0).shuffle(rows)
-    copies = {"as written": grid, "rows shuffled": tmp / "shuffled.csv",
-              "crlf": tmp / "crlf.csv"}
-    copies["rows shuffled"].write_bytes(b"".join(lines[:body] + rows))
-    copies["crlf"].write_bytes(text.replace(b"\n", b"\r\n"))
-    del text, lines, rows
+    copies = {"as written": grid.read_bytes,
+              "rows shuffled": lambda: b"".join(lines[:body] + rows),
+              "crlf": lambda: text.replace(b"\n", b"\r\n")}
+
+    def holding(token):
+        """The grid with `token` in the last cell of its next-to-last row, or
+        a comment line `token` before that row."""
+        if token.startswith("#"):
+            return b"".join(lines[:-2] + [token.encode() + b"\n"] + lines[-2:])
+        cells = lines[-2].split(b",")[:-1] + [token.encode() + b"\n"]
+        return b"".join(lines[:-2] + [b",".join(cells)] + lines[-1:])
+    copies.update((f"token {token!r}", functools.partial(holding, token))
+                  for token in OFF_CODEC)
     out = []
-    for name, path in copies.items():
-        g = cli.read_grid_csv(str(path))
+    path = tmp / "copy.csv"
+    for name, copy in copies.items():
+        path.write_bytes(copy())
+        try:
+            g = cli.read_grid_csv(str(path))
+        except HdwForgeError as exc:
+            out.append(f"{name} {_strip(str(exc), tmp)}")
+            continue
         digest = hashlib.sha256()
         for arr in [g.t, g.x] + [g.fields[nm] for nm in sorted(g.fields)]:
             digest.update(arr.tobytes())
         out.append(f"{name} {digest.hexdigest()}")
+    path.unlink()
     return out
+
+
+def bit_pattern_grid():
+    """An `ode` grid of 10**5 rows: y1 holds seeded random finite bit
+    patterns, pe values on both sides of 1e-5, 1e-4 and 1e16 (where
+    orjson's notation differs from `repr`'s), subnormals, +-0.0, every
+    power of ten from 1e-308 to 1e308, values holding 0.0000 after a
+    first digit, nan and +-inf."""
+    import numpy as np
+    n = 10 ** 5
+    bits = np.random.default_rng(16).integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+    y1 = bits.view(np.float64)
+    y1[~np.isfinite(y1)] = 1.5
+    sides = np.array([1e-5, 1e-4, 1e16, 2.2250738585072014e-308])
+    sides = np.concatenate([sides, np.nextafter(sides, 0), np.nextafter(sides, np.inf)])
+    powers = 10.0 ** np.arange(-308, 309)
+    inside = [10.00001, 100.0000125, 7.00000001e-05]  # 0.0000d inside a longer token
+    edges = np.concatenate([sides, powers, 1.25 * powers[:-1], inside,
+                            [5e-324, 1e-320, 0.0, np.inf]])
+    edges = np.concatenate([edges, -edges, [np.nan]])
+    return solver.SectionGrid("ode", np.arange(n) * 0.25,
+                              {"y1": y1, "pe": np.resize(edges, n)}, meta={"scheme": "rk4"})
+
+
+def grid_write_lines(tmp) -> list:
+    """The `grid write` group's line."""
+    path = tmp / "bit-patterns.csv"
+    cli.write_grid_csv(bit_pattern_grid(), str(path))
+    return [hashlib.sha256(path.read_bytes()).hexdigest()]
 
 
 def main():
