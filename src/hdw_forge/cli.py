@@ -229,7 +229,11 @@ def _format_rows(rows) -> bytes:
     if not finite.all():  # orjson writes nan, inf and -inf as null
         text = text.replace(b"null", b"%b") % tuple(
             repr(v).encode() for v in rows[~finite].tolist())
-    text = _FIXED_E05.sub(_e05, _EXPONENT.sub(_exponent, text))
+    # each pattern needs its literal, so a pass without it is skipped
+    if b"e" in text:
+        text = _EXPONENT.sub(_exponent, text)
+    if b"0.0000" in text:
+        text = _FIXED_E05.sub(_e05, text)
     return text[2:-2].replace(b"],[", b"\n") + b"\n"
 
 
@@ -348,7 +352,8 @@ def _parse_chunk(data: bytes):
     """
     import numpy as np
     import orjson
-    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not data.translate(None, _NUMBER_BYTES) and not _NEGATIVE_ZERO.search(data):
         try:
             return np.array(orjson.loads(
@@ -388,7 +393,7 @@ def _count_lines(fh, start: int, stop: int) -> int:
         data = fh.read(min(_CHUNK_BYTES, stop - start))
         if not data:
             break
-        lines += data.count(b"\n") + data.count(b"\r")
+        lines += data.count(b"\n") + (data.count(b"\r") if b"\r" in data else 0)
         last, start = data[-1:], start + len(data)
     return lines + (last != b"\n")
 

@@ -118,6 +118,9 @@ class BundleChart:
             + (self.extended_id,),
             "L": self.base_ids + self.fiber_ids + self.velocity_ids,
         }
+        # each level's symbols, built once: every caller shares the tuple
+        self._coords = {level: tuple(c.symbol for c in ids)
+                        for level, ids in self._levels.items()}
 
     def ids(self, level: str) -> tuple[CoordId, ...]:
         try:
@@ -126,7 +129,8 @@ class BundleChart:
             raise ChartMismatchError(f"unknown bundle level {level!r}") from None
 
     def coords(self, level: str) -> tuple[sp.Symbol, ...]:
-        return tuple(c.symbol for c in self.ids(level))
+        self.ids(level)  # an unknown level raises ChartMismatchError
+        return self._coords[level]
 
     # convenience symbols
     def x(self, nu: int) -> sp.Symbol:

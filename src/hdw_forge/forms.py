@@ -46,7 +46,13 @@ from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify,
 
 def _coeff(value, coords):
     """`value` as a coefficient is held: its ring element on the fragment,
-    else the sympified `Expr` as it stands."""
+    else the sympified `Expr` as it stands.
+
+    A held ring element is shared, not copied: `CoordForm.copy`, `_signed`
+    with sign +1 and every table that takes a held value keep the same
+    `PolyElement`.  So no code mutates one in place; arithmetic on held
+    values always makes a new element.
+    """
     if isinstance(value, PolyElement):
         return value
     value = sp.sympify(value)
@@ -68,6 +74,11 @@ def _mul(a, b, coords):
         if pair is not None:
             return pair[0] * pair[1]
     return sp.sympify(_expr(a, coords)) * _expr(b, coords)
+
+
+def _signed(sign, c):
+    """`c` times a key's sign, +1 or -1, by negation: no ring product."""
+    return c if sign > 0 else -c
 
 
 def _diff(c, idx, coords):
@@ -191,7 +202,7 @@ class CoordForm:
         if norm is None:
             return
         key, sign = norm
-        values = [sign * _coeff(coeff, self.coords)]
+        values = [_signed(sign, _coeff(coeff, self.coords))]
         if key in self._coeffs:
             values.append(self._coeffs[key])
         total = _sum(values, self.coords)
@@ -241,8 +252,13 @@ class CoordForm:
         return self.scale(-1)
 
     def scale(self, factor):
-        factor = _coeff(factor, self.coords)
+        """The form times `factor`; an integer +1 or -1 is a sign (`_signed`)."""
         out = CoordForm(self.coords, self.degree)
+        if isinstance(factor, (int, sp.Integer)) and factor in (1, -1):
+            for key, c in self._coeffs.items():
+                out.add_term(key, _signed(factor, c))
+            return out
+        factor = _coeff(factor, self.coords)
         for key, c in self._coeffs.items():
             out.add_term(key, _mul(factor, c, self.coords))
         return out
@@ -256,7 +272,7 @@ class CoordForm:
                 if merged is None:
                     continue
                 key, sign = merged
-                out.add_term(key, sign * _mul(c1, c2, self.coords))
+                out.add_term(key, _signed(sign, _mul(c1, c2, self.coords)))
         return out
 
     def d(self):
@@ -271,7 +287,7 @@ class CoordForm:
                 if merged is None:
                     continue
                 new_key, sign = merged
-                out.add_term(new_key, sign * dc)
+                out.add_term(new_key, _signed(sign, dc))
         return out
 
     def interior_vector(self, components):
@@ -287,7 +303,7 @@ class CoordForm:
                     continue
                 rest = key[:pos] + key[pos + 1:]
                 sign = -1 if pos % 2 else 1
-                out.add_term(rest, sign * _mul(comp, coeff, self.coords))
+                out.add_term(rest, _signed(sign, _mul(comp, coeff, self.coords)))
         return out
 
     def coefficient(self, key):

@@ -212,12 +212,30 @@ def ring_widen(c, coords, wider):
     return ring.dtype({m[:n] + zeros + m[n:]: v for m, v in c.items()})
 
 
+def _names(coords) -> tuple:
+    """The cache key of a frame: its coordinates' names, which a lookup
+    compares as strings, where equal symbols that are not the same object
+    would be compared as sympy trees."""
+    return tuple(s.name for s in coords)
+
+
+def _frame(names: tuple, atoms) -> tuple:
+    """The frame named `names`: a coordinate that occurs in `atoms` is that
+    atom's own symbol, any other a `Symbol` of its name, which no atom
+    holds.  Atoms are polynomials in the frame they were held over, so what
+    is computed from them over this frame is what that frame gives."""
+    found = {s.name: s for atom in atoms for s in atom.free_symbols}
+    return tuple(found.get(name) or sp.Symbol(name) for name in names)
+
+
 @functools.lru_cache(maxsize=1024)
-def _lifts(rings: tuple, coords: tuple):
+def _lifts(rings: tuple, names: tuple):
     """{ring: lift} taking the elements of each ring into the ring over the
-    union of their atoms; None when those atoms depend on each other."""
-    n = len(coords)
-    frame = _atom_frame(frozenset(a for ring in rings for a in ring.symbols[n:]), coords)
+    union of their atoms, over the frame named `names`; None when those
+    atoms depend on each other."""
+    n = len(names)
+    atoms = frozenset(a for ring in rings for a in ring.symbols[n:])
+    frame = _atom_frame(atoms, _frame(names, atoms))
     if frame is None:
         return None
     target, index = frame
@@ -245,19 +263,25 @@ def _lifts(rings: tuple, coords: tuple):
 
 def unify(polys, coords):
     """Elements of `to_ring`'s rings, lifted into the one ring over the union
-    of their atoms; None when those atoms depend on each other."""
-    rings = tuple(dict.fromkeys(p.ring for p in polys))
-    if len(rings) == 1:
+    of their atoms; None when those atoms depend on each other.  Elements
+    of one ring are returned as they are."""
+    first = polys[0].ring
+    if all(p.ring is first for p in polys):
         return polys
-    lifts = _lifts(rings, tuple(coords))
+    rings = tuple(dict.fromkeys(p.ring for p in polys))
+    if len(rings) == 1:   # equal rings built apart
+        return polys
+    lifts = _lifts(rings, _names(coords))
     return None if lifts is None else [lifts[p.ring](p) for p in polys]
 
 
 @functools.lru_cache(maxsize=1024)
-def _chain(ring, coords: tuple, idx: int):
-    """[(generator position, its derivative along coords[idx])] for the
-    atom generators of `ring` that depend on that coordinate."""
-    n = len(coords)
+def _chain(ring, names: tuple, idx: int):
+    """[(generator position, its derivative along coordinate idx)] for the
+    atom generators of `ring`, over the frame named `names`, that depend on
+    that coordinate."""
+    n = len(names)
+    coords = _frame(names, ring.symbols[n:])
     of = dict(zip(ring.symbols, ring.gens))
     index = dict(zip(coords, ring.gens))
     out = []
@@ -278,11 +302,13 @@ def _chain(ring, coords: tuple, idx: int):
 def ring_diff(poly, idx, coords):
     """Derivative of an element of `to_ring`'s rings along coords[idx], by
     the chain rule: D sin u = cos u Du, D cos u = -sin u Du,
-    D exp u = exp u Du."""
+    D exp u = exp u Du.  A ring without atoms has no chain to follow."""
     ring = poly.ring
-    out = poly.diff(ring.gens[idx])
-    for j, factor in _chain(ring, tuple(coords), idx):
-        out += poly.diff(ring.gens[j]) * factor
+    out = poly.diff(idx)  # by position: naming the generator costs a search
+    if ring.ngens == len(coords):
+        return out
+    for j, factor in _chain(ring, _names(coords), idx):
+        out += poly.diff(j) * factor
     return out
 
 

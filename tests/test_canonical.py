@@ -927,3 +927,173 @@ def test_zero_forms_stay_in_forms():
                     and degree.value == 0):
                 builds.append((path.name, node.lineno))
     assert not builds
+
+
+def parent_add_term(held, key, coeff, coords):
+    """`CoordForm.add_term` on the table `held` as it was when a key's sign
+    was applied as the product `sign * c`: a ring product for a ring
+    element."""
+    norm = _normalize_key(key)
+    if norm is None:
+        return
+    key, sign = norm
+    values = [sign * _coeff(coeff, coords)]
+    if key in held:
+        values.append(held[key])
+    total = _sum(values, coords)
+    if total == 0:
+        held.pop(key, None)
+    else:
+        held[key] = total
+
+
+def parent_table(pairs, coords, held=None):
+    held = {} if held is None else dict(held)
+    for key, c in pairs:
+        parent_add_term(held, key, c, coords)
+    return held
+
+
+def parent_signed(key, c):
+    """(sorted key, sign * c) for a key that `_normalize_key` sorts, or None."""
+    norm = _normalize_key(key)
+    return None if norm is None else (norm[0], norm[1] * c)
+
+
+def parent_algebra(one, two, other, comps):
+    """Held tables of one ^ two, d(two), i(comps) two, two.scale(+-1), -two
+    and one - other, with every sign a product `sign * c` and `scale(-1)`
+    the ring product with the ring's -1."""
+    coords = one.coords
+    wedge = [parent_signed(k1 + k2, _mul(c1, c2, coords))
+             for k1, c1 in one._coeffs.items() for k2, c2 in two._coeffs.items()]
+    d = [parent_signed((idx,) + key, _diff(c, idx, coords))
+         for key, c in two._coeffs.items() for idx in range(len(coords))]
+    interior = [(key[:pos] + key[pos + 1:], (-1 if pos % 2 else 1) * _mul(comps[idx], c, coords))
+                for key, c in two._coeffs.items() for pos, idx in enumerate(key) if idx in comps]
+    plus, minus = _coeff(1, coords), _coeff(-1, coords)
+    negated = parent_table(((k, _mul(minus, c, coords)) for k, c in two._coeffs.items()), coords)
+    return {
+        "wedge": parent_table((p for p in wedge if p is not None), coords),
+        "d": parent_table((p for p in d if p is not None and p[1] != 0), coords),
+        "interior_vector": parent_table(interior, coords),
+        "scale(1)": parent_table(((k, _mul(plus, c, coords)) for k, c in two._coeffs.items()),
+                                 coords),
+        "scale(-1)": negated,
+        "neg": negated,
+        "sub": parent_table(((k, _mul(minus, c, coords)) for k, c in other._coeffs.items()),
+                            coords, one._coeffs),
+    }
+
+
+def assert_same_held(got, expected, coords):
+    """Same keys in the same order; each value of the same kind, in the same
+    ring, with the same srepr."""
+    assert list(got) == list(expected)
+    for key, c in expected.items():
+        assert isinstance(got[key], PolyElement) == isinstance(c, PolyElement), key
+        if isinstance(c, PolyElement):
+            assert got[key].ring == c.ring and got[key] == c, key
+        assert sp.srepr(_expr(got[key], coords)) == sp.srepr(_expr(c, coords)), key
+
+
+@pytest.mark.parametrize("m,n", MN_MATRIX)
+def test_signs_by_negation_match_sign_products(m, n):
+    """Signs applied by negation give, key for key, what the products
+    `sign * c` gave, over polynomial, sin/cos/exp and `1/y1` coefficients."""
+    rng = random.Random(f"signs {m} {n}")
+    chart = BundleChart(m, n)
+    coords = chart.coords("M")
+    x, y, p = chart.x(m), chart.y(1), chart.p(n, 1)
+    pool = [x * y - p ** 2 / 3, sp.Rational(5, 2) * chart.pe + y * p,
+            random_atom_coefficient(chart, rng, terms=2), x * sp.sin(y) - sp.cos(y) / 2,
+            p * sp.exp(y / 2) + x, sp.exp(x) * y, 1 / y + p]
+    one, two, other = (CoordForm(coords, degree) for degree in (1, 2, 1))
+    insertions = {}
+    for form in (one, two, other):
+        # and the `1/y` entry at a key whose sign is -1 for a 2-form
+        insertions[id(form)] = (random_insertions(coords, form.degree, rng, pool, count=10)
+                                + [(tuple(range(form.degree, 0, -1)), pool[-1])])
+        for key, coeff in insertions[id(form)]:
+            form.add_term(key, coeff)
+        assert_same_held(form._coeffs, parent_table(insertions[id(form)], coords), coords)
+    comps = {i: rng.choice(pool) for i in rng.sample(range(len(coords)), 3)}
+    comps = {i: forms.hold(c, coords) if k % 2 else c for k, (i, c) in enumerate(comps.items())}
+    # the cases the sign and lift paths need: odd permutations, and ring
+    # elements of different rings meeting in one product or sum
+    keys = [key for pairs in insertions.values() for key, _ in pairs]
+    assert any(_normalize_key(key) and _normalize_key(key)[1] < 0 for key in keys)
+    assert any(_normalize_key(k1 + k2) and _normalize_key(k1 + k2)[1] < 0
+               for k1 in one._coeffs for k2 in two._coeffs)
+    rings = {c.ring for form in (one, two) for c in form._coeffs.values()
+             if isinstance(c, PolyElement)}
+    assert len(rings) > 1
+    assert not all(isinstance(c, PolyElement) for c in two._coeffs.values())
+    got = {"wedge": one.wedge(two), "d": two.d(), "interior_vector": two.interior_vector(comps),
+           "scale(1)": two.scale(1), "scale(-1)": two.scale(-1), "neg": -two,
+           "sub": one - other}
+    expected = parent_algebra(one, two, other, comps)
+    for name, form in got.items():
+        assert_same_held(form._coeffs, expected[name], coords)
+
+
+class TestNoIdleArithmetic:
+    """Arithmetic that cannot change a value is not done: no product with a
+    sign, no chain rule on a ring without atoms, no frame or ring table
+    rebuilt."""
+
+    def test_checks_make_no_int_times_ring_products(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        x, y, p1, p2 = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + x * y ** 2 - y * p1 * p2)
+        gauge = GaugeChoice("user-table", {(1, 2, 1): y * p1}, {})
+        products = []
+        real = PolyElement.__rmul__
+
+        def spy(poly, other):
+            if isinstance(other, int):
+                products.append(other)
+            return real(poly, other)
+        monkeypatch.setattr(PolyElement, "__rmul__", spy)
+        results = standard_checks(model, gauge)
+        assert products == []
+        assert all(ok for name, (ok, _) in results.items() if "diagnostic" not in name)
+
+    def test_atom_free_derivative_follows_no_chain(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        coords = chart.coords("J1")
+        e = chart.x(1) * chart.y(1) ** 2 + chart.p(1, 2) ** 3 / 2 - chart.y(1) * chart.p(1, 1)
+        poly = symbolic.to_ring(e, coords)
+        assert poly.ring.ngens == len(coords)
+        chains = _count_calls(monkeypatch, symbolic, "_chain")
+        got = [symbolic.ring_expr(symbolic.ring_diff(poly, idx, coords), coords)
+               for idx in range(len(coords))]
+        assert chains == []
+        assert got == [sp.expand(sp.diff(e, s)) for s in coords]
+        # a ring with atoms still follows the chain rule
+        atoms = symbolic.to_ring(e * sp.sin(chart.y(1)), coords)
+        symbolic.ring_diff(atoms, coords.index(chart.y(1)), coords)
+        assert len(chains) == 1
+
+    def test_chart_frames_are_built_once(self):
+        chart = BundleChart(3, 2)
+        for level in ("E", "J1", "M", "L"):
+            assert chart.coords(level) is chart.coords(level)
+            assert chart.coords(level) == tuple(c.symbol for c in chart.ids(level))
+
+    def test_unify_of_one_ring_builds_no_ring_table(self, monkeypatch):
+        coords = (x1, y1, p1_1)
+        polys = [_coeff(e, coords) for e in (x1 * sp.sin(y1), p1_1 * sp.cos(y1) + 1,
+                                             y1 * sp.sin(y1) ** 2)]
+        assert all(p.ring is polys[0].ring for p in polys)
+        tables = []
+
+        class Dict(dict):
+            @classmethod
+            def fromkeys(cls, *args):
+                tables.append(args)
+                return dict.fromkeys(*args)
+        monkeypatch.setattr(symbolic, "dict", Dict, raising=False)
+        lifts = _count_calls(monkeypatch, symbolic, "_lifts")
+        assert symbolic.unify(polys, coords) is polys
+        assert tables == [] and lifts == []

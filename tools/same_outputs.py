@@ -14,7 +14,9 @@ The groups are:
   check-matrix benchmark rejects), and the `scaled_lines` of both fields
   (f = 2 and f = y1), over check-matrix seeds 7, 11 and 23 x 16 slots and
   over the two fields of `atom_fields`, whose exp and sin atoms have
-  arguments that are multiples of each other;
+  arguments that are multiples of each other; for those two fields also
+  the repr of the `form_algebra` forms: wedges, `d`, contractions, `-F`
+  and `F - G` of forms whose keys take odd permutations to sort;
 - `offring`: the same F, G, g, battery, curvature and `scaled_lines` lines
   for the fields of `offring_fields`, whose Hamiltonians and gauge entries
   leave the coefficient ring (exp of both signs, `1/y1`, Floats, `log`),
@@ -120,6 +122,25 @@ def _forms(model, Xr):
     yield "omega_h", omega_h
     yield "alpha", forms.extended_alpha(chart, model.h)[1]
     yield "tampered residual", hdw.residual_restricted(tampered, omega_h)
+
+
+def form_algebra(model, Xr):
+    """(name, form) of wedges, `d`, contractions, negation and differences
+    of theta_h, omega_h and dh on the restricted chart: merged and
+    contracted keys take odd permutations to sort, and the coefficients'
+    atoms sit in different rings."""
+    theta_h, omega_h = forms.hamilton_cartan(model.chart, model.h)
+    dh = forms.CoordForm(theta_h.coords, 0, {(): model.h}).d()
+    mv = Xr.multivector()
+    dh_theta = dh.wedge(theta_h)
+    yield "dh^theta_h", dh_theta
+    yield "theta_h^dh", theta_h.wedge(dh)
+    yield "d(dh^theta_h)", dh_theta.d()
+    yield "d(h theta_h)", theta_h.scale(model.h).d()
+    yield "i(X1) omega_h", omega_h.interior_vector(mv.vector(1))
+    yield "i(X2) dh^theta_h", dh_theta.interior_vector(mv.vector(2))
+    yield "-omega_h", -omega_h
+    yield "omega_h - dh^theta_h", omega_h - dh_theta
 
 
 def scaled_lines(tag, model, Xr, Xe):
@@ -292,6 +313,9 @@ def symbolic_groups(inputs) -> dict:
         Xr, Xe = _symbolic_lines(tag, model, gauge, groups)
         groups["forms"] += [f"{tag} {name} {form!r}" for name, form in _forms(model, Xr)]
         groups["forms"] += scaled_lines(tag, model, Xr, Xe)
+    for tag, model, gauge in atom_fields():
+        Xr = hdw.derive_restricted(model, gauge)
+        groups["forms"] += [f"{tag} {name} {form!r}" for name, form in form_algebra(model, Xr)]
     offring = {"fields": [], "battery": [], "curvature": [], "scaled": []}
     for tag, model, gauge in offring_fields(inputs.CHARTS):
         Xr, Xe = _symbolic_lines(tag, model, gauge, offring)
