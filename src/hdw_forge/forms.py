@@ -29,10 +29,20 @@ first partials from `partials` (a 0-form's `CoordForm.d`), and read values
 back through `HeldView`, the one lazy `Expr` view of held values:
 `CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
 (`HeldTable`, which takes writes and reads canonical `Expr`s).
+
+No arithmetic is done that cannot change a value: a sign or a ring's +1 or
+-1 factor is applied by negation (`_signed`), a zero derivative multiplies
+nothing (`CoordMultiVector.bracket`), the held partials of an expression
+are taken once per frame (`partials`), and the forms that depend on the
+chart alone (`canonical_part`, `volume_form`, `build_theta`, `build_omega`)
+are built once per (m, n, level), every caller getting its own copy.  The
+structure forms of a ring h, theta_h, omega_h and alpha = dH, are built
+from those pieces; an h off the ring takes the formulas as they stand.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
 import sympy as sp
@@ -40,7 +50,7 @@ from sympy.polys.rings import PolyElement
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, WrongBundleError
-from .symbolic import (is_structurally_zero, ring_diff, ring_expr, simplify,
+from .symbolic import (is_structurally_zero, ring_diff, ring_expr, ring_widen, simplify,
                        simplify_off_ring, to_ring, unify)
 
 
@@ -69,7 +79,16 @@ def _expr(c, coords):
 
 
 def _mul(a, b, coords):
+    """The product of two held values.  A ring element that is its ring's +1
+    or -1 gives the other factor or its negation (`_signed`), when its ring
+    has no atoms or is the other factor's: the product would be that, in
+    the other factor's ring."""
     if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+        for unit, other in ((a, b), (b, a)):
+            if len(unit) == 1 and (unit.ring is other.ring or unit.ring.ngens == len(coords)):
+                value = unit.get(unit.ring.zero_monom)
+                if value == 1 or value == -1:
+                    return _signed(value, other)
         pair = unify((a, b), coords)
         if pair is not None:
             return pair[0] * pair[1]
@@ -383,39 +402,88 @@ class CoordMultiVector:
                 table = {k: _coeff(_sum([_mul(scale, c, coords)], coords), coords)
                          for k, c in table.items()}
             self._vectors.append({k: c for k, c in table.items() if c != 0})
+        self._derivatives = [None] * self.m
+        self._zero = one.ring.zero
 
     def vector(self, nu: int) -> dict:
         """Full coefficient table of component nu (1-based), scaled by f; a
         view to read."""
         return self._vectors[nu - 1]
 
+    def _vertical_derivatives(self, nu: int) -> dict:
+        """{i: {j: d(entry i)/d(coordinate j)}} of component nu (1-based),
+        for its vertical entries i and the coordinates j of the other
+        components' entries, without the zero ones; taken once."""
+        table = self._derivatives[nu - 1]
+        if table is None:
+            coords = self.coords
+            others = sorted(set().union(*(v for k, v in enumerate(self._vectors)
+                                          if k != nu - 1)))
+            table = {}
+            for i, c in self.vector(nu).items():
+                if i in self.base_positions:
+                    continue
+                derivatives = ((j, _diff(c, j, coords)) for j in others)
+                table[i] = {j: dc for j, dc in derivatives if dc != 0}
+            self._derivatives[nu - 1] = table
+        return table
+
     def bracket(self, nu: int, eta: int) -> dict:
         """Vertical part of the bracket [X_nu, X_eta] of two components
         (1-based), held and keyed by coordinate index: a ring element when
         every term stays in a ring, else the `simplify`d `Expr`.  Either
-        compares to 0 exactly; a `HeldView` reads its `Expr`."""
+        compares to 0 exactly; a `HeldView` reads its `Expr`.
+
+        Each component's derivatives are taken once per multivector, and a
+        term whose derivative is zero is not formed: a zero factor cannot
+        change the sum, and a zero `Expr` would take it off the ring.  A
+        bracket entry with no term is the ring's zero."""
         a, b, coords = self.vector(nu), self.vector(eta), self.coords
+        da, db = self._vertical_derivatives(nu), self._vertical_derivatives(eta)
         out = {}
         for i in range(len(coords)):
             if i in self.base_positions:
                 continue
-            # a missing entry is zero: differentiating sp.Integer(0) instead
-            # would take every product with it off the ring
             terms = []
             if i in b:
-                terms += [_mul(c, _diff(b[i], j, coords), coords) for j, c in a.items()]
+                d = db[i]
+                terms += [_mul(c, d[j], coords) for j, c in a.items() if j in d]
             if i in a:
-                terms += [-_mul(c, _diff(a[i], j, coords), coords) for j, c in b.items()]
-            out[i] = _sum(terms, coords, simplify)
+                d = da[i]
+                terms += [-_mul(c, d[j], coords) for j, c in b.items() if j in d]
+            out[i] = _sum(terms, coords, simplify) if terms else self._zero
         return out
+
+
+@functools.lru_cache(maxsize=128)
+def _held_partials(expr, coords):
+    """(held `expr`, {coordinate: held first partial}) along `coords`: the
+    0-form's coefficient and its `CoordForm.d`, each partial held as a
+    `HeldTable` write holds it; a zero one is the ring's zero.
+
+    Kept for the 128 latest (expression, frame) pairs.  The key compares
+    expressions with sympy's `==`, under which Floats of different
+    precision, or symbols of different assumptions, differ: two values
+    that `hold` would hold differently never share an entry.
+    """
+    zero = hold(0, coords)
+    form = CoordForm(coords, 0, {(): expr})
+    d = form.d()._coeffs
+    table = HeldTable(coords, {s: d.get((i,), zero) for i, s in enumerate(coords)})
+    return form._coeffs.get((), zero), table.held
 
 
 def partials(expr, coords) -> HeldTable:
     """The first partials of `expr` along `coords` (`CoordForm.d` of the
-    0-form), held in a `HeldTable` keyed by coordinate; a zero one reads 0."""
-    d = CoordForm(coords, 0, {(): expr}).d()._coeffs
-    zero = hold(0, coords)
-    return HeldTable(coords, {s: d.get((i,), zero) for i, s in enumerate(coords)})
+    0-form), held in a `HeldTable` keyed by coordinate; a zero one reads 0.
+
+    The held partials are taken once per (expression, frame) and shared;
+    each call hands out a new table over them, so a write to one table is
+    seen by no other.
+    """
+    coords = tuple(coords)
+    held = _held_partials(sp.sympify(expr), coords)[1]
+    return HeldTable(coords, HeldView(coords, held))
 
 
 def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:
@@ -444,22 +512,31 @@ def _frame_index(chart: BundleChart, level: str):
     return coords, {s: i for i, s in enumerate(coords)}
 
 
-def volume_form(chart: BundleChart, level: str = "M") -> CoordForm:
+# The forms below depend on the chart alone: each is built once per
+# (m, n, level) and shared, and every caller gets its own table (`_onto`).
+_per_chart = functools.lru_cache(maxsize=64)
+
+
+def _onto(chart: BundleChart, level: str, form: CoordForm) -> CoordForm:
+    """A new form over the frame of `chart` at `level` holding the
+    coefficients of `form`, a shared chart form: a write to it changes no
+    other caller's form."""
+    out = CoordForm(chart.coords(level), form.degree)
+    out._coeffs.update(form._coeffs)
+    return out
+
+
+@_per_chart
+def _volume(m: int, n: int, level: str) -> CoordForm:
+    chart = BundleChart(m, n)
     coords, index = _frame_index(chart, level)
     key = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
     return CoordForm(coords, chart.m, {key: 1})
 
 
-def base_contraction_key(chart: BundleChart, level: str, nu: int):
-    """Key and sign of the (m-1)-form obtained by dropping dx_nu from the volume."""
-    coords, index = _frame_index(chart, level)
-    key = tuple(index[chart.x(e)] for e in range(1, chart.m + 1) if e != nu)
-    sign = (-1) ** (nu - 1)
-    return key, sign
-
-
-def canonical_part(chart: BundleChart, level: str) -> CoordForm:
-    """The m-form sum_{a,nu} p^nu_a dy^a ^ d^{m-1}x_nu on the chart at `level`."""
+@_per_chart
+def _canonical(m: int, n: int, level: str) -> CoordForm:
+    chart = BundleChart(m, n)
     coords, index = _frame_index(chart, level)
     out = CoordForm(coords, chart.m)
     for a in range(1, chart.n + 1):
@@ -473,29 +550,101 @@ def canonical_part(chart: BundleChart, level: str) -> CoordForm:
     return out
 
 
+@_per_chart
+def _minus_d_canonical(m: int, n: int, level: str) -> CoordForm:
+    return -_canonical(m, n, level).d()
+
+
+@_per_chart
+def _theta(m: int, n: int) -> CoordForm:
+    return _canonical(m, n, "M") + _volume(m, n, "M").scale(BundleChart(m, n).pe)
+
+
+@_per_chart
+def _omega(m: int, n: int) -> CoordForm:
+    return -_theta(m, n).d()
+
+
+def volume_form(chart: BundleChart, level: str = "M") -> CoordForm:
+    return _onto(chart, level, _volume(chart.m, chart.n, level))
+
+
+def base_contraction_key(chart: BundleChart, level: str, nu: int):
+    """Key and sign of the (m-1)-form obtained by dropping dx_nu from the volume."""
+    coords, index = _frame_index(chart, level)
+    key = tuple(index[chart.x(e)] for e in range(1, chart.m + 1) if e != nu)
+    sign = (-1) ** (nu - 1)
+    return key, sign
+
+
+def canonical_part(chart: BundleChart, level: str) -> CoordForm:
+    """The m-form sum_{a,nu} p^nu_a dy^a ^ d^{m-1}x_nu on the chart at `level`."""
+    return _onto(chart, level, _canonical(chart.m, chart.n, level))
+
+
 def build_theta(chart: BundleChart) -> CoordForm:
     """Tautological m-form on the extended momentum chart."""
-    return canonical_part(chart, "M") + volume_form(chart, "M").scale(chart.pe)
+    return _onto(chart, "M", _theta(chart.m, chart.n))
 
 
 def build_omega(chart: BundleChart) -> CoordForm:
     """The closed (m+1)-form, minus the exterior derivative of theta."""
-    return -build_theta(chart).d()
+    return _onto(chart, "M", _omega(chart.m, chart.n))
 
 
 def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
     """The pair (theta_h, omega_h) on the restricted momentum chart.
 
-    theta_h is theta taken on the section pe = -h.
+    theta_h is theta taken on the section pe = -h, and omega_h = -d theta_h
+    = -d(canonical part) + dh ^ volume.  For an h held in a ring both are
+    built from its held value and held partials (`partials`) and the
+    chart's forms; any other h gives canonical part - h volume, and minus
+    its `d`, as they stand.
     """
     h = chart.validate_on(h, "J1")
-    theta_h = canonical_part(chart, "J1") + volume_form(chart, "J1").scale(-h)
-    return theta_h, -theta_h.d()
+    coords = chart.coords("J1")
+    held, dh = _held_partials(h, coords)
+    if not isinstance(held, PolyElement):
+        theta_h = canonical_part(chart, "J1") + volume_form(chart, "J1").scale(-h)
+        return theta_h, -theta_h.d()
+    (vol_key, _), = _volume(chart.m, chart.n, "J1")._coeffs.items()
+    theta_h = canonical_part(chart, "J1")
+    theta_h.add_term(vol_key, -held)
+    omega_h = _onto(chart, "J1", _minus_d_canonical(chart.m, chart.n, "J1"))
+    for i, s in enumerate(coords):
+        if dh[s]:
+            omega_h.add_term((i,) + vol_key, dh[s])
+    return theta_h, omega_h
+
+
+def _total_hamiltonian(chart: BundleChart, h):
+    """(H, alpha): H = pe + h held on the extended chart, and alpha = dH.
+
+    For an h held in a ring, alpha is 1 dpe plus h's held partials
+    (`partials`) taken into the extended frame (`ring_widen`), and H is h
+    so taken plus pe; any other h gives the 0-form pe + h and its `d`.
+    """
+    h = chart.validate_on(h, "J1")
+    coords, wide = chart.coords("J1"), chart.coords("M")
+    held, dh = _held_partials(h, coords)
+    if not isinstance(held, PolyElement):
+        H = CoordForm(wide, 0, {(): chart.pe + h})
+        return H._coeffs[()], H.d()
+    alpha = CoordForm(wide, 1)
+    for i, s in enumerate(coords):
+        if dh[s]:
+            alpha._coeffs[(i,)] = ring_widen(dh[s], coords, wide)
+    H = ring_widen(held, coords, wide)
+    alpha._coeffs[(len(coords),)] = H.ring.one
+    return H + H.ring.gens[len(coords)], alpha
+
+
+def alpha_form(chart: BundleChart, h) -> CoordForm:
+    """alpha = dH, H = pe + h, on the extended momentum chart."""
+    return _total_hamiltonian(chart, h)[1]
 
 
 def extended_alpha(chart: BundleChart, h) -> tuple[sp.Expr, CoordForm]:
-    """Total Hamiltonian H = pe + h, read from its held 0-form, and alpha = dH."""
-    h = chart.validate_on(h, "J1")
-    coords, _ = _frame_index(chart, "M")
-    H = CoordForm(coords, 0, {(): chart.pe + h})
-    return H.terms[()], H.d()
+    """Total Hamiltonian H = pe + h, read from its held value, and alpha = dH."""
+    H, alpha = _total_hamiltonian(chart, h)
+    return _expr(H, chart.coords("M")), alpha

@@ -28,8 +28,8 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
-from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, build_omega,
-                    extended_alpha, hamilton_cartan, hold, interior_product, partials,
+from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, alpha_form,
+                    build_omega, hamilton_cartan, hold, interior_product, partials,
                     sum_of_products, volume_form)
 from .symbolic import is_structurally_zero, ring_widen
 # the checks canonicalize through `CoordForm.simplified`; `hdw.simplify`
@@ -248,8 +248,8 @@ def mu_vertical_pairing(alpha: CoordForm) -> sp.Expr:
 
 
 def tangency_check(X: HdwField, alpha: CoordForm) -> list:
-    """Per-component contractions into alpha = dH (from `extended_alpha`);
-    all zero means level-set tangency."""
+    """Per-component contractions into alpha = dH (`forms.alpha_form`, or
+    `forms.extended_alpha`); all zero means level-set tangency."""
     if X.kind != "extended":
         raise ChartMismatchError("tangency_check needs an extended field")
     if alpha.degree != 1 or tuple(alpha.coords) != tuple(X.chart.coords("M")):
@@ -307,7 +307,7 @@ def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *
     Xr = Xe.restricted()
     _, omega_h = hamilton_cartan(chart, model.h)
     omega = build_omega(chart)
-    _, alpha = extended_alpha(chart, model.h)
+    alpha = alpha_form(chart, model.h)
     results = {}
     r1 = residual_restricted(Xr, omega_h)
     results["restricted residual i(X)omega_h = 0"] = (r1.is_zero(seed), repr(r1))

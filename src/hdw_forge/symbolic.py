@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 
 import sympy as sp
@@ -73,15 +74,15 @@ def _rebuild(e, ring, index):
     if e.is_Rational:           # Integer or Rational; a Float is not
         return ring.ground_new(QQ(e.p, e.q))
     if e.is_Add:
-        out = ring.zero
-        for arg in e.args:
-            out += _rebuild(arg, ring, index)
-        return out
+        return functools.reduce(operator.add, [_rebuild(arg, ring, index) for arg in e.args])
     if e.is_Mul:
-        out = ring.one
-        for arg in e.args:
-            out *= _rebuild(arg, ring, index)
-        return out
+        # sympy puts a rational coefficient first: it scales the product of
+        # the other factors, so no ring product is by a constant or by +-1
+        c, factors = (e.args[0], e.args[1:]) if e.args[0].is_Rational else (1, e.args)
+        out = functools.reduce(operator.mul, [_rebuild(arg, ring, index) for arg in factors])
+        if c == 1 or c == -1:
+            return out if c == 1 else -out
+        return out.mul_ground(QQ(c.p, c.q))
     if e.is_Pow and e.exp.is_Integer and e.exp.p >= 0:
         return _rebuild(e.base, ring, index) ** int(e.exp)
     raise _OffFragment

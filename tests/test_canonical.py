@@ -773,6 +773,9 @@ class TestHeldDerivation:
         chart = BundleChart(2, 1)
         p1, p2 = chart.p(1, 1), chart.p(1, 2)
         model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + chart.x(1) * chart.y(1) ** 2)
+        # the held partials are kept per (expression, frame) across calls,
+        # and an earlier test held this h: count from an empty memo
+        forms._held_partials.cache_clear()
         holds = _count_calls(monkeypatch, forms, "to_ring")
         restricted = _count_calls(monkeypatch, hdw, "derive_restricted")
         X = derive_extended(model)
@@ -1097,3 +1100,153 @@ class TestNoIdleArithmetic:
         lifts = _count_calls(monkeypatch, symbolic, "_lifts")
         assert symbolic.unify(polys, coords) is polys
         assert tables == [] and lifts == []
+
+
+def structure_cases(m, n):
+    """(tag, h) on the (m, n) chart: a random polynomial h and the sin/cos/
+    exp, exp of both signs, 1/y1, Float, log and linear Hamiltonians of the
+    `offring` group."""
+    chart = BundleChart(m, n)
+    yield "random", random_polynomial_h(chart, random.Random(f"structure {m} {n}"))
+    for tag, (model, _) in OFFRING.items():
+        if tag.startswith(f"({m},{n})/"):
+            yield tag, model.h
+
+
+@pytest.mark.parametrize("m,n", MN_MATRIX)
+def test_structure_forms_match_their_formulas(m, n):
+    """theta_h, omega_h, H, alpha, theta and Omega give, key for key, what
+    their formulas give: theta_h = canonical - h vol, omega_h = -d theta_h,
+    H the 0-form pe + h and alpha = dH, theta = canonical + pe vol and
+    Omega = -d theta."""
+    chart = BundleChart(m, n)
+    J1, M = chart.coords("J1"), chart.coords("M")
+    theta = reference_tautological(chart, "M", chart.pe)
+    assert_same_held(forms.build_theta(chart)._coeffs, theta._coeffs, M)
+    assert_same_held(forms.build_omega(chart)._coeffs, (-theta.d())._coeffs, M)
+    kinds = set()
+    for tag, h in structure_cases(m, n):
+        theta_h, omega_h = hamilton_cartan(chart, h)
+        expected = reference_tautological(chart, "J1", -h)
+        assert_same_held(theta_h._coeffs, expected._coeffs, J1)
+        assert_same_held(omega_h._coeffs, (-expected.d())._coeffs, J1)
+        total = CoordForm(M, 0, {(): chart.pe + h})
+        H, alpha = forms.extended_alpha(chart, h)
+        assert sp.srepr(H) == sp.srepr(total.terms[()]), tag
+        assert_same_held(alpha._coeffs, total.d()._coeffs, M)
+        assert_same_held(forms.alpha_form(chart, h)._coeffs, alpha._coeffs, M)
+        kinds |= {isinstance(c, PolyElement) for c in alpha._coeffs.values()}
+        assert theta_h.coords is J1 and omega_h.coords is J1 and alpha.coords is M
+    assert kinds == {True, False}
+
+
+def test_partials_memo_keeps_float_precisions_apart():
+    chart = BundleChart(1, 1)
+    coords, p = chart.coords("J1"), chart.p(1, 1)
+    for digits in (15, 30, 15):
+        h = sp.Float("0.1", digits) * p ** 2
+        got = forms.partials(h, coords)[p]
+        assert sp.srepr(got) == sp.srepr(sp.diff(h, p))
+        _, alpha = forms.extended_alpha(chart, h)
+        assert sp.srepr(alpha.terms[(coords.index(p),)]) == sp.srepr(sp.diff(h, p))
+
+
+class TestStructureFormsOnce:
+    """h's partials are held once per frame, the chart's forms are built once
+    per (m, n, level), and no caller can change what another is handed."""
+
+    def test_checks_make_no_unit_ring_products(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        x, y, p1, p2 = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + x * y ** 2 - y * p1 * p2)
+        gauge = GaugeChoice("user-table", {(1, 2, 1): y * p1}, {})
+        units, products = [], []
+        real = PolyElement.__mul__
+
+        def unit(c):
+            return (isinstance(c, PolyElement) and len(c) == 1
+                    and c.get(c.ring.zero_monom) in (1, -1))
+
+        def spy(a, b):
+            products.append(1)
+            if unit(a) or unit(b):
+                units.append((a, b))
+            return real(a, b)
+        monkeypatch.setattr(PolyElement, "__mul__", spy)
+        results = standard_checks(model, gauge)
+        assert products and units == []
+        assert all(ok for name, (ok, _) in results.items() if "diagnostic" not in name)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+    def test_bracket_multiplies_no_zero_derivative(self, monkeypatch, m, n):
+        rng = random.Random(f"zero derivatives {m} {n}")
+        chart = BundleChart(m, n)
+        model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+        X = derive_extended(model, random_gauge(chart, rng))
+        factors = _count_calls(monkeypatch, forms, "_mul", _inside({"bracket"}))
+        got = curvature(X)
+        assert factors and all(a != 0 and b != 0 for a, b, _ in factors)
+        expected = reference_curvature(X)
+        assert list(got) == list(expected)
+        for key in expected:
+            assert sp.srepr(got[key]) == sp.srepr(expected[key])
+
+    def test_checks_and_hamilton_cartan_hold_h_once_per_frame(self, monkeypatch):
+        chart = BundleChart(2, 1)
+        x, y, p1, p2 = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
+        # an h that no other test holds, so none of its partials are kept yet
+        h = (p1 ** 2 - p2 ** 2) / 2 + x * y ** 2 - sp.Rational(13, 17) * y * p1 * p2
+        model = HamiltonianModel(chart, h)
+        holds = _count_calls(monkeypatch, forms, "to_ring")
+        standard_checks(model)
+        hamilton_cartan(chart, model.h)
+        # h as it is, negated or plus pe, over each frame
+        of_h = [len(coords) for e, coords in holds
+                if sp.expand(sp.sympify(e) - h) in (0, chart.pe) or sp.expand(e + h) == 0]
+        assert of_h and all(of_h.count(size) == 1 for size in of_h)
+
+    def test_omega_is_built_once_per_chart(self, monkeypatch):
+        one, two = BundleChart(2, 1), BundleChart(2, 1)
+        first = forms.build_omega(one)
+        derivatives = _count_calls(monkeypatch, CoordForm, "d")
+        second = forms.build_omega(two)
+        assert derivatives == []
+        assert first.coords is one.coords("M") and second.coords is two.coords("M")
+        assert first._coeffs == second._coeffs and first._coeffs is not second._coeffs
+
+    def test_returned_forms_are_the_callers_own(self):
+        chart = BundleChart(2, 2)
+        y, p = chart.y(1), chart.p(2, 1)
+        h = p ** 2 / 2 + chart.x(1) * y * chart.p(1, 2)
+        makers = {
+            "omega": lambda: forms.build_omega(chart),
+            "theta": lambda: forms.build_theta(chart),
+            "canonical": lambda: forms.canonical_part(chart, "J1"),
+            "volume": lambda: forms.volume_form(chart, "M"),
+            "theta_h": lambda: hamilton_cartan(chart, h)[0],
+            "omega_h": lambda: hamilton_cartan(chart, h)[1],
+            "alpha": lambda: forms.extended_alpha(chart, h)[1],
+            "alpha_form": lambda: forms.alpha_form(chart, h),
+        }
+        for name, make in makers.items():
+            form = make()
+            before = repr(form)
+            for key in list(form.terms)[:2] + [tuple(range(form.degree))]:
+                form.add_term(key, y ** 3 + 1)
+            assert repr(form) != before, name
+            assert repr(make()) == before, name
+
+    def test_partials_tables_are_the_callers_own(self):
+        chart = BundleChart(2, 1)
+        coords = chart.coords("J1")
+        y, p = chart.y(1), chart.p(1, 1)
+        h = p ** 2 / 2 + y ** 3 * chart.x(2)
+        one, two = forms.partials(h, coords), forms.partials(h, coords)
+        assert one.held is not two.held
+        assert all(one.held[s] is two.held[s] for s in coords)
+        one[y] = p
+        one[p] = 1 / y
+        assert (two[y], two[p]) == (3 * y ** 2 * chart.x(2), p)
+        three = forms.partials(h, coords)
+        assert (three[y], three[p]) == (3 * y ** 2 * chart.x(2), p)
+        assert HamiltonianModel(chart, h).partials[y] == 3 * y ** 2 * chart.x(2)

@@ -21,6 +21,13 @@ The groups are:
   for the fields of `offring_fields`, whose Hamiltonians and gauge entries
   leave the coefficient ring (exp of both signs, `1/y1`, Floats, `log`),
   next to polynomial and sin/cos/exp ones, over the check-matrix charts;
+- `structure`: the repr of `canonical_part` and `volume_form` at every
+  level and of `build_theta` and `build_omega`, for each check-matrix
+  chart, and the repr of theta_h and omega_h (`hamilton_cartan`) and of
+  alpha with the srepr of H (`extended_alpha`) for every Hamiltonian of
+  the `fields` and `offring` groups: the structure forms on their own,
+  where the other groups see alpha of an off-ring h only through the
+  tangency details;
 - `legendre`: the srepr of every `LegendreResult` field, of the
   Euler-Lagrange residuals and of the momentum elimination (or the name of
   the error it raises) for the Lagrangians of `legendre_cases`: the `lag`
@@ -208,6 +215,26 @@ def offring_fields(charts):
             yield f"({m},{n})/{kind}", HamiltonianModel(chart, h), gauge
 
 
+def structure_lines(inputs):
+    """The `structure` group's lines."""
+    lines = []
+    for m, n in inputs.CHARTS:
+        chart = BundleChart(m, n)
+        for level in ("E", "J1", "M", "L"):
+            lines.append(f"({m},{n}) {level} canonical {forms.canonical_part(chart, level)!r}")
+            lines.append(f"({m},{n}) {level} volume {forms.volume_form(chart, level)!r}")
+        lines.append(f"({m},{n}) theta {forms.build_theta(chart)!r}")
+        lines.append(f"({m},{n}) omega {forms.build_omega(chart)!r}")
+    cases = (check_matrix_cases(inputs) + list(atom_fields())
+             + list(offring_fields(inputs.CHARTS)))
+    for tag, model, _ in cases:
+        theta_h, omega_h = forms.hamilton_cartan(model.chart, model.h)
+        H, alpha = forms.extended_alpha(model.chart, model.h)
+        lines += [f"{tag} theta_h {theta_h!r}", f"{tag} omega_h {omega_h!r}",
+                  f"{tag} H {sp.srepr(H)}", f"{tag} alpha {alpha!r}"]
+    return lines
+
+
 def offring_lagrangians():
     """(tag, LagrangianModel) of 8 Lagrangians that leave the coefficient
     ring or the hyper-regular class."""
@@ -321,6 +348,7 @@ def symbolic_groups(inputs) -> dict:
         Xr, Xe = _symbolic_lines(tag, model, gauge, offring)
         offring["scaled"] += scaled_lines(tag, model, Xr, Xe)
     groups["offring"] = [line for lines in offring.values() for line in lines]
+    groups["structure"] = structure_lines(inputs)
     groups["legendre"] = [line for tag, lm in legendre_cases(inputs)
                           for line in legendre_lines(tag, lm)]
     groups["simplify"] = simplify_lines(inputs)
