@@ -19,11 +19,11 @@ import datetime
 import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import re
+import shutil
 import signal
 import sys
 import tempfile
@@ -126,15 +126,16 @@ def _emit(report: dict, out_dir: str, stem: str, fmt: str):
     return path
 
 
-# A grid CSV's body is written and read in contiguous blocks of time rows,
-# each formatted or parsed by a forked child: even with orjson's compiled
-# float codec, formatting and parsing hold the interpreter for the whole
-# body, so one process sets the floor.  A grid gets one block per CPU, but
-# no more than one per `_BLOCK_FLOOR` values; a smaller grid is one block,
-# done in-process, as is every grid where `os.fork` or
-# `os.sched_getaffinity` is missing, or where a part file, a shared buffer
-# or a child cannot be had.  A block whose child fails is done again
-# in-process, which raises the real error.
+# A grid CSV's body is written and read in contiguous blocks of time rows:
+# even with orjson's compiled float codec, formatting and parsing hold the
+# interpreter for the whole body, so one process sets the floor.  A grid
+# gets one block per CPU, but no more than one per `_BLOCK_FLOOR` values.
+# Both directions run their blocks through `_in_blocks`: with more than one
+# block, each is done by a forked child that streams its output into a part
+# file of its own, and the parent takes the parts in block order.  A block
+# is done in-process when it is the only one (a smaller grid, or a host
+# without `os.fork` or `os.sched_getaffinity`), when no part file or child
+# can be had, or when its child failed, which raises the real error.
 _BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
 _CHUNK_VALUES = 1 << 10  # values a writer formats at a time
 _CHUNK_BYTES = 1 << 16   # bytes of CSV a reader parses at a time
@@ -253,9 +254,44 @@ def _write_rows(fh, grid: SectionGrid, start: int, stop: int):
             [np.repeat(t[a:b], nx)] + xs + [c[a:b].ravel() for c in cols])))
 
 
-def _write_part(fh, grid: SectionGrid, start: int, stop: int):
+def _fill_part(job, fh, start: int, stop: int):
     with fh:
-        _write_rows(fh, grid, start, stop)
+        job(fh, start, stop)
+
+
+@contextlib.contextmanager
+def _in_blocks(blocks: list, job, **where):
+    """Run `job(fh, start, stop)`, which writes the output of block
+    (start, stop) to binary file `fh`, for each of `blocks`.
+
+    With more than one block, each block's job runs in a forked child of
+    its own and writes to a part file of its own, made by
+    `tempfile.mkstemp(suffix=".part", **where)`.  Yields, in block order,
+    the path of each block's part, or None for a block the caller does
+    in-process: every block when there is only one or when a part file or
+    a child cannot be had (the children already started are killed), and
+    a block whose child failed.  Every child is reaped before the yield,
+    and every part removed on leaving the `with` block.
+    """
+    parts, pids = [], []
+    try:
+        with _Forks() as forks:
+            try:
+                for block in blocks if len(blocks) > 1 else ():
+                    fd, part = tempfile.mkstemp(suffix=".part", **where)
+                    parts.append(part)
+                    with open(fd, "wb") as fh:
+                        pids.append(forks.start(
+                            functools.partial(_fill_part, job, fh, *block)))
+            except OSError:
+                forks.stop()
+                pids = []
+            done = [part if forks.ok(pid) else None for pid, part in zip(pids, parts)]
+        yield done or [None] * len(blocks)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
 
 
 def _append(fd: int, part: str):
@@ -274,50 +310,32 @@ def _append(fd: int, part: str):
 def write_grid_csv(grid: SectionGrid, path: str):
     """Write every value as its shortest round-trip `repr`, one row per point.
 
-    Each block of the body but the first is written by a forked child into
-    a part file of its own, made next to `path`, while this process writes
-    the first; the parts are then appended in order and removed.  Once
-    `path` is open, a failure removes it.
+    The body's blocks are written by `_in_blocks` into part files made next
+    to `path`, which are appended in order (`_append`); a block done
+    in-process is written straight into the grid.  Once `path` is open, a
+    failure removes it.
     """
     nt = len(grid.t)
     header = (["x1"] if grid.kind == "ode" else ["x1", "x2"]) + list(grid.fields)
     nx = 1 if grid.kind == "ode" else len(grid.x)
     blocks = _block_bounds(nt, nt * nx * len(header))
-    parts, pids = [], []
-    try:
-        with _Forks() as forks:
-            try:
-                for block in blocks[1:]:
-                    fd, part = tempfile.mkstemp(
-                        suffix=".part", prefix=os.path.basename(path) + ".",
-                        dir=os.path.dirname(path) or ".")
-                    parts.append(part)
-                    with open(fd, "wb") as fh:
-                        pids.append(forks.start(
-                            functools.partial(_write_part, fh, grid, *block)))
-            except OSError:
-                forks.stop()
-                pids, blocks = [], [(0, nt)]
-            with open(path, "wb") as fh:
-                try:
-                    preamble = [f"# hdw-forge grid v{SCHEMA_VERSION}"]
-                    preamble += [f"# {k} = {grid.meta[k]}"
-                                 for k in sorted(grid.meta) if k != "warnings"]
-                    fh.write("\n".join(preamble + [",".join(header), ""]).encode())
-                    _write_rows(fh, grid, *blocks[0])
-                    for pid, part, block in zip(pids, parts, blocks[1:]):
-                        if forks.ok(pid):
-                            fh.flush()
-                            _append(fh.fileno(), part)
-                        else:
-                            _write_rows(fh, grid, *block)
-                except BaseException:
-                    os.unlink(path)
-                    raise
-    finally:
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(part)
+    with _in_blocks(blocks, lambda fh, a, b: _write_rows(fh, grid, a, b),
+                    prefix=os.path.basename(path) + ".",
+                    dir=os.path.dirname(path) or ".") as parts, open(path, "wb") as fh:
+        try:
+            preamble = [f"# hdw-forge grid v{SCHEMA_VERSION}"]
+            preamble += [f"# {k} = {grid.meta[k]}"
+                         for k in sorted(grid.meta) if k != "warnings"]
+            fh.write("\n".join(preamble + [",".join(header), ""]).encode())
+            for block, part in zip(blocks, parts):
+                if part is None:
+                    _write_rows(fh, grid, *block)
+                else:
+                    fh.flush()
+                    _append(fh.fileno(), part)
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
 def _line_chunks(fh, size: int):
@@ -366,36 +384,17 @@ def _parse_chunk(data: bytes):
                           delimiter=",", ndmin=2)
 
 
-def _parse_block(path: str, start: int, stop: int, rows, count):
-    """Parse bytes start..stop of grid CSV `path` into the leading rows of
-    float array `rows`, and store how many in `count[0]`."""
-    done = 0
+def _parse_block(path: str, start: int, stop: int, ncols: int, out):
+    """Parse bytes start..stop of grid CSV `path`, whole lines of `ncols`
+    numbers, and write the doubles of its rows to binary `out` as each
+    chunk is parsed."""
     with open(path, "rb") as fh:
         fh.seek(start)
         for data in _line_chunks(fh, stop - start):
-            got = _parse_chunk(data)
-            if not got.size:
-                continue
-            if got.shape[1] != rows.shape[1]:
-                raise ValueError(f"{got.shape[1]} columns, not {rows.shape[1]}")
-            rows[done:done + len(got)] = got  # ValueError past the slot's end
-            done += len(got)
-    count[0] = done
-
-
-def _count_lines(fh, start: int, stop: int) -> int:
-    """Lines in bytes start..stop of binary `fh`, with a last line that has
-    no line end: exact for LF line ends, an upper bound for CR and CRLF,
-    each of whose CRs is counted as a line end too."""
-    fh.seek(start)
-    lines, last = 0, b"\n"
-    while start < stop:
-        data = fh.read(min(_CHUNK_BYTES, stop - start))
-        if not data:
-            break
-        lines += data.count(b"\n") + (data.count(b"\r") if b"\r" in data else 0)
-        last, start = data[-1:], start + len(data)
-    return lines + (last != b"\n")
+            rows = _parse_chunk(data)
+            if rows.size and rows.shape[1] != ncols:
+                raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
+            out.write(rows.tobytes())
 
 
 def _read_body(path: str, start: int, ncols: int, first: int):
@@ -403,61 +402,30 @@ def _read_body(path: str, start: int, ncols: int, first: int):
     end, as one (rows, ncols) float array.  `first` is the byte length of
     the first row, which sets the estimate of the values held.
 
-    This process counts the lines of each block, and each block is parsed
-    into its slot of one array sized by the counts, by a forked child when
-    there is more than one block.  One block, or a block that fails, makes
-    this process parse the whole body as one block, which raises the real
-    error.
+    The doubles are gathered in block order into one buffer, which the
+    array then views: a block's part (`_in_blocks`) is copied in, and a
+    block done in-process is parsed straight into it.
     """
     import numpy as np
     size = os.path.getsize(path)
-    blocks = _block_bounds(size - start, (size - start) * ncols // first)
     cuts = [start]
     with open(path, "rb") as fh:
-        for a, _ in blocks[1:]:
+        for a, _ in _block_bounds(size - start, (size - start) * ncols // first)[1:]:
             fh.seek(start + a - 1)
             cuts.append(max(cuts[-1], start + a - 1 + len(fh.readline())))
-        # a block holding no line start is merged with the one before it
-        cuts = list(dict.fromkeys(cuts + [size]))
-        lines = [_count_lines(fh, a, b) for a, b in zip(cuts, cuts[1:])]
-    data = _read_blocks(path, cuts, lines, ncols) if len(lines) > 1 else None
-    if data is None:
-        data, count = np.empty((sum(lines), ncols)), [0]
-        _parse_block(path, start, size, data, count)
-        data = data[:count[0]]
-    return data
-
-
-def _read_blocks(path: str, cuts: list, lines: list, ncols: int):
-    """The rows of bytes cuts[0]..cuts[-1] of grid CSV `path`, each block
-    cuts[k]..cuts[k+1] of at most lines[k] lines parsed by a forked child
-    into its slot of one shared array; None when a block fails.  A block of
-    comment or blank lines, or of CRLF line ends, holds fewer rows than its
-    slot, and the blocks are then moved together."""
-    import mmap
-
-    import numpy as np
-    slots = list(itertools.accumulate([0] + lines))
-    with _Forks() as forks:
-        try:
-            data = np.frombuffer(mmap.mmap(-1, 8 * ncols * slots[-1]))
-            data = data.reshape(-1, ncols)
-            counts = np.frombuffer(mmap.mmap(-1, 8 * len(lines)), dtype=np.int64)
-            pids = [forks.start(functools.partial(
-                        _parse_block, path, a, b, data[slots[k]:slots[k + 1]],
-                        counts[k:k + 1]))
-                    for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
-        except OSError:
-            return None
-        if not all([forks.ok(pid) for pid in pids]):
-            return None
-    view = memoryview(data).cast("B")
-    row, rows = 8 * ncols, 0
-    for slot, n in zip(slots, counts.tolist()):
-        if rows != slot:
-            view[rows * row:(rows + n) * row] = view[slot * row:(slot + n) * row]
-        rows += n
-    return data[:rows]
+    # a block holding no line start is merged with the one before it
+    cuts = list(dict.fromkeys(cuts + [size]))
+    blocks = list(zip(cuts, cuts[1:]))
+    out = io.BytesIO()
+    with _in_blocks(blocks, lambda fh, a, b: _parse_block(path, a, b, ncols, fh),
+                    prefix=os.path.basename(path) + ".") as parts:
+        for (a, b), part in zip(blocks, parts):
+            if part is None:
+                _parse_block(path, a, b, ncols, out)
+            else:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
+    return np.frombuffer(out.getbuffer()).reshape(-1, ncols)
 
 
 def _first_bad_line(path: str):

@@ -36,8 +36,8 @@ nothing (`CoordMultiVector.bracket`), the held partials of an expression
 are taken once per frame (`partials`), and the forms that depend on the
 chart alone (`canonical_part`, `volume_form`, `build_theta`, `build_omega`)
 are built once per (m, n, level), every caller getting its own copy.  The
-structure forms of a ring h, theta_h, omega_h and alpha = dH, are built
-from those pieces; an h off the ring takes the formulas as they stand.
+structure forms of every h, theta_h, omega_h and alpha = dH, are built
+from those pieces, whether h is held in a ring or off it.
 """
 
 from __future__ import annotations
@@ -596,17 +596,12 @@ def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
     """The pair (theta_h, omega_h) on the restricted momentum chart.
 
     theta_h is theta taken on the section pe = -h, and omega_h = -d theta_h
-    = -d(canonical part) + dh ^ volume.  For an h held in a ring both are
-    built from its held value and held partials (`partials`) and the
-    chart's forms; any other h gives canonical part - h volume, and minus
-    its `d`, as they stand.
+    = -d(canonical part) + dh ^ volume, both built from h's held value and
+    held partials (`partials`) and the chart's forms.
     """
     h = chart.validate_on(h, "J1")
     coords = chart.coords("J1")
     held, dh = _held_partials(h, coords)
-    if not isinstance(held, PolyElement):
-        theta_h = canonical_part(chart, "J1") + volume_form(chart, "J1").scale(-h)
-        return theta_h, -theta_h.d()
     (vol_key, _), = _volume(chart.m, chart.n, "J1")._coeffs.items()
     theta_h = canonical_part(chart, "J1")
     theta_h.add_term(vol_key, -held)
@@ -620,23 +615,20 @@ def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
 def _total_hamiltonian(chart: BundleChart, h):
     """(H, alpha): H = pe + h held on the extended chart, and alpha = dH.
 
-    For an h held in a ring, alpha is 1 dpe plus h's held partials
-    (`partials`) taken into the extended frame (`ring_widen`), and H is h
-    so taken plus pe; any other h gives the 0-form pe + h and its `d`.
+    alpha is 1 dpe plus h's held partials (`partials`) taken into the
+    extended frame (`ring_widen`), and H is h so taken plus pe.  The 1 is
+    the one of H's ring, or of the atom-free ring for an H off the ring.
     """
     h = chart.validate_on(h, "J1")
     coords, wide = chart.coords("J1"), chart.coords("M")
     held, dh = _held_partials(h, coords)
-    if not isinstance(held, PolyElement):
-        H = CoordForm(wide, 0, {(): chart.pe + h})
-        return H._coeffs[()], H.d()
     alpha = CoordForm(wide, 1)
     for i, s in enumerate(coords):
         if dh[s]:
             alpha._coeffs[(i,)] = ring_widen(dh[s], coords, wide)
     H = ring_widen(held, coords, wide)
-    alpha._coeffs[(len(coords),)] = H.ring.one
-    return H + H.ring.gens[len(coords)], alpha
+    alpha._coeffs[(len(coords),)] = H.ring.one if isinstance(H, PolyElement) else hold(1, wide)
+    return _sum([H, hold(chart.pe, wide)], wide), alpha
 
 
 def alpha_form(chart: BundleChart, h) -> CoordForm:

@@ -1205,6 +1205,20 @@ class TestStructureFormsOnce:
                 if sp.expand(sp.sympify(e) - h) in (0, chart.pe) or sp.expand(e + h) == 0]
         assert of_h and all(of_h.count(size) == 1 for size in of_h)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 2)])
+    def test_off_ring_h_takes_no_d_of_an_m_form(self, monkeypatch, m, n):
+        # omega_h of every h is -d(canonical part), built once per chart,
+        # plus dh ^ volume from h's held partials
+        chart = BundleChart(m, n)
+        y, p = chart.y(1), chart.p(1, 1)
+        hamilton_cartan(chart, p ** 2 / 2)  # builds the chart's -d(canonical part)
+        derivatives = _count_calls(monkeypatch, CoordForm, "d", _inside({"hamilton_cartan"}))
+        for h in (sp.log(y) * p, p ** 2 / 2 + 1 / y, sp.Float(0.5) * p ** 2 + y):
+            theta_h, omega_h = hamilton_cartan(chart, h)
+            assert not all(isinstance(c, PolyElement) for c in theta_h._coeffs.values())
+            assert omega_h.structurally_equal(-theta_h.d())
+        assert derivatives and all(form.degree == 0 for form, in derivatives)
+
     def test_omega_is_built_once_per_chart(self, monkeypatch):
         one, two = BundleChart(2, 1), BundleChart(2, 1)
         first = forms.build_omega(one)

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -604,6 +605,59 @@ class TestGridBlocks:
         assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
         assert path.read_bytes() == reference_grid_csv(grid).encode()
         assert_same_grid(read_grid_csv(str(path)), grid)
+        assert_no_children()
+
+    def test_failed_reader_child_redoes_its_block_alone(self, tmp_path, blocks, monkeypatch):
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        text, size = path.read_bytes(), os.path.getsize(path)
+        body = text.index(b"x1,x2,y1\n") + len(b"x1,x2,y1\n")
+        blocks(3)
+        fail_in_children(monkeypatch, "_parse_block", lambda path, start, stop, *_: stop == size)
+        parent, real, in_process = os.getpid(), cli._parse_block, []
+
+        def spy(path, start, stop, *rest):
+            if os.getpid() == parent:
+                in_process.append((start, stop))
+            return real(path, start, stop, *rest)
+        monkeypatch.setattr(cli, "_parse_block", spy)
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        # the last block's bytes alone, from a line start past the first row
+        (start, stop), = in_process
+        assert stop == size and text[start - 1:start] == b"\n" and start > text.index(b"\n", body)
+        assert_no_children()
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["ok", "malformed"])
+    def test_read_leaves_no_part_file(self, tmp_path, blocks, monkeypatch, malformed):
+        # a reader's parts go to the temporary directory, never beside the grid
+        temp, grids = tmp_path / "temp", tmp_path / "grids"
+        temp.mkdir()
+        grids.mkdir()
+        grid = odd_grids()[3]
+        path = grids / "grid.csv"
+        write_grid_csv(grid, str(path))
+        if malformed:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[-2] = "0.5,abc,1.0\n"
+            path.write_text("".join(lines))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        made, real = [], tempfile.mkstemp
+
+        def mkstemp(**kwargs):
+            fd, part = real(**kwargs)
+            made.append(part)
+            return fd, part
+        monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+        blocks(3)
+        if malformed:
+            with pytest.raises(ModelFileError, match="malformed grid"):
+                read_grid_csv(str(path))
+        else:
+            assert_same_grid(read_grid_csv(str(path)), grid)
+        assert len(made) == 3 and all(os.path.dirname(part) == str(temp) for part in made)
+        assert list(temp.iterdir()) == []
+        assert [p.name for p in grids.iterdir()] == ["grid.csv"]
         assert_no_children()
 
     def test_failed_write_leaves_no_file(self, tmp_path, blocks, monkeypatch):

@@ -48,10 +48,12 @@ The groups are:
   returns for that 800-point wave grid, for a copy with its rows shuffled,
   for a copy with CRLF line ends and for one copy per token of
   `OFF_CODEC`, which the CSV codec leaves to `np.loadtxt`, written into a
-  p1_2 cell near the end (or the error message, if the copy is refused);
+  p1_2 cell near the end (or the error message, if the copy is refused),
+  and of the grid as written read in 3 blocks (`three_blocks`);
 - `grid write`: the sha256 of the bytes `write_grid_csv` writes for
   `bit_pattern_grid`, 10**5 seeded random finite bit patterns next to the
-  values where orjson's float notation differs from `repr`'s;
+  values where orjson's float notation differs from `repr`'s, written as
+  the grid's size gives and in 3 blocks;
 - `ode ...`: the bytes of every array of the `solve_ode` runs of
   `ode_runs`, whose right-hand sides are transcendental and time-dependent
   (restricted and extended, n = 1 and n = 2), or the message of the
@@ -443,6 +445,26 @@ def cli_groups(tmp) -> dict:
     return groups
 
 
+@contextlib.contextmanager
+def three_blocks():
+    """Every grid CSV is read and written in 3 blocks, whatever its size
+    and the host's CPU count."""
+    saved = cli._BLOCK_FLOOR, cli._cpus
+    cli._BLOCK_FLOOR, cli._cpus = 1, lambda: 3
+    try:
+        yield
+    finally:
+        cli._BLOCK_FLOOR, cli._cpus = saved
+
+
+def _grid_digest(g) -> str:
+    """sha256 of the t, x and field bytes of grid `g`."""
+    digest = hashlib.sha256()
+    for arr in [g.t, g.x] + [g.fields[nm] for nm in sorted(g.fields)]:
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 # cell values the grid CSV codec does not read, and a comment line
 OFF_CODEC = ["-0", "true", "null", "nan", "inf", "+1.0", ".5", "1.", "1e400", " 0.5",
              "0.5\t", "# a comment line"]
@@ -478,11 +500,10 @@ def grid_read_lines(grid: pathlib.Path, tmp) -> list:
         except HdwForgeError as exc:
             out.append(f"{name} {_strip(str(exc), tmp)}")
             continue
-        digest = hashlib.sha256()
-        for arr in [g.t, g.x] + [g.fields[nm] for nm in sorted(g.fields)]:
-            digest.update(arr.tobytes())
-        out.append(f"{name} {digest.hexdigest()}")
+        out.append(f"{name} {_grid_digest(g)}")
     path.unlink()
+    with three_blocks():
+        out.append(f"as written, 3 blocks {_grid_digest(cli.read_grid_csv(str(grid)))}")
     return out
 
 
@@ -509,10 +530,14 @@ def bit_pattern_grid():
 
 
 def grid_write_lines(tmp) -> list:
-    """The `grid write` group's line."""
-    path = tmp / "bit-patterns.csv"
-    cli.write_grid_csv(bit_pattern_grid(), str(path))
-    return [hashlib.sha256(path.read_bytes()).hexdigest()]
+    """The `grid write` group's lines."""
+    path, grid = tmp / "bit-patterns.csv", bit_pattern_grid()
+    cli.write_grid_csv(grid, str(path))
+    out = [hashlib.sha256(path.read_bytes()).hexdigest()]
+    with three_blocks():
+        cli.write_grid_csv(grid, str(path))
+    out.append(f"3 blocks {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return out
 
 
 def main():
