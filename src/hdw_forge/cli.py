@@ -86,22 +86,23 @@ def _field_equations(X: HdwField) -> list:
     eqs = []
     for a in range(1, chart.n + 1):
         for nu in range(1, chart.m + 1):
-            lhs = f"d(y{a})/d(x{nu})"
+            F = X.F[(a, nu)]
             eqs.append(_equation_entry(
-                f"{lhs} = {render_plain(X.F[(a, nu)])}",
-                rf"\partial y^{{{a}}}/\partial x^{{{nu}}} = {render_latex(X.F[(a, nu)])}"))
+                f"d(y{a})/d(x{nu}) = {render_plain(F)}",
+                rf"\partial y^{{{a}}}/\partial x^{{{nu}}} = {render_latex(F)}"))
     for a in range(1, chart.n + 1):
         for rho in range(1, chart.m + 1):
             for nu in range(1, chart.m + 1):
+                G = X.G[(a, rho, nu)]
                 eqs.append(_equation_entry(
-                    f"d(p{a}_{rho})/d(x{nu}) = {render_plain(X.G[(a, rho, nu)])}",
-                    rf"\partial p^{{{rho}}}_{{{a}}}/\partial x^{{{nu}}} = "
-                    + render_latex(X.G[(a, rho, nu)])))
+                    f"d(p{a}_{rho})/d(x{nu}) = {render_plain(G)}",
+                    rf"\partial p^{{{rho}}}_{{{a}}}/\partial x^{{{nu}}} = {render_latex(G)}"))
     if X.kind == "extended":
         for nu in range(1, chart.m + 1):
+            g = X.g[nu]
             eqs.append(_equation_entry(
-                f"d(pe)/d(x{nu}) = {render_plain(X.g[nu])}",
-                rf"\partial p/\partial x^{{{nu}}} = {render_latex(X.g[nu])}"))
+                f"d(pe)/d(x{nu}) = {render_plain(g)}",
+                rf"\partial p/\partial x^{{{nu}}} = {render_latex(g)}"))
     return eqs
 
 

@@ -13,7 +13,9 @@ Grammar (EBNF, documented in docs/expression-grammar.md):
 Numbers are parsed as exact rationals (decimals included); names must be
 coordinate names of the active chart, or extra symbols explicitly allowed by
 the caller (solver init expressions, submanifold parameters).  Whitespace is
-insignificant.  Errors carry line and column.
+insignificant.  Errors carry line and column; a division, power or function
+whose value is not finite (a division by zero, log(0)) is an error at that
+operator or function.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .coords import BundleChart
 from .errors import ExpressionSyntaxError, UnknownCoordinateError
 
 _FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log}
+_NOT_FINITE = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*|\.\d+|\d+)
@@ -35,6 +38,15 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
   | (?P<bad>.)
 """, re.VERBOSE)
+
+
+def _finite(e, what, line, col):
+    """`e`, the value of `what` at (line, col), when it holds no value that
+    is not finite.  Sums and products of finite values are finite, so the
+    parser checks only divisions, powers and functions."""
+    if e.has(*_NOT_FINITE):
+        raise ExpressionSyntaxError(f"{what} gives a value that is not finite", line, col)
+    return e
 
 
 def _tokenize(text: str, line: int = 1, col: int = 1):
@@ -100,11 +112,11 @@ class _Parser:
     def term(self):
         e = self.unary()
         while True:
-            kind, val, _, _ = self.peek()
+            kind, val, line, col = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
                 rhs = self.unary()
-                e = e * rhs if val == "*" else e / rhs
+                e = e * rhs if val == "*" else _finite(e / rhs, "'/'", line, col)
             else:
                 return e
 
@@ -122,10 +134,10 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        kind, val, _, _ = self.peek()
+        kind, val, line, col = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            return base ** self.exponent()
+            return _finite(base ** self.exponent(), "'^'", line, col)
         return base
 
     def exponent(self):
@@ -133,7 +145,7 @@ class _Parser:
         if kind == "op" and val == "(":
             self.take()
             num = self._signed_integer()
-            kind, val, _, _ = self.peek()
+            kind, val, line, col = self.peek()
             if kind == "op" and val == "/":
                 self.take()
                 kind, dval, dline, dcol = self.take()
@@ -141,7 +153,7 @@ class _Parser:
                     raise ExpressionSyntaxError(
                         "expected an integer denominator", dline, dcol)
                 self.expect_op(")")
-                return sp.Rational(num, int(dval))
+                return _finite(sp.Rational(num, int(dval)), "'/'", line, col)
             self.expect_op(")")
             return sp.Integer(num)
         return sp.Integer(self._signed_integer())
@@ -173,7 +185,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return _FUNCS[val](arg)
+                return _finite(_FUNCS[val](arg), val, line, col)
             if val not in self.allowed:
                 suggestions = difflib.get_close_matches(val, self.vocabulary, n=3)
                 hint = f" (did you mean: {', '.join(suggestions)}?)" if suggestions else ""

@@ -34,16 +34,19 @@ No arithmetic is done that cannot change a value: a sign or a ring's +1 or
 -1 factor is applied by negation (`_signed`), a zero derivative multiplies
 nothing (`CoordMultiVector.bracket`), the held partials of an expression
 are taken once per frame (`partials`), and the forms that depend on the
-chart alone (`canonical_part`, `volume_form`, `build_theta`, `build_omega`)
-are built once per (m, n, level), every caller getting its own copy.  The
-structure forms of every h, theta_h, omega_h and alpha = dH, are built
-from those pieces, whether h is held in a ring or off it.
+chart alone (the canonical part, the volume form and -d of the canonical
+part) are built once per (m, n, level), every caller getting its own copy.
+One builder, `_tautological`, makes theta and Omega (`build_theta`,
+`build_omega`) and theta_h and omega_h (`hamilton_cartan`) from those
+pieces and a scalar's held partials, whether it is held in a ring or off
+it; alpha = dH is built from h's held partials too.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
+from typing import NamedTuple
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
@@ -133,20 +136,14 @@ def sum_of_products(pairs, coords):
 
 class HeldView(Mapping):
     """A read-only mapping over held values, kept as held in `held`.  A read
-    gives a value's `Expr` (`_expr`), converted on its first read and again
-    only after the value is replaced."""
+    gives a value's `Expr` (`_expr`)."""
 
     def __init__(self, coords, held=None):
         self.coords = tuple(coords)
         self.held = {} if held is None else held
-        self._read = {}   # key -> (held value, its Expr)
 
     def __getitem__(self, key):
-        c = self.held[key]
-        read = self._read.get(key)
-        if read is None or read[0] is not c:
-            read = self._read[key] = (c, _expr(c, self.coords))
-        return read[1]
+        return _expr(self.held[key], self.coords)
 
     def __iter__(self):
         return iter(self.held)
@@ -512,7 +509,7 @@ def _frame_index(chart: BundleChart, level: str):
     return coords, {s: i for i, s in enumerate(coords)}
 
 
-# The forms below depend on the chart alone: each is built once per
+# The forms below depend on the chart alone: they are built once per
 # (m, n, level) and shared, and every caller gets its own table (`_onto`).
 _per_chart = functools.lru_cache(maxsize=64)
 
@@ -526,19 +523,18 @@ def _onto(chart: BundleChart, level: str, form: CoordForm) -> CoordForm:
     return out
 
 
-@_per_chart
-def _volume(m: int, n: int, level: str) -> CoordForm:
-    chart = BundleChart(m, n)
-    coords, index = _frame_index(chart, level)
-    key = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
-    return CoordForm(coords, chart.m, {key: 1})
+class _ChartForms(NamedTuple):
+    canonical: CoordForm          # sum p^nu_a dy^a ^ d^{m-1}x_nu
+    volume: CoordForm             # dx1 ^ ... ^ dxm
+    minus_d_canonical: CoordForm  # -d(canonical)
+    volume_key: tuple
 
 
 @_per_chart
-def _canonical(m: int, n: int, level: str) -> CoordForm:
+def _chart_forms(m: int, n: int, level: str) -> _ChartForms:
     chart = BundleChart(m, n)
     coords, index = _frame_index(chart, level)
-    out = CoordForm(coords, chart.m)
+    canonical = CoordForm(coords, chart.m)
     for a in range(1, chart.n + 1):
         for nu in range(1, chart.m + 1):
             key, sign = base_contraction_key(chart, level, nu)
@@ -546,27 +542,31 @@ def _canonical(m: int, n: int, level: str) -> CoordForm:
             if merged is None:
                 continue
             full_key, msign = merged
-            out.add_term(full_key, sign * msign * chart.p(a, nu))
-    return out
+            canonical.add_term(full_key, sign * msign * chart.p(a, nu))
+    volume_key = tuple(index[chart.x(nu)] for nu in range(1, chart.m + 1))
+    volume = CoordForm(coords, chart.m, {volume_key: 1})
+    return _ChartForms(canonical, volume, -canonical.d(), volume_key)
 
 
-@_per_chart
-def _minus_d_canonical(m: int, n: int, level: str) -> CoordForm:
-    return -_canonical(m, n, level).d()
-
-
-@_per_chart
-def _theta(m: int, n: int) -> CoordForm:
-    return _canonical(m, n, "M") + _volume(m, n, "M").scale(BundleChart(m, n).pe)
-
-
-@_per_chart
-def _omega(m: int, n: int) -> CoordForm:
-    return -_theta(m, n).d()
+def _tautological(chart: BundleChart, level: str, sigma) -> tuple[CoordForm, CoordForm]:
+    """(theta, omega) on the chart at `level` for a scalar `sigma`:
+    theta = canonical part - sigma vol and omega = -d theta
+    = -d(canonical part) + d sigma ^ vol, built from sigma's held value and
+    held partials (`_held_partials`) and the chart's forms."""
+    coords = chart.coords(level)
+    held, dsigma = _held_partials(sigma, coords)
+    shared = _chart_forms(chart.m, chart.n, level)
+    theta = _onto(chart, level, shared.canonical)
+    theta.add_term(shared.volume_key, -held)
+    omega = _onto(chart, level, shared.minus_d_canonical)
+    for i, s in enumerate(coords):
+        if dsigma[s]:
+            omega.add_term((i,) + shared.volume_key, dsigma[s])
+    return theta, omega
 
 
 def volume_form(chart: BundleChart, level: str = "M") -> CoordForm:
-    return _onto(chart, level, _volume(chart.m, chart.n, level))
+    return _onto(chart, level, _chart_forms(chart.m, chart.n, level).volume)
 
 
 def base_contraction_key(chart: BundleChart, level: str, nu: int):
@@ -579,64 +579,48 @@ def base_contraction_key(chart: BundleChart, level: str, nu: int):
 
 def canonical_part(chart: BundleChart, level: str) -> CoordForm:
     """The m-form sum_{a,nu} p^nu_a dy^a ^ d^{m-1}x_nu on the chart at `level`."""
-    return _onto(chart, level, _canonical(chart.m, chart.n, level))
+    return _onto(chart, level, _chart_forms(chart.m, chart.n, level).canonical)
 
 
 def build_theta(chart: BundleChart) -> CoordForm:
-    """Tautological m-form on the extended momentum chart."""
-    return _onto(chart, "M", _theta(chart.m, chart.n))
+    """Tautological m-form on the extended momentum chart: the canonical
+    part plus pe vol (`_tautological` with sigma = -pe)."""
+    return _tautological(chart, "M", -chart.pe)[0]
 
 
 def build_omega(chart: BundleChart) -> CoordForm:
     """The closed (m+1)-form, minus the exterior derivative of theta."""
-    return _onto(chart, "M", _omega(chart.m, chart.n))
+    return _tautological(chart, "M", -chart.pe)[1]
 
 
 def hamilton_cartan(chart: BundleChart, h) -> tuple[CoordForm, CoordForm]:
-    """The pair (theta_h, omega_h) on the restricted momentum chart.
+    """The pair (theta_h, omega_h) on the restricted momentum chart: theta
+    and Omega taken on the section pe = -h (`_tautological` with sigma = h)."""
+    return _tautological(chart, "J1", chart.validate_on(h, "J1"))
 
-    theta_h is theta taken on the section pe = -h, and omega_h = -d theta_h
-    = -d(canonical part) + dh ^ volume, both built from h's held value and
-    held partials (`partials`) and the chart's forms.
+
+def alpha_form(chart: BundleChart, h) -> CoordForm:
+    """alpha = dH, H = pe + h, on the extended momentum chart.
+
+    alpha is h's held partials (`_held_partials`) taken into the extended
+    frame (`ring_widen`) plus 1 dpe, keyed in the order `d` gives: dpe
+    last.  The 1 is the one of h's ring so taken, or of the atom-free ring
+    for an h off the ring.
     """
-    h = chart.validate_on(h, "J1")
-    coords = chart.coords("J1")
-    held, dh = _held_partials(h, coords)
-    (vol_key, _), = _volume(chart.m, chart.n, "J1")._coeffs.items()
-    theta_h = canonical_part(chart, "J1")
-    theta_h.add_term(vol_key, -held)
-    omega_h = _onto(chart, "J1", _minus_d_canonical(chart.m, chart.n, "J1"))
-    for i, s in enumerate(coords):
-        if dh[s]:
-            omega_h.add_term((i,) + vol_key, dh[s])
-    return theta_h, omega_h
-
-
-def _total_hamiltonian(chart: BundleChart, h):
-    """(H, alpha): H = pe + h held on the extended chart, and alpha = dH.
-
-    alpha is 1 dpe plus h's held partials (`partials`) taken into the
-    extended frame (`ring_widen`), and H is h so taken plus pe.  The 1 is
-    the one of H's ring, or of the atom-free ring for an H off the ring.
-    """
-    h = chart.validate_on(h, "J1")
     coords, wide = chart.coords("J1"), chart.coords("M")
-    held, dh = _held_partials(h, coords)
+    held, dh = _held_partials(chart.validate_on(h, "J1"), coords)
     alpha = CoordForm(wide, 1)
     for i, s in enumerate(coords):
         if dh[s]:
             alpha._coeffs[(i,)] = ring_widen(dh[s], coords, wide)
-    H = ring_widen(held, coords, wide)
-    alpha._coeffs[(len(coords),)] = H.ring.one if isinstance(H, PolyElement) else hold(1, wide)
-    return _sum([H, hold(chart.pe, wide)], wide), alpha
-
-
-def alpha_form(chart: BundleChart, h) -> CoordForm:
-    """alpha = dH, H = pe + h, on the extended momentum chart."""
-    return _total_hamiltonian(chart, h)[1]
+    alpha._coeffs[(len(coords),)] = (ring_widen(held.ring.one, coords, wide)
+                                     if isinstance(held, PolyElement) else hold(1, wide))
+    return alpha
 
 
 def extended_alpha(chart: BundleChart, h) -> tuple[sp.Expr, CoordForm]:
     """Total Hamiltonian H = pe + h, read from its held value, and alpha = dH."""
-    H, alpha = _total_hamiltonian(chart, h)
-    return _expr(H, chart.coords("M")), alpha
+    coords, wide = chart.coords("J1"), chart.coords("M")
+    held = _held_partials(chart.validate_on(h, "J1"), coords)[0]
+    H = _sum([ring_widen(held, coords, wide), hold(chart.pe, wide)], wide)
+    return _expr(H, wide), alpha_form(chart, h)

@@ -32,9 +32,6 @@ from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, alpha_form
                     build_omega, hamilton_cartan, hold, interior_product, partials,
                     sum_of_products, volume_form)
 from .symbolic import is_structurally_zero, ring_widen
-# the checks canonicalize through `CoordForm.simplified`; `hdw.simplify`
-# stays bound so that a spy on it sees any call made here
-from .symbolic import simplify  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def _get_int(entries, key, line_hint):
 def _get_float(value, ln, key):
     try:
         return float(sp.Rational(value) if "/" in value else value)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise ModelFileError(f"{key} must be numeric, got {value!r}", ln) from None
 
 
@@ -274,7 +274,8 @@ def _parse_submanifold(entries, chart) -> dict:
             for chunk in v.split(";"):
                 chunk = chunk.strip()
                 if chunk:
-                    samples.append(tuple(_get_float(w, ln, "sample") for w in chunk.split()))
+                    samples.append((ln, tuple(_get_float(w, ln, "sample")
+                                              for w in chunk.split())))
         else:
             if params is None:
                 raise ModelFileError("declare params before embedding entries", ln)
@@ -284,11 +285,19 @@ def _parse_submanifold(entries, chart) -> dict:
                 raise ModelFileError(f"unknown coordinate {k!r} in [submanifold]", ln) from None
             embedding[sym] = parse_expression(
                 v, None, extra_names=[p.name for p in params], line=ln)
+    first = entries[0][0] if entries else 1
     if params is None or h_P is None or not samples:
-        raise ModelFileError("[submanifold] needs params, h_P, and samples",
-                             entries[0][0] if entries else 1)
+        raise ModelFileError("[submanifold] needs params, h_P, and samples", first)
+    missing = [s.name for s in chart.coords("J1") if s not in embedding]
+    if missing:
+        raise ModelFileError("[submanifold] embedding must cover every restricted-chart "
+                             f"coordinate; missing: {', '.join(missing)}", first)
+    for ln, pt in samples:
+        if len(pt) != len(params):
+            raise ModelFileError(
+                f"sample {pt} has {len(pt)} entries, expected {len(params)}", ln)
     return {"params": params, "embedding": embedding, "h_P": h_P,
-            "samples": samples}
+            "samples": [pt for _, pt in samples]}
 
 
 def parse_model(path) -> ModelFile:

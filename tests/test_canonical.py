@@ -644,6 +644,27 @@ def _inside(names):
     return when
 
 
+def _count_simplify_calls(monkeypatch):
+    """Count the calls of `symbolic.simplify` made outside
+    `is_structurally_zero`, which simplifies by design, through every
+    binding of it in the package's modules (as `perfbench/tracer.py` wraps
+    a function)."""
+    calls = []
+    real = symbolic.simplify
+    zero_test = _inside({"is_structurally_zero"})
+
+    def spy(*args, **kwargs):
+        if not zero_test(sys._getframe(1)):
+            calls.append(args)
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hdw_forge" or name.startswith("hdw_forge.")):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, spy)
+    return calls
+
+
 class TestHeldDerivation:
     @pytest.mark.parametrize("tag", list(OFFRING))
     def test_tables_match_expr_derivation(self, tag):
@@ -673,10 +694,10 @@ class TestHeldDerivation:
         gauge = GaugeChoice("user-table", {(1, 2, 1): y(2) ** 2}, {})
         model = HamiltonianModel(chart, h)
         # `HeldTable` canonicalizes an off-ring write with `simplify_off_ring`
-        calls = [_count_calls(monkeypatch, module, name) for module, name in
-                 ((forms, "simplify"), (forms, "simplify_off_ring"), (hdw, "simplify"))]
+        calls = [_count_simplify_calls(monkeypatch),
+                 _count_calls(monkeypatch, forms, "simplify_off_ring")]
         X = derive_extended(model, gauge)
-        assert calls == [[], [], []]
+        assert calls == [[], []]
         F, G, g = expr_derivation(model, gauge)
         assert X.F[(2, 1)] == 0 and X.G[(2, 1, 2)] == 0
         assert (X.F, X.G, X.g) == (F, G, g)
@@ -701,10 +722,10 @@ class TestHeldDerivation:
         X = derive_extended(model, gauge)
         before = {name: (ok, detail) for name, (ok, detail)
                   in standard_checks(model, gauge, Xe=X).items()}
-        calls = [_count_calls(monkeypatch, module, name) for module, name in
-                 ((forms, "simplify"), (forms, "simplify_off_ring"), (hdw, "simplify"))]
+        calls = [_count_simplify_calls(monkeypatch),
+                 _count_calls(monkeypatch, forms, "simplify_off_ring")]
         assert standard_checks(model, gauge, Xe=derive_extended(model, gauge)) == before
-        assert calls == [[], [], []]
+        assert calls == [[], []]
         assert all(ok for name, (ok, _) in before.items() if "diagnostic" not in name)
 
     def test_flatness_is_decided_on_held_brackets(self, monkeypatch):

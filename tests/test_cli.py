@@ -831,6 +831,16 @@ class TestContract:
         assert status == 2
         assert "line 5" in err
 
+    @pytest.mark.parametrize("command", ["derive", "check"])
+    @pytest.mark.parametrize("h", ["p1_1^2/0", "p1_1^(1/0) + y1"])
+    def test_division_by_zero_is_input_error(self, capsys, tmp_path, command, h):
+        bad = tmp_path / "bad.hdw"
+        bad.write_text(f"[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = {h}\n")
+        status, out, err = run(capsys, command, str(bad), "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert "line 5, column" in err and "not finite" in err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_reports_are_deterministic(self, capsys, tmp_path):
         outs = []
         for sub in ("a", "b"):

@@ -72,6 +72,20 @@ class TestExpressionParser:
         with pytest.raises(ExpressionSyntaxError):
             self.parse("x1^x2")
 
+    @pytest.mark.parametrize("text,column", [
+        ("y1/0", 3), ("1/(y1-y1)", 2), ("0^(-1)", 2), ("x1^(1/0)", 6), ("0/0", 2),
+        ("log(y1-y1)", 1), ("x1 + 2*(p1_1^2/0)", 15), ("0^(-1/2) + x1", 2),
+    ])
+    def test_value_that_is_not_finite_is_refused_at_its_operator(self, text, column):
+        with pytest.raises(ExpressionSyntaxError, match="not finite") as exc:
+            self.parse(text)
+        assert exc.value.line == 1 and exc.value.column == column
+
+    def test_finite_quotients_and_powers_parse(self):
+        y1 = self.chart.y(1)
+        assert self.parse("y1/2 + 0^2 + (y1-y1)^(1/2) + log(1)") == y1 / 2
+        assert self.parse("y1^(-1)") == 1 / y1
+
 
 class TestRendering:
     def test_plain_round_trip(self):
@@ -204,6 +218,7 @@ psi[1][1] = x1
         ("dt = 1e-9", "dt must be large enough for at most 20000000 stored values, "
          r"\(steps \+ 1\) x 2 per step"),
         ("dt = 5e-324", "dt must be large enough"),
+        ("t1 = 1/0", "t1 must be numeric"),
     ])
     def test_solve_value_out_of_range_reports_its_line(self, entry, needle):
         text = OSC + "\n[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1\n" + entry + "\n"
@@ -277,6 +292,40 @@ samples = 0.1 0.2 0.3; 1 1 1
         assert sub["params"] == (sp.Symbol("u1"), sp.Symbol("u2"), sp.Symbol("u3"))
         assert len(sub["samples"]) == 2
         assert sub["embedding"][sp.Symbol("p1_1")] == sp.Symbol("u3")
+
+    @pytest.mark.parametrize("init", ["y1 = 1/0", "p1_1 = 2/0"])
+    def test_ode_initial_value_dividing_by_zero_reports_its_line(self, init):
+        text = OSC + "\n[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\n" + init + "\n"
+        with pytest.raises(ModelFileError, match="must be numeric") as exc:
+            parse_model_text(text)
+        assert exc.value.line == text.count("\n")
+
+    SUBMANIFOLD = OSC + """
+[submanifold]
+params = u1 u2 u3
+x1 = u1
+y1 = u2
+p1_1 = u3
+h_P = 0
+samples = 0.1 0.2 0.3; 1 1 1
+"""
+
+    @pytest.mark.parametrize("samples,needle,line", [
+        ("0.1 0.2; 1 1 1", r"sample \(0.1, 0.2\) has 2 entries, expected 3", "samples = 0.1"),
+        ("1 1 1; 0.5 0.5 0.5 0.5", "has 4 entries, expected 3", "samples = 1 1 1"),
+        ("1 1 1\nsamples = 1/0 1 1", "sample must be numeric, got '1/0'", "samples = 1/0"),
+    ])
+    def test_submanifold_sample_refused_at_its_line(self, samples, needle, line):
+        text = self.SUBMANIFOLD.replace("0.1 0.2 0.3; 1 1 1", samples)
+        with pytest.raises(ModelFileError, match=needle) as exc:
+            parse_model_text(text)
+        assert text.splitlines()[exc.value.line - 1].startswith(line)
+
+    def test_submanifold_embedding_must_cover_the_restricted_chart(self):
+        text = self.SUBMANIFOLD.replace("y1 = u2\n", "")
+        with pytest.raises(ModelFileError, match="missing: y1") as exc:
+            parse_model_text(text)
+        assert text.splitlines()[exc.value.line - 1] == "params = u1 u2 u3"
 
     def test_submanifold_needs_params_first(self):
         text = OSC + "\n[submanifold]\nh_P = 0\nparams = u1\nsamples = 1\n"

@@ -1,10 +1,21 @@
 """Fingerprint the package's observable outputs, one sha256 per group.
 
-Run from any directory with the package to fingerprint first on the path:
+Run from any directory with the package to fingerprint first on the path
+(this tree's `src/` when no other is):
 
     PYTHONPATH=<checkout>/src python3 tools/same_outputs.py
 
 Two checkouts produce the same outputs when they print the same lines.
+To compare this tree's package with another checkout's, run
+
+    python3 tools/same_outputs.py --against <checkout>/src
+
+which fingerprints the package from `<checkout>/src` and from this tree's
+`src/`, each in a subprocess with that directory on `PYTHONPATH` (both
+with this script, its models and its inputs), prints each group whose
+digest differs or that only one side has, and exits 1 if any does (2 if
+either side fails to run).
+
 The groups are:
 
 - `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
@@ -64,6 +75,7 @@ The check-matrix inputs come from `perfbench/inputs.py`, loaded read-only.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -71,19 +83,23 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms, hdw, legendre,
-                       solver, symbolic)
-from hdw_forge.errors import HdwForgeError, SolverAbortError
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "src"))  # the package when none is on the path
+
+from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms,  # noqa: E402
+                       hdw, legendre, solver, symbolic)
+from hdw_forge.errors import HdwForgeError, SolverAbortError  # noqa: E402
+
 MODELS = ROOT / "models"
 SEEDS = (7, 11, 23)
 SLOTS = 16
@@ -540,15 +556,58 @@ def grid_write_lines(tmp) -> list:
     return out
 
 
-def main():
+def fingerprint() -> dict:
+    """{group: sha256 of its lines} of the package on the path."""
     groups = symbolic_groups(_frozen_inputs())
     groups.update(ode_groups())
     with tempfile.TemporaryDirectory() as tmp:
         groups.update(cli_groups(pathlib.Path(tmp)))
-    for name, lines in groups.items():
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return {name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for name, lines in groups.items()}
+
+
+def _start(src) -> subprocess.Popen:
+    """This script, fingerprinting the package in `src`, in a subprocess."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, __file__], env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, text=True)
+
+
+def against(src) -> int:
+    """Print the groups whose digests differ between the package in `src`
+    and this tree's: 1 if any does, 2 if either fingerprint fails, else 0."""
+    here = ROOT / "src"
+    if not (src / "hdw_forge" / "__init__.py").is_file():
+        print(f"no hdw_forge package in {src}", file=sys.stderr)
+        return 2
+    runs = [(path, _start(path)) for path in (src, here)]
+    outs = [proc.communicate()[0] for _, proc in runs]
+    failed = [f"{path} exited {proc.returncode}" for path, proc in runs if proc.returncode]
+    if failed:
+        print(f"fingerprinting {'; '.join(failed)}", file=sys.stderr)
+        return 2
+    theirs, ours = ({name: digest for digest, name in (line.split("  ", 1)
+                                                       for line in out.splitlines())}
+                    for out in outs)
+    differ = [name for name in {**theirs, **ours} if theirs.get(name) != ours.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(set(theirs) | set(ours))} groups differ "
+          f"between {src} and {here}")
+    return 1 if differ else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="SRC",
+                        help="compare this tree's src/ with the package in SRC")
+    args = parser.parse_args()
+    if args.against:
+        return against(pathlib.Path(args.against).resolve())
+    for name, digest in fingerprint().items():
         print(f"{digest}  {name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
