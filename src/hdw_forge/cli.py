@@ -19,6 +19,7 @@ import datetime
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -131,12 +132,13 @@ def _emit(report: dict, out_dir: str, stem: str, fmt: str):
 # even with orjson's compiled float codec, formatting and parsing hold the
 # interpreter for the whole body, so one process sets the floor.  A grid
 # gets one block per CPU, but no more than one per `_BLOCK_FLOOR` values.
-# Both directions run their blocks through `_in_blocks`: with more than one
-# block, each is done by a forked child that streams its output into a part
-# file of its own, and the parent takes the parts in block order.  A block
-# is done in-process when it is the only one (a smaller grid, or a host
-# without `os.fork` or `os.sched_getaffinity`), when no part file or child
-# can be had, or when its child failed, which raises the real error.
+# Both directions run their blocks through `_in_blocks`: the parent does
+# block 0 while each later block is done by a forked child that streams its
+# output into a part file of its own, and the parent takes the parts in
+# block order.  The parent also does every block without a finished part:
+# one no child was started for, once no part file or child can be had, and
+# one whose child failed, which raises the real error.  A smaller grid, or
+# one on a host without `os.fork` or `os.sched_getaffinity`, is one block.
 _BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
 _CHUNK_VALUES = 1 << 10  # values a writer formats at a time
 _CHUNK_BYTES = 1 << 16   # bytes of CSV a reader parses at a time
@@ -170,8 +172,7 @@ class _Forks:
     """Forked children that do not outlive the `with` block.  A child runs
     one job and ends with `os._exit`, status 0 if the job returned, so it
     never returns into the caller's stack and flushes none of its buffers.
-    `stop`, and leaving the block, kill the children not yet waited for and
-    reap them.
+    Leaving the block kills the children not yet waited for and reaps them.
     """
 
     def __init__(self):
@@ -198,15 +199,12 @@ class _Forks:
         self._pids.remove(pid)
         return status == 0
 
-    def stop(self):
+    def __exit__(self, *exc):
         for pid in self._pids:
             os.kill(pid, signal.SIGKILL)
         for pid in self._pids:
             os.waitpid(pid, 0)
         self._pids.clear()
-
-    def __exit__(self, *exc):
-        self.stop()
 
 
 def _exponent(m) -> bytes:
@@ -262,33 +260,31 @@ def _fill_part(job, fh, start: int, stop: int):
 
 @contextlib.contextmanager
 def _in_blocks(blocks: list, job, **where):
-    """Run `job(fh, start, stop)`, which writes the output of block
-    (start, stop) to binary file `fh`, for each of `blocks`.
+    """Hand each block of `blocks` after the first to a forked child, which
+    runs `job(fh, start, stop)` to write the output of block (start, stop)
+    to binary file `fh`, a part file of its own made by
+    `tempfile.mkstemp(suffix=".part", **where)`.
 
-    With more than one block, each block's job runs in a forked child of
-    its own and writes to a part file of its own, made by
-    `tempfile.mkstemp(suffix=".part", **where)`.  Yields, in block order,
-    the path of each block's part, or None for a block the caller does
-    in-process: every block when there is only one or when a part file or
-    a child cannot be had (the children already started are killed), and
-    a block whose child failed.  Every child is reaped before the yield,
-    and every part removed on leaving the `with` block.
+    Once a part file or a child cannot be had, no further child is started;
+    those already started run on.  Yields an iterator over the blocks in
+    order: None for block 0 at once, then each block's part path as its
+    child is reaped, or None for a block without a finished part.  The
+    caller does each None block itself.  Every child is reaped, and every
+    part removed, on leaving the `with` block.
     """
     parts, pids = [], []
     try:
         with _Forks() as forks:
-            try:
-                for block in blocks if len(blocks) > 1 else ():
+            with contextlib.suppress(OSError):
+                for block in blocks[1:]:
                     fd, part = tempfile.mkstemp(suffix=".part", **where)
                     parts.append(part)
                     with open(fd, "wb") as fh:
                         pids.append(forks.start(
                             functools.partial(_fill_part, job, fh, *block)))
-            except OSError:
-                forks.stop()
-                pids = []
-            done = [part if forks.ok(pid) else None for pid, part in zip(pids, parts)]
-        yield done or [None] * len(blocks)
+            yield itertools.chain(
+                [None], (part if forks.ok(pid) else None for pid, part in zip(pids, parts)),
+                itertools.repeat(None, len(blocks) - 1 - len(pids)))
     finally:
         for part in parts:
             with contextlib.suppress(FileNotFoundError):
@@ -312,9 +308,9 @@ def write_grid_csv(grid: SectionGrid, path: str):
     """Write every value as its shortest round-trip `repr`, one row per point.
 
     The body's blocks are written by `_in_blocks` into part files made next
-    to `path`, which are appended in order (`_append`); a block done
-    in-process is written straight into the grid.  Once `path` is open, a
-    failure removes it.
+    to `path`, which are appended in order (`_append`); block 0, and any
+    block without a part, is written straight into the grid.  Once `path`
+    is open, a failure removes it.
     """
     nt = len(grid.t)
     header = (["x1"] if grid.kind == "ode" else ["x1", "x2"]) + list(grid.fields)
@@ -404,8 +400,8 @@ def _read_body(path: str, start: int, ncols: int, first: int):
     the first row, which sets the estimate of the values held.
 
     The doubles are gathered in block order into one buffer, which the
-    array then views: a block's part (`_in_blocks`) is copied in, and a
-    block done in-process is parsed straight into it.
+    array then views: a block's part (`_in_blocks`) is copied in, and
+    block 0, and any block without a part, is parsed straight into it.
     """
     import numpy as np
     size = os.path.getsize(path)
@@ -538,8 +534,10 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
                                  f"of an (m, n) = ({X.chart.m}, {X.chart.n}) chart")
         if not isinstance(text, str):
             raise ModelFileError(f"{path}: injection value of {key!r} is not a string")
-        tables[name][idx] = parse_expression(text, X.chart,
-                                             "M" if name == "g" else "J1")
+        try:
+            tables[name][idx] = parse_expression(text, X.chart, "M" if name == "g" else "J1")
+        except ModelFileError as exc:
+            raise ModelFileError(f"{path}: injection value of {key!r} at {exc}") from exc
     return X
 
 

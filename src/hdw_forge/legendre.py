@@ -68,23 +68,17 @@ def legendre_maps(model: LagrangianModel) -> LegendreResult:
     else:
         classification = "hyper-regular-closed-form"
     result = LegendreResult(model, momenta, extended, hessian, classification)
-    vsyms = {chart.v(*s) for s in slots}
+    at_rest = {chart.v(*s): 0 for s in slots}
     if classification == "hyper-regular-closed-form" and not any(
-            e.free_symbols & vsyms for e in hessian.values()):
-        result.inverse_velocities = _invert_linear(chart, momenta, slots)
+            e.free_symbols & at_rest.keys() for e in hessian.values()):
+        # a Hessian free of v makes p = hmat v + p|v=0, solved for v exactly
+        try:
+            sol = hmat.LUsolve(sp.Matrix([chart.p(*s) - momenta[s].subs(at_rest)
+                                          for s in slots]))
+        except sp.matrices.exceptions.NonInvertibleMatrixError:
+            return result
+        result.inverse_velocities = {s: simplify(sol[i]) for i, s in enumerate(slots)}
     return result
-
-
-def _invert_linear(chart, momenta, slots):
-    """Solve p = dlag/dv for v when the relation is affine in v."""
-    vsyms = [chart.v(*s) for s in slots]
-    eqs = [momenta[s] - chart.p(*s) for s in slots]
-    try:
-        A, b = sp.linear_eq_to_matrix(eqs, vsyms)
-        sol = A.LUsolve(b)
-    except (sp.NonInvertibleMatrixError, sp.PolynomialError, ValueError):
-        return {}
-    return {s: simplify(sol[i]) for i, s in enumerate(slots)}
 
 
 def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:

@@ -251,6 +251,21 @@ class TestCheck:
         assert status == 2 and out == ""
         assert err.startswith("error: ") and needle in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("p1_1/0", "line 1, column 5: '/' gives a value that is not finite"),
+        ("p1_1 +", "line 1, column 7: expected a value, found 'end of input'"),
+    ], ids=["not-finite", "truncated"])
+    def test_bad_injection_value_names_file_and_key(self, capsys, tmp_path, value, message):
+        inject = tmp_path / "inject.json"
+        inject.write_text(json.dumps({"F[1][1]": value}))
+        out_dir = tmp_path / "out"
+        status, out, err = run(
+            capsys, "check", str(MODELS / "oscillator.hdw"),
+            "--debug-inject", str(inject), "--out", str(out_dir))
+        assert (status, out) == (2, "")
+        assert err == f"error: {inject}: injection value of 'F[1][1]' at {message}\n"
+        assert not out_dir.exists()
+
 
 class TestLegendre:
     def test_wave_round_trip(self, capsys, tmp_path):
@@ -498,8 +513,36 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def parent_calls(monkeypatch, name):
+    """The argument tuples of the calls of `cli.<name>` made in this
+    process, not in a forked child."""
+    parent, real, calls = os.getpid(), getattr(cli, name), []
+
+    def spy(*args):
+        if os.getpid() == parent:
+            calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def counted_forks(monkeypatch, fail_from=None, error=None):
+    """The list that grows by one on each `os.fork`; from call `fail_from`
+    on, the fork raises `error` instead."""
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(None)
+        if fail_from is not None and len(forks) >= fail_from:
+            raise error
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 class TestGridBlocks:
-    """Grid CSVs cut into blocks of time rows, each done by a forked child."""
+    """Grid CSVs cut into blocks of time rows: block 0 done by the parent,
+    each later block by a forked child."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_writes_match_reference(self, tmp_path, blocks, workers):
@@ -575,7 +618,7 @@ class TestGridBlocks:
         except ValueError:
             want = None
         got = []
-        for split in (None, 2):  # one block in-process, then two forked blocks
+        for split in (None, 2):  # one block, then two blocks with one forked
             if split:
                 blocks(split)
             try:
@@ -615,17 +658,69 @@ class TestGridBlocks:
         body = text.index(b"x1,x2,y1\n") + len(b"x1,x2,y1\n")
         blocks(3)
         fail_in_children(monkeypatch, "_parse_block", lambda path, start, stop, *_: stop == size)
-        parent, real, in_process = os.getpid(), cli._parse_block, []
-
-        def spy(path, start, stop, *rest):
-            if os.getpid() == parent:
-                in_process.append((start, stop))
-            return real(path, start, stop, *rest)
-        monkeypatch.setattr(cli, "_parse_block", spy)
+        calls = parent_calls(monkeypatch, "_parse_block")
         assert_same_grid(read_grid_csv(str(path)), grid)
-        # the last block's bytes alone, from a line start past the first row
-        (start, stop), = in_process
+        # block 0, then the last block's bytes alone, from a line start past
+        # the end of block 0
+        (_, start0, stop0, *_), (_, start, stop, *_) = calls
+        assert start0 == body and stop0 < start
         assert stop == size and text[start - 1:start] == b"\n" and start > text.index(b"\n", body)
+        assert_no_children()
+
+    def test_parent_does_block_0_alone(self, tmp_path, blocks, monkeypatch):
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        body = reference_grid_csv(grid).index("x1,x2,y1\n") + len("x1,x2,y1\n")
+        blocks(3)
+        written = parent_calls(monkeypatch, "_write_rows")
+        parsed = parent_calls(monkeypatch, "_parse_block")
+        write_grid_csv(grid, str(path))
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        assert [call[2:] for call in written] == [cli._block_bounds(len(grid.t), len(grid.t))[0]]
+        (_, start, stop, *_), = parsed
+        assert start == body and stop < os.path.getsize(path)
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_fork_per_block_after_the_first(self, tmp_path, blocks, monkeypatch, workers):
+        blocks(workers)
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        forks = counted_forks(monkeypatch)
+        write_grid_csv(grid, str(path))
+        assert len(forks) == workers - 1
+        forks.clear()
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        assert len(forks) == workers - 1
+        assert_no_children()
+
+    def test_children_started_before_a_failed_fork_run_on(self, tmp_path, blocks, monkeypatch):
+        # the second fork fails: block 1's child is neither killed nor
+        # redone, and the parent does blocks 0 and 2
+        blocks(3)
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        text = path.read_bytes()
+        bounds = cli._block_bounds(len(grid.t), len(grid.t))
+        written = parent_calls(monkeypatch, "_write_rows")
+        parsed = parent_calls(monkeypatch, "_parse_block")
+        appended = parent_calls(monkeypatch, "_append")
+        killed = []
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+        forks = counted_forks(monkeypatch, fail_from=2,
+                              error=BlockingIOError(11, "Resource temporarily unavailable"))
+        copy = tmp_path / "copy.csv"
+        write_grid_csv(grid, str(copy))
+        assert copy.read_bytes() == text and len(appended) == 1
+        assert [call[2:] for call in written] == [bounds[0], bounds[2]]
+        forks.clear()
+        assert_same_grid(read_grid_csv(str(copy)), grid)
+        (_, start0, stop0, *_), (_, start2, stop2, *_) = parsed
+        assert start0 == text.index(b"x1,x2,y1\n") + len(b"x1,x2,y1\n")
+        assert stop0 < start2 and stop2 == len(text)
+        assert killed == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "grid.csv"]
         assert_no_children()
 
     @pytest.mark.parametrize("malformed", [False, True], ids=["ok", "malformed"])
@@ -655,7 +750,7 @@ class TestGridBlocks:
                 read_grid_csv(str(path))
         else:
             assert_same_grid(read_grid_csv(str(path)), grid)
-        assert len(made) == 3 and all(os.path.dirname(part) == str(temp) for part in made)
+        assert len(made) == 2 and all(os.path.dirname(part) == str(temp) for part in made)
         assert list(temp.iterdir()) == []
         assert [p.name for p in grids.iterdir()] == ["grid.csv"]
         assert_no_children()
@@ -668,25 +763,52 @@ class TestGridBlocks:
         assert list(tmp_path.iterdir()) == []
         assert_no_children()
 
+    def test_failed_block_0_stops_the_children(self, tmp_path, blocks, monkeypatch):
+        # the parent's own block fails while the children run: they are
+        # killed and reaped, and no grid or part file is left
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines.index("x1,x2,y1\n") + 1
+        lines[body] = "0.5,abc,1.0\n"
+        path.write_text("".join(lines))
+        blocks(1)
+        with pytest.raises(ModelFileError) as one_block:
+            read_grid_csv(str(path))
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        blocks(3)
+        with pytest.raises(ModelFileError) as exc:
+            read_grid_csv(str(path))
+        assert str(exc.value) == str(one_block.value)
+        assert f"line {body + 1}: " in str(exc.value)
+        parent, real = os.getpid(), cli._write_rows
+
+        def full(fh, g, start, stop):
+            if os.getpid() == parent:
+                raise OSError(28, "No space left on device")
+            return real(fh, g, start, stop)
+        monkeypatch.setattr(cli, "_write_rows", full)
+        with pytest.raises(OSError, match="No space left"):
+            write_grid_csv(grid, str(tmp_path / "copy.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "temp"]
+        assert list(temp.iterdir()) == []
+        assert_no_children()
+
     @pytest.mark.parametrize("error", [BlockingIOError(11, "Resource temporarily unavailable"),
                                        OSError(12, "Cannot allocate memory")],
                              ids=["EAGAIN", "ENOMEM"])
     def test_no_child_to_be_had_is_one_block(self, tmp_path, blocks, monkeypatch, error):
         # the second fork of a call fails (EAGAIN under a pids limit, or
-        # ENOMEM): the first child is killed and reaped, and the grid is
-        # done in-process
+        # ENOMEM): the first child runs on, and the blocks without a child
+        # are done in-process
         blocks(3)
         grid = odd_grids()[3]
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, str(path))
-        forks, real = [], os.fork
-
-        def fork():
-            forks.append(None)
-            if len(forks) > 1:
-                raise error
-            return real()
-        monkeypatch.setattr(os, "fork", fork)
+        forks = counted_forks(monkeypatch, fail_from=2, error=error)
         copy = tmp_path / "copy.csv"
         write_grid_csv(grid, str(copy))
         assert copy.read_bytes() == path.read_bytes() and len(forks) == 2

@@ -60,11 +60,14 @@ The groups are:
   for a copy with CRLF line ends and for one copy per token of
   `OFF_CODEC`, which the CSV codec leaves to `np.loadtxt`, written into a
   p1_2 cell near the end (or the error message, if the copy is refused),
-  and of the grid as written read in 3 blocks (`three_blocks`);
+  and of the grid as written read in 3 blocks (`three_blocks`), once with
+  every fork working and once with the second raising EAGAIN
+  (`second_fork_fails`);
 - `grid write`: the sha256 of the bytes `write_grid_csv` writes for
   `bit_pattern_grid`, 10**5 seeded random finite bit patterns next to the
   values where orjson's float notation differs from `repr`'s, written as
-  the grid's size gives and in 3 blocks;
+  the grid's size gives and in 3 blocks, with every fork working and with
+  the second raising EAGAIN;
 - `ode ...`: the bytes of every array of the `solve_ode` runs of
   `ode_runs`, whose right-hand sides are transcendental and time-dependent
   (restricted and extended, n = 1 and n = 2), or the message of the
@@ -473,6 +476,24 @@ def three_blocks():
         cli._BLOCK_FLOOR, cli._cpus = saved
 
 
+@contextlib.contextmanager
+def second_fork_fails():
+    """The second `os.fork` in the block raises EAGAIN, as under a pids
+    limit."""
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+    os.fork = fork
+    try:
+        yield
+    finally:
+        os.fork = real
+
+
 def _grid_digest(g) -> str:
     """sha256 of the t, x and field bytes of grid `g`."""
     digest = hashlib.sha256()
@@ -520,6 +541,9 @@ def grid_read_lines(grid: pathlib.Path, tmp) -> list:
     path.unlink()
     with three_blocks():
         out.append(f"as written, 3 blocks {_grid_digest(cli.read_grid_csv(str(grid)))}")
+        with second_fork_fails():
+            out.append("as written, 3 blocks, second fork fails "
+                       f"{_grid_digest(cli.read_grid_csv(str(grid)))}")
     return out
 
 
@@ -552,7 +576,10 @@ def grid_write_lines(tmp) -> list:
     out = [hashlib.sha256(path.read_bytes()).hexdigest()]
     with three_blocks():
         cli.write_grid_csv(grid, str(path))
-    out.append(f"3 blocks {hashlib.sha256(path.read_bytes()).hexdigest()}")
+        out.append(f"3 blocks {hashlib.sha256(path.read_bytes()).hexdigest()}")
+        with second_fork_fails():
+            cli.write_grid_csv(grid, str(path))
+        out.append(f"3 blocks, second fork fails {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return out
 
 
