@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import functools
 import importlib.util
 import json
 import pathlib
@@ -48,10 +49,13 @@ def chart22():
 MN_MATRIX = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
 
 
-def _frozen_inputs():
-    """perfbench/inputs.py, loaded read-only: no sys.path entry, no bytecode."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _read_only(relpath, name):
+    """The module at `relpath` under the repository root, loaded read-only:
+    no sys.path entry, no bytecode."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -61,11 +65,18 @@ def _frozen_inputs():
     return module
 
 
+@functools.cache
+def same_outputs_tool():
+    """tools/same_outputs.py, loaded read-only once."""
+    return _read_only("tools/same_outputs.py", "_same_outputs")
+
+
 # the seeded generators the benchmark freezes; without `coeff_rng` they draw
 # every number from `rng`
-_inputs = _frozen_inputs()
+_inputs = _read_only("perfbench/inputs.py", "_perfbench_inputs")
 random_polynomial_h = _inputs.random_polynomial_h
 random_gauge = _inputs.random_gauge
+random_quadratic_lagrangian = _inputs.random_quadratic_lagrangian
 
 
 def random_expr(symbols, rng, depth=4):

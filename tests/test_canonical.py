@@ -12,7 +12,6 @@ the `Expr` derivation they replaced gave.
 
 import ast
 import collections.abc
-import importlib.util
 import itertools
 import pathlib
 import random
@@ -31,7 +30,7 @@ from hdw_forge.hdw import (HdwField, curvature, derive_restricted, residual_rest
                           standard_checks)
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
-from conftest import MN_MATRIX, random_gauge, random_polynomial_h
+from conftest import MN_MATRIX, random_gauge, random_polynomial_h, same_outputs_tool
 
 
 def reference_simplify(e):
@@ -563,24 +562,11 @@ class TestOneCoefficientRule:
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _same_outputs_tool():
-    """tools/same_outputs.py, loaded read-only: no sys.path entry, no bytecode."""
-    path = ROOT / "tools" / "same_outputs.py"
-    spec = importlib.util.spec_from_file_location("_same_outputs", path)
-    module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
 # the fields of the tool's `offring` group: polynomial, sin/cos/exp, exp of
 # both signs, 1/y1, 0.5*p1_1**2 and log(y1) Hamiltonians under a gauge with
 # 1/y1, sin(log(y1)) and 0.5*y1 entries, and one with zero F and G entries
 OFFRING = {tag: (model, gauge)
-           for tag, model, gauge in _same_outputs_tool().offring_fields(MN_MATRIX)}
+           for tag, model, gauge in same_outputs_tool().offring_fields(MN_MATRIX)}
 
 
 def expr_derivation(model, gauge):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pathlib
 import random
@@ -5,6 +6,7 @@ import random
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.matrices.matrixbase import MatrixBase
 
 from hdw_forge import BundleChart
 from hdw_forge.errors import ChartMismatchError, RegularityError
@@ -15,6 +17,8 @@ from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
                                 rank_diagnostics, second_order_symbol)
 from hdw_forge.modelfile import parse_model
 from hdw_forge.symbolic import simplify
+
+from conftest import MN_MATRIX, random_quadratic_lagrangian, same_outputs_tool
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -44,6 +48,15 @@ def _random_quadratic_lagrangian(m, n, rng):
         if rng.random() < 0.5:
             lag += chart.x(rng.randint(1, m)) * chart.y(a)
     return LagrangianModel(chart, lag)
+
+
+def _y_hessian_lagrangian():
+    """Hessian [[1, y1], [y1, 1 + y1^2]]: it depends on y1, and its
+    determinant is 1."""
+    chart = BundleChart(2, 1)
+    v, y1 = chart.v, chart.y(1)
+    return LagrangianModel(chart, v(1, 1) ** 2 / 2 + y1 * v(1, 1) * v(1, 2)
+                           + (1 + y1 ** 2) * v(1, 2) ** 2 / 2)
 
 
 class TestLegendreMaps:
@@ -112,6 +125,30 @@ class TestInducedHamiltonian:
         with pytest.raises(RegularityError):
             hamiltonian_from_lagrangian(res)
 
+    @pytest.mark.parametrize("m, n", MN_MATRIX)
+    def test_random_quadratic_against_the_inverse_matrix(self, m, n):
+        # the oracle inverts A with sympy's own Matrix.inv
+        chart = BundleChart(m, n)
+        rng = random.Random(f"induced h {m} {n}")
+        lag, A, b, V = random_quadratic_lagrangian(chart, rng, rng)
+        ham = hamiltonian_from_lagrangian(legendre_maps(LagrangianModel(chart, lag)))
+        q = sp.Matrix([chart.p(a, nu) for a in range(1, n + 1)
+                       for nu in range(1, m + 1)]) - b
+        assert simplify(ham.h - (q.T * A.inv() * q)[0, 0] / 2 - V) == 0
+
+    def test_y_dependent_hessian_with_unit_determinant(self):
+        lm = _y_hessian_lagrangian()
+        chart = lm.chart
+        p11, p12, y1 = chart.p(1, 1), chart.p(1, 2), chart.y(1)
+        res = legendre_maps(lm)
+        assert res.classification == "hyper-regular-closed-form"
+        expected = {(1, 1): p11 * (1 + y1 ** 2) - p12 * y1, (1, 2): p12 - p11 * y1}
+        assert res.inverse_velocities.keys() == expected.keys()
+        assert all(simplify(e - expected[s]) == 0 for s, e in res.inverse_velocities.items())
+        el, elim = euler_lagrange(lm), hdw_momentum_elimination(res)
+        assert len(el) == len(elim) == 1
+        assert all(simplify(a - b) == 0 for a, b in zip(el, elim))
+
     def test_regular_local_raises(self):
         chart = BundleChart(1, 1)
         res = legendre_maps(LagrangianModel(chart, chart.v(1, 1) ** 3))
@@ -140,7 +177,7 @@ class TestEulerLagrangeOracle:
 
     def test_round_trip_random_quadratics(self):
         rng = random.Random(33)
-        cases = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+        cases = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]
         for m, n in cases:
             lag = _random_quadratic_lagrangian(m, n, rng)
             el = euler_lagrange(lag)
@@ -149,11 +186,54 @@ class TestEulerLagrangeOracle:
 
     def test_elimination_takes_a_legendre_result(self):
         rng = random.Random(35)
-        for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+        for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
             lag = _random_quadratic_lagrangian(m, n, rng)
             from_result = hdw_momentum_elimination(legendre_maps(lag))
             from_model = hdw_momentum_elimination(lag)
             assert [sp.srepr(e) for e in from_result] == [sp.srepr(e) for e in from_model]
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """Counts of the calls to sympy's `Basic.subs` and `MatrixBase.LUsolve`."""
+    counts = collections.Counter()
+    for owner, name in ((sp.Basic, "subs"), (MatrixBase, "LUsolve")):
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return counts
+
+
+def _legendre_steps(lm):
+    res = legendre_maps(lm)
+    hamiltonian_from_lagrangian(res)
+    hdw_momentum_elimination(res)
+
+
+class TestRingPath:
+    """On the coefficient ring the Legendre map is inverted by the adjugate
+    and substituted by composition; off it the `Expr` code still runs."""
+
+    @pytest.mark.parametrize("case", ["wave.hdw", "random (4,1)", "y-hessian"])
+    def test_no_expr_substitution_on_the_ring(self, case, substitutions):
+        if case == "wave.hdw":
+            model = parse_model(MODELS / case)
+            lm = LagrangianModel(model.chart, model.lagrangian)
+        elif case == "y-hessian":
+            lm = _y_hessian_lagrangian()
+        else:
+            rng = random.Random(41)
+            lm = LagrangianModel(BundleChart(4, 1),
+                                 random_quadratic_lagrangian(BundleChart(4, 1), rng, rng)[0])
+        _legendre_steps(lm)
+        assert substitutions == {}
+
+    @pytest.mark.parametrize("tag", ["lag/float", "lag/log"])
+    def test_off_the_ring_substitutes(self, tag, substitutions):
+        lm = dict(same_outputs_tool().offring_lagrangians())[tag]
+        _legendre_steps(lm)
+        assert substitutions["subs"] > 0
 
 
 def _identity_embedding_m1():

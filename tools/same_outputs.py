@@ -39,12 +39,13 @@ The groups are:
   the `fields` and `offring` groups: the structure forms on their own,
   where the other groups see alpha of an off-ring h only through the
   tangency details;
-- `legendre`: the srepr of every `LegendreResult` field, of the
-  Euler-Lagrange residuals and of the momentum elimination (or the name of
-  the error it raises) for the Lagrangians of `legendre_cases`: the `lag`
-  inputs of check-matrix seeds 7, 11, 23 and 31 over their first 64 slots
-  (4 per chart) and 8 off-ring ones (sin, exp, `1/(1+y1^2)`, `log`, a
-  Float, a cubic, a degenerate one and one with a y-dependent Hessian);
+- `legendre`: the srepr of every `LegendreResult` field, of the induced
+  Hamiltonian, of the Euler-Lagrange residuals and of the momentum
+  elimination (or the name of the error either raises) for the Lagrangians
+  of `legendre_cases`: the `lag` inputs of check-matrix seeds 7, 11, 23 and
+  31 over their first 64 slots (4 per chart) and 9 off-ring ones (sin,
+  exp, `1/(1+y1^2)`, `log`, a Float, a cubic, a degenerate one, one with a
+  y-dependent Hessian and one whose y-dependent Hessian has determinant 1);
 - `simplify`: the srepr of `symbolic.simplify` of the check-matrix
   Hamiltonians of seeds 7, 11 and 23 x 16 slots and of their first
   partials, of the `offring_fields` Hamiltonians, and of `OFF_FRAGMENT`, a
@@ -258,7 +259,8 @@ def structure_lines(inputs):
 
 def offring_lagrangians():
     """(tag, LagrangianModel) of 8 Lagrangians that leave the coefficient
-    ring or the hyper-regular class."""
+    ring or the hyper-regular class, and one whose Hessian depends on y1
+    with determinant 1, which the ring inverts by its adjugate."""
     c11, c12, c21 = BundleChart(1, 1), BundleChart(1, 2), BundleChart(2, 1)
     x1, y1, y2 = c21.x(1), c21.y(1), c12.y(2)
     v, w = c21.v, c12.v
@@ -273,6 +275,8 @@ def offring_lagrangians():
         "cubic": (c21, v(1, 1) ** 3 / 3 + v(1, 1) * v(1, 2)),
         "degenerate": (c21, y1 * v(1, 1) + x1 * v(1, 2)),
         "y-hessian": (c11, (1 + y1 ** 2) * c11.v(1, 1) ** 2 / 2 - y1 ** 2),
+        "y-hessian-det1": (c21, v(1, 1) ** 2 / 2 + y1 * v(1, 1) * v(1, 2)
+                           + (1 + y1 ** 2) * v(1, 2) ** 2 / 2),
     }
     for tag, (chart, lag) in lags.items():
         yield f"lag/{tag}", legendre.LagrangianModel(chart, lag)
@@ -297,6 +301,11 @@ def legendre_lines(tag, lm):
                     for key, e in getattr(res, name).items())
     yield f"{tag} extended {sp.srepr(res.extended)}"
     yield f"{tag} classification {res.classification}"
+    try:
+        h = sp.srepr(legendre.hamiltonian_from_lagrangian(res).h)
+    except Exception as exc:  # an error is an output too
+        h = f"raised {type(exc).__name__}"
+    yield f"{tag} h {h}"
     yield from (f"{tag} EL {sp.srepr(e)}" for e in legendre.euler_lagrange(lm))
     try:
         elim = [sp.srepr(e) for e in legendre.hdw_momentum_elimination(lm)]
