@@ -29,9 +29,11 @@ first partials from `partials` (a 0-form's `CoordForm.d`), and read values
 back through `HeldView`, the one lazy `Expr` view of held values:
 `CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
 (`HeldTable`, which takes writes and reads canonical `Expr`s).
-`ring_sum_of_products`, `compose` (substitution), `determinant` and
-`inverse` work in a ring only and give None for a value off it, so that
-their caller (the Legendre transform) keeps its own `Expr` code there.
+The Legendre transform substitutes with `compose` and solves with
+`determinant` and `solve`: each works in a ring where the held values
+allow it and runs the `Expr` computation (`subs`, `Matrix.det`, `LUsolve`)
+where they do not, so its caller makes one call whatever path is taken and
+reads one result back with `read`.
 
 No arithmetic is done that cannot change a value: a sign or a ring's +1 or
 -1 factor is applied by negation (`_signed`), a zero derivative multiplies
@@ -86,6 +88,9 @@ def _expr(c, coords):
     return ring_expr(c, coords) if isinstance(c, PolyElement) else c
 
 
+read = _expr
+
+
 def _mul(a, b, coords):
     """The product of two held values.  A ring element that is its ring's +1
     or -1 gives the other factor or its negation (`_signed`), when its ring
@@ -130,104 +135,80 @@ def _sum(values, coords, canonical=sp.expand):
     return canonical(sp.Add(*exprs))
 
 
-def sum_of_products(pairs, coords):
-    """The sum of a*b over pairs (a, b) of held values, held.
+def sum_of_products(pairs, coords, canonical=sp.expand):
+    """The sum of a*b over pairs (a, b) of held values, held: `canonical` of
+    the sum of their `Expr`s when it leaves the ring (`_sum`).
 
     A product with a zero factor is skipped: a zero `Expr` factor would take
     the whole sum off the ring.
     """
-    return _sum([_mul(a, b, coords) for a, b in pairs if a != 0 and b != 0], coords)
+    return _sum([_mul(a, b, coords) for a, b in pairs if a != 0 and b != 0], coords,
+                canonical)
 
 
 # ---------------------------------------------------------------------------
-# Ring-only algebra: each helper gives None when a value is off the ring, so
-# that its caller keeps its own `Expr` code for that input
+# Substitution and linear algebra on held values: in a ring where the values
+# allow it, else by the `Expr` computation
 # ---------------------------------------------------------------------------
-
-def ring_sum_of_products(pairs, coords):
-    """`sum_of_products(pairs, coords)` when every value is held in a ring
-    and the sum stays in one (their atoms are independent); else None."""
-    if not all(isinstance(c, PolyElement) for pair in pairs for c in pair):
-        return None
-    total = sum_of_products(pairs, coords)
-    if isinstance(total, PolyElement):
-        return total
-    return hold(0, coords) if total == 0 else None   # no nonzero product
-
 
 def compose(value, images, coords, onto):
     """`value`, held over `coords`, with the coordinate at each position i
-    of `images` replaced by the held value images[i], all at once
-    (`PolyElement.compose`).
+    of `images` replaced by the held value images[i], all at once.
 
     The images and the result are held over `onto`, a frame as long as
     `coords` with the same coordinate at each position not replaced.  Rings
     are keyed by size, so an element of one is read over either frame by
-    position.  None when a value is off the ring, their atoms depend on
-    each other, or an atom depends on a coordinate that the two frames do
-    not share at a position kept.
+    position, and `PolyElement.compose` substitutes in the ring.  When a
+    value is off the ring, their atoms depend on each other, or an atom
+    depends on a coordinate that the two frames do not share at a position
+    kept, the result is the `Expr` of `Basic.subs(simultaneous=True)`.
     """
     values = [value, *images.values()]
-    if not all(isinstance(c, PolyElement) for c in values):
-        return None
-    values = unify(values, coords)
-    if values is None:
-        return None
-    value, *held = values
-    ring = value.ring
-    kept = {s for i, (s, t) in enumerate(zip(coords, onto)) if s == t and i not in images}
-    if any(not atom.free_symbols <= kept for atom in ring.symbols[len(coords):]):
-        return None
-    return value.compose([(ring.gens[i], c) for i, c in zip(images, held)])
+    lifted = unify(values, coords) if all(isinstance(c, PolyElement) for c in values) else None
+    if lifted is not None:
+        ring = lifted[0].ring
+        kept = {s for i, (s, t) in enumerate(zip(coords, onto)) if s == t and i not in images}
+        if all(atom.free_symbols <= kept for atom in ring.symbols[len(coords):]):
+            return lifted[0].compose([(ring.gens[i], c) for i, c in zip(images, lifted[1:])])
+    return _expr(value, coords).subs(
+        {coords[i]: _expr(c, onto) for i, c in images.items()}, simultaneous=True)
 
 
-def _domain_matrix(rows, coords):
-    """The square matrix of held values `rows` as a `DomainMatrix`: over QQ
-    when every entry is a constant, else over the entries' common ring;
-    None when an entry is off the ring or their atoms depend on each
-    other."""
-    flat = [c for row in rows for c in row]
-    if not all(isinstance(c, PolyElement) for c in flat):
+def _constant_matrix(rows):
+    """The square matrix of held values `rows` over QQ when every entry is a
+    constant of a ring, else None."""
+    if not all(isinstance(c, PolyElement) and c.is_ground for row in rows for c in row):
         return None
-    k = len(rows)
-    if all(c.is_ground for c in flat):
-        entries, domain = [c.get(c.ring.zero_monom, QQ.zero) for c in flat], QQ
-    else:
-        entries = unify(flat, coords)
-        if entries is None:
-            return None
-        domain = entries[0].ring.to_domain()
-    return DomainMatrix([entries[i * k:(i + 1) * k] for i in range(k)], (k, k), domain)
+    return DomainMatrix([[c.get(c.ring.zero_monom, QQ.zero) for c in row] for row in rows],
+                        (len(rows), len(rows)), QQ)
+
+
+def _matrix(rows, coords):
+    return sp.Matrix([[_expr(c, coords) for c in row] for row in rows])
 
 
 def determinant(rows, coords):
-    """The `Expr` of det M, M the square matrix of held values `rows`, or
-    None when `_domain_matrix` refuses M."""
-    M = _domain_matrix(rows, coords)
+    """det M, an `Expr`, for the square matrix M of held values `rows`: over
+    QQ when every entry is a constant, else `simplify` of `Matrix.det`."""
+    M = _constant_matrix(rows)
     if M is None:
-        return None
-    det = M.det()
-    return QQ.to_sympy(det) if M.domain == QQ else ring_expr(det, coords)
+        return simplify(_matrix(rows, coords).det())
+    return QQ.to_sympy(M.det())
 
 
-def inverse(rows, coords):
-    """M^-1 = adj M / det M, held, for the square matrix of held values
-    `rows` whose determinant `determinant` found a nonzero constant; None
-    when `_domain_matrix` refuses M.
-
-    A constant M is inverted over QQ; any other through
-    `DomainMatrix.adj_det` in its entries' ring, the adjugate divided by
-    the constant determinant.
-    """
-    M = _domain_matrix(rows, coords)
-    if M is None:
-        return None
-    if M.domain == QQ:
-        ring = hold(0, coords).ring
-        return [[ring.ground_new(c) for c in row] for row in M.inv().to_list()]
-    adj, det = M.adj_det()
-    scale = QQ.one / det.get(det.ring.zero_monom)
-    return [[c.mul_ground(scale) for c in row] for row in adj.to_list()]
+def solve(rows, rhs, coords):
+    """The held x with M x = rhs, for the invertible square matrix M of held
+    values `rows` and the held values `rhs`: M^-1 over QQ times rhs in a
+    ring when M is constant and rhs is held in rings, else `simplify` of
+    `Matrix.LUsolve` (which raises `NonInvertibleMatrixError` for an M it
+    finds singular)."""
+    M = _constant_matrix(rows)
+    if M is None or not all(isinstance(c, PolyElement) for c in rhs):
+        x = _matrix(rows, coords).LUsolve(sp.Matrix([_expr(c, coords) for c in rhs]))
+        return [simplify(e) for e in x]
+    ring = _coeff(0, coords).ring
+    return [sum_of_products([(ring.ground_new(q), c) for q, c in zip(row, rhs)], coords)
+            for row in M.inv().to_list()]
 
 
 class HeldView(Mapping):

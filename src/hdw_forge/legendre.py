@@ -10,13 +10,14 @@ It shares one divergence with the momentum elimination, which takes the
 
 The transform runs on held values.  The frames "L" = (x, y, v) and
 "J1" = (x, y, p) agree position by position, so a held value is read over
-either.  The extended entry is a held sum, det H is taken by `DomainMatrix`
-(`forms.determinant`), V = H^-1 (p - p|v=0) by `forms.inverse`, and h and
-the elimination's dh/dy substitute by composition (`forms.compose`).  Where
-a helper meets a value off the ring (a Float, log, a denominator, or an
-atom of a replaced coordinate), that step keeps its `Expr` code:
+either.  The extended entry and h are held sums (`forms.sum_of_products`),
+det H and V = H^-1 (p - p|v=0) come from `forms.determinant` and
+`forms.solve`, and h and the elimination's dh/dy substitute by composition
+(`forms.compose`).  Each helper works in the coefficient ring when the
+values allow it (a constant Hessian; no Float, log, denominator or atom of
+a replaced coordinate) and otherwise runs the `Expr` computation:
 `Matrix.det`, `LUsolve`, `subs` and `simplify`.  Every result is read back
-as the `Expr` that code gives.
+as the `Expr` that computation gives.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError
-from .forms import (HeldView, canonical_part, compose, determinant, hold, inverse,
-                    partials, ring_sum_of_products, volume_form)
+from .forms import (HeldView, canonical_part, compose, determinant, hold, partials, read,
+                    solve, sum_of_products, volume_form)
 from .hdw import HamiltonianModel
 from .symbolic import simplify
 
@@ -66,75 +67,43 @@ def _positions(chart: BundleChart):
     return [index[chart.v(*s)] for s in _velocity_slots(chart)]
 
 
-def _hessian_matrix(hessian: dict, slots) -> sp.Matrix:
-    return sp.Matrix([[hessian[(s1, s2)] for s2 in slots] for s1 in slots])
-
-
-def _read(held, coords) -> sp.Expr:
-    """The `Expr` of one value held over `coords` (`HeldView`)."""
-    return HeldView(coords, {0: held})[0]
-
-
-def _held_inverse(chart: BundleChart, held_p: list, held_h: list):
-    """V = H^-1 (p - p|v=0), held over the "J1" frame, for held momenta p
-    and a held Hessian H free of v whose determinant is a nonzero constant;
-    None when a ring helper refuses a value."""
-    coords, onto = chart.coords("L"), chart.coords("J1")
-    inv = inverse(held_h, coords)
-    at_rest = dict.fromkeys(_positions(chart), hold(0, coords))
-    shift = [compose(p, at_rest, coords, coords) for p in held_p]
-    if inv is None or any(p0 is None for p0 in shift):
-        return None
-    p = [hold(chart.p(*s), onto) for s in _velocity_slots(chart)]
-    held_v = [ring_sum_of_products([*zip(row, p), *zip([-c for c in row], shift)], onto)
-              for row in inv]
-    return None if any(v is None for v in held_v) else held_v
-
-
 def legendre_maps(model: LagrangianModel) -> LegendreResult:
     """Momentum map, extended entry, Hessian, and regularity classification."""
     chart, lag = model.chart, model.lag
-    coords = chart.coords("L")
+    coords, onto = chart.coords("L"), chart.coords("J1")
     slots = _velocity_slots(chart)
     dlag = partials(lag, coords)
     momenta = {s: dlag[chart.v(*s)] for s in slots}
     held_p = [dlag.held[chart.v(*s)] for s in slots]
-    extended = ring_sum_of_products(
+    extended = sum_of_products(
         [(hold(1, coords), hold(lag, coords))]
-        + [(hold(-chart.v(*s), coords), p) for s, p in zip(slots, held_p)], coords)
-    if extended is None:
-        extended = simplify(
-            lag - sum(chart.v(a, nu) * momenta[(a, nu)] for a, nu in slots))
-    else:
-        extended = _read(extended, coords)
+        + [(hold(-chart.v(*s), coords), p) for s, p in zip(slots, held_p)], coords, simplify)
     dp = {s: partials(momenta[s], coords) for s in slots}
     hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     held_h = [[dp[s1].held[chart.v(*s2)] for s2 in slots] for s1 in slots]
     det = determinant(held_h, coords)
-    if det is None:
-        det = simplify(_hessian_matrix(hessian, slots).det())
     if det == 0:
         classification = "degenerate"
     elif det.free_symbols:
         classification = "regular-local"
     else:
         classification = "hyper-regular-closed-form"
-    result = LegendreResult(model, momenta, extended, hessian, classification)
-    at_rest = {chart.v(*s): 0 for s in slots}
+    result = LegendreResult(model, momenta, read(extended, coords), hessian, classification)
+    velocities = {chart.v(*s) for s in slots}
     if classification != "hyper-regular-closed-form" or any(
-            e.free_symbols & at_rest.keys() for e in hessian.values()):
+            e.free_symbols & velocities for e in hessian.values()):
         return result
-    # a Hessian free of v makes p = hmat v + p|v=0, solved for v exactly
-    held_v = _held_inverse(chart, held_p, held_h)
-    if held_v is not None:
-        result.inverse_velocities = dict(HeldView(chart.coords("J1"), dict(zip(slots, held_v))))
-        return result
+    # a Hessian free of v makes p = H v + p|v=0, solved for v exactly; H names
+    # no v, so it is held over "J1" as it is over "L"
+    at_rest = dict.fromkeys(_positions(chart), hold(0, coords))
+    rhs = [sum_of_products([(hold(1, onto), hold(chart.p(*s), onto)),
+                            (hold(-1, onto), compose(p, at_rest, coords, onto))], onto)
+           for s, p in zip(slots, held_p)]
     try:
-        sol = _hessian_matrix(hessian, slots).LUsolve(
-            sp.Matrix([chart.p(*s) - momenta[s].subs(at_rest) for s in slots]))
+        held_v = solve(held_h, rhs, onto)
     except sp.matrices.exceptions.NonInvertibleMatrixError:
         return result
-    result.inverse_velocities = {s: simplify(sol[i]) for i, s in enumerate(slots)}
+    result.inverse_velocities = dict(HeldView(onto, dict(zip(slots, held_v))))
     return result
 
 
@@ -150,15 +119,9 @@ def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
     held_v = [hold(res.inverse_velocities[s], onto) for s in slots]
     at_v = compose(hold(res.model.lag, coords), dict(zip(_positions(chart), held_v)),
                    coords, onto)
-    h = None if at_v is None else ring_sum_of_products(
-        [(hold(chart.p(*s), onto), v) for s, v in zip(slots, held_v)]
-        + [(hold(-1, onto), at_v)], onto)
-    if h is not None:
-        return HamiltonianModel(chart, _read(h, onto), provenance="from-Legendre")
-    subs = {chart.v(*s): expr for s, expr in res.inverse_velocities.items()}
-    h = sum(chart.p(*s) * subs[chart.v(*s)] for s in slots)
-    h -= res.model.lag.subs(subs, simultaneous=True)
-    return HamiltonianModel(chart, simplify(h), provenance="from-Legendre")
+    h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in zip(slots, held_v)]
+                        + [(hold(-1, onto), at_v)], onto, simplify)
+    return HamiltonianModel(chart, read(h, onto), provenance="from-Legendre")
 
 
 def second_order_symbol(a: int, nu: int, eta: int) -> sp.Symbol:
@@ -207,17 +170,10 @@ def hdw_momentum_elimination(source) -> list:
     slots = _velocity_slots(chart)
     dlag = partials(res.model.lag, onto)
     momenta = dict(zip(_positions(chart), (dlag.held[chart.v(*s)] for s in slots)))
-    out = []
-    for a in range(1, chart.n + 1):
-        # dh/dy with p = dlag/dv, read over the "L" frame
-        dh = compose(ham.partials.held[chart.y(a)], momenta, coords, onto)
-        if dh is None:
-            dh = ham.partials[chart.y(a)].subs(
-                {chart.p(*s): res.momenta[s] for s in slots}, simultaneous=True)
-        else:
-            dh = _read(dh, onto)
-        out.append(simplify(dh + _divergence(chart, a, res.momenta)))
-    return out
+    # dh/dy with p = dlag/dv, read over the "L" frame
+    return [simplify(read(compose(ham.partials.held[chart.y(a)], momenta, coords, onto), onto)
+                     + _divergence(chart, a, res.momenta))
+            for a in range(1, chart.n + 1)]
 
 
 _RANK_TOL = 1e-9

@@ -260,7 +260,8 @@ def structure_lines(inputs):
 def offring_lagrangians():
     """(tag, LagrangianModel) of 8 Lagrangians that leave the coefficient
     ring or the hyper-regular class, and one whose Hessian depends on y1
-    with determinant 1, which the ring inverts by its adjugate."""
+    with determinant 1, which is inverted by `LUsolve` as any Hessian that
+    is not constant."""
     c11, c12, c21 = BundleChart(1, 1), BundleChart(1, 2), BundleChart(2, 1)
     x1, y1, y2 = c21.x(1), c21.y(1), c12.y(2)
     v, w = c21.v, c12.v
