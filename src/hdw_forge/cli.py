@@ -19,7 +19,6 @@ import datetime
 import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -132,13 +131,14 @@ def _emit(report: dict, out_dir: str, stem: str, fmt: str):
 # even with orjson's compiled float codec, formatting and parsing hold the
 # interpreter for the whole body, so one process sets the floor.  A grid
 # gets one block per CPU, but no more than one per `_BLOCK_FLOOR` values.
-# Both directions run their blocks through `_in_blocks`: the parent does
-# block 0 while each later block is done by a forked child that streams its
-# output into a part file of its own, and the parent takes the parts in
-# block order.  The parent also does every block without a finished part:
-# one no child was started for, once no part file or child can be had, and
-# one whose child failed, which raises the real error.  A smaller grid, or
-# one on a host without `os.fork` or `os.sched_getaffinity`, is one block.
+# Both directions run their blocks through `_in_blocks`, which gathers
+# them into the caller's file in block order: the parent does block 0 while
+# each later block is done by a forked child into a part file of its own,
+# then copies each finished part in.  The parent also does every block
+# without a finished part: one no child was started for, once no part file
+# or child can be had, and one whose child failed, which raises the real
+# error.  A smaller grid, or one on a host without `os.fork` or
+# `os.sched_getaffinity`, is one block.
 _BLOCK_FLOOR = 500_000   # values; about 10-16 MB of CSV
 _CHUNK_VALUES = 1 << 10  # values a writer formats at a time
 _CHUNK_BYTES = 1 << 16   # bytes of CSV a reader parses at a time
@@ -258,19 +258,19 @@ def _fill_part(job, fh, start: int, stop: int):
         job(fh, start, stop)
 
 
-@contextlib.contextmanager
-def _in_blocks(blocks: list, job, **where):
-    """Hand each block of `blocks` after the first to a forked child, which
-    runs `job(fh, start, stop)` to write the output of block (start, stop)
-    to binary file `fh`, a part file of its own made by
-    `tempfile.mkstemp(suffix=".part", **where)`.
+def _in_blocks(blocks: list, job, out, **where):
+    """Run `job(fh, start, stop)`, which writes the output of block
+    (start, stop) to binary file `fh`, for every block of `blocks`, and
+    gather the outputs into binary `out` in block order.
 
-    Once a part file or a child cannot be had, no further child is started;
-    those already started run on.  Yields an iterator over the blocks in
-    order: None for block 0 at once, then each block's part path as its
-    child is reaped, or None for a block without a finished part.  The
-    caller does each None block itself.  Every child is reaped, and every
-    part removed, on leaving the `with` block.
+    Each block after the first goes to a forked child, which writes it to a
+    part file of its own made by `tempfile.mkstemp(suffix=".part",
+    **where)`; once a part file or a child cannot be had, no further child
+    is started, and those already started run on.  The parent does block 0
+    into `out` meanwhile, then, in block order, copies each finished part
+    into `out` or does the block itself.  `out` may hold buffered bytes at
+    the forks: a child ends with `os._exit` (`_Forks`) and never flushes
+    them.  Every child is reaped, and every part removed, on every path.
     """
     parts, pids = [], []
     try:
@@ -282,54 +282,41 @@ def _in_blocks(blocks: list, job, **where):
                     with open(fd, "wb") as fh:
                         pids.append(forks.start(
                             functools.partial(_fill_part, job, fh, *block)))
-            yield itertools.chain(
-                [None], (part if forks.ok(pid) else None for pid, part in zip(pids, parts)),
-                itertools.repeat(None, len(blocks) - 1 - len(pids)))
+            job(out, *blocks[0])
+            for i, block in enumerate(blocks[1:]):
+                if i < len(pids) and forks.ok(pids[i]):
+                    # in the default 64 KiB pieces: 1 MiB pieces raised the
+                    # peak of a later read by 9 MB (docs/conventions.md)
+                    with open(parts[i], "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+                else:
+                    job(out, *block)
     finally:
         for part in parts:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(part)
 
 
-def _append(fd: int, part: str):
-    """Append file `part` to descriptor `fd` with a kernel copy; `fd` must
-    not be O_APPEND, which `os.sendfile` rejects with EINVAL."""
-    with open(part, "rb") as src:
-        size = os.fstat(src.fileno()).st_size
-        done = 0
-        while done < size:
-            sent = os.sendfile(fd, src.fileno(), done, size - done)
-            if not sent:
-                raise OSError(f"{part} shrank while it was appended")
-            done += sent
-
-
 def write_grid_csv(grid: SectionGrid, path: str):
     """Write every value as its shortest round-trip `repr`, one row per point.
 
-    The body's blocks are written by `_in_blocks` into part files made next
-    to `path`, which are appended in order (`_append`); block 0, and any
-    block without a part, is written straight into the grid.  Once `path`
-    is open, a failure removes it.
+    The preamble is written first, then the body's blocks go through
+    `_in_blocks` into the grid, with part files made next to `path`.  Once
+    `path` is open, a failure removes it.
     """
     nt = len(grid.t)
     header = (["x1"] if grid.kind == "ode" else ["x1", "x2"]) + list(grid.fields)
     nx = 1 if grid.kind == "ode" else len(grid.x)
-    blocks = _block_bounds(nt, nt * nx * len(header))
-    with _in_blocks(blocks, lambda fh, a, b: _write_rows(fh, grid, a, b),
-                    prefix=os.path.basename(path) + ".",
-                    dir=os.path.dirname(path) or ".") as parts, open(path, "wb") as fh:
+    with open(path, "wb") as fh:
         try:
             preamble = [f"# hdw-forge grid v{SCHEMA_VERSION}"]
             preamble += [f"# {k} = {grid.meta[k]}"
                          for k in sorted(grid.meta) if k != "warnings"]
             fh.write("\n".join(preamble + [",".join(header), ""]).encode())
-            for block, part in zip(blocks, parts):
-                if part is None:
-                    _write_rows(fh, grid, *block)
-                else:
-                    fh.flush()
-                    _append(fh.fileno(), part)
+            _in_blocks(_block_bounds(nt, nt * nx * len(header)),
+                       lambda out, a, b: _write_rows(out, grid, a, b), fh,
+                       prefix=os.path.basename(path) + ".",
+                       dir=os.path.dirname(path) or ".")
         except BaseException:
             os.unlink(path)
             raise
@@ -399,9 +386,8 @@ def _read_body(path: str, start: int, ncols: int, first: int):
     end, as one (rows, ncols) float array.  `first` is the byte length of
     the first row, which sets the estimate of the values held.
 
-    The doubles are gathered in block order into one buffer, which the
-    array then views: a block's part (`_in_blocks`) is copied in, and
-    block 0, and any block without a part, is parsed straight into it.
+    The doubles are gathered in block order by `_in_blocks` into one
+    buffer, which the array then views.
     """
     import numpy as np
     size = os.path.getsize(path)
@@ -412,16 +398,10 @@ def _read_body(path: str, start: int, ncols: int, first: int):
             cuts.append(max(cuts[-1], start + a - 1 + len(fh.readline())))
     # a block holding no line start is merged with the one before it
     cuts = list(dict.fromkeys(cuts + [size]))
-    blocks = list(zip(cuts, cuts[1:]))
     out = io.BytesIO()
-    with _in_blocks(blocks, lambda fh, a, b: _parse_block(path, a, b, ncols, fh),
-                    prefix=os.path.basename(path) + ".") as parts:
-        for (a, b), part in zip(blocks, parts):
-            if part is None:
-                _parse_block(path, a, b, ncols, out)
-            else:
-                with open(part, "rb") as fh:
-                    shutil.copyfileobj(fh, out)
+    _in_blocks(list(zip(cuts, cuts[1:])),
+               lambda fh, a, b: _parse_block(path, a, b, ncols, fh), out,
+               prefix=os.path.basename(path) + ".")
     return np.frombuffer(out.getbuffer()).reshape(-1, ncols)
 
 

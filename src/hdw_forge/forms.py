@@ -320,11 +320,12 @@ class CoordForm:
         return out
 
     def simplified(self):
-        """Canonical coefficients: a ring element as it is, an `Expr` held as
-        its `symbolic.simplify`."""
+        """Canonical coefficients: a ring element as it is, an `Expr`, which
+        the ring refused, held as its `simplify_off_ring` (as `HeldTable`
+        holds an off-ring write)."""
         out = CoordForm(self.coords, self.degree)
         for key, c in self._coeffs.items():
-            c = c if isinstance(c, PolyElement) else _coeff(simplify(c), self.coords)
+            c = c if isinstance(c, PolyElement) else _coeff(simplify_off_ring(c), self.coords)
             if c != 0:
                 out._coeffs[key] = c
         return out

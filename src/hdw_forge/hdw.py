@@ -70,20 +70,28 @@ class GaugeChoice:
     off_trace: dict = field(default_factory=dict)
     redistribution: dict = field(default_factory=dict)
 
-    def validate(self, chart: BundleChart):
-        free = 0
-        for (a, rho, nu) in self.off_trace:
+    @staticmethod
+    def check_slot(chart: BundleChart, key: tuple):
+        """Raise `GaugeError` unless `key` is a free slot of `chart`: the
+        (a, rho, nu) of an off-trace entry or the (a, nu) of a
+        redistribution entry."""
+        if len(key) == 3:
+            a, rho, nu = key
             if not (1 <= a <= chart.n and 1 <= rho <= chart.m
                     and 1 <= nu <= chart.m) or rho == nu:
                 raise GaugeError(
                     f"off-trace entry ({a},{rho},{nu}) is not a free slot")
-            free += 1
-        for (a, nu) in self.redistribution:
+        else:
+            a, nu = key
             if not (1 <= a <= chart.n and 1 <= nu <= chart.m - 1):
                 raise GaugeError(
                     f"redistribution entry ({a},{nu}) is not a free slot "
                     "(the last diagonal entry is eliminated)")
-            free += 1
+
+    def validate(self, chart: BundleChart):
+        for key in [*self.off_trace, *self.redistribution]:
+            self.check_slot(chart, key)
+        free = len(self.off_trace) + len(self.redistribution)
         if free > dof_count(chart):
             raise GaugeError(
                 f"{free} gauge entries given but only {dof_count(chart)} are free")

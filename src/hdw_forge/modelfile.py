@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .coords import BundleChart
-from .errors import ModelFileError
+from .errors import GaugeError, ModelFileError
 from .exprparse import parse_expression
 from .hdw import GaugeChoice
 
@@ -44,9 +44,10 @@ class ModelFile:
 
 
 def _split_sections(text: str):
-    """Yield (section, [(line_no, key, value), ...]) preserving order."""
+    """[(section, header line_no, [(line_no, key, value), ...]), ...] in
+    file order."""
     sections = []
-    current = None
+    entries = None
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -56,16 +57,22 @@ def _split_sections(text: str):
             name = m.group(1)
             if name not in _KNOWN_SECTIONS:
                 raise ModelFileError(f"unknown section [{name}]", i)
-            current = (name, [])
-            sections.append(current)
+            entries = []
+            sections.append((name, i, entries))
             continue
-        if current is None:
+        if entries is None:
             raise ModelFileError("entry before any [section] header", i)
         if "=" not in line:
             raise ModelFileError("expected 'key = value'", i)
         key, value = line.split("=", 1)
-        current[1].append((i, key.strip(), value.strip()))
+        entries.append((i, key.strip(), value.strip()))
     return sections
+
+
+def _first_line(header, entries):
+    """The line an error about a section's entries names: its first
+    entry's, or its header's when it has none."""
+    return entries[0][0] if entries else header
 
 
 def _get_int(entries, key, line_hint):
@@ -86,57 +93,58 @@ def _get_float(value, ln, key):
 
 
 def parse_model_text(text: str, path: str | None = None) -> ModelFile:
-    sections = _split_sections(text)
+    # name -> (header line, entries); a duplicate or conflicting section is
+    # reported at its header
     by_name = {}
-    for name, entries in sections:
+    for name, header, entries in _split_sections(text):
         if name in by_name:
-            raise ModelFileError(f"duplicate section [{name}]", entries[0][0] if entries else 1)
-        by_name[name] = entries
+            raise ModelFileError(f"duplicate section [{name}]", header)
+        by_name[name] = header, entries
 
     if "bundle" not in by_name:
         raise ModelFileError("missing [bundle] section", 1)
-    m, _ = _get_int(by_name["bundle"], "m", 1)
-    n, _ = _get_int(by_name["bundle"], "n", 1)
+    header, entries = by_name["bundle"]
+    m, m_line = _get_int(entries, "m", _first_line(header, entries))
+    n, n_line = _get_int(entries, "n", _first_line(header, entries))
     try:
         chart = BundleChart(m, n)
     except Exception as exc:
-        raise ModelFileError(str(exc), 1) from exc
+        raise ModelFileError(str(exc), m_line if m < 1 else n_line) from exc
 
-    has_h = "hamiltonian" in by_name
-    has_l = "lagrangian" in by_name
-    if has_h == has_l:
-        raise ModelFileError(
-            "need exactly one of [hamiltonian] or [lagrangian]", 1)
+    physics = [name for name in ("hamiltonian", "lagrangian") if name in by_name]
+    if len(physics) != 1:
+        raise ModelFileError("need exactly one of [hamiltonian] or [lagrangian]",
+                             max(by_name[name][0] for name in physics) if physics else 1)
 
     model = ModelFile(chart, path=path, text=text)
 
-    if has_h:
-        entries = by_name["hamiltonian"]
+    if physics == ["hamiltonian"]:
+        header, entries = by_name["hamiltonian"]
         for ln, k, v in entries:
             if k != "h":
                 raise ModelFileError(f"unexpected key {k!r} in [hamiltonian]", ln)
             model.hamiltonian = parse_expression(v, chart, "J1", line=ln)
         if model.hamiltonian is None:
-            raise ModelFileError("[hamiltonian] needs an 'h = ...' entry", 1)
+            raise ModelFileError("[hamiltonian] needs an 'h = ...' entry", header)
     else:
-        entries = by_name["lagrangian"]
+        header, entries = by_name["lagrangian"]
         for ln, k, v in entries:
             if k != "lag":
                 raise ModelFileError(f"unexpected key {k!r} in [lagrangian]", ln)
             model.lagrangian = parse_expression(v, chart, "L", line=ln)
         if model.lagrangian is None:
-            raise ModelFileError("[lagrangian] needs a 'lag = ...' entry", 1)
+            raise ModelFileError("[lagrangian] needs a 'lag = ...' entry", header)
 
     if "gauge" in by_name:
-        model.gauge = _parse_gauge(by_name["gauge"], chart)
+        model.gauge = _parse_gauge(*by_name["gauge"], chart)
     if "solve" in by_name:
-        model.solve = _parse_solve(by_name["solve"], chart)
+        model.solve = _parse_solve(*by_name["solve"], chart)
     if "submanifold" in by_name:
-        model.submanifold = _parse_submanifold(by_name["submanifold"], chart)
+        model.submanifold = _parse_submanifold(*by_name["submanifold"], chart)
     return model
 
 
-def _parse_gauge(entries, chart) -> GaugeChoice:
+def _parse_gauge(header, entries, chart) -> GaugeChoice:
     mode = "equal-split"
     off_trace = {}
     redistribution = {}
@@ -146,29 +154,28 @@ def _parse_gauge(entries, chart) -> GaugeChoice:
                 raise ModelFileError(f"unknown gauge mode {v!r}", ln)
             mode = v
             continue
-        mg = _GAUGE_G_RE.match(k)
-        if mg:
-            a, rho, nu = (int(g) for g in mg.groups())
-            off_trace[(a, rho, nu)] = parse_expression(v, chart, "J1", line=ln)
-            continue
-        mp = _GAUGE_PSI_RE.match(k)
-        if mp:
-            a, nu = (int(g) for g in mp.groups())
-            redistribution[(a, nu)] = parse_expression(v, chart, "J1", line=ln)
-            continue
-        raise ModelFileError(
-            f"unexpected gauge key {k!r} (use mode, G[A][rho][nu], psi[A][nu])", ln)
+        match = _GAUGE_G_RE.match(k) or _GAUGE_PSI_RE.match(k)
+        if not match:
+            raise ModelFileError(
+                f"unexpected gauge key {k!r} (use mode, G[A][rho][nu], psi[A][nu])", ln)
+        slot = tuple(int(g) for g in match.groups())
+        try:
+            GaugeChoice.check_slot(chart, slot)
+        except GaugeError as exc:
+            raise ModelFileError(str(exc), ln) from exc
+        table = off_trace if len(slot) == 3 else redistribution
+        table[slot] = parse_expression(v, chart, "J1", line=ln)
     if (off_trace or redistribution) and mode == "equal-split":
         mode = "user-table"
     gauge = GaugeChoice(mode, off_trace, redistribution)
     try:
         gauge.validate(chart)
     except Exception as exc:
-        raise ModelFileError(str(exc), entries[0][0] if entries else 1) from exc
+        raise ModelFileError(str(exc), _first_line(header, entries)) from exc
     return gauge
 
 
-def _parse_solve(entries, chart) -> dict:
+def _parse_solve(header, entries, chart) -> dict:
     out = {"kind": None, "extended": False, "init": {}}
     scalar_keys = {"t0", "t1", "dt", "xmin", "xmax"}
     for ln, k, v in entries:
@@ -192,14 +199,14 @@ def _parse_solve(entries, chart) -> dict:
             out["init"][k] = (ln, v)
     if out["kind"] is None:
         raise ModelFileError("[solve] needs kind = ode | field1p1",
-                             entries[0][0] if entries else 1)
+                             _first_line(header, entries))
     kind = out["kind"]
     required = {"ode": ("t0", "t1", "dt"),
                 "field1p1": ("t0", "t1", "dt", "xmin", "xmax", "points")}[kind]
     for key in required:
         if key not in out:
             raise ModelFileError(f"[solve] kind={kind} needs key {key!r}",
-                                 entries[0][0] if entries else 1)
+                                 _first_line(header, entries))
     problem = solve_problem(out, chart)
     if problem is not None:
         key, bound = problem
@@ -257,7 +264,7 @@ def solve_problem(run: dict, chart: BundleChart):
     return None
 
 
-def _parse_submanifold(entries, chart) -> dict:
+def _parse_submanifold(header, entries, chart) -> dict:
     params = None
     embedding = {}
     h_P = None
@@ -285,7 +292,7 @@ def _parse_submanifold(entries, chart) -> dict:
                 raise ModelFileError(f"unknown coordinate {k!r} in [submanifold]", ln) from None
             embedding[sym] = parse_expression(
                 v, None, extra_names=[p.name for p in params], line=ln)
-    first = entries[0][0] if entries else 1
+    first = _first_line(header, entries)
     if params is None or h_P is None or not samples:
         raise ModelFileError("[submanifold] needs params, h_P, and samples", first)
     missing = [s.name for s in chart.coords("J1") if s not in embedding]

@@ -817,6 +817,19 @@ class TestCanonicalOnce:
         assert out._coeffs == held
         assert all(out._coeffs[key] is c for key, c in held.items())
 
+    def test_simplified_tries_the_ring_once_per_off_ring_coefficient(self, monkeypatch):
+        # the form already failed to hold each coefficient in its ring, so
+        # only the simplified value is tried there again
+        chart = BundleChart(2, 1)
+        y, p = chart.y(1), chart.p(1, 1)
+        values = [p + 1 / y, p * sp.log(y), 0.5 * y]
+        form = CoordForm(chart.coords("J1"), 1, {(i,): v for i, v in enumerate(values)})
+        assert not any(isinstance(c, PolyElement) for c in form._coeffs.values())
+        calls = [_count_calls(monkeypatch, module, "to_ring") for module in (forms, symbolic)]
+        out = form.simplified()
+        assert len(calls[0]) + len(calls[1]) == len(values)
+        assert [out.terms[(i,)] for i in range(len(values))] == [simplify(v) for v in values]
+
     def test_extended_alpha_reads_h_from_its_held_form(self, monkeypatch):
         chart = BundleChart(2, 1)
         p1, p2, y = chart.p(1, 1), chart.p(1, 2), chart.y(1)
@@ -916,6 +929,32 @@ def test_orjson_is_imported_only_inside_cli_functions():
             if any(name.split(".")[0] == "orjson" for name in names):
                 where.append((path.name, id(node) in in_functions))
     assert where and set(where) == {("cli.py", True)}
+
+
+def test_only_forks_start_forks_and_no_module_sends_files():
+    """`os.fork` and `os._exit` occur only in `cli._Forks.start`, so every
+    child is reaped and ends without returning into its caller, and no
+    module calls `os.sendfile`: `_in_blocks` copies each part with
+    `shutil.copyfileobj`."""
+    where = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.ClassDef):
+                for f in scope.body:
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owner.update((id(node), f"{scope.name}.{f.name}")
+                                     for node in ast.walk(f))
+        names = ("fork", "_exit", "sendfile")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in names):
+                where.append((path.name, owner.get(id(node)), node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                where += [(path.name, None, a.name) for a in node.names if a.name in names]
+    assert sorted(where) == [("cli.py", "_Forks.start", "_exit"),
+                             ("cli.py", "_Forks.start", "fork")]
 
 
 def test_zero_forms_stay_in_forms():

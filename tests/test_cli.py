@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -513,16 +514,16 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def parent_calls(monkeypatch, name):
-    """The argument tuples of the calls of `cli.<name>` made in this
+def parent_calls(monkeypatch, name, owner=cli):
+    """The argument tuples of the calls of `owner.<name>` made in this
     process, not in a forked child."""
-    parent, real, calls = os.getpid(), getattr(cli, name), []
+    parent, real, calls = os.getpid(), getattr(owner, name), []
 
     def spy(*args):
         if os.getpid() == parent:
             calls.append(args)
         return real(*args)
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -694,6 +695,23 @@ class TestGridBlocks:
         assert len(forks) == workers - 1
         assert_no_children()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parent_copies_each_finished_part(self, tmp_path, blocks, monkeypatch, workers):
+        # each part goes into the grid, and into the read buffer, by one
+        # copy in the parent, with no kernel copy
+        blocks(workers)
+        grid = odd_grids()[3]
+        path = tmp_path / "grid.csv"
+        copied = parent_calls(monkeypatch, "copyfileobj", shutil)
+        sent = parent_calls(monkeypatch, "sendfile", os)
+        write_grid_csv(grid, str(path))
+        assert [src.name.endswith(".part") for src, *_ in copied] == [True] * (workers - 1)
+        copied.clear()
+        assert_same_grid(read_grid_csv(str(path)), grid)
+        assert [src.name.endswith(".part") for src, *_ in copied] == [True] * (workers - 1)
+        assert sent == []
+        assert_no_children()
+
     def test_children_started_before_a_failed_fork_run_on(self, tmp_path, blocks, monkeypatch):
         # the second fork fails: block 1's child is neither killed nor
         # redone, and the parent does blocks 0 and 2
@@ -705,14 +723,14 @@ class TestGridBlocks:
         bounds = cli._block_bounds(len(grid.t), len(grid.t))
         written = parent_calls(monkeypatch, "_write_rows")
         parsed = parent_calls(monkeypatch, "_parse_block")
-        appended = parent_calls(monkeypatch, "_append")
+        copied = parent_calls(monkeypatch, "copyfileobj", shutil)
         killed = []
         monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
         forks = counted_forks(monkeypatch, fail_from=2,
                               error=BlockingIOError(11, "Resource temporarily unavailable"))
         copy = tmp_path / "copy.csv"
         write_grid_csv(grid, str(copy))
-        assert copy.read_bytes() == text and len(appended) == 1
+        assert copy.read_bytes() == text and len(copied) == 1
         assert [call[2:] for call in written] == [bounds[0], bounds[2]]
         forks.clear()
         assert_same_grid(read_grid_csv(str(copy)), grid)
@@ -757,7 +775,7 @@ class TestGridBlocks:
 
     def test_failed_write_leaves_no_file(self, tmp_path, blocks, monkeypatch):
         blocks(3)
-        monkeypatch.setattr(cli, "_append", lambda fd, part: 1 / 0)
+        monkeypatch.setattr(shutil, "copyfileobj", lambda *args: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             write_grid_csv(odd_grids()[3], str(tmp_path / "grid.csv"))
         assert list(tmp_path.iterdir()) == []

@@ -158,6 +158,37 @@ class TestModelParsing:
         with pytest.raises(ModelFileError):
             parse_model_text(OSC + "\n[bundle]\nm = 1\nn = 1\n")
 
+    @staticmethod
+    def error_line(text, match):
+        with pytest.raises(ModelFileError, match=match) as exc:
+            parse_model_text(text)
+        return exc.value.line
+
+    @pytest.mark.parametrize("entry,line", [("m = 0", 4), ("n = 0", 5)])
+    def test_dimension_below_one_reports_its_entry(self, entry, line):
+        text = "# a chart with no base\n\n[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = 0\n"
+        text = text.replace(entry[0] + " = 1", entry)
+        assert self.error_line(text, "need m >= 1 and n >= 1") == line
+
+    def test_physics_section_without_its_entry_reports_its_header(self):
+        text = "[bundle]\nm = 1\nn = 1\n\n# no h below\n\n[hamiltonian]\n"
+        assert self.error_line(text, r"\[hamiltonian\] needs an 'h = ...' entry") == 7
+
+    @pytest.mark.parametrize("slot", ["psi[1][2]", "G[1][1][1]"])
+    def test_gauge_slot_error_reports_its_entry(self, slot):
+        text = ("[bundle]\nm = 2\nn = 1\n[hamiltonian]\nh = p1_1*p1_1\n"
+                f"[gauge]\nmode = user-table\nG[1][1][2] = y1\n{slot} = y1\n")
+        assert self.error_line(text, "is not a free slot") == 9
+
+    @pytest.mark.parametrize("body", ["", "m = 1\nn = 1\n"], ids=["empty", "full"])
+    def test_duplicate_section_reports_its_header(self, body):
+        text = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = 0\n[bundle]\n" + body
+        assert self.error_line(text, r"duplicate section \[bundle\]") == 6
+
+    def test_second_physics_section_reports_its_header(self):
+        text = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\n[lagrangian]\nlag = v1_1^2/2\n"
+        assert self.error_line(text, "need exactly one of") == 5
+
     def test_non_integer_dimension(self):
         with pytest.raises(ModelFileError):
             parse_model_text("[bundle]\nm = one\nn = 1\n[hamiltonian]\nh = 0\n")
