@@ -35,7 +35,7 @@ from . import __version__
 from .errors import (HdwForgeError, ModelFileError, OutputError, RegularityError,
                      SolverAbortError)
 from .exprparse import parse_expression, render_latex, render_plain
-from .forms import extended_alpha
+from .forms import HeldTable, HeldView, extended_alpha
 from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
                   derive_restricted, dof_count, standard_checks)
 from .legendre import (LagrangianModel, euler_lagrange,
@@ -488,9 +488,9 @@ _INJECT_RE = re.compile(r"^(F|G|g)((?:\[\d+\])+)$")
 
 
 def _apply_injection(X: HdwField, path: str) -> HdwField:
-    """Overwrite coefficient entries of an extended field, in place, from a
-    debug JSON file; F and G entries live on the restricted chart, g entries
-    on the extended one."""
+    """A new extended field: `X` with coefficient entries replaced from a
+    debug JSON file; F and G entries live on the restricted chart, g
+    entries on the extended one.  `X` itself is unchanged."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             table = json.load(fh)
@@ -500,7 +500,7 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
         raise ModelFileError(f"{path}: injection file is not valid JSON: {exc}") from exc
     if not isinstance(table, dict):
         raise ModelFileError(f"{path}: injection file must hold a JSON object")
-    tables = {"F": X.F, "G": X.G, "g": X.g}
+    injected = {"F": {}, "G": {}, "g": {}}
     for key, text in table.items():
         m = _INJECT_RE.match(key)
         if not m:
@@ -509,20 +509,23 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
         idx = tuple(int(t) for t in re.findall(r"\d+", m.group(2)))
         if name == "g" and len(idx) == 1:
             idx = idx[0]
-        if idx not in tables[name]:
+        if idx not in getattr(X, name):
             raise ModelFileError(f"{path}: injection key {key!r} names no coefficient "
                                  f"of an (m, n) = ({X.chart.m}, {X.chart.n}) chart")
         if not isinstance(text, str):
             raise ModelFileError(f"{path}: injection value of {key!r} is not a string")
         try:
-            tables[name][idx] = parse_expression(text, X.chart, "M" if name == "g" else "J1")
+            injected[name][idx] = parse_expression(text, X.chart, "M" if name == "g" else "J1")
         except ModelFileError as exc:
             raise ModelFileError(f"{path}: injection value of {key!r} at {exc}") from exc
-    return X
+    coords = X.chart.coords("J1")
+    F, G, g = (HeldView(coords, {**getattr(X, name).held, **HeldTable(coords, values).held})
+               for name, values in injected.items())
+    return HdwField(X.kind, X.chart, F, G, g, X.gauge, X.f)
 
 
 def _select_gauge(model: ModelFile, args) -> GaugeChoice:
-    if getattr(args, "gauge", "file") == "equal-split":
+    if args.gauge == "equal-split":
         return GaugeChoice()
     return model.gauge
 
@@ -564,9 +567,8 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
         report["note"] = str(exc)
     else:
         Xe = None
-        inject = getattr(args, "debug_inject", None)
-        if inject:
-            Xe = _apply_injection(derive_extended(ham, gauge), inject)
+        if args.debug_inject:
+            Xe = _apply_injection(derive_extended(ham, gauge), args.debug_inject)
         checks = []
         for name, (ok, detail) in standard_checks(ham, gauge, Xe=Xe, seed=args.seed).items():
             diagnostic = "diagnostic" in name
@@ -616,14 +618,14 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
     if model.solve is None:
         raise ModelFileError("model has no [solve] section")
     run_block = dict(model.solve)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         run_block["dt"] = float(args.dt)
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         run_block["points"] = int(args.grid)
     problem = solve_problem(run_block, model.chart)
     if problem is not None:
         key, bound = problem
-        if key == "dt" and getattr(args, "dt", None) is None:
+        if key == "dt" and args.dt is None:
             # the model's dt passed when read: --grid broke the stored-value bound
             key, bound = "points", bound.replace("large enough", "small enough", 1)
         flag = {"dt": "--dt", "points": "--grid"}.get(key, key)

@@ -28,7 +28,8 @@ or held again.  Other modules hold and combine coefficients through `hold`
 first partials from `partials` (a 0-form's `CoordForm.d`), and read values
 back through `HeldView`, the one lazy `Expr` view of held values:
 `CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
-(`HeldTable`, which takes writes and reads canonical `Expr`s).
+(`HeldTable`, a view built complete from values it holds canonically).
+No view takes writes: a changed table is a new one.
 The Legendre transform substitutes with `compose` and solves with
 `determinant` and `solve`: each works in a ring where the held values
 allow it and runs the `Expr` computation (`subs`, `Matrix.det`, `LUsolve`)
@@ -106,6 +107,12 @@ def _mul(a, b, coords):
         if pair is not None:
             return pair[0] * pair[1]
     return sp.sympify(_expr(a, coords)) * _expr(b, coords)
+
+
+def _settled(c, coords):
+    """A held value's canonical hold: a ring element as it is, an `Expr`,
+    which the ring refused, as `hold(simplify_off_ring(c))`."""
+    return c if isinstance(c, PolyElement) else _coeff(simplify_off_ring(c), coords)
 
 
 def _signed(sign, c):
@@ -230,26 +237,14 @@ class HeldView(Mapping):
 
 
 class HeldTable(HeldView):
-    """A `HeldView` that takes writes: a value is held (`hold`), and one off
-    the ring as `hold(simplify_off_ring(value))`, which tries the ring once
-    more only on the simplified value.  `writes` counts the writes.  The
-    held values of a `HeldView` given as `values` are taken as they are."""
+    """A `HeldView` built complete from `values`: a value is held (`hold`),
+    and one off the ring as `hold(simplify_off_ring(value))`, which tries
+    the ring once more only on the simplified value."""
 
     def __init__(self, coords, values=()):
-        super().__init__(coords)
-        self.writes = 0
-        if isinstance(values, HeldView):
-            self.held.update(values.held)
-            return
-        for key, value in dict(values).items():
-            self[key] = value
-
-    def __setitem__(self, key, value):
-        value = _coeff(value, self.coords)
-        if not isinstance(value, PolyElement):
-            value = _coeff(simplify_off_ring(value), self.coords)
-        self.held[key] = value
-        self.writes += 1
+        coords = tuple(coords)
+        super().__init__(coords, {key: _settled(_coeff(value, coords), coords)
+                                  for key, value in dict(values).items()})
 
 
 def _normalize_key(key):
@@ -322,10 +317,10 @@ class CoordForm:
     def simplified(self):
         """Canonical coefficients: a ring element as it is, an `Expr`, which
         the ring refused, held as its `simplify_off_ring` (as `HeldTable`
-        holds an off-ring write)."""
+        holds an off-ring value)."""
         out = CoordForm(self.coords, self.degree)
         for key, c in self._coeffs.items():
-            c = c if isinstance(c, PolyElement) else _coeff(simplify_off_ring(c), self.coords)
+            c = _settled(c, self.coords)
             if c != 0:
                 out._coeffs[key] = c
         return out
@@ -534,7 +529,7 @@ class CoordMultiVector:
 def _held_partials(expr, coords):
     """(held `expr`, {coordinate: held first partial}) along `coords`: the
     0-form's coefficient and its `CoordForm.d`, each partial held as a
-    `HeldTable` write holds it; a zero one is the ring's zero.
+    `HeldTable` holds it; a zero one is the ring's zero.
 
     Kept for the 128 latest (expression, frame) pairs.  The key compares
     expressions with sympy's `==`, under which Floats of different
@@ -548,17 +543,15 @@ def _held_partials(expr, coords):
     return form._coeffs.get((), zero), table.held
 
 
-def partials(expr, coords) -> HeldTable:
+def partials(expr, coords) -> HeldView:
     """The first partials of `expr` along `coords` (`CoordForm.d` of the
-    0-form), held in a `HeldTable` keyed by coordinate; a zero one reads 0.
+    0-form), a read-only `HeldView` keyed by coordinate; a zero one reads 0.
 
-    The held partials are taken once per (expression, frame) and shared;
-    each call hands out a new table over them, so a write to one table is
-    seen by no other.
+    The held partials are taken once per (expression, frame), and every
+    call's view is over the same held values.
     """
     coords = tuple(coords)
-    held = _held_partials(sp.sympify(expr), coords)[1]
-    return HeldTable(coords, HeldView(coords, held))
+    return HeldView(coords, _held_partials(sp.sympify(expr), coords)[1])
 
 
 def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:

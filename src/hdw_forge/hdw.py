@@ -12,10 +12,10 @@ computable forms.
 Coefficients are held as `forms` holds them (`forms.hold`): a ring element
 when polynomial in the frame and its sin/cos/exp atoms, the `Expr` as given
 otherwise.  That choice is made in `forms` alone; this module derives F, G
-and g in held arithmetic (`forms.sum_of_products`) into the `forms.HeldTable`s
-of an `HdwField`, which read each entry as its canonical `Expr` only when it
-is read.  `curvature` is a `forms.HeldView` of the held brackets of
-`CoordMultiVector.bracket`.
+and g in held arithmetic (`forms.sum_of_products`), each table complete,
+into an `HdwField`, a value whose `forms.HeldView`s read each entry as its
+canonical `Expr` only when it is read.  `curvature` is a `forms.HeldView`
+of the held brackets of `CoordMultiVector.bracket`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class HamiltonianModel:
         object.__setattr__(self, "h", self.chart.validate_on(self.h, "J1"))
 
     @cached_property
-    def partials(self) -> HeldTable:
+    def partials(self) -> HeldView:
         """`forms.partials` of h, taken once: both derivations read them."""
         return partials(self.h, self.chart.coords("J1"))
 
@@ -106,17 +106,17 @@ class GaugeChoice:
                     for e in range(1, chart.m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HdwField:
     """A derived multivector field with its coefficient tables.
 
     F[(a, nu)] are the fiber-velocity coefficients, G[(a, rho, nu)] the
     momentum coefficients, and g[nu] (extended kind only) the coefficients
-    along the extra scalar direction.  Each is a `forms.HeldTable` on the
-    restricted chart: a `HeldTable` given is shared, a `HeldView`'s held
-    values are taken as they are, and any other mapping is held.
-    `multivector()` takes the tables' values as held; it is built once and
-    reused, until a write to any table makes it build it again.
+    along the extra scalar direction.  Each is a `forms.HeldView` on the
+    restricted chart: a `HeldView` over that frame is taken as it is, and
+    any other mapping is held into a `forms.HeldTable`.  A field is a
+    value: a changed field is a new one, and `multivector()` takes the
+    tables' values as held, built on the first call.
     """
 
     kind: str  # "restricted" | "extended"
@@ -126,23 +126,23 @@ class HdwField:
     g: Mapping
     gauge: GaugeChoice
     f: sp.Expr = sp.Integer(1)
-    _multivector: tuple | None = field(  # (writes when built, multivector)
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = self.chart.coords("J1")
         for name in ("F", "G", "g"):
-            if not isinstance(getattr(self, name), HeldTable):
-                setattr(self, name, HeldTable(coords, getattr(self, name)))
+            table = getattr(self, name)
+            if not (isinstance(table, HeldView) and table.coords == coords):
+                object.__setattr__(self, name, HeldTable(coords, table))
 
     @property
     def level(self) -> str:
         return "M" if self.kind == "extended" else "J1"
 
     def multivector(self) -> CoordMultiVector:
-        writes = self.F.writes + self.G.writes + self.g.writes
-        if self._multivector is not None and self._multivector[0] == writes:
-            return self._multivector[1]
+        return self._multivector
+
+    @cached_property
+    def _multivector(self) -> CoordMultiVector:
         chart = self.chart
         coords = chart.coords(self.level)
         index = {s: i for i, s in enumerate(coords)}
@@ -160,9 +160,7 @@ class HdwField:
             if self.kind == "extended":
                 comp[index[chart.pe]] = g[nu]
             comps.append(comp)
-        mv = CoordMultiVector(coords, base_positions, comps, self.f)
-        self._multivector = (writes, mv)
-        return mv
+        return CoordMultiVector(coords, base_positions, comps, self.f)
 
     def restricted(self) -> "HdwField":
         """Projection onto the restricted chart: the same F, G, gauge and f,
@@ -184,17 +182,17 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     dh = model.partials.held
     F = {(a, nu): dh[chart.p(a, nu)]
          for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)}
-    X = HdwField("restricted", chart, HeldView(coords, F), {}, {}, gauge)
+    G = {}
     for a in range(1, chart.n + 1):
         h_y = dh[chart.y(a)]
         for nu in range(1, chart.m + 1):
             for rho in range(1, chart.m + 1):
                 if rho == nu:
                     psi = hold(gauge.psi(chart, a, nu), coords)
-                    X.G[(a, rho, nu)] = sum_of_products([(share, h_y), (one, psi)], coords)
+                    G[(a, rho, nu)] = sum_of_products([(share, h_y), (one, psi)], coords)
                 else:
-                    X.G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), 0)
-    return X
+                    G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), 0)
+    return HdwField("restricted", chart, HeldView(coords, F), G, {}, gauge)
 
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
@@ -206,7 +204,7 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
     coords = chart.coords("J1")
     F, G = X.F.held, X.G.held
     minus = hold(-1, coords)
-    Xe = HdwField("extended", chart, X.F, X.G, {}, X.gauge)
+    g = {}
     for nu in range(1, chart.m + 1):
         pairs = [(minus, model.partials.held[chart.x(nu)])]
         for a in range(1, chart.n + 1):
@@ -214,8 +212,8 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
                 if eta != nu:
                     pairs += [(F[(a, nu)], G[(a, eta, eta)]),
                               (-F[(a, eta)], G[(a, eta, nu)])]
-        Xe.g[nu] = sum_of_products(pairs, coords)
-    return Xe
+        g[nu] = sum_of_products(pairs, coords)
+    return HdwField("extended", chart, X.F, X.G, g, X.gauge)
 
 
 def residual_restricted(X: HdwField, omega_h: CoordForm) -> CoordForm:

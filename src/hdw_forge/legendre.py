@@ -2,11 +2,12 @@
 
 Every partial derivative is read from `forms.partials`.
 Closed-form inversion is supported for Lagrangians quadratic in the
-velocities (linear momentum-velocity relation solved exactly); the
-Euler-Lagrange residuals act as an independent oracle for the derived field
-equations, using formal second-order symbols that never leave this module.
-It shares one divergence with the momentum elimination, which takes the
-`LegendreResult` a command holds: the map is computed once per command.
+velocities (linear momentum-velocity relation solved exactly).  The
+Euler-Lagrange residuals and the momentum elimination, which takes the
+`LegendreResult` a command holds, use formal second-order symbols that
+never leave this module, and add the same `_divergence` of the same
+momenta: the round trip comparing them is no independent oracle, and
+checks only -dlag/dy_a against dh/dy_a at p = dlag/dv.
 
 The transform runs on held values.  The frames "L" = (x, y, v) and
 "J1" = (x, y, p) agree position by position, so a held value is read over
@@ -23,7 +24,7 @@ as the `Expr` that computation gives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -46,14 +47,14 @@ class LagrangianModel:
         object.__setattr__(self, "lag", self.chart.validate_on(self.lag, "L"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LegendreResult:
     model: LagrangianModel
     momenta: dict            # (a, nu) -> Expr in (x, y, v)
     extended: sp.Expr        # lag - v . dlag/dv
     hessian: dict            # ((a, nu), (b, eta)) -> Expr
     classification: str      # hyper-regular-closed-form | regular-local | degenerate
-    inverse_velocities: dict = field(default_factory=dict)  # (a, nu) -> Expr in (x, y, p)
+    inverse_velocities: dict  # (a, nu) -> Expr in (x, y, p); empty without a closed form
 
 
 def _velocity_slots(chart: BundleChart):
@@ -88,23 +89,22 @@ def legendre_maps(model: LagrangianModel) -> LegendreResult:
         classification = "regular-local"
     else:
         classification = "hyper-regular-closed-form"
-    result = LegendreResult(model, momenta, read(extended, coords), hessian, classification)
     velocities = {chart.v(*s) for s in slots}
-    if classification != "hyper-regular-closed-form" or any(
+    inverse = {}
+    if classification == "hyper-regular-closed-form" and not any(
             e.free_symbols & velocities for e in hessian.values()):
-        return result
-    # a Hessian free of v makes p = H v + p|v=0, solved for v exactly; H names
-    # no v, so it is held over "J1" as it is over "L"
-    at_rest = dict.fromkeys(_positions(chart), hold(0, coords))
-    rhs = [sum_of_products([(hold(1, onto), hold(chart.p(*s), onto)),
-                            (hold(-1, onto), compose(p, at_rest, coords, onto))], onto)
-           for s, p in zip(slots, held_p)]
-    try:
-        held_v = solve(held_h, rhs, onto)
-    except sp.matrices.exceptions.NonInvertibleMatrixError:
-        return result
-    result.inverse_velocities = dict(HeldView(onto, dict(zip(slots, held_v))))
-    return result
+        # a Hessian free of v makes p = H v + p|v=0, solved for v exactly; H
+        # names no v, so it is held over "J1" as it is over "L"
+        at_rest = dict.fromkeys(_positions(chart), hold(0, coords))
+        rhs = [sum_of_products([(hold(1, onto), hold(chart.p(*s), onto)),
+                                (hold(-1, onto), compose(p, at_rest, coords, onto))], onto)
+               for s, p in zip(slots, held_p)]
+        try:
+            inverse = dict(HeldView(onto, dict(zip(slots, solve(held_h, rhs, onto)))))
+        except sp.matrices.exceptions.NonInvertibleMatrixError:
+            pass
+    return LegendreResult(model, momenta, read(extended, coords), hessian, classification,
+                          inverse)
 
 
 def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
@@ -161,7 +161,7 @@ def hdw_momentum_elimination(source) -> list:
     Substituting p = dlag/dv into the derived field's trace constraint and
     expanding the divergence with formal total derivatives yields n residual
     expressions over the same symbols as `euler_lagrange`; structural
-    equality of the two lists is the round-trip correspondence check.
+    equality of the two lists, with one divergence, is the round trip.
     """
     res = source if isinstance(source, LegendreResult) else legendre_maps(source)
     ham = hamiltonian_from_lagrangian(res)

@@ -45,7 +45,8 @@ class ModelFile:
 
 def _split_sections(text: str):
     """[(section, header line_no, [(line_no, key, value), ...]), ...] in
-    file order."""
+    file order.  A key given twice in one section is an error at its
+    second line; `samples` alone may repeat, its lines accumulating."""
     sections = []
     entries = None
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -64,8 +65,10 @@ def _split_sections(text: str):
             raise ModelFileError("entry before any [section] header", i)
         if "=" not in line:
             raise ModelFileError("expected 'key = value'", i)
-        key, value = line.split("=", 1)
-        entries.append((i, key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key != "samples" and any(k == key for _, k, _ in entries):
+            raise ModelFileError(f"repeated key {key!r} in [{name}]", i)
+        entries.append((i, key, value))
     return sections
 
 
@@ -104,6 +107,9 @@ def parse_model_text(text: str, path: str | None = None) -> ModelFile:
     if "bundle" not in by_name:
         raise ModelFileError("missing [bundle] section", 1)
     header, entries = by_name["bundle"]
+    for ln, k, _ in entries:
+        if k not in ("m", "n"):
+            raise ModelFileError(f"unexpected key {k!r} in [bundle]", ln)
     m, m_line = _get_int(entries, "m", _first_line(header, entries))
     n, n_line = _get_int(entries, "n", _first_line(header, entries))
     try:
@@ -211,7 +217,7 @@ def _parse_solve(header, entries, chart) -> dict:
     if problem is not None:
         key, bound = problem
         raise ModelFileError(f"{key} must be {bound}, got {out[key]!r}",
-                             max(ln for ln, k, _ in entries if k == key))
+                             next(ln for ln, k, _ in entries if k == key))
 
     init = {}
     for name, (ln, v) in out["init"].items():

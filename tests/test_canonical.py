@@ -689,15 +689,15 @@ class TestHeldDerivation:
         assert (X.F, X.G, X.g) == (F, G, g)
 
     def test_off_ring_write_tries_the_ring_at_most_twice(self, monkeypatch):
+        # a table holds each value once, when it is built
         chart = BundleChart(2, 1)
         y1, p1 = chart.y(1), chart.p(1, 1)
-        table = forms.HeldTable(chart.coords("J1"))
         calls = [_count_calls(monkeypatch, module, "to_ring") for module in (forms, symbolic)]
-        table[1] = 1 / y1 + p1
+        table = forms.HeldTable(chart.coords("J1"), {1: 1 / y1 + p1})
         assert sum(map(len, calls)) <= 2
         assert table.held[1] == simplify(1 / y1 + p1) and table[1] == simplify(1 / y1 + p1)
         # a value that `cancel` takes into the ring is held there
-        table[2] = (y1 ** 2 - 1) / (y1 - 1)
+        table = forms.HeldTable(chart.coords("J1"), {2: (y1 ** 2 - 1) / (y1 - 1)})
         assert isinstance(table.held[2], PolyElement) and table[2] == y1 + 1
 
     def test_checks_read_ring_coefficients_without_simplify(self, monkeypatch):
@@ -860,7 +860,7 @@ class TestCanonicalOnce:
         chart = BundleChart(2, 1)
         p1, p2 = chart.p(1, 1), chart.p(1, 2)
         X = derive_extended(HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2))
-        X.g[1] = p1 + chart.pe
+        X = HdwField(X.kind, chart, X.F, X.G, {**X.g, 1: p1 + chart.pe}, X.gauge)
         assert not isinstance(X.g.held[1], PolyElement)
         coords = chart.coords("M")
         entry = X.multivector().vector(1)[coords.index(chart.pe)]
@@ -907,6 +907,29 @@ def test_sp_diff_stays_in_forms_and_symbolic():
                   and isinstance(node.value, ast.Name) and node.value.id in ("sp", "sympy")):
                 calls.append((path.name, node.lineno))
     assert not calls
+
+
+def test_only_forms_writes_into_held_tables():
+    """Held tables and fields are values: no module outside `forms` assigns
+    into or deletes from a subscript of a `.held` table or of a field's F, G
+    or g, so a changed table or field is always a new one."""
+    writes = []
+    for path in sorted((ROOT / "src" / "hdw_forge").glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                            and sub.value.attr in ("held", "F", "G", "g")):
+                        writes.append((path.name, node.lineno))
+    assert not writes
 
 
 def test_orjson_is_imported_only_inside_cli_functions():
@@ -1297,16 +1320,23 @@ class TestStructureFormsOnce:
             assert repr(make()) == before, name
 
     def test_partials_tables_are_the_callers_own(self):
+        # a caller that wants other partials builds its own table from a
+        # view; the views every call hands out still read h's partials
         chart = BundleChart(2, 1)
         coords = chart.coords("J1")
         y, p = chart.y(1), chart.p(1, 1)
         h = p ** 2 / 2 + y ** 3 * chart.x(2)
-        one, two = forms.partials(h, coords), forms.partials(h, coords)
-        assert one.held is not two.held
-        assert all(one.held[s] is two.held[s] for s in coords)
-        one[y] = p
-        one[p] = 1 / y
-        assert (two[y], two[p]) == (3 * y ** 2 * chart.x(2), p)
-        three = forms.partials(h, coords)
-        assert (three[y], three[p]) == (3 * y ** 2 * chart.x(2), p)
+        one = forms.partials(h, coords)
+        mine = forms.HeldTable(coords, {**one, y: p, p: 1 / y})
+        assert (mine[y], mine[p], mine[chart.x(2)]) == (p, 1 / y, y ** 3)
+        two = forms.partials(h, coords)
+        assert (one[y], one[p]) == (two[y], two[p]) == (3 * y ** 2 * chart.x(2), p)
         assert HamiltonianModel(chart, h).partials[y] == 3 * y ** 2 * chart.x(2)
+
+    def test_partials_calls_share_held_values(self):
+        chart = BundleChart(2, 1)
+        coords = chart.coords("J1")
+        h = chart.p(1, 1) ** 2 / 2 + chart.y(1) ** 3 * chart.x(2)
+        one, two = forms.partials(h, coords), forms.partials(h, coords)
+        assert one.held is two.held
+        assert HamiltonianModel(chart, h).partials.held is one.held

@@ -182,6 +182,22 @@ class TestCheck:
         assert status == 1
         assert any(not c["passed"] for c in report["checks"])
 
+    def test_injection_returns_a_new_field(self, tmp_path):
+        from hdw_forge import BundleChart, HamiltonianModel, derive_extended
+        chart = BundleChart(2, 1)
+        p1, p2 = chart.p(1, 1), chart.p(1, 2)
+        X = derive_extended(HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + chart.y(1) ** 2))
+        before = [dict(X.F), dict(X.G), dict(X.g)]
+        inject = tmp_path / "inject.json"
+        inject.write_text(json.dumps({"F[1][1]": "p1_1 + 1", "G[1][1][2]": "y1",
+                                      "g[2]": "p1_1 + pe"}))
+        Y = cli._apply_injection(X, str(inject))
+        assert Y is not X
+        assert [dict(X.F), dict(X.G), dict(X.g)] == before
+        assert (Y.F[(1, 1)], Y.G[(1, 1, 2)], Y.g[2]) == (p1 + 1, chart.y(1), p1 + chart.pe)
+        assert Y.F[(1, 2)] == X.F[(1, 2)] and Y.g[1] == X.g[1]
+        assert (Y.kind, Y.chart, Y.gauge, Y.f) == (X.kind, X.chart, X.gauge, X.f)
+
     @pytest.mark.parametrize("entry,status", [
         ({"F[1][1]": "p1_1*(sin(y1)^2+cos(y1)^2)"}, 0),
         ({"G[1][1][1]": "-y1*(sin(y1)^2+cos(y1)^2)"}, 0),

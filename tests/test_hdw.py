@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel,
                        derive_extended, derive_restricted, dof_count)
 from hdw_forge.errors import ChartMismatchError, GaugeError, WrongBundleError
 from hdw_forge.forms import CoordForm, build_omega, extended_alpha, hamilton_cartan
-from hdw_forge.hdw import (connection_equation_check, curvature,
+from hdw_forge.hdw import (HdwField, connection_equation_check, curvature,
                            mu_vertical_pairing, residual_extended,
                            residual_restricted, standard_checks,
                            tangency_check, transversality)
@@ -203,10 +204,15 @@ class TestResiduals:
         model = _oscillator()
         _, omega_h = hamilton_cartan(model.chart, model.h)
         X = derive_restricted(model)
-        X.F[(1, 1)] = X.F[(1, 1)] + 1
-        assert not residual_restricted(X, omega_h).is_zero()
+        F = dict(X.F)
+        F[(1, 1)] = F[(1, 1)] + 1
+        perturbed = HdwField(X.kind, X.chart, F, X.G, X.g, X.gauge, X.f)
+        assert not residual_restricted(perturbed, omega_h).is_zero()
+        assert residual_restricted(X, omega_h).is_zero()
 
     def test_write_after_multivector_is_seen(self):
+        # a field takes no writes: a changed entry makes a new field, whose
+        # multivector is its own
         rng = random.Random("write after multivector")
         chart = BundleChart(2, 1)
         model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
@@ -214,16 +220,37 @@ class TestResiduals:
         _, omega_h = hamilton_cartan(chart, model.h)
         X = derive_restricted(model, gauge)
         assert residual_restricted(X, omega_h).is_zero()
-        X.F[(1, 1)] += 1
-        assert not residual_restricted(X, omega_h).is_zero()
-        # the projection shares the extended field's tables
+        F = dict(X.F)
+        F[(1, 1)] += 1
+        changed = HdwField(X.kind, chart, F, X.G, X.g, X.gauge, X.f)
+        assert not residual_restricted(changed, omega_h).is_zero()
+        # the field whose multivector was built first still checks clean
+        assert residual_restricted(X, omega_h).is_zero()
+        # the projection of a changed extended field carries the change
         Xe = derive_extended(model, gauge)
         residuals = ["restricted residual i(X)omega_h = 0",
                      "extended residual i(X)omega = (-1)^(m+1) alpha"]
         assert all(standard_checks(model, gauge, Xe=Xe)[name][0] for name in residuals)
-        Xe.g[1] += 1
-        Xe.F[(1, 2)] += 1
-        assert not any(standard_checks(model, gauge, Xe=Xe)[name][0] for name in residuals)
+        F, g = dict(Xe.F), dict(Xe.g)
+        g[1] += 1
+        F[(1, 2)] += 1
+        changed = HdwField(Xe.kind, chart, F, Xe.G, g, Xe.gauge, Xe.f)
+        assert not any(standard_checks(model, gauge, Xe=changed)[name][0]
+                       for name in residuals)
+        assert all(standard_checks(model, gauge, Xe=Xe)[name][0] for name in residuals)
+
+    def test_field_tables_and_partials_take_no_writes(self):
+        model = _oscillator()
+        X = derive_extended(model)
+        y = model.chart.y(1)
+        before = [dict(table) for table in (X.F, X.G, X.g, model.partials)]
+        for table, key in ((X.F, (1, 1)), (X.G, (1, 1, 1)), (X.g, 1), (model.partials, y)):
+            with pytest.raises(TypeError):
+                table[key] = 0
+        assert [dict(table) for table in (X.F, X.G, X.g, model.partials)] == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            X.F = {}
+        assert X.multivector() is X.multivector()
 
     def test_kind_mismatch_errors(self):
         model = _oscillator()

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 
 import pytest
 import sympy as sp
@@ -189,6 +190,31 @@ class TestModelParsing:
         text = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\n[lagrangian]\nlag = v1_1^2/2\n"
         assert self.error_line(text, "need exactly one of") == 5
 
+    BASE = "[bundle]\nm = 2\nn = 1\n[hamiltonian]\nh = p1_1^2/2\n"
+
+    @pytest.mark.parametrize("text,key,section,line", [
+        ("[bundle]\nm = 1\nm = 2\nn = 1\n[hamiltonian]\nh = 0\n", "m", "bundle", 3),
+        (BASE + "h = y1\n", "h", "hamiltonian", 6),
+        (BASE + "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ndt = 0.2\n",
+         "dt", "solve", 11),
+        (BASE + "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1\ny1 = 2\n",
+         "y1", "solve", 12),
+        (BASE + "[submanifold]\nparams = u1 u2 u3\nparams = u1 u2 u3\nx1 = u1\nx2 = u2\n"
+         "y1 = u3\np1_1 = 0\np1_2 = 0\nh_P = 0\nsamples = 1 1 1\n", "params", "submanifold", 8),
+        (BASE + "[gauge]\nG[1][1][2] = y1\nG[1][1][2] = x1\n", "G[1][1][2]", "gauge", 8),
+    ], ids=["bundle-m", "hamiltonian-h", "solve-dt", "solve-y1", "submanifold-params",
+            "gauge-slot"])
+    def test_repeated_key_reports_its_second_line(self, text, key, section, line):
+        assert self.error_line(text, rf"repeated key '{re.escape(key)}' in \[{section}\]") == line
+
+    def test_repeated_samples_accumulate(self):
+        text = self.SUBMANIFOLD + "samples = 2 2 2\n"
+        assert len(parse_model_text(text).submanifold["samples"]) == 3
+
+    def test_unknown_bundle_key_reports_its_line(self):
+        text = "[bundle]\nm = 1\nn = 1\nmm = 7\n[hamiltonian]\nh = 0\n"
+        assert self.error_line(text, r"unexpected key 'mm' in \[bundle\]") == 4
+
     def test_non_integer_dimension(self):
         with pytest.raises(ModelFileError):
             parse_model_text("[bundle]\nm = one\nn = 1\n[hamiltonian]\nh = 0\n")
@@ -252,7 +278,11 @@ psi[1][1] = x1
         ("t1 = 1/0", "t1 must be numeric"),
     ])
     def test_solve_value_out_of_range_reports_its_line(self, entry, needle):
-        text = OSC + "\n[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1\n" + entry + "\n"
+        # the entry replaces the block's own line for its key, as its last line
+        block = ["kind = ode", "t0 = 0", "t1 = 1", "dt = 0.1", "y1 = 1"]
+        key = entry.split(" =")[0]
+        block = [line for line in block if line.split(" =")[0] != key] + [entry]
+        text = OSC + "\n[solve]\n" + "\n".join(block) + "\n"
         with pytest.raises(ModelFileError, match=needle) as exc:
             parse_model_text(text)
         assert exc.value.line == text.count("\n")
