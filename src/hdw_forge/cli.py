@@ -32,6 +32,7 @@ import warnings
 import sympy as sp
 
 from . import __version__
+from .coords import read_slot
 from .errors import (HdwForgeError, ModelFileError, OutputError, RegularityError,
                      SolverAbortError)
 from .exprparse import parse_expression, render_latex, render_plain
@@ -484,9 +485,6 @@ def _hamiltonian_of(model: ModelFile) -> HamiltonianModel:
     return hamiltonian_from_lagrangian(res)
 
 
-_INJECT_RE = re.compile(r"^(F|G|g)((?:\[\d+\])+)$")
-
-
 def _apply_injection(X: HdwField, path: str) -> HdwField:
     """A new extended field: `X` with coefficient entries replaced from a
     debug JSON file; F and G entries live on the restricted chart, g
@@ -502,13 +500,11 @@ def _apply_injection(X: HdwField, path: str) -> HdwField:
         raise ModelFileError(f"{path}: injection file must hold a JSON object")
     injected = {"F": {}, "G": {}, "g": {}}
     for key, text in table.items():
-        m = _INJECT_RE.match(key)
-        if not m:
+        slot = read_slot(key, {"F": 2, "G": 3, "g": 1})
+        if slot is None:
             raise ModelFileError(f"{path}: bad injection key {key!r}")
-        name = m.group(1)
-        idx = tuple(int(t) for t in re.findall(r"\d+", m.group(2)))
-        if name == "g" and len(idx) == 1:
-            idx = idx[0]
+        name, idx = slot
+        idx = idx[0] if name == "g" else idx
         if idx not in getattr(X, name):
             raise ModelFileError(f"{path}: injection key {key!r} names no coefficient "
                                  f"of an (m, n) = ({X.chart.m}, {X.chart.n}) chart")

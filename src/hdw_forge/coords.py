@@ -6,7 +6,8 @@ tower E -> M, its restricted momentum space, and its extended momentum space
 coordinates instead of momenta.  Everything downstream (forms, field
 derivations, solvers) works over the ordered coordinate tuples defined here.
 
-Naming convention, shared with the expression grammar:
+Naming convention, shared with the expression grammar and `read_slot`; an
+index is [1-9][0-9]*, so a name has one spelling, the one `CoordId` prints:
 
     x1..xm        base coordinates
     y1..yn        fiber coordinates
@@ -26,7 +27,15 @@ from .errors import ChartMismatchError, WrongBundleError
 
 _ROLES = ("x", "y", "p", "pe", "v")
 
-_NAME_RE = re.compile(r"^(?:x(\d+)|y(\d+)|p(\d+)_(\d+)|pe|v(\d+)_(\d+))$")
+_INDEX = "([1-9][0-9]*)"
+_NAME_RE = re.compile(rf"x{_INDEX}|y{_INDEX}|p{_INDEX}_{_INDEX}|pe|v{_INDEX}_{_INDEX}")
+
+
+def read_slot(key: str, arity: dict):
+    """(head, indices) of a key `head[i][j]...` with `arity[head]` indices, or None."""
+    m = re.fullmatch(rf"(\w+)((?:\[{_INDEX}\])+)", key)
+    indices = tuple(map(int, m[2][1:-1].split("]["))) if m else ()
+    return (m[1], indices) if m and len(indices) == arity.get(m[1]) else None
 
 
 @dataclass(frozen=True, order=True)
@@ -65,7 +74,7 @@ class CoordId:
 
     @classmethod
     def from_name(cls, name: str) -> "CoordId":
-        m = _NAME_RE.match(name)
+        m = _NAME_RE.fullmatch(name)
         if m is None:
             raise ChartMismatchError(f"{name!r} is not a coordinate name")
         if name == "pe":
@@ -154,12 +163,8 @@ class BundleChart:
 
     def resolve(self, name_or_id) -> sp.Symbol:
         """Map a name, CoordId, or Symbol to the chart symbol, validating it."""
-        if isinstance(name_or_id, CoordId):
-            cid = name_or_id
-        elif isinstance(name_or_id, sp.Symbol):
-            cid = CoordId.from_name(name_or_id.name)
-        else:
-            cid = CoordId.from_name(str(name_or_id))
+        cid = (name_or_id if isinstance(name_or_id, CoordId)
+               else CoordId.from_name(str(name_or_id)))
         if cid not in self._levels["M"] and cid not in self.velocity_ids:
             raise ChartMismatchError(
                 f"coordinate {cid.name} out of range for chart (m={self.m}, n={self.n})"

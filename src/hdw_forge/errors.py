@@ -38,7 +38,7 @@ class DegreeError(HdwForgeError):
 
 
 class GaugeError(HdwForgeError):
-    """A gauge table has the wrong cardinality or refers to a non-free slot."""
+    """A gauge table key has the wrong length or names a slot that is not free."""
 
 
 class RegularityError(HdwForgeError):

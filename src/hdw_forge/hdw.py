@@ -3,15 +3,17 @@
 Given a local Hamiltonian function on the restricted momentum chart, the
 coefficient system fixes the fiber velocities F uniquely, constrains only the
 trace of the momentum coefficients G (leaving n*(m^2-1) free functions,
-parametrized here by an explicit gauge), and, on the extended chart,
+parametrized here by a `GaugeChoice`, a value), and, on the extended chart,
 determines the scalar coefficients g uniquely from F and G.  The checkers
 below turn the structural statements about these fields (residual equations,
 transversality normalization, level-set tangency, connection flatness) into
 computable forms.
 
-Coefficients are held as `forms` holds them (`forms.hold`): a ring element
-when polynomial in the frame and its sin/cos/exp atoms, the `Expr` as given
-otherwise.  That choice is made in `forms` alone; this module derives F, G
+h and the gauge entries hold each Float as the Rational of its repr
+(`symbolic.exact`), the number a model file's decimal parses to, so a Float
+keeps no coefficient off the ring.  Coefficients are held as `forms` holds
+them (`forms.hold`): a ring element when polynomial in the frame and its
+sin/cos/exp atoms, the `Expr` as given otherwise.  That choice is made in `forms` alone; this module derives F, G
 and g in held arithmetic (`forms.sum_of_products`), each table complete,
 into an `HdwField`, a value whose `forms.HeldView`s read each entry as its
 canonical `Expr` only when it is read.  `curvature` is a `forms.HeldView`
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import sympy as sp
 
@@ -31,19 +34,19 @@ from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, alpha_form,
                     build_omega, hamilton_cartan, hold, interior_product, partials,
                     sum_of_products, volume_form)
-from .symbolic import is_structurally_zero, ring_widen
+from .symbolic import exact, is_structurally_zero, ring_widen
 
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A Hamiltonian function on the restricted momentum chart."""
+    """A Hamiltonian function on the restricted momentum chart; Floats made `exact`."""
 
     chart: BundleChart
     h: sp.Expr
     provenance: str = "user-given"
 
     def __post_init__(self):
-        object.__setattr__(self, "h", self.chart.validate_on(self.h, "J1"))
+        object.__setattr__(self, "h", exact(self.chart.validate_on(self.h, "J1")))
 
     @cached_property
     def partials(self) -> HeldView:
@@ -56,19 +59,25 @@ def dof_count(chart: BundleChart) -> int:
     return chart.n * (chart.m ** 2 - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaugeChoice:
     """Parametrization of the free part of the momentum coefficients.
 
     `off_trace[(a, rho, nu)]` (rho != nu) are the n*m*(m-1) fully free
     entries; `redistribution[(a, nu)]` (nu < m) shift the diagonal split,
     with the last diagonal entry eliminated so the trace constraint holds
-    identically.  Missing entries default to 0 ("equal-split").
+    identically.  Missing entries default to 0 ("equal-split").  Each table
+    is a read-only copy of the one given, its Floats made `exact`.
     """
 
     mode: str = "equal-split"
-    off_trace: dict = field(default_factory=dict)
-    redistribution: dict = field(default_factory=dict)
+    off_trace: Mapping = field(default_factory=dict)
+    redistribution: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("off_trace", "redistribution"):
+            table = {key: exact(e) for key, e in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(table))
 
     @staticmethod
     def check_slot(chart: BundleChart, key: tuple):
@@ -89,21 +98,19 @@ class GaugeChoice:
                     "(the last diagonal entry is eliminated)")
 
     def validate(self, chart: BundleChart):
-        for key in [*self.off_trace, *self.redistribution]:
-            self.check_slot(chart, key)
-        free = len(self.off_trace) + len(self.redistribution)
-        if free > dof_count(chart):
-            raise GaugeError(
-                f"{free} gauge entries given but only {dof_count(chart)} are free")
-        for expr in list(self.off_trace.values()) + list(self.redistribution.values()):
-            chart.validate_on(expr, "J1")
+        """Raise unless each key is a free slot, so at most `dof_count` are given."""
+        for table, size in ((self.off_trace, 3), (self.redistribution, 2)):
+            for key in table:
+                if len(key) != size:
+                    raise GaugeError(f"gauge key {key} needs {size} indices")
+                self.check_slot(chart, key)
+                chart.validate_on(table[key], "J1")
 
     def psi(self, chart: BundleChart, a: int, nu: int) -> sp.Expr:
         """Diagonal redistribution; the last entry balances the others."""
         if nu < chart.m:
-            return sp.sympify(self.redistribution.get((a, nu), 0))
-        return -sum(sp.sympify(self.redistribution.get((a, e), 0))
-                    for e in range(1, chart.m))
+            return self.redistribution.get((a, nu), sp.Integer(0))
+        return -sum(self.redistribution.get((a, e), 0) for e in range(1, chart.m))
 
 
 @dataclass(frozen=True)

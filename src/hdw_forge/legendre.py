@@ -33,18 +33,18 @@ from .errors import ChartMismatchError, RegularityError
 from .forms import (HeldView, canonical_part, compose, determinant, hold, partials, read,
                     solve, sum_of_products, volume_form)
 from .hdw import HamiltonianModel
-from .symbolic import simplify
+from .symbolic import exact, is_structurally_zero, simplify
 
 
 @dataclass(frozen=True)
 class LagrangianModel:
-    """A Lagrangian function on the velocity chart (x, y, v)."""
+    """A Lagrangian function on the velocity chart (x, y, v); Floats made `exact`."""
 
     chart: BundleChart
     lag: sp.Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "lag", self.chart.validate_on(self.lag, "L"))
+        object.__setattr__(self, "lag", exact(self.chart.validate_on(self.lag, "L")))
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def legendre_maps(model: LagrangianModel) -> LegendreResult:
     hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     held_h = [[dp[s1].held[chart.v(*s2)] for s2 in slots] for s1 in slots]
     det = determinant(held_h, coords)
-    if det == 0:
+    if is_structurally_zero(det)[0]:
         classification = "degenerate"
     elif det.free_symbols:
         classification = "regular-local"

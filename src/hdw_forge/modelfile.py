@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .coords import BundleChart
+from .coords import BundleChart, read_slot
 from .errors import GaugeError, ModelFileError
 from .exprparse import parse_expression
 from .hdw import GaugeChoice
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
-_GAUGE_G_RE = re.compile(r"^G\[(\d+)\]\[(\d+)\]\[(\d+)\]$")
-_GAUGE_PSI_RE = re.compile(r"^psi\[(\d+)\]\[(\d+)\]$")
 
 _KNOWN_SECTIONS = {"bundle", "hamiltonian", "lagrangian", "gauge", "solve",
                    "submanifold"}
@@ -142,7 +140,7 @@ def parse_model_text(text: str, path: str | None = None) -> ModelFile:
             raise ModelFileError("[lagrangian] needs a 'lag = ...' entry", header)
 
     if "gauge" in by_name:
-        model.gauge = _parse_gauge(*by_name["gauge"], chart)
+        model.gauge = _parse_gauge(by_name["gauge"][1], chart)
     if "solve" in by_name:
         model.solve = _parse_solve(*by_name["solve"], chart)
     if "submanifold" in by_name:
@@ -150,7 +148,7 @@ def parse_model_text(text: str, path: str | None = None) -> ModelFile:
     return model
 
 
-def _parse_gauge(header, entries, chart) -> GaugeChoice:
+def _parse_gauge(entries, chart) -> GaugeChoice:
     mode = "equal-split"
     off_trace = {}
     redistribution = {}
@@ -160,25 +158,21 @@ def _parse_gauge(header, entries, chart) -> GaugeChoice:
                 raise ModelFileError(f"unknown gauge mode {v!r}", ln)
             mode = v
             continue
-        match = _GAUGE_G_RE.match(k) or _GAUGE_PSI_RE.match(k)
-        if not match:
+        slot = read_slot(k, {"G": 3, "psi": 2})
+        if slot is None:
             raise ModelFileError(
                 f"unexpected gauge key {k!r} (use mode, G[A][rho][nu], psi[A][nu])", ln)
-        slot = tuple(int(g) for g in match.groups())
+        head, slot = slot
         try:
             GaugeChoice.check_slot(chart, slot)
         except GaugeError as exc:
             raise ModelFileError(str(exc), ln) from exc
-        table = off_trace if len(slot) == 3 else redistribution
+        table = off_trace if head == "G" else redistribution
         table[slot] = parse_expression(v, chart, "J1", line=ln)
     if (off_trace or redistribution) and mode == "equal-split":
         mode = "user-table"
-    gauge = GaugeChoice(mode, off_trace, redistribution)
-    try:
-        gauge.validate(chart)
-    except Exception as exc:
-        raise ModelFileError(str(exc), _first_line(header, entries)) from exc
-    return gauge
+    # each slot was checked at its line and each entry parsed on "J1"
+    return GaugeChoice(mode, off_trace, redistribution)
 
 
 def _parse_solve(header, entries, chart) -> dict:

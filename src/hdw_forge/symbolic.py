@@ -343,6 +343,12 @@ def simplify_off_ring(e) -> Expr:
     return e
 
 
+def exact(e) -> Expr:
+    """`e` with each Float held as the Rational of its repr, as a decimal parses."""
+    e = sp.sympify(e)
+    return e.xreplace({f: sp.Rational(repr(float(f))) for f in e.atoms(sp.Float)})
+
+
 def differentiate(e, wrt, chart=None) -> Expr:
     """Partial derivative treating all other coordinates as independent."""
     s = _as_symbol(wrt)

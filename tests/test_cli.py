@@ -153,6 +153,10 @@ class TestDerive:
         assert r"\partial" in out
 
 
+OSC_H = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = (p1_1^2 + y1^2)/2\n"
+WAVE_H = "[bundle]\nm = 2\nn = 1\n[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2\n"
+
+
 class TestCheck:
     def test_oscillator_all_pass(self, capsys, tmp_path):
         status, report, _ = run_json(
@@ -238,6 +242,25 @@ class TestCheck:
         assert not set(points[0]) & set(points[1])
         assert points[0] == points[2]
 
+    @pytest.mark.parametrize("text,line,needle", [
+        (WAVE_H + "[gauge]\nG[1][1][2] = y1\nG[01][1][2] = x1\n", 8,
+         "unexpected gauge key 'G[01][1][2]'"),
+        (WAVE_H + "[gauge]\npsi[1][1] = y1\npsi[1][01] = x1\n", 8,
+         "unexpected gauge key 'psi[1][01]'"),
+        (OSC_H + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+         "y1 = 1.0\ny01 = 5.0\np1_1 = 0.0\n", 13, "unknown coordinate 'y01' in [solve]"),
+        (OSC_H + "[submanifold]\nparams = u1 u2 u3\nx01 = u1\ny1 = u2\np1_1 = u3\n"
+         "h_P = 0\nsamples = 1 1 1\n", 8, "unknown coordinate 'x01' in [submanifold]"),
+    ], ids=["G", "psi", "solve", "submanifold"])
+    def test_key_with_a_leading_zero_exits_2_at_its_line(self, capsys, tmp_path, text,
+                                                          line, needle):
+        model = tmp_path / "spelled.hdw"
+        model.write_text(text)
+        status, out, err = run(capsys, "check", str(model), "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert err == f"error: line {line}: {needle}" + (
+            " (use mode, G[A][rho][nu], psi[A][nu])\n" if "gauge" in needle else "\n")
+
     def test_bad_injection_key(self, capsys, tmp_path):
         inject = tmp_path / "inject.json"
         inject.write_text(json.dumps({"Q[1]": "0"}))
@@ -256,8 +279,10 @@ class TestCheck:
         ('{"g[1][1]": "0"}', "'g[1][1]'"),
         ('{"g[2]": "0"}', "'g[2]'"),
         ('{"F[1][1]": 3}', "not a string"),
+        # F[01][1] would overwrite the tampered F[1][1] and pass every check
+        ('{"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}', "bad injection key 'F[01][1]'"),
     ], ids=["missing", "invalid-json", "json-list", "F-out-of-range", "G-wrong-arity",
-            "g-wrong-arity", "g-out-of-range", "non-string-value"])
+            "g-wrong-arity", "g-out-of-range", "non-string-value", "F-leading-zero"])
     def test_bad_injection_file_is_input_error(self, capsys, tmp_path, content, needle):
         inject = tmp_path / "missing.json"
         if content is not None:

@@ -15,7 +15,7 @@ from hdw_forge.hdw import (HdwField, connection_equation_check, curvature,
                            tangency_check, transversality)
 from hdw_forge.symbolic import ring_expr, simplify
 
-from conftest import MN_MATRIX, random_gauge, random_polynomial_h
+from conftest import MN_MATRIX, random_gauge, random_polynomial_h, same_outputs_tool
 
 
 def reference_g(model, Xr):
@@ -77,6 +77,36 @@ class TestGaugeChoice:
         g = GaugeChoice("user-table", {}, {(1, 2): sp.Integer(1)})
         with pytest.raises(GaugeError):
             g.validate(BundleChart(2, 1))
+
+    @pytest.mark.parametrize("off_trace, redistribution", [
+        ({(1, 1): sp.Symbol("y1")}, {}), ({}, {(1, 1, 2): sp.Symbol("y1")})])
+    def test_rejects_a_key_of_the_other_table(self, off_trace, redistribution):
+        # (1, 1) is a free redistribution slot of a (2, 1) chart, and
+        # (1, 1, 2) a free off-trace one, but neither in the other table
+        g = GaugeChoice("user-table", off_trace, redistribution)
+        with pytest.raises(GaugeError, match="needs"):
+            g.validate(BundleChart(2, 1))
+        with pytest.raises(GaugeError):
+            derive_restricted(HamiltonianModel(BundleChart(2, 1), 0), g)
+
+    def test_is_a_value(self):
+        chart = BundleChart(2, 1)
+        off_trace = {(1, 1, 2): chart.y(1)}
+        g = GaugeChoice("user-table", off_trace, {})
+        X = derive_restricted(HamiltonianModel(chart, chart.p(1, 1) ** 2 / 2), g)
+        off_trace[(1, 1, 2)] = chart.x(1)
+        with pytest.raises(TypeError):
+            X.gauge.off_trace[(1, 1, 2)] = chart.x(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            X.gauge.mode = "equal-split"
+        assert X.gauge.off_trace == {(1, 1, 2): chart.y(1)} == {(1, 1, 2): X.G[(1, 1, 2)]}
+
+    def test_holds_floats_as_rationals(self):
+        chart = BundleChart(2, 1)
+        y1, p = chart.y(1), chart.p(1, 1)
+        g = GaugeChoice("user-table", {(1, 2, 1): 0.1 * y1}, {(1, 1): 0.5 * y1})
+        assert g.off_trace[(1, 2, 1)] == y1 / 10 and g.redistribution[(1, 1)] == y1 / 2
+        assert HamiltonianModel(chart, 0.3 * p ** 2).h == 3 * p ** 2 / 10
 
     def test_rejects_level_violating_entry(self):
         g = GaugeChoice("user-table", {(1, 1, 2): sp.Symbol("pe")}, {})
@@ -285,7 +315,9 @@ class TestHeldMultivector:
 
     def test_atom_entries_are_ring_elements(self):
         # sin, cos and exp of a polynomial are generators of the coefficient
-        # ring; log, a denominator or a Float keep an entry an `Expr`
+        # ring, and a model holds a Float as the Rational of its repr; log or
+        # a denominator keep an entry an `Expr`, as does a Float put straight
+        # into a `CoordForm`
         chart = BundleChart(1, 1)
         q, p = chart.y(1), chart.p(1, 1)
         coords = chart.coords("J1")
@@ -296,11 +328,27 @@ class TestHeldMultivector:
             assert isinstance(table[i], PolyElement)
             assert ring_expr(table[i], coords) == entry
         assert X.G[(1, 1, 1)] == -sp.cos(q) - p * sp.exp(q / 2) / 2
-        for off in (sp.log(q), 1 / q, 0.5 * q):
+        X = derive_restricted(HamiltonianModel(chart, p ** 2 / 2 + p * 0.5 * q))
+        held = X.multivector().vector(1)[coords.index(q)]
+        assert isinstance(held, PolyElement)
+        assert ring_expr(held, coords) == X.F[(1, 1)] == p + q / 2
+        for off in (sp.log(q), 1 / q):
             X = derive_restricted(HamiltonianModel(chart, p ** 2 / 2 + p * off))
             held = X.multivector().vector(1)[coords.index(q)]
             assert not isinstance(held, PolyElement)
             assert held == X.F[(1, 1)] == p + off
+        held = CoordForm(coords, 0, {(): 0.5 * q})._coeffs[()]
+        assert not isinstance(held, PolyElement) and held == 0.5 * q
+
+
+@pytest.mark.parametrize("kind", ["poly", "rational", "log"])
+def test_offring_field_with_a_float_gauge_passes(kind):
+    # the gauge's 0.5*y1 is held as y1/2, so no check fails by rounding
+    fields = {tag: (model, gauge)
+              for tag, model, gauge in same_outputs_tool().offring_fields([(3, 1)])}
+    results = standard_checks(*fields[f"(3,1)/{kind}"])
+    verdicts = [ok for name, (ok, _) in results.items() if "diagnostic" not in name]
+    assert len(verdicts) == 6 and all(verdicts)
 
 
 class TestNormalizations:

@@ -111,6 +111,33 @@ class TestEvaluate:
         assert evaluate(e, pt) == evaluate(e, pt)
 
 
+class TestNames:
+    """A name is read only as its `CoordId` prints it: an index has no
+    leading zero, and nothing else comes before or after the name."""
+
+    @pytest.mark.parametrize("name", ["y01", "x0", "x01", "p1_01", "v01_1", "y1\n",
+                                      "y\u0661"])
+    def test_other_spellings_are_no_names(self, name):
+        with pytest.raises(ChartMismatchError):
+            CoordId.from_name(name)
+        with pytest.raises(ChartMismatchError):
+            evaluate(q + 1, {"y1": 1, name: 2})
+
+    @pytest.mark.parametrize("cid", [CoordId("x", nu=10), CoordId("y", a=1),
+                                     CoordId("p", a=2, nu=10), CoordId("pe"),
+                                     CoordId("v", a=10, nu=1)], ids=str)
+    def test_printed_names_read_back(self, cid):
+        assert CoordId.from_name(cid.name) == cid
+
+    def test_chart_resolves_no_other_spelling(self):
+        chart = BundleChart(1, 1)
+        assert chart.resolve("y1") == q
+        with pytest.raises(ChartMismatchError):
+            chart.resolve("y01")
+        with pytest.raises(ChartMismatchError):
+            differentiate(q ** 2, "y01")
+
+
 class TestFdCheck:
     def test_cubic(self):
         sym, num, relerr = fd_check(q**3, q, {q: 2}, 1e-5)

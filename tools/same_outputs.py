@@ -16,7 +16,7 @@ with this script, its models and its inputs), prints each group whose
 digest differs or that only one side has, and exits 1 if any does (2 if
 either side fails to run).
 
-The groups are:
+There are 51 groups:
 
 - `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
   g of both derived fields, the verdicts and details of `standard_checks`,
@@ -43,9 +43,10 @@ The groups are:
   Hamiltonian, of the Euler-Lagrange residuals and of the momentum
   elimination (or the name of the error either raises) for the Lagrangians
   of `legendre_cases`: the `lag` inputs of check-matrix seeds 7, 11, 23 and
-  31 over their first 64 slots (4 per chart) and 9 off-ring ones (sin,
-  exp, `1/(1+y1^2)`, `log`, a Float, a cubic, a degenerate one, one with a
-  y-dependent Hessian and one whose y-dependent Hessian has determinant 1);
+  31 over their first 64 slots (4 per chart) and 10 off-ring ones (sin,
+  exp, `1/(1+y1^2)`, `log`, a Float, a cubic, a degenerate one, one whose
+  Hessian is zero only by sin^2 + cos^2 = 1, one with a y-dependent
+  Hessian and one whose y-dependent Hessian has determinant 1);
 - `simplify`: the srepr of `symbolic.simplify` of the check-matrix
   Hamiltonians of seeds 7, 11 and 23 x 16 slots and of their first
   partials, of the `offring_fields` Hamiltonians, and of `OFF_FRAGMENT`, a
@@ -54,6 +55,9 @@ The groups are:
   `sin(y1)`, unexpanded powers with atoms, a cancelling fraction);
 - `cli ...`: exit status, stdout, stderr and written report of every
   command on the bundled models, with timestamps and paths stripped;
+- `cli input errors`: exit status, stdout and stderr of `check` on each
+  model of `SPELLINGS` and with the injection file `SPELLED_INJECTION`,
+  each holding a key whose index has a leading zero;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
@@ -113,6 +117,19 @@ INJECTIONS = {
     "F-pe": {"F[1][1]": "p1_1 + pe"},
     "trig": {"F[1][1]": "p1_1*(sin(y1)^2+cos(y1)^2)"},
 }
+# model files, each with one key spelled with a leading zero after the same
+# key spelled plainly, and an injection file that does the same
+_OSC = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = (p1_1^2 + y1^2)/2\n"
+_WAVE = "[bundle]\nm = 2\nn = 1\n[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2\n"
+SPELLINGS = {
+    "G": _WAVE + "[gauge]\nG[1][1][2] = y1\nG[01][1][2] = x1\n",
+    "psi": _WAVE + "[gauge]\npsi[1][1] = y1\npsi[1][01] = x1\n",
+    "solve": _OSC + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+    "y1 = 1.0\ny01 = 5.0\np1_1 = 0.0\n",
+    "submanifold": _OSC + "[submanifold]\nparams = u1 u2 u3\nx1 = u1\nx01 = u2\n"
+    "y1 = u2\np1_1 = u3\nh_P = 0\nsamples = 1 1 1\n",
+}
+SPELLED_INJECTION = {"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}
 
 
 def _frozen_inputs():
@@ -258,8 +275,9 @@ def structure_lines(inputs):
 
 
 def offring_lagrangians():
-    """(tag, LagrangianModel) of 8 Lagrangians that leave the coefficient
-    ring or the hyper-regular class, and one whose Hessian depends on y1
+    """(tag, LagrangianModel) of 9 Lagrangians that leave the coefficient
+    ring or the hyper-regular class, one of them with a Hessian that is
+    zero only by sin^2 + cos^2 = 1, and one whose Hessian depends on y1
     with determinant 1, which is inverted by `LUsolve` as any Hessian that
     is not constant."""
     c11, c12, c21 = BundleChart(1, 1), BundleChart(1, 2), BundleChart(2, 1)
@@ -275,6 +293,8 @@ def offring_lagrangians():
         "float": (c21, sp.Float(0.5) * v(1, 1) ** 2 - v(1, 2) ** 2 / 2 + y1 ** 2),
         "cubic": (c21, v(1, 1) ** 3 / 3 + v(1, 1) * v(1, 2)),
         "degenerate": (c21, y1 * v(1, 1) + x1 * v(1, 2)),
+        "zero-hessian": (c11, (sp.sin(y1) ** 2 + sp.cos(y1) ** 2 - 1)
+                         * c11.v(1, 1) ** 2 / 2),
         "y-hessian": (c11, (1 + y1 ** 2) * c11.v(1, 1) ** 2 / 2 - y1 ** 2),
         "y-hessian-det1": (c21, v(1, 1) ** 2 / 2 + y1 * v(1, 1) * v(1, 2)
                            + (1 + y1 ** 2) * v(1, 2) ** 2 / 2),
@@ -471,7 +491,21 @@ def cli_groups(tmp) -> dict:
             groups[f"grid {key}"] = [hashlib.sha256(grid.read_bytes()).hexdigest()]
     groups["grid read"] = grid_read_lines(tmp / "out" / "wave.solve.grid.csv", tmp)
     groups["grid write"] = grid_write_lines(tmp)
+    groups["cli input errors"] = input_error_lines(tmp)
     return groups
+
+
+def input_error_lines(tmp) -> list:
+    """The `cli input errors` group's lines."""
+    out = tmp / "input-errors"
+    runs = {}
+    for name, text in SPELLINGS.items():
+        (tmp / f"{name}.hdw").write_text(text, encoding="utf-8")
+        runs[name] = ["check", str(tmp / f"{name}.hdw")]
+    inject = tmp / "inject-spelled.json"
+    inject.write_text(json.dumps(SPELLED_INJECTION), encoding="utf-8")
+    runs["injection"] = ["check", str(MODELS / "oscillator.hdw"), "--debug-inject", str(inject)]
+    return [f"{name} {_run_cli(argv + ['--out', str(out)], tmp)}" for name, argv in runs.items()]
 
 
 @contextlib.contextmanager
