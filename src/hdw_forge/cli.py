@@ -478,10 +478,10 @@ def read_grid_csv(path: str) -> SectionGrid:
 # model helpers
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_of(model: ModelFile) -> HamiltonianModel:
+def _hamiltonian_of(model: ModelFile, seed: int) -> HamiltonianModel:
     if model.hamiltonian is not None:
         return HamiltonianModel(model.chart, model.hamiltonian)
-    res = legendre_maps(LagrangianModel(model.chart, model.lagrangian))
+    res = legendre_maps(LagrangianModel(model.chart, model.lagrangian), seed=seed)
     return hamiltonian_from_lagrangian(res)
 
 
@@ -540,7 +540,7 @@ def _add_rank_diagnostics(report: dict, model: ModelFile):
 
 def cmd_derive(model: ModelFile, args) -> tuple[dict, int]:
     gauge = _select_gauge(model, args)
-    ham = _hamiltonian_of(model)
+    ham = _hamiltonian_of(model, args.seed)
     Xe = derive_extended(ham, gauge)
     report = _base_report("derive", model, gauge)
     report["hamiltonian"] = _equation_entry(render_plain(ham.h), render_latex(ham.h))
@@ -554,7 +554,7 @@ def cmd_check(model: ModelFile, args) -> tuple[dict, int]:
     report = _base_report("check", model, gauge)
     failed = False
     try:
-        ham = _hamiltonian_of(model)
+        ham = _hamiltonian_of(model, args.seed)
     except RegularityError as exc:
         if model.submanifold is None:
             raise
@@ -581,7 +581,7 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
         raise ModelFileError("legendre command needs a [lagrangian] model")
     gauge = _select_gauge(model, args)
     lag = LagrangianModel(model.chart, model.lagrangian)
-    res = legendre_maps(lag)
+    res = legendre_maps(lag, seed=args.seed)
     report = _base_report("legendre", model, gauge)
     report["lagrangian"] = _equation_entry(render_plain(lag.lag), render_latex(lag.lag))
     report["momenta"] = {
@@ -627,7 +627,7 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
         flag = {"dt": "--dt", "points": "--grid"}.get(key, key)
         raise ModelFileError(f"{flag} must be {bound}, got {run_block[key]!r}")
     gauge = _select_gauge(model, args)
-    ham = _hamiltonian_of(model)
+    ham = _hamiltonian_of(model, args.seed)
     report = _base_report("solve", model, gauge)
     chart = model.chart
 

@@ -16,17 +16,23 @@ Sign conventions (fixed once, everything downstream derives from them):
 
 A worked example for the second and third rules is in docs/conventions.md.
 
-Coefficient arithmetic is decided by the helpers `_coeff`, `_expr`, `_mul`,
-`_diff` and `_sum` alone.  A coefficient polynomial in the frame and its
-sin, cos and exp atoms is held as an element of QQ[coords, atoms]
+Coefficient arithmetic is decided by the helpers `_coeff`, `_expr`, `_fma`,
+`_mul`, `_diff` and `_sum` alone.  A coefficient polynomial in the frame
+and its sin, cos and exp atoms is held as an element of QQ[coords, atoms]
 (`symbolic.to_ring`), any other as an `Expr`; a product, sum or derivative
 (`_diff`, the package's one, by the chain rule) of ring elements stays in
 the ring over the union of their atoms unless those atoms depend on each
-other.  A held value is canonical: no ring element is expanded, simplified
-or held again.  Other modules hold and combine coefficients through `hold`
-(`_coeff`: an off-ring `Expr` as it stands) and `sum_of_products`, take
-first partials from `partials` (a 0-form's `CoordForm.d`), and read values
-back through `HeldView`, the one lazy `Expr` view of held values:
+other.  Every sum of signed products, sum(sign * a * b), of ring elements
+(a contraction or wedge coefficient, a bracket entry, `sum_of_products`,
+`_sum`) is one `_fma` pass into one monomial -> coefficient table, with no
+intermediate polynomial; one whose factors leave the ring is formed
+product by product (`_mul`) and summed on `Expr`s, key by key and entry
+by entry.  A held value is canonical: no ring element is expanded,
+simplified or held again.  Other modules hold and combine coefficients
+through `hold` (`_coeff`: an off-ring `Expr` as it stands) and
+`sum_of_products`, take first partials from `partials` (a 0-form's
+`CoordForm.d`), and read values back through `HeldView`, the one lazy
+`Expr` view of held values:
 `CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
 (`HeldTable`, a view built complete from values it holds canonically).
 No view takes writes: a changed table is a new one.
@@ -36,12 +42,14 @@ allow it and runs the `Expr` computation (`subs`, `Matrix.det`, `LUsolve`)
 where they do not, so its caller makes one call whatever path is taken and
 reads one result back with `read`.
 
-No arithmetic is done that cannot change a value: a sign or a ring's +1 or
--1 factor is applied by negation (`_signed`), a zero derivative multiplies
-nothing (`CoordMultiVector.bracket`), the held partials of an expression
-are taken once per frame (`partials`), and the forms that depend on the
-chart alone (the canonical part, the volume form and -d of the canonical
-part) are built once per (m, n, level), every caller getting its own copy.
+No arithmetic is done that cannot change a value: a sign is applied by
+negation (`_signed`) or while `_fma` accumulates, a ring's +1 or -1 factor
+(`_unit`) adds the other factor's terms with no coefficient product, a
+zero derivative multiplies nothing (`CoordMultiVector.bracket`), the held
+partials of an expression are taken once per frame (`partials`), and the
+forms that depend on the chart alone (the canonical part, the volume form
+and -d of the canonical part) are built once per (m, n, level), every
+caller getting its own copy.
 One builder, `_tautological`, makes theta and Omega (`build_theta`,
 `build_omega`) and theta_h and omega_h (`hamilton_cartan`) from those
 pieces and a scalar's held partials, whether it is held in a ring or off
@@ -92,17 +100,27 @@ def _expr(c, coords):
 read = _expr
 
 
+def _unit(c):
+    """1 or -1 when the ring element `c` is its ring's +1 or -1, else None:
+    the one unit test of `_mul` and `_fma`."""
+    if len(c) == 1:
+        value = c.get(c.ring.zero_monom)
+        if value is not None and value.denominator == 1 and value.numerator in (1, -1):
+            return 1 if value.numerator > 0 else -1
+    return None
+
+
 def _mul(a, b, coords):
     """The product of two held values.  A ring element that is its ring's +1
-    or -1 gives the other factor or its negation (`_signed`), when its ring
-    has no atoms or is the other factor's: the product would be that, in
-    the other factor's ring."""
+    or -1 (`_unit`) gives the other factor or its negation (`_signed`), when
+    its ring has no atoms or is the other factor's: the product would be
+    that, in the other factor's ring."""
     if isinstance(a, PolyElement) and isinstance(b, PolyElement):
         for unit, other in ((a, b), (b, a)):
-            if len(unit) == 1 and (unit.ring is other.ring or unit.ring.ngens == len(coords)):
-                value = unit.get(unit.ring.zero_monom)
-                if value == 1 or value == -1:
-                    return _signed(value, other)
+            if unit.ring is other.ring or unit.ring.ngens == len(coords):
+                sign = _unit(unit)
+                if sign is not None:
+                    return _signed(sign, other)
         pair = unify((a, b), coords)
         if pair is not None:
             return pair[0] * pair[1]
@@ -126,31 +144,120 @@ def _diff(c, idx, coords):
     return sp.diff(c, coords[idx])
 
 
+def _add_terms(acc, sign, c):
+    """acc += sign * c, for `c` a ring element and `sign` +1 or -1: term by
+    term, with no coefficient product; a coefficient that cancels is
+    dropped."""
+    if not acc and sign > 0:
+        acc.update(c)
+        return
+    get = acc.get
+    for monom, v in c.items():
+        old = get(monom)
+        if old is None:
+            acc[monom] = v if sign > 0 else -v
+        else:
+            v = old + v if sign > 0 else old - v
+            if v.numerator:
+                acc[monom] = v
+            else:
+                del acc[monom]
+
+
+def _add_product(acc, sign, a, b):
+    """acc += sign * a * b, for `a` and `b` elements of one ring, neither a
+    unit: one coefficient product per pair of terms, the sign taken by a's
+    coefficients; a coefficient that cancels is dropped."""
+    get, monomial_mul, terms = acc.get, a.ring.monomial_mul, list(b.items())
+    for ma, va in a.items():
+        if sign < 0:
+            va = -va
+        for mb, vb in terms:
+            monom = monomial_mul(ma, mb)
+            old = get(monom)
+            if old is None:
+                acc[monom] = va * vb
+            else:
+                v = old + va * vb
+                if v.numerator:
+                    acc[monom] = v
+                else:
+                    del acc[monom]
+
+
+def _fma(triples, coords):
+    """sum(sign * a * b) over `triples` (sign, a, b), each sign +1 or -1, in
+    one pass: the held total in the ring `unify` gives for every factor,
+    accumulated into one monomial -> coefficient table, or None when there
+    is no triple, a factor is an `Expr` or the factors' atoms depend on
+    each other.
+
+    A unit factor (`_unit`) adds the other factor's terms, signed, with no
+    coefficient product; a new monomial is stored as it is, with no
+    addition to zero, and a coefficient is dropped when it cancels.  In
+    exact arithmetic this is the ring element, in the same ring, that
+    `_sum` of the products `_mul` forms gives.
+    """
+    factors = [c for _, a, b in triples for c in (a, b)]
+    if not factors or not all(isinstance(c, PolyElement) for c in factors):
+        return None
+    lifted = unify(factors, coords)
+    if lifted is None:
+        return None
+    acc = {}
+    for (sign, _, _), a, b in zip(triples, lifted[::2], lifted[1::2]):
+        unit = _unit(a)
+        if unit is not None:
+            _add_terms(acc, sign * unit, b)
+            continue
+        unit = _unit(b)
+        if unit is not None:
+            _add_terms(acc, sign * unit, a)
+        else:
+            _add_product(acc, sign, a, b)
+    return lifted[0].ring.dtype(acc)
+
+
 def _sum(values, coords, canonical=sp.expand):
     """Sum in a ring when every value is a ring element and their atoms are
-    independent, else `canonical` of the sum of the `Expr` views."""
+    independent (`_fma`, each value times 1), else `canonical` of the sum
+    of the `Expr` views."""
     polys = [v for v in values if isinstance(v, PolyElement)]
     exprs = [v for v in values if not isinstance(v, PolyElement)]
-    lifted = unify(polys, coords) if polys else None
-    if lifted is None:
-        exprs += [ring_expr(p, coords) for p in polys]
+    if len(polys) > 1:
+        one = polys[0].ring.one
+        total = _fma([(1, p, one) for p in polys], coords)
     else:
-        total = sum(lifted[1:], lifted[0])
-        if not exprs:
-            return total
+        total = polys[0] if polys else None
+    if total is None:
+        exprs += [ring_expr(p, coords) for p in polys]
+    elif not exprs:
+        return total
+    else:
         exprs.append(ring_expr(total, coords))
     return canonical(sp.Add(*exprs))
 
 
+def _signed_products(triples, coords, canonical=sp.expand):
+    """sum(sign * a * b) over `triples` (sign, a, b) of held values, held:
+    one `_fma` pass on the ring, else `_sum` of the products `_mul` forms,
+    `canonical` of their `Expr`s when the sum leaves the ring."""
+    total = _fma(triples, coords)
+    if total is None:
+        total = _sum([_signed(sign, _mul(a, b, coords)) for sign, a, b in triples], coords,
+                     canonical)
+    return total
+
+
 def sum_of_products(pairs, coords, canonical=sp.expand):
     """The sum of a*b over pairs (a, b) of held values, held: `canonical` of
-    the sum of their `Expr`s when it leaves the ring (`_sum`).
+    the sum of their `Expr`s when it leaves the ring (`_signed_products`).
 
     A product with a zero factor is skipped: a zero `Expr` factor would take
     the whole sum off the ring.
     """
-    return _sum([_mul(a, b, coords) for a, b in pairs if a != 0 and b != 0], coords,
-                canonical)
+    return _signed_products([(1, a, b) for a, b in pairs if a != 0 and b != 0], coords,
+                            canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +406,19 @@ class CoordForm:
         else:
             self._coeffs[key] = total
 
+    def _add_products(self, gathered):
+        """Add sum(sign * a * b) over the triples (sign, a, b) at each sorted
+        key of `gathered`, a key not yet held: one `_fma` pass per key, or,
+        for a key whose factors leave the ring, `add_term` of each `_mul`
+        product as it comes."""
+        for key, triples in gathered.items():
+            total = _fma(triples, self.coords)
+            if total is None:
+                for sign, a, b in triples:
+                    self.add_term(key, _signed(sign, _mul(a, b, self.coords)))
+            elif total:
+                self._coeffs[key] = total
+
     def _check_same_frame(self, other):
         if self.coords != other.coords:
             raise ChartMismatchError("forms live over different coordinate frames")
@@ -348,20 +468,21 @@ class CoordForm:
                 out.add_term(key, _signed(factor, c))
             return out
         factor = _coeff(factor, self.coords)
-        for key, c in self._coeffs.items():
-            out.add_term(key, _mul(factor, c, self.coords))
+        out._add_products({key: [(1, factor, c)] for key, c in self._coeffs.items()})
         return out
 
     def wedge(self, other):
         self._check_same_frame(other)
-        out = CoordForm(self.coords, self.degree + other.degree)
+        gathered = {}
         for k1, c1 in self._coeffs.items():
             for k2, c2 in other._coeffs.items():
                 merged = _normalize_key(k1 + k2)
                 if merged is None:
                     continue
                 key, sign = merged
-                out.add_term(key, _signed(sign, _mul(c1, c2, self.coords)))
+                gathered.setdefault(key, []).append((sign, c1, c2))
+        out = CoordForm(self.coords, self.degree + other.degree)
+        out._add_products(gathered)
         return out
 
     def d(self):
@@ -384,15 +505,16 @@ class CoordForm:
         each coeff an `Expr` or an element of QQ[coords]."""
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
-        out = CoordForm(self.coords, self.degree - 1)
+        gathered = {}
         for key, coeff in self._coeffs.items():
             for pos, idx in enumerate(key):
                 comp = components.get(idx, 0)
                 if comp == 0:
                     continue
                 rest = key[:pos] + key[pos + 1:]
-                sign = -1 if pos % 2 else 1
-                out.add_term(rest, _signed(sign, _mul(comp, coeff, self.coords)))
+                gathered.setdefault(rest, []).append((-1 if pos % 2 else 1, comp, coeff))
+        out = CoordForm(self.coords, self.degree - 1)
+        out._add_products(gathered)
         return out
 
     def coefficient(self, key):
@@ -469,7 +591,7 @@ class CoordMultiVector:
             table = {int(k): v for k, v in comp.items()}
             table[base] = one
             if scale is not None:
-                table = {k: _coeff(_sum([_mul(scale, c, coords)], coords), coords)
+                table = {k: _coeff(_signed_products([(1, scale, c)], coords), coords)
                          for k, c in table.items()}
             self._vectors.append({k: c for k, c in table.items() if c != 0})
         self._derivatives = [None] * self.m
@@ -514,14 +636,14 @@ class CoordMultiVector:
         for i in range(len(coords)):
             if i in self.base_positions:
                 continue
-            terms = []
+            triples = []
             if i in b:
                 d = db[i]
-                terms += [_mul(c, d[j], coords) for j, c in a.items() if j in d]
+                triples += [(1, c, d[j]) for j, c in a.items() if j in d]
             if i in a:
                 d = da[i]
-                terms += [-_mul(c, d[j], coords) for j, c in b.items() if j in d]
-            out[i] = _sum(terms, coords, simplify) if terms else self._zero
+                triples += [(-1, c, d[j]) for j, c in b.items() if j in d]
+            out[i] = _signed_products(triples, coords, simplify) if triples else self._zero
         return out
 
 

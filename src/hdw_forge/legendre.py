@@ -68,8 +68,10 @@ def _positions(chart: BundleChart):
     return [index[chart.v(*s)] for s in _velocity_slots(chart)]
 
 
-def legendre_maps(model: LagrangianModel) -> LegendreResult:
-    """Momentum map, extended entry, Hessian, and regularity classification."""
+def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
+    """Momentum map, extended entry, Hessian, and regularity classification;
+    det H is "degenerate" when `is_structurally_zero` with `seed` says it is
+    zero."""
     chart, lag = model.chart, model.lag
     coords, onto = chart.coords("L"), chart.coords("J1")
     slots = _velocity_slots(chart)
@@ -83,7 +85,7 @@ def legendre_maps(model: LagrangianModel) -> LegendreResult:
     hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     held_h = [[dp[s1].held[chart.v(*s2)] for s2 in slots] for s1 in slots]
     det = determinant(held_h, coords)
-    if is_structurally_zero(det)[0]:
+    if is_structurally_zero(det, seed)[0]:
         classification = "degenerate"
     elif det.free_symbols:
         classification = "regular-local"

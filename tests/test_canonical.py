@@ -24,7 +24,7 @@ from sympy.polys.rings import PolyElement
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms,
                        hdw, symbolic)
 from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
-                             _normalize_key, _sum, base_contraction_key, build_theta,
+                             _normalize_key, _signed, _sum, base_contraction_key, build_theta,
                              hamilton_cartan)
 from hdw_forge.hdw import (HdwField, curvature, derive_restricted, residual_restricted,
                           standard_checks)
@@ -1171,6 +1171,149 @@ class TestNoIdleArithmetic:
         assert tables == [] and lifts == []
 
 
+def reference_products(triples, coords, canonical=sp.expand):
+    """sum(sign * a * b) as it was formed before the fused pass: each
+    product by `_mul`, signed by negation, then one `_sum`."""
+    return _sum([_signed(s, _mul(a, b, coords)) for s, a, b in triples], coords, canonical)
+
+
+def assert_same_value(got, expected, coords):
+    """Same kind and ring, no zero coefficient, and the same srepr read."""
+    assert isinstance(got, PolyElement) == isinstance(expected, PolyElement)
+    if isinstance(expected, PolyElement):
+        assert got.ring == expected.ring and got == expected
+        assert all(got.values())
+    assert sp.srepr(forms.read(got, coords)) == sp.srepr(forms.read(expected, coords))
+
+
+class TestFusedProducts:
+    """`_fma`, the one-pass multiply-accumulate, holds what the products
+    `_mul` forms and their `_sum` gave; off the ring `_signed_products`
+    gives that `Expr`, decided per sum."""
+
+    CHART = BundleChart(2, 1)
+    COORDS = CHART.coords("J1")
+
+    def pool(self, rng):
+        """Held ring values: atom-free, sin/cos/exp ones whose rings unify
+        (exp(y1/2) beside exp(y1), sin(2*y1) beside sin(y1)), and the +1
+        and -1 of rings with and without atoms."""
+        x, y, p, q = self.CHART.x(1), self.CHART.y(1), self.CHART.p(1, 1), self.CHART.p(1, 2)
+        coords = self.COORDS
+
+        def poly():
+            return sum(sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+                       * rng.choice(coords) ** rng.randint(0, 2)
+                       * rng.choice(coords) ** rng.randint(0, 1) for _ in range(3))
+
+        exprs = [poly() for _ in range(4)] + [
+            p * sp.exp(y / 2) + x, sp.exp(y) * q - y ** 2, sp.sin(y) * p + sp.cos(y),
+            sp.sin(2 * y) * q - x * p, x * sp.cos(2 * y) + sp.Rational(3, 2)]
+        held = [_coeff(e, coords) for e in exprs]
+        assert all(isinstance(c, PolyElement) for c in held)
+        units = [_coeff(1, coords), _coeff(-1, coords)]
+        for c in held[4:6]:
+            units += [c.ring.one, -c.ring.one]
+        assert {u.ring.ngens for u in units} != {len(coords)}
+        return held, units
+
+    def test_equals_products_then_sum(self):
+        rng = random.Random("fused products")
+        held, units = self.pool(rng)
+        coords = self.COORDS
+        rings = set()
+        for _ in range(150):
+            values = held + units if rng.random() < 0.5 else held
+            triples = [(rng.choice((1, -1)), rng.choice(values), rng.choice(values))
+                       for _ in range(rng.randint(1, 6))]
+            got = forms._fma(triples, coords)
+            assert isinstance(got, PolyElement)
+            assert_same_value(got, reference_products(triples, coords), coords)
+            rings.add(got.ring)
+        # the atom-free ring, each atom ring and their unions were met
+        assert len(rings) >= 4
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_units_contribute_the_other_factor(self, monkeypatch, sign):
+        held, units = self.pool(random.Random("units"))
+        coords = self.COORDS
+        products = _count_calls(monkeypatch, forms, "_add_product")
+        for unit in units:
+            for c in held:
+                for triple in ((sign, unit, c), (sign, c, unit)):
+                    assert_same_value(forms._fma([triple], coords),
+                                      reference_products([triple], coords), coords)
+        assert products == []
+
+    def test_cancelling_total_is_the_rings_zero(self):
+        held, units = self.pool(random.Random("cancel"))
+        coords = self.COORDS
+        a, b, c = held[0], held[5], held[7]
+        for triples in ([(1, a, b), (-1, a, b)], [(1, a, b), (1, b, -a)],
+                        [(1, b, c), (-1, c, b), (1, units[2], a), (-1, a, units[0])]):
+            got = forms._fma(triples, coords)
+            expected = reference_products(triples, coords)
+            assert got == 0 and not got
+            assert_same_value(got, expected, coords)
+
+    def test_zero_factors_are_dropped(self):
+        held, _ = self.pool(random.Random("zeros"))
+        coords = self.COORDS
+        exp_zero = held[5].ring.zero
+        pairs = [(held[0], held[1]), (exp_zero, held[6]), (held[2], sp.Integer(0)),
+                 (held[3], held[0])]
+        got = forms.sum_of_products(pairs, coords)
+        # neither the zero of the exp ring nor the zero `Expr` takes part
+        assert got.ring.ngens == len(coords)
+        assert_same_value(got, reference_products(
+            [(1, a, b) for a, b in pairs if a != 0 and b != 0], coords), coords)
+        assert forms.sum_of_products([(exp_zero, held[0])], coords) == 0
+
+    @pytest.mark.parametrize("canonical", [sp.expand, simplify])
+    def test_off_the_ring_gives_the_expr_sum(self, canonical):
+        held, _ = self.pool(random.Random("off"))
+        coords = self.COORDS
+        y, p = self.CHART.y(1), self.CHART.p(1, 1)
+        up, down = _coeff(sp.exp(y), coords), _coeff(p * sp.exp(-y), coords)
+        cases = [[(1, held[0], p / y), (-1, held[1], held[2])],          # an `Expr` factor
+                 [(1, up, held[0]), (-1, down, held[3])]]               # exp of both signs
+        for triples in cases:
+            assert forms._fma(triples, coords) is None
+            got = forms._signed_products(triples, coords, canonical)
+            assert not isinstance(got, PolyElement)
+            assert_same_value(got, reference_products(triples, coords, canonical), coords)
+
+    def test_ring_or_expr_per_key_and_per_entry(self, monkeypatch):
+        # one off-ring factor takes its key or bracket entry off the ring,
+        # and no other: only its products are formed one by one
+        chart, coords = self.CHART, self.COORDS
+        x, y, p = chart.x(1), chart.y(1), chart.p(1, 1)
+        form = CoordForm(coords, 2, {(0, 1): x * p, (1, 2): sp.sin(y), (0, 3): p / y})
+        comps = {1: _coeff(y ** 2, coords), 0: _coeff(sp.exp(y / 2), coords),
+                 3: _coeff(x, coords)}
+        products = _count_calls(monkeypatch, forms, "_mul")
+        got = form.interior_vector(comps)
+        # (0,) gets y1^2 x1 p1_1 and x1 p1_1/y1, (3,) exp(y1/2) p1_1/y1;
+        # (1,) and (2,) take one `_fma` pass each
+        assert sorted(str(_expr(comp, coords)) for comp, _, _ in products) == [
+            "exp(y1/2)", "x1", "y1**2"]
+        monkeypatch.undo()
+        expected = parent_table(
+            [(key[:pos] + key[pos + 1:], (-1 if pos % 2 else 1) * _mul(comps[idx], c, coords))
+             for key, c in form._coeffs.items() for pos, idx in enumerate(key) if idx in comps],
+            coords)
+        assert_same_held(got._coeffs, expected, coords)
+        kinds = {key: isinstance(c, PolyElement) for key, c in got._coeffs.items()}
+        assert kinds[(1,)] and kinds[(2,)] and not kinds[(3,)]
+        gauge = GaugeChoice("user-table", {(1, 2, 1): 1 / y}, {})
+        X = derive_extended(HamiltonianModel(chart, p ** 2 / 2 + x * y * chart.p(1, 2)), gauge)
+        brackets = X.multivector().bracket(1, 2)
+        assert {isinstance(c, PolyElement) for c in brackets.values()} == {True, False}
+        expected = reference_curvature(X)
+        for key, value in curvature(X).items():
+            assert sp.srepr(value) == sp.srepr(expected[key])
+
+
 def structure_cases(m, n):
     """(tag, h) on the (m, n) chart: a random polynomial h and the sin/cos/
     exp, exp of both signs, 1/y1, Float, log and linear Hamiltonians of the
@@ -1225,11 +1368,13 @@ class TestStructureFormsOnce:
     per (m, n, level), and no caller can change what another is handed."""
 
     def test_checks_make_no_unit_ring_products(self, monkeypatch):
+        # neither a ring product nor the kernel's coefficient-product step
+        # ever takes a +1 or -1 factor
         chart = BundleChart(2, 1)
         x, y, p1, p2 = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
         model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + x * y ** 2 - y * p1 * p2)
         gauge = GaugeChoice("user-table", {(1, 2, 1): y * p1}, {})
-        units, products = [], []
+        units = []
         real = PolyElement.__mul__
 
         def unit(c):
@@ -1237,13 +1382,14 @@ class TestStructureFormsOnce:
                     and c.get(c.ring.zero_monom) in (1, -1))
 
         def spy(a, b):
-            products.append(1)
             if unit(a) or unit(b):
                 units.append((a, b))
             return real(a, b)
         monkeypatch.setattr(PolyElement, "__mul__", spy)
+        products = _count_calls(monkeypatch, forms, "_add_product")
         results = standard_checks(model, gauge)
         assert products and units == []
+        assert not any(unit(a) or unit(b) for _, _, a, b in products)
         assert all(ok for name, (ok, _) in results.items() if "diagnostic" not in name)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
@@ -1252,9 +1398,10 @@ class TestStructureFormsOnce:
         chart = BundleChart(m, n)
         model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
         X = derive_extended(model, random_gauge(chart, rng))
-        factors = _count_calls(monkeypatch, forms, "_mul", _inside({"bracket"}))
+        calls = _count_calls(monkeypatch, forms, "_fma", _inside({"bracket"}))
         got = curvature(X)
-        assert factors and all(a != 0 and b != 0 for a, b, _ in factors)
+        triples = [triple for args in calls for triple in args[0]]
+        assert triples and all(a != 0 and b != 0 for _, a, b in triples)
         expected = reference_curvature(X)
         assert list(got) == list(expected)
         for key in expected:

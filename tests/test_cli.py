@@ -338,9 +338,9 @@ class TestLegendre:
         calls = []
         real = legendre.legendre_maps
 
-        def spy(model):
+        def spy(model, **kwargs):
             calls.append(model)
-            return real(model)
+            return real(model, **kwargs)
 
         monkeypatch.setattr(cli, "legendre_maps", spy)
         monkeypatch.setattr(legendre, "legendre_maps", spy)
@@ -348,6 +348,32 @@ class TestLegendre:
             capsys, "legendre", str(MODELS / "wave.hdw"), "--out", str(tmp_path))
         assert status == 0 and report["round_trip"]["passed"] is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["legendre", "derive", "check", "solve", "compare"])
+    def test_seed_reaches_the_hessian_zero_test(self, capsys, tmp_path, monkeypatch, command):
+        # det H = exp(y1) is transcendental: the zero test samples it, at
+        # the points of the command's --seed
+        from hdw_forge import legendre
+        model = tmp_path / "exp.hdw"
+        model.write_text("[bundle]\nm = 1\nn = 1\n[lagrangian]\nlag = v1_1^2*exp(y1)/2\n"
+                         "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+                         "y1 = 1.0\np1_1 = 0.0\n")
+        seeds = []
+        real = legendre.is_structurally_zero
+
+        def spy(e, seed=0):
+            seeds.append(seed)
+            return real(e, seed)
+
+        monkeypatch.setattr(legendre, "is_structurally_zero", spy)
+        extra = ["--against", str(tmp_path / "none.csv")] if command == "compare" else []
+        status, _, err = run(capsys, command, str(model), "--seed", "3", "--out",
+                             str(tmp_path), *extra)
+        assert seeds == [3]
+        if command == "legendre":
+            assert status == 0
+        else:
+            assert status == 2 and "regular-local" in err
 
 
 class TestSolve:

@@ -16,7 +16,7 @@ with this script, its models and its inputs), prints each group whose
 digest differs or that only one side has, and exits 1 if any does (2 if
 either side fails to run).
 
-There are 51 groups:
+There are 52 groups:
 
 - `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
   g of both derived fields, the verdicts and details of `standard_checks`,
@@ -47,6 +47,14 @@ There are 51 groups:
   exp, `1/(1+y1^2)`, `log`, a Float, a cubic, a degenerate one, one whose
   Hessian is zero only by sin^2 + cos^2 = 1, one with a y-dependent
   Hessian and one whose y-dependent Hessian has determinant 1);
+- `held arithmetic`: the kind, ring atoms and srepr of held sums of
+  signed products (`forms.sum_of_products`, `forms.interior_product` and
+  `CoordMultiVector.bracket`) over `held_pool`: atom-free values, sin, cos
+  and exp ones whose rings unify (`exp(y1/2)` beside `exp(y1)`,
+  `sin(2*y1)` beside `sin(y1)`), the +1, -1 and 0 of rings with and
+  without atoms, a negated copy, so that totals cancel, and the off-ring
+  `p1_1/y1` and `exp(-y1)`, so that some keys and entries leave the ring
+  while others stay;
 - `simplify`: the srepr of `symbolic.simplify` of the check-matrix
   Hamiltonians of seeds 7, 11 and 23 x 16 slots and of their first
   partials, of the `offring_fields` Hamiltonians, and of `OFF_FRAGMENT`, a
@@ -93,6 +101,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -156,6 +165,64 @@ def _held_line(c, coords):
     if isinstance(c, PolyElement):
         return f"ring {sp.srepr(c.as_expr(*coords, *c.ring.symbols[len(coords):]))}"
     return f"expr {sp.srepr(c)}"
+
+
+def held_pool():
+    """(coords, {tag: held value}) of the `held arithmetic` group, on the
+    restricted (2, 1) frame."""
+    chart = BundleChart(2, 1)
+    coords = chart.coords("J1")
+    x, y, p, q = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
+    exprs = {
+        "poly": x * p - y ** 2 / 3 + 2, "poly2": p ** 2 / 2 - x * y * q,
+        "exp(y/2)": p * sp.exp(y / 2) + x, "exp(y)": sp.exp(y) * q - y ** 2,
+        "sin(y)": sp.sin(y) * p + sp.cos(y), "sin(2y)": sp.sin(2 * y) * q - x * p,
+        "exp(-y)": p * sp.exp(-y), "1/y": p / y,
+    }
+    held = {tag: forms.hold(e, coords) for tag, e in exprs.items()}
+    held["-poly"] = -held["poly"]
+    for tag in ("exp(y)", "sin(y)"):
+        ring = held[tag].ring
+        held[f"+1 {tag}"], held[f"-1 {tag}"], held[f"0 {tag}"] = ring.one, -ring.one, ring.zero
+    held["+1"], held["-1"], held["0"] = forms.hold(1, coords), forms.hold(-1, coords), sp.Integer(0)
+    return coords, held
+
+
+def held_arithmetic_lines():
+    """The `held arithmetic` group's lines: every third sum, form and
+    multivector draws from the whole pool, the others from its ring values
+    only."""
+    coords, held = held_pool()
+    every = sorted(held)
+    ring = [tag for tag in every if tag not in ("1/y", "exp(-y)")]
+    rng = random.Random("held arithmetic")
+
+    def line(head, c):
+        atoms = c.ring.symbols[len(coords):] if isinstance(c, PolyElement) else ()
+        return f"{head} {atoms} {_held_line(c, coords)}"
+
+    lines = []
+    for k in range(60):
+        tags = every if k % 3 == 0 else ring
+        pairs = [(rng.choice(tags), rng.choice(tags)) for _ in range(rng.randint(1, 5))]
+        total = forms.sum_of_products([(held[a], held[b]) for a, b in pairs], coords)
+        lines.append(line(f"sum {pairs}", total))
+    cancel = [("poly", "exp(y)"), ("-poly", "exp(y)"), ("sin(y)", "+1 exp(y)"),
+              ("-1", "sin(y)")]
+    lines.append(line(f"sum {cancel}", forms.sum_of_products(
+        [(held[a], held[b]) for a, b in cancel], coords)))
+    for k in range(12):
+        tags = every if k % 3 == 0 else ring
+        entries = [{i: held[rng.choice(tags)] for i in (2, 3, 4)} for _ in range(2)]
+        X = forms.CoordMultiVector(coords, (0, 1), entries, f=rng.choice((1, 2, coords[2])))
+        for degree in (2, 3):
+            F = forms.CoordForm(coords, degree)
+            for _ in range(6):
+                F.add_term(tuple(rng.sample(range(5), degree)), held[rng.choice(tags)])
+            out = forms.interior_product(X, F)
+            lines += [line(f"i(X{k}) F{degree} {key}", c) for key, c in out._coeffs.items()]
+        lines += [line(f"[X{k}1, X{k}2] {i}", c) for i, c in X.bracket(1, 2).items()]
+    return lines
 
 
 def _forms(model, Xr):
@@ -402,6 +469,7 @@ def symbolic_groups(inputs) -> dict:
     groups["structure"] = structure_lines(inputs)
     groups["legendre"] = [line for tag, lm in legendre_cases(inputs)
                           for line in legendre_lines(tag, lm)]
+    groups["held arithmetic"] = held_arithmetic_lines()
     groups["simplify"] = simplify_lines(inputs)
     return groups
 
