@@ -18,6 +18,7 @@ index is [1-9][0-9]*, so a name has one spelling, the one `CoordId` prints:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,19 @@ _ROLES = ("x", "y", "p", "pe", "v")
 
 _INDEX = "([1-9][0-9]*)"
 _NAME_RE = re.compile(rf"x{_INDEX}|y{_INDEX}|p{_INDEX}_{_INDEX}|pe|v{_INDEX}_{_INDEX}")
+_ANY_INDEX = r"(\d+)"
+_SPELLING_RE = re.compile(
+    rf"x{_ANY_INDEX}|y{_ANY_INDEX}|p{_ANY_INDEX}_{_ANY_INDEX}|v{_ANY_INDEX}_{_ANY_INDEX}")
+
+
+@functools.lru_cache(maxsize=4096)
+def respelled(name: str) -> bool:
+    """True when `name` is no coordinate name but reads as one spelled
+    another way: each index a number from 1 up, written with a leading
+    zero or other digits, as `y01` reads as `y1`."""
+    m = _SPELLING_RE.fullmatch(name)
+    return (m is not None and _NAME_RE.fullmatch(name) is None
+            and all(int(i) >= 1 for i in m.groups() if i is not None))
 
 
 def read_slot(key: str, arity: dict):

@@ -44,12 +44,18 @@ reads one result back with `read`.
 
 No arithmetic is done that cannot change a value: a sign is applied by
 negation (`_signed`) or while `_fma` accumulates, a ring's +1 or -1 factor
-(`_unit`) adds the other factor's terms with no coefficient product, a
-zero derivative multiplies nothing (`CoordMultiVector.bracket`), the held
-partials of an expression are taken once per frame (`partials`), and the
-forms that depend on the chart alone (the canonical part, the volume form
-and -d of the canonical part) are built once per (m, n, level), every
-caller getting its own copy.
+(`_unit`) adds the other factor's terms with no coefficient product, and a
+lone product with such a factor is the other factor, or its negation;
+`CoordForm.d` and `+` make one `_sum` per key, and
+`connection_contraction` one `_fma` pass per key; a zero derivative
+multiplies nothing, a bracket row's derivatives are taken only when the
+row is formed, and on the zero level set of pe + h the pe row is formed
+from the other rows and h's partials, with no derivative of a pe entry
+(`CoordMultiVector.bracket`, `level_bracket`); the held partials of an
+expression are taken once per frame (`partials`), and the forms that
+depend on the chart alone (the canonical part, the volume form and -d of
+the canonical part) are built once per (m, n, level), every caller
+getting its own copy.
 One builder, `_tautological`, makes theta and Omega (`build_theta`,
 `build_omega`) and theta_h and omega_h (`hamilton_cartan`) from those
 pieces and a scalar's held partials, whether it is held in a ring or off
@@ -194,13 +200,22 @@ def _fma(triples, coords):
 
     A unit factor (`_unit`) adds the other factor's terms, signed, with no
     coefficient product; a new monomial is stored as it is, with no
-    addition to zero, and a coefficient is dropped when it cancels.  In
-    exact arithmetic this is the ring element, in the same ring, that
-    `_sum` of the products `_mul` forms gives.
+    addition to zero, and a coefficient is dropped when it cancels.  A lone
+    triple with a unit factor gives the other factor or its negation, by
+    `_mul`'s rule, and makes no new element.  In exact arithmetic this is
+    the ring element, in the same ring, that `_sum` of the products `_mul`
+    forms gives.
     """
     factors = [c for _, a, b in triples for c in (a, b)]
     if not factors or not all(isinstance(c, PolyElement) for c in factors):
         return None
+    if len(triples) == 1:
+        sign, a, b = triples[0]
+        for unit, other in ((a, b), (b, a)):
+            if unit.ring is other.ring or unit.ring.ngens == len(coords):
+                value = _unit(unit)
+                if value is not None:
+                    return _signed(sign * value, other)
     lifted = unify(factors, coords)
     if lifted is None:
         return None
@@ -372,7 +387,8 @@ class CoordForm:
     Coefficients are held as the helpers above decide: in QQ[coords] on
     the polynomial fragment, as expanded `Expr`s otherwise.  `terms` is a
     `HeldView` of the nonzero coefficients keyed by sorted index tuple, to
-    read and changed only through `add_term`.
+    read and changed only through `add_term` (and, on a new form, the
+    per-key passes `_add_sums` and `_add_products`).
     """
 
     __slots__ = ("coords", "degree", "_coeffs", "terms")
@@ -445,13 +461,23 @@ class CoordForm:
                 out._coeffs[key] = c
         return out
 
+    def _add_sums(self, gathered):
+        """Add the held values gathered at each sorted key of `gathered`, a
+        key not yet held: one `_sum` per key."""
+        for key, values in gathered.items():
+            total = _sum(values, self.coords)
+            if total != 0:
+                self._coeffs[key] = total
+
     def __add__(self, other):
         self._check_same_frame(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        out = self.copy()
-        for key, coeff in other._coeffs.items():
-            out.add_term(key, coeff)
+        gathered = {key: [c] for key, c in self._coeffs.items()}
+        for key, c in other._coeffs.items():
+            gathered.setdefault(key, []).append(c)
+        out = CoordForm(self.coords, self.degree)
+        out._add_sums(gathered)
         return out
 
     def __sub__(self, other):
@@ -487,7 +513,7 @@ class CoordForm:
 
     def d(self):
         """Exterior derivative over the frame coordinates."""
-        out = CoordForm(self.coords, self.degree + 1)
+        gathered = {}
         for key, coeff in self._coeffs.items():
             for idx in range(len(self.coords)):
                 dc = _diff(coeff, idx, self.coords)
@@ -497,7 +523,9 @@ class CoordForm:
                 if merged is None:
                     continue
                 new_key, sign = merged
-                out.add_term(new_key, _signed(sign, dc))
+                gathered.setdefault(new_key, []).append(_coeff(_signed(sign, dc), self.coords))
+        out = CoordForm(self.coords, self.degree + 1)
+        out._add_sums(gathered)
         return out
 
     def interior_vector(self, components):
@@ -594,7 +622,7 @@ class CoordMultiVector:
                 table = {k: _coeff(_signed_products([(1, scale, c)], coords), coords)
                          for k, c in table.items()}
             self._vectors.append({k: c for k, c in table.items() if c != 0})
-        self._derivatives = [None] * self.m
+        self._derivatives = [{} for _ in range(self.m)]
         self._zero = one.ring.zero
 
     def vector(self, nu: int) -> dict:
@@ -602,49 +630,68 @@ class CoordMultiVector:
         view to read."""
         return self._vectors[nu - 1]
 
-    def _vertical_derivatives(self, nu: int) -> dict:
-        """{i: {j: d(entry i)/d(coordinate j)}} of component nu (1-based),
-        for its vertical entries i and the coordinates j of the other
-        components' entries, without the zero ones; taken once."""
+    def _vertical_derivatives(self, nu: int, i: int) -> dict:
+        """{j: d(entry i)/d(coordinate j)} of the vertical entry i of
+        component nu (1-based), for the coordinates j of the other
+        components' entries, without the zero ones; taken once, and only
+        for an entry some bracket row asks for.  An entry of a ring without
+        atoms is differentiated only along the generators it contains."""
         table = self._derivatives[nu - 1]
-        if table is None:
-            coords = self.coords
-            others = sorted(set().union(*(v for k, v in enumerate(self._vectors)
-                                          if k != nu - 1)))
-            table = {}
-            for i, c in self.vector(nu).items():
-                if i in self.base_positions:
-                    continue
-                derivatives = ((j, _diff(c, j, coords)) for j in others)
-                table[i] = {j: dc for j, dc in derivatives if dc != 0}
-            self._derivatives[nu - 1] = table
-        return table
+        row = table.get(i)
+        if row is None:
+            coords, c = self.coords, self._vectors[nu - 1][i]
+            others = set().union(*(v for k, v in enumerate(self._vectors) if k != nu - 1))
+            if isinstance(c, PolyElement) and c.ring.ngens == len(coords):
+                others &= {k for monom in c for k, e in enumerate(monom) if e}
+            derivatives = ((j, _diff(c, j, coords)) for j in sorted(others))
+            row = table[i] = {j: dc for j, dc in derivatives if dc != 0}
+        return row
 
-    def bracket(self, nu: int, eta: int) -> dict:
+    def bracket(self, nu: int, eta: int, rows=None) -> dict:
         """Vertical part of the bracket [X_nu, X_eta] of two components
         (1-based), held and keyed by coordinate index: a ring element when
         every term stays in a ring, else the `simplify`d `Expr`.  Either
-        compares to 0 exactly; a `HeldView` reads its `Expr`.
+        compares to 0 exactly; a `HeldView` reads its `Expr`.  `rows`, the
+        vertical coordinate indices to form in increasing order, defaults to
+        all of them.
 
-        Each component's derivatives are taken once per multivector, and a
+        Each entry's derivatives are taken once per multivector, and a
         term whose derivative is zero is not formed: a zero factor cannot
         change the sum, and a zero `Expr` would take it off the ring.  A
         bracket entry with no term is the ring's zero."""
         a, b, coords = self.vector(nu), self.vector(eta), self.coords
-        da, db = self._vertical_derivatives(nu), self._vertical_derivatives(eta)
+        if rows is None:
+            rows = (i for i in range(len(coords)) if i not in self.base_positions)
         out = {}
-        for i in range(len(coords)):
-            if i in self.base_positions:
-                continue
+        for i in rows:
             triples = []
             if i in b:
-                d = db[i]
+                d = self._vertical_derivatives(eta, i)
                 triples += [(1, c, d[j]) for j, c in a.items() if j in d]
             if i in a:
-                d = da[i]
+                d = self._vertical_derivatives(nu, i)
                 triples += [(-1, c, d[j]) for j, c in b.items() if j in d]
             out[i] = _signed_products(triples, coords, simplify) if triples else self._zero
         return out
+
+    def level_bracket(self, nu: int, eta: int, level: int, dh: dict) -> dict:
+        """`bracket(nu, eta)` of components tangent to the zero level set of
+        H = c + h, for c the coordinate at index `level` and h a function
+        of the others, with f = 1: X_nu(c) = -Xbar_nu(h), Xbar_nu being X_nu
+        without its c entry, so the row of c is -sum_i B_i dh/di over the
+        other vertical rows B_i of the bracket.  `dh` maps the index of each
+        such row to the held partial of h along it.
+
+        The other rows are formed as `bracket` forms them, and row c as one
+        `_fma` pass of them against `dh`; no derivative of a c entry is
+        taken.  When that sum leaves the ring, row c is `bracket`'s."""
+        rows = [i for i in range(len(self.coords))
+                if i not in self.base_positions and i != level]
+        out = self.bracket(nu, eta, rows)
+        triples = [(-1, out[i], d) for i, d in dh.items() if d != 0 and out[i] != 0]
+        total = _fma(triples, self.coords) if triples else self._zero
+        out.update(self.bracket(nu, eta, [level]) if total is None else {level: total})
+        return dict(sorted(out.items()))
 
 
 @functools.lru_cache(maxsize=128)
@@ -690,6 +737,41 @@ def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:
     out = F
     for nu in range(1, X.m + 1):
         out = out.interior_vector(X.vector(nu))
+    return out
+
+
+def connection_contraction(X: CoordMultiVector, F: CoordForm) -> CoordForm:
+    """sum_nu dx^nu ^ i(X_nu) F - (m-1) F, dx^nu the differential of the
+    nu-th base coordinate of X.
+
+    The signed products of every key, from -(m-1) F and from each
+    contraction wedged with its dx^nu, are gathered and summed in one
+    `_add_products` pass: no contraction, wedge or partial sum is a form
+    of its own.
+    """
+    if tuple(X.coords) != tuple(F.coords):
+        raise ChartMismatchError("multivector and form over different frames")
+    if F.degree == 0:
+        raise DegreeError("cannot contract a 0-form")
+    gathered = {}
+    if X.m > 1:
+        scale = _coeff(X.m - 1, F.coords)
+        gathered = {key: [(-1, scale, c)] for key, c in F._coeffs.items()}
+    for nu, base in enumerate(X.base_positions, 1):
+        components = X.vector(nu)
+        for key, coeff in F._coeffs.items():
+            for pos, idx in enumerate(key):
+                comp = components.get(idx, 0)
+                if comp == 0:
+                    continue
+                merged = _normalize_key((base,) + key[:pos] + key[pos + 1:])
+                if merged is None:
+                    continue
+                new_key, sign = merged
+                gathered.setdefault(new_key, []).append(
+                    (-sign if pos % 2 else sign, comp, coeff))
+    out = CoordForm(F.coords, F.degree)
+    out._add_products(gathered)
     return out
 
 

@@ -17,7 +17,10 @@ sin/cos/exp atoms, the `Expr` as given otherwise.  That choice is made in `forms
 and g in held arithmetic (`forms.sum_of_products`), each table complete,
 into an `HdwField`, a value whose `forms.HeldView`s read each entry as its
 canonical `Expr` only when it is read.  `curvature` is a `forms.HeldView`
-of the held brackets of `CoordMultiVector.bracket`.
+of the held brackets of `CoordMultiVector.bracket`; on a field with f = 1
+whose tangency `standard_checks` has found exactly 0, the pe row of each
+bracket is -sum_i B_i dh/di over its y and p rows B_i
+(`CoordMultiVector.level_bracket`), with no derivative of a g entry.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import sympy as sp
 from .coords import BundleChart
 from .errors import ChartMismatchError, DegreeError, GaugeError
 from .forms import (CoordForm, CoordMultiVector, HeldTable, HeldView, alpha_form,
-                    build_omega, hamilton_cartan, hold, interior_product, partials,
-                    sum_of_products, volume_form)
+                    build_omega, connection_contraction, hamilton_cartan, hold,
+                    interior_product, partials, sum_of_products, volume_form)
 from .symbolic import exact, is_structurally_zero, ring_widen
 
 
@@ -186,6 +189,7 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     gauge.validate(chart)
     coords = chart.coords("J1")
     one, share = hold(1, coords), hold(sp.Rational(-1, chart.m), coords)
+    zero = hold(0, coords)
     dh = model.partials.held
     F = {(a, nu): dh[chart.p(a, nu)]
          for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)}
@@ -198,7 +202,7 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
                     psi = hold(gauge.psi(chart, a, nu), coords)
                     G[(a, rho, nu)] = sum_of_products([(share, h_y), (one, psi)], coords)
                 else:
-                    G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), 0)
+                    G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), zero)
     return HdwField("restricted", chart, HeldView(coords, F), G, {}, gauge)
 
 
@@ -235,7 +239,10 @@ def residual_extended(X: HdwField, omega: CoordForm, alpha: CoordForm) -> CoordF
     if X.kind != "extended":
         raise ChartMismatchError("residual_extended needs an extended field")
     sign = (-1) ** (X.chart.m + 1)
-    return (interior_product(X.multivector(), omega) - alpha.scale(sign)).simplified()
+    out = interior_product(X.multivector(), omega)
+    for key, c in alpha.terms.held.items():
+        out.add_term(key, -c if sign > 0 else c)
+    return out.simplified()
 
 
 def transversality(X: HdwField) -> sp.Expr:
@@ -269,7 +276,7 @@ def tangency_check(X: HdwField, alpha: CoordForm) -> list:
             for nu in range(1, X.chart.m + 1)]
 
 
-def curvature(X: HdwField) -> Mapping:
+def curvature(X: HdwField, *, h_partials: HeldView | None = None) -> Mapping:
     """Vertical parts of the pairwise brackets of the horizontal lifts.
 
     Keys are (nu, eta, coordinate name) for nu < eta; all values zero means
@@ -277,13 +284,30 @@ def curvature(X: HdwField) -> Mapping:
     result is a `forms.HeldView` of `CoordMultiVector.bracket` of the field's
     multivector: a value is read as its canonical `Expr`, and the view's
     `held` table gives the held values, which compare to 0 exactly.
+
+    `h_partials`, the held first partials of h on the restricted chart
+    (`HamiltonianModel.partials`), may be given only for an extended field
+    with f = 1 that is tangent to the zero level set of H = pe + h, every
+    i(X_nu)dH exactly 0.  Then g_nu = -Xbar_nu(h), so the pe row is
+    [X_nu, X_eta](pe) = -sum_i B_i dh/di over the y and p rows B_i
+    (`CoordMultiVector.level_bracket`), and no g entry is differentiated.
+    Without it, or where that sum leaves the ring, the pe row is the direct
+    bracket's; the keys, their order and the values are the same.
     """
-    coords = X.chart.coords(X.level)
+    chart = X.chart
+    coords = chart.coords(X.level)
     mv = X.multivector()
+    if h_partials is not None:
+        # the y and p rows share their indices on both frames
+        level, frame = coords.index(chart.pe), h_partials.coords
+        dh = {i: ring_widen(h_partials.held[s], frame, coords)
+              for i, s in enumerate(frame) if i >= chart.m}
     held = {}
-    for nu in range(1, X.chart.m + 1):
-        for eta in range(nu + 1, X.chart.m + 1):
-            for i, v in mv.bracket(nu, eta).items():
+    for nu in range(1, chart.m + 1):
+        for eta in range(nu + 1, chart.m + 1):
+            bracket = (mv.bracket(nu, eta) if h_partials is None
+                       else mv.level_bracket(nu, eta, level, dh))
+            for i, v in bracket.items():
                 held[(nu, eta, coords[i].name)] = v
     return HeldView(coords, held)
 
@@ -292,15 +316,7 @@ def connection_equation_check(X: HdwField, omega_h: CoordForm) -> CoordForm:
     """sum_nu dx^nu ^ i(X_nu) omega_h minus (m-1) omega_h; zero on solutions."""
     if X.kind != "restricted":
         raise ChartMismatchError("connection_equation_check needs a restricted field")
-    chart = X.chart
-    coords = chart.coords("J1")
-    index = {s: i for i, s in enumerate(coords)}
-    mv = X.multivector()
-    total = omega_h.scale(-(chart.m - 1))
-    for nu in range(1, chart.m + 1):
-        dx = CoordForm(coords, 1, {(index[chart.x(nu)],): 1})
-        total = total + dx.wedge(omega_h.interior_vector(mv.vector(nu)))
-    return total.simplified()
+    return connection_contraction(X.multivector(), omega_h).simplified()
 
 
 def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *,
@@ -334,7 +350,11 @@ def standard_checks(model: HamiltonianModel, gauge: GaugeChoice | None = None, *
         all(is_structurally_zero(t, seed)[0] for t in tans), str(tans))
     conn = connection_equation_check(Xr, omega_h)
     results["connection contraction identity"] = (conn.is_zero(seed), repr(conn))
-    curv = curvature(Xe).held
+    # on the zero level set of H the pe row of each bracket follows from the
+    # y and p rows and h's partials (`curvature`): only an exact tangency
+    # of a field with f = 1 takes it
+    tangent = Xe.f == 1 and all(t == 0 for t in tans)
+    curv = curvature(Xe, h_partials=model.partials if tangent else None).held
     # flatness is a diagnostic and decides no verdict, so it is not sampled:
     # a held bracket compares to 0 exactly, in the ring (which imposes no
     # relation between atoms) or as its `simplify`d `Expr`, and none is

@@ -214,11 +214,15 @@ def _parse_solve(header, entries, chart) -> dict:
                              next(ln for ln, k, _ in entries if k == key))
 
     init = {}
+    base = chart.coords("E")[:chart.m]
     for name, (ln, v) in out["init"].items():
         try:
-            chart.resolve(name)
+            sym = chart.resolve(name)
         except Exception:
             raise ModelFileError(f"unknown coordinate {name!r} in [solve]", ln) from None
+        if sym in base:
+            raise ModelFileError(f"{name!r} is a base coordinate, not initial data, "
+                                 "in [solve]", ln)
         if kind == "ode":
             init[name] = _get_float(v, ln, name)
         else:

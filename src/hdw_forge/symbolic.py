@@ -31,7 +31,7 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement, PolyRing
 
-from .coords import CoordId
+from .coords import CoordId, respelled
 from .errors import EvaluationDomainError, IncompleteAssignmentError
 
 Expr = sp.Expr
@@ -40,10 +40,16 @@ _TRANSCENDENTAL = (sp.sin, sp.cos, sp.exp, sp.log)
 
 
 def _as_symbol(wrt) -> sp.Symbol:
+    """A key as a symbol: a `CoordId`'s, a name's by the coordinate grammar,
+    and a `Symbol` as it is (formal symbols and parameters are no
+    coordinates), unless its name reads as another spelling of one
+    (`coords.respelled`), which raises as that name does."""
     if isinstance(wrt, CoordId):
         return wrt.symbol
     if isinstance(wrt, sp.Symbol):
-        return wrt
+        if not respelled(wrt.name):
+            return wrt
+        wrt = wrt.name
     return CoordId.from_name(str(wrt)).symbol
 
 

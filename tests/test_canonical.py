@@ -22,7 +22,7 @@ import sympy as sp
 from sympy.polys.rings import PolyElement
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms,
-                       hdw, symbolic)
+                       hdw, legendre, symbolic)
 from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
                              _normalize_key, _signed, _sum, base_contraction_key, build_theta,
                              hamilton_cartan)
@@ -30,7 +30,8 @@ from hdw_forge.hdw import (HdwField, curvature, derive_restricted, residual_rest
                           standard_checks)
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
 
-from conftest import MN_MATRIX, random_gauge, random_polynomial_h, same_outputs_tool
+from conftest import (MN_MATRIX, make_check_input, random_gauge, random_polynomial_h,
+                      same_outputs_tool)
 
 
 def reference_simplify(e):
@@ -160,12 +161,15 @@ def reference_vectors(X):
     return vectors
 
 
-def reference_curvature(X):
+def reference_curvature(X, names=None):
+    """The brackets on `Expr`s, of every vertical row or of the rows of the
+    coordinates `names`."""
     chart = X.chart
     coords = chart.coords(X.level)
     vectors = reference_vectors(X)
     base = {coords.index(chart.x(nu)) for nu in range(1, chart.m + 1)}
-    vertical = [i for i in range(len(coords)) if i not in base]
+    vertical = [i for i in range(len(coords))
+                if i not in base and (names is None or coords[i].name in names)]
 
     def apply(components, expr):
         out = sp.Integer(0)
@@ -1487,3 +1491,175 @@ class TestStructureFormsOnce:
         one, two = forms.partials(h, coords), forms.partials(h, coords)
         assert one.held is two.held
         assert HamiltonianModel(chart, h).partials.held is one.held
+
+
+def level_cases():
+    """(tag, model, gauge) of extended fields to bracket by the level-set
+    identity: seeded poly, trans and lag inputs of the check-matrix charts
+    with m > 1, the two `atom_fields` and the `offring` fields with m > 1."""
+    for m, n in MN_MATRIX:
+        if m == 1:
+            continue
+        for kind in ("poly", "trans", "lag"):
+            inp = make_check_input(random.Random(f"level {m} {n} {kind}"),
+                                   random.Random(f"level coeff {m} {n} {kind}"), 0, m, n, kind)
+            if kind == "lag":
+                model = legendre.hamiltonian_from_lagrangian(
+                    legendre.legendre_maps(legendre.LagrangianModel(inp.chart, inp.lag)))
+            else:
+                model = HamiltonianModel(inp.chart, inp.h)
+            yield f"seeded ({m},{n})/{kind}", model, inp.gauge
+    yield from same_outputs_tool().atom_fields()
+    for tag, (model, gauge) in OFFRING.items():
+        if model.chart.m > 1:
+            yield tag, model, gauge
+
+
+LEVEL_CASES = {tag: (model, gauge) for tag, model, gauge in level_cases()}
+
+
+def _tangent(X, model):
+    """True when every i(X_nu)dH of X is exactly 0."""
+    alpha = forms.alpha_form(model.chart, model.h)
+    return all(t == 0 for t in hdw.tangency_check(X, alpha))
+
+
+class TestLevelBracket:
+    """On the zero level set of H = pe + h, the pe row of each bracket is
+    -sum_i B_i dh/di over its y and p rows: `curvature` with h's partials
+    forms it so, and gives the held tables of the direct bracket."""
+
+    @pytest.mark.parametrize("tag", list(LEVEL_CASES))
+    def test_identity_gives_the_direct_tables(self, monkeypatch, tag):
+        model, gauge = LEVEL_CASES[tag]
+        X = derive_extended(model, gauge)
+        assert _tangent(X, model)
+        coords = X.chart.coords("M")
+        level = _count_calls(monkeypatch, CoordMultiVector, "level_bracket")
+        got = curvature(X, h_partials=model.partials)
+        assert len(level) == X.chart.m * (X.chart.m - 1) // 2
+        monkeypatch.undo()
+        direct = curvature(X)
+        assert_same_held(got.held, direct.held, coords)
+        # the y and p rows are `bracket`'s, which the tests above compare
+        expected = reference_curvature(X, names={"pe"})
+        for key in expected:
+            assert sp.srepr(got[key]) == sp.srepr(expected[key]), key
+
+    def test_identity_covers_rings_atoms_and_fallback(self):
+        """The cases above include pe rows held in the atom-free ring, in
+        rings with atoms, and off the ring, where the direct row is taken."""
+        kinds = set()
+        for model, gauge in LEVEL_CASES.values():
+            X = derive_extended(model, gauge)
+            for (_, _, name), v in curvature(X, h_partials=model.partials).held.items():
+                if name == "pe" and v != 0:
+                    kinds.add("expr" if not isinstance(v, PolyElement)
+                              else "atoms" if v.ring.ngens > len(X.chart.coords("M"))
+                              else "ring")
+        assert kinds == {"ring", "atoms", "expr"}
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2)])
+    def test_battery_differentiates_no_g_entry(self, monkeypatch, m, n):
+        rng = random.Random(f"no g derivative {m} {n}")
+        chart = BundleChart(m, n)
+        model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+        Xe = derive_extended(model, random_gauge(chart, rng))
+        pe = chart.coords("M").index(chart.pe)
+        g = [Xe.multivector().vector(nu)[pe] for nu in range(1, m + 1)]
+        calls = _count_calls(monkeypatch, forms, "_diff", _inside({"standard_checks"}))
+        results = standard_checks(model, Xe=Xe)
+        assert calls and not any(c is entry for c, _, _ in calls for entry in g)
+        assert not results["connection flatness (diagnostic)"][0]
+
+    @pytest.mark.parametrize("change", ["g[1]+y1", "f=y1"])
+    def test_untangent_or_scaled_field_takes_the_direct_bracket(self, monkeypatch, change):
+        chart = BundleChart(2, 1)
+        x, y, p1, p2 = chart.x(1), chart.y(1), chart.p(1, 1), chart.p(1, 2)
+        model = HamiltonianModel(chart, (p1 ** 2 - p2 ** 2) / 2 + x * y ** 2 - y * p1 * p2)
+        Xe = derive_extended(model)
+        if change == "f=y1":
+            # y1 X_nu is still tangent, but its base entries are not 1
+            Xe = Xe.scaled(y)
+            assert _tangent(Xe, model)
+        else:
+            Xe = HdwField(Xe.kind, chart, Xe.F, Xe.G, {**Xe.g, 1: Xe.g[1] + y}, Xe.gauge)
+            assert not _tangent(Xe, model)
+        level = _count_calls(monkeypatch, CoordMultiVector, "level_bracket")
+        results = standard_checks(model, Xe=Xe)
+        assert level == []
+        expected = reference_curvature(Xe)
+        assert expected[(1, 2, "pe")] != 0
+        ok, detail = results["connection flatness (diagnostic)"]
+        assert not ok and "(1, 2, 'pe')" in detail
+        assert sp.srepr(curvature(Xe)[(1, 2, "pe")]) == sp.srepr(expected[(1, 2, "pe")])
+
+    def test_lone_unit_triple_returns_the_factor(self):
+        coords = BundleChart(2, 1).coords("J1")
+        y, p = coords[2], coords[3]
+        for c in (_coeff(y * p - 3, coords), _coeff(sp.sin(y) * p, coords)):
+            for one in (_coeff(1, coords), c.ring.one):
+                assert forms._fma([(1, one, c)], coords) is c
+                assert forms._fma([(-1, c, -one)], coords) is c
+                negated = forms._fma([(-1, one, c)], coords)
+                assert negated == -c and negated.ring is c.ring
+
+    @pytest.mark.parametrize("tag", ["random", "(2,1)/atoms", "(3,2)/rational",
+                                     "(4,1)/log", "(3,1)/exp-both-signs"])
+    def test_connection_check_gathers_every_key_once(self, monkeypatch, tag):
+        if tag == "random":
+            rng = random.Random("connection once")
+            chart = BundleChart(3, 2)
+            model = HamiltonianModel(chart, random_polynomial_h(chart, rng))
+            gauge = random_gauge(chart, rng)
+        else:
+            model, gauge = OFFRING[tag]
+            chart = model.chart
+        Xr = derive_restricted(model, gauge)
+        _, omega_h = hamilton_cartan(chart, model.h)
+        adds = _count_calls(monkeypatch, CoordForm, "__add__")
+        got = hdw.connection_equation_check(Xr, omega_h)
+        assert adds == []
+        monkeypatch.undo()
+        # the formula as it was formed: scale, wedge and a sum of forms
+        coords = chart.coords("J1")
+        mv = Xr.multivector()
+        total = omega_h.scale(-(chart.m - 1))
+        for nu in range(1, chart.m + 1):
+            dx = CoordForm(coords, 1, {(coords.index(chart.x(nu)),): 1})
+            total = total + dx.wedge(omega_h.interior_vector(mv.vector(nu)))
+        expected = total.simplified()
+        assert repr(got) == repr(expected)
+        assert sorted(got.terms) == sorted(expected.terms)
+        for key in expected.terms:
+            assert sp.srepr(got.terms[key]) == sp.srepr(expected.terms[key])
+
+
+def test_d_and_add_sum_each_key_once(monkeypatch):
+    """`d` and `+` gather each key's contributions and make one `_sum` per
+    key, with no `add_term`, and give the sums `add_term` made one at a
+    time."""
+    chart = BundleChart(2, 2)
+    coords = chart.coords("M")
+    rng = random.Random("sum each key once")
+    pool = [chart.x(1) * chart.y(2) - chart.p(2, 1) ** 2 / 3, sp.sin(chart.y(1)) * chart.p(1, 2),
+            sp.exp(chart.y(2) / 2) + chart.x(2), 1 / chart.y(1) + chart.pe]
+    one, two = CoordForm(coords, 2), CoordForm(coords, 2)
+    for form in (one, two):
+        for key, coeff in random_insertions(coords, 2, rng, pool, count=14):
+            form.add_term(key, coeff)
+    expected = parent_algebra(one, one, two, {})
+    sums = _count_calls(monkeypatch, forms, "_sum")
+    terms = _count_calls(monkeypatch, CoordForm, "add_term")
+    got = {"d": one.d(), "add": one + two}
+    assert terms == []
+    keys = {(idx,) + key for key, c in one._coeffs.items() for idx in range(len(coords))
+            if idx not in key and _diff(c, idx, coords) != 0}
+    distinct = {tuple(sorted(key)) for key in keys} | set(one._coeffs) | set(two._coeffs)
+    assert len(sums) == len(distinct)
+    monkeypatch.undo()
+    assert_same_held(got["d"]._coeffs, expected["d"], coords)
+    sub = one - two
+    assert_same_held(sub._coeffs, expected["sub"], coords)
+    plus = parent_table(two._coeffs.items(), coords, one._coeffs)
+    assert_same_held(got["add"]._coeffs, plus, coords)

@@ -261,6 +261,23 @@ class TestCheck:
         assert err == f"error: line {line}: {needle}" + (
             " (use mode, G[A][rho][nu], psi[A][nu])\n" if "gauge" in needle else "\n")
 
+    @pytest.mark.parametrize("text,line,name", [
+        (OSC_H + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+         "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n", 13, "x1"),
+        (WAVE_H + "[solve]\nkind = field1p1\nt0 = 0\nt1 = 1\ndt = 0.01\nxmin = 0\n"
+         "xmax = 6.28\npoints = 16\ny1 = sin(x2)\nx2 = 1\n", 15, "x2"),
+    ], ids=["ode-x1", "field1p1-x2"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_base_coordinate_in_solve_exits_2_at_its_line(self, capsys, tmp_path, command,
+                                                           text, line, name):
+        # a run starts at x1 = t0: an x1 entry only moved pe off the level set
+        model = tmp_path / "base.hdw"
+        model.write_text(text)
+        status, out, err = run(capsys, command, str(model), "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert err == (f"error: line {line}: {name!r} is a base coordinate, "
+                       "not initial data, in [solve]\n")
+
     def test_bad_injection_key(self, capsys, tmp_path):
         inject = tmp_path / "inject.json"
         inject.write_text(json.dumps({"Q[1]": "0"}))

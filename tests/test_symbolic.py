@@ -129,6 +129,20 @@ class TestNames:
     def test_printed_names_read_back(self, cid):
         assert CoordId.from_name(cid.name) == cid
 
+    @pytest.mark.parametrize("name", ["y01", "x01", "p1_01", "v01_1", "y\u0661"])
+    def test_symbols_spelled_another_way_are_no_keys(self, name):
+        with pytest.raises(ChartMismatchError):
+            evaluate(q + 1, {sp.Symbol(name): 2, "y1": 1})
+        with pytest.raises(ChartMismatchError):
+            differentiate(q ** 2, sp.Symbol(name))
+
+    @pytest.mark.parametrize("name", ["u1", "x0", "y1_dd1_2", "pe", "y1"])
+    def test_other_symbols_are_kept(self, name):
+        # parameters and formal symbols are no coordinates, and stay keys
+        s = sp.Symbol(name)
+        assert evaluate(t + s, {s: 2, t: 1}) == 3.0
+        assert differentiate(s ** 2 * t, s) == 2 * s * t
+
     def test_chart_resolves_no_other_spelling(self):
         chart = BundleChart(1, 1)
         assert chart.resolve("y1") == q

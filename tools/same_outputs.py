@@ -19,15 +19,18 @@ either side fails to run).
 There are 52 groups:
 
 - `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
-  g of both derived fields, the verdicts and details of `standard_checks`,
-  the curvature brackets, and the repr of omega, omega_h, alpha and of the
-  restricted residual of the field with F[1][1] + 1 (the tampered field the
-  check-matrix benchmark rejects), and the `scaled_lines` of both fields
-  (f = 2 and f = y1), over check-matrix seeds 7, 11 and 23 x 16 slots and
-  over the two fields of `atom_fields`, whose exp and sin atoms have
-  arguments that are multiples of each other; for those two fields also
-  the repr of the `form_algebra` forms: wedges, `d`, contractions, `-F`
-  and `F - G` of forms whose keys take odd permutations to sort;
+  g of both derived fields, the verdicts and details of `standard_checks`
+  of the derived field and of the two `tampered_fields` (F[1][1] + 1 and
+  g[1] + y1, whose tangency fails, so that their pe rows are bracketed
+  directly), the curvature brackets, and the repr of omega, omega_h,
+  alpha and of the restricted residual of the field with F[1][1] + 1 (the
+  tampered field the check-matrix benchmark rejects), and the
+  `scaled_lines` of both fields (f = 2 and f = y1), over check-matrix
+  seeds 7, 11 and 23 x 16 slots and over the two fields of `atom_fields`,
+  whose exp and sin atoms have arguments that are multiples of each
+  other; for those two fields also the repr of the `form_algebra` forms:
+  wedges, `d`, contractions, `-F` and `F - G` of forms whose keys take odd
+  permutations to sort;
 - `offring`: the same F, G, g, battery, curvature and `scaled_lines` lines
   for the fields of `offring_fields`, whose Hamiltonians and gauge entries
   leave the coefficient ring (exp of both signs, `1/y1`, Floats, `log`),
@@ -65,7 +68,8 @@ There are 52 groups:
   command on the bundled models, with timestamps and paths stripped;
 - `cli input errors`: exit status, stdout and stderr of `check` on each
   model of `SPELLINGS` and with the injection file `SPELLED_INJECTION`,
-  each holding a key whose index has a leading zero;
+  each holding a key whose index has a leading zero, and on `BASE_INIT`,
+  whose [solve] block gives the base coordinate x1 as initial data;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
@@ -139,6 +143,10 @@ SPELLINGS = {
     "y1 = u2\np1_1 = u3\nh_P = 0\nsamples = 1 1 1\n",
 }
 SPELLED_INJECTION = {"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}
+# a model whose [solve] block gives a base coordinate as initial data
+BASE_INIT = (_OSC.replace("y1^2)/2", "y1^2)/2 + x1*y1")
+             + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+             "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n")
 
 
 def _frozen_inputs():
@@ -410,9 +418,24 @@ def _symbolic_lines(tag, model, gauge, groups):
     groups["fields"] += [f"{tag} {line}" for X in (Xr, Xe) for line in _table_lines(X)]
     groups["battery"] += [f"{tag} {name} {ok} {detail}" for name, (ok, detail)
                           in hdw.standard_checks(model, gauge).items()]
+    for field, X in tampered_fields(Xe):
+        groups["battery"] += [f"{tag} {field} {name} {ok} {detail}" for name, (ok, detail)
+                              in hdw.standard_checks(model, gauge, Xe=X).items()]
     groups["curvature"] += [f"{tag} {key} {sp.srepr(v)}"
                             for key, v in hdw.curvature(Xe).items()]
     return Xr, Xe
+
+
+def tampered_fields(Xe):
+    """(name, field) of the extended field with F[1][1] + 1 and with
+    g[1] + y1: their tangency fails, so `standard_checks` brackets them
+    directly."""
+    chart = Xe.chart
+    F, g = dict(Xe.F), dict(Xe.g)
+    F[(1, 1)] += 1
+    g[1] += chart.y(1)
+    yield "F[1][1]+1", hdw.HdwField(Xe.kind, chart, F, Xe.G, Xe.g, Xe.gauge, Xe.f)
+    yield "g[1]+y1", hdw.HdwField(Xe.kind, chart, Xe.F, Xe.G, g, Xe.gauge, Xe.f)
 
 
 def check_matrix_cases(inputs) -> list:
@@ -567,7 +590,7 @@ def input_error_lines(tmp) -> list:
     """The `cli input errors` group's lines."""
     out = tmp / "input-errors"
     runs = {}
-    for name, text in SPELLINGS.items():
+    for name, text in {**SPELLINGS, "solve-base": BASE_INIT}.items():
         (tmp / f"{name}.hdw").write_text(text, encoding="utf-8")
         runs[name] = ["check", str(tmp / f"{name}.hdw")]
     inject = tmp / "inject-spelled.json"
