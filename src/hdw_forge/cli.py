@@ -34,7 +34,7 @@ import sympy as sp
 from . import __version__
 from .coords import read_slot
 from .errors import (HdwForgeError, ModelFileError, OutputError, RegularityError,
-                     SolverAbortError)
+                     SampleDomainError, SolverAbortError)
 from .exprparse import parse_expression, render_latex, render_plain
 from .forms import HeldTable, HeldView, extended_alpha
 from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
@@ -529,8 +529,11 @@ def _select_gauge(model: ModelFile, args) -> GaugeChoice:
 def _add_rank_diagnostics(report: dict, model: ModelFile):
     sub = model.submanifold
     if sub is not None:
-        dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
-                                sub["samples"], params=sub["params"])
+        try:
+            dims = rank_diagnostics(model.chart, sub["embedding"], sub["h_P"],
+                                    sub["samples"], params=sub["params"])
+        except SampleDomainError as exc:
+            raise ModelFileError(str(exc), sub["sample_lines"][exc.index]) from exc
         report["rank_diagnostics"] = {"kernel_dims": dims}
 
 

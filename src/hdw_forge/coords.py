@@ -106,6 +106,21 @@ class CoordId:
         return sp.Symbol(self.name)
 
 
+@functools.lru_cache(maxsize=None)
+def _chart_levels(m: int, n: int):
+    """({level: CoordIds}, {level: symbols}) of the (m, n) chart, built once:
+    every chart of that size shares each level's tuples and symbols, so the
+    frames of two such charts are one tuple."""
+    base = tuple(CoordId("x", nu=nu) for nu in range(1, m + 1))
+    fiber = tuple(CoordId("y", a=a) for a in range(1, n + 1))
+    slots = [(a, nu) for a in range(1, n + 1) for nu in range(1, m + 1)]
+    momenta = tuple(CoordId("p", a=a, nu=nu) for a, nu in slots)
+    velocities = tuple(CoordId("v", a=a, nu=nu) for a, nu in slots)
+    levels = {"E": base + fiber, "J1": base + fiber + momenta,
+              "M": base + fiber + momenta + (CoordId("pe"),), "L": base + fiber + velocities}
+    return levels, {level: tuple(c.symbol for c in ids) for level, ids in levels.items()}
+
+
 class BundleChart:
     """Chart data for base dimension m and fiber dimension n.
 
@@ -121,29 +136,7 @@ class BundleChart:
             raise ChartMismatchError("need m >= 1 and n >= 1")
         self.m = m
         self.n = n
-        self.base_ids = tuple(CoordId("x", nu=nu) for nu in range(1, m + 1))
-        self.fiber_ids = tuple(CoordId("y", a=a) for a in range(1, n + 1))
-        self.momentum_ids = tuple(
-            CoordId("p", a=a, nu=nu)
-            for a in range(1, n + 1)
-            for nu in range(1, m + 1)
-        )
-        self.velocity_ids = tuple(
-            CoordId("v", a=a, nu=nu)
-            for a in range(1, n + 1)
-            for nu in range(1, m + 1)
-        )
-        self.extended_id = CoordId("pe")
-        self._levels = {
-            "E": self.base_ids + self.fiber_ids,
-            "J1": self.base_ids + self.fiber_ids + self.momentum_ids,
-            "M": self.base_ids + self.fiber_ids + self.momentum_ids
-            + (self.extended_id,),
-            "L": self.base_ids + self.fiber_ids + self.velocity_ids,
-        }
-        # each level's symbols, built once: every caller shares the tuple
-        self._coords = {level: tuple(c.symbol for c in ids)
-                        for level, ids in self._levels.items()}
+        self._levels, self._coords = _chart_levels(m, n)
 
     def ids(self, level: str) -> tuple[CoordId, ...]:
         try:
@@ -170,7 +163,7 @@ class BundleChart:
 
     @property
     def pe(self) -> sp.Symbol:
-        return self.extended_id.symbol
+        return self._coords["M"][-1]
 
     def coord_names(self, level: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.ids(level))
@@ -179,7 +172,7 @@ class BundleChart:
         """Map a name, CoordId, or Symbol to the chart symbol, validating it."""
         cid = (name_or_id if isinstance(name_or_id, CoordId)
                else CoordId.from_name(str(name_or_id)))
-        if cid not in self._levels["M"] and cid not in self.velocity_ids:
+        if cid not in self._levels["M"] and cid not in self._levels["L"]:
             raise ChartMismatchError(
                 f"coordinate {cid.name} out of range for chart (m={self.m}, n={self.n})"
             )

@@ -33,6 +33,15 @@ class EvaluationDomainError(HdwForgeError):
         self.node = node
 
 
+class SampleDomainError(EvaluationDomainError):
+    """A diagnostic cannot be evaluated at a sample point, or is not finite
+    and real there; `index` is the point's position among the samples."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 class DegreeError(HdwForgeError):
     """A form has the wrong degree for the requested operation."""
 

@@ -16,25 +16,23 @@ Sign conventions (fixed once, everything downstream derives from them):
 
 A worked example for the second and third rules is in docs/conventions.md.
 
-Coefficient arithmetic is decided by the helpers `_coeff`, `_expr`, `_fma`,
-`_mul`, `_diff` and `_sum` alone.  A coefficient polynomial in the frame
-and its sin, cos and exp atoms is held as an element of QQ[coords, atoms]
-(`symbolic.to_ring`), any other as an `Expr`; a product, sum or derivative
-(`_diff`, the package's one, by the chain rule) of ring elements stays in
-the ring over the union of their atoms unless those atoms depend on each
-other.  Every sum of signed products, sum(sign * a * b), of ring elements
-(a contraction or wedge coefficient, a bracket entry, `sum_of_products`,
-`_sum`) is one `_fma` pass into one monomial -> coefficient table, with no
-intermediate polynomial; one whose factors leave the ring is formed
-product by product (`_mul`) and summed on `Expr`s, key by key and entry
-by entry.  A held value is canonical: no ring element is expanded,
-simplified or held again.  Other modules hold and combine coefficients
-through `hold` (`_coeff`: an off-ring `Expr` as it stands) and
-`sum_of_products`, take first partials from `partials` (a 0-form's
-`CoordForm.d`), and read values back through `HeldView`, the one lazy
-`Expr` view of held values:
+Coefficient arithmetic is decided by the helpers `hold`, `read`, `_mul`,
+`_diff` and `_signed_products` alone.  A coefficient polynomial in the
+frame and its sin, cos and exp atoms is held as an element of
+QQ[coords, atoms] (`symbolic.to_ring`), any other as an `Expr`; a product,
+sum or derivative (`_diff`, the package's one, by the chain rule) of ring
+elements stays in the ring over the union of their atoms unless those
+atoms depend on each other.  Every held sum, sum(sign * a * b), is one
+`_signed_products` call: one `_fma` pass into one monomial -> coefficient
+table on the ring, else the expanded `Expr` sum of the `_mul` products,
+held again.  A form coefficient stays so until `CoordForm.simplified`; a
+bracket entry and `sum_of_products` are settled (`_settled`).  No ring
+element is expanded, simplified or held again.  Other modules hold and
+combine coefficients through `hold` and `sum_of_products`, take first
+partials from `partials` (a 0-form's `CoordForm.d`), and read values back
+through `read` and `HeldView`, the one lazy `Expr` view of held values:
 `CoordForm.terms`, curvature, `partials`, and a field's F, G and g tables
-(`HeldTable`, a view built complete from values it holds canonically).
+(`HeldTable`, a view built complete from values it settles).
 No view takes writes: a changed table is a new one.
 The Legendre transform substitutes with `compose` and solves with
 `determinant` and `solve`: each works in a ring where the held values
@@ -45,9 +43,8 @@ reads one result back with `read`.
 No arithmetic is done that cannot change a value: a sign is applied by
 negation (`_signed`) or while `_fma` accumulates, a ring's +1 or -1 factor
 (`_unit`) adds the other factor's terms with no coefficient product, and a
-lone product with such a factor is the other factor, or its negation;
-`CoordForm.d` and `+` make one `_sum` per key, and
-`connection_contraction` one `_fma` pass per key; a zero derivative
+lone product with such a factor is the other factor, or its negation
+(`_unit_product`); each key of a form is summed once; a zero derivative
 multiplies nothing, a bracket row's derivatives are taken only when the
 row is formed, and on the zero level set of pe + h the pe row is formed
 from the other rows and h's partials, with no derivative of a pe entry
@@ -55,7 +52,7 @@ from the other rows and h's partials, with no derivative of a pe entry
 expression are taken once per frame (`partials`), and the forms that
 depend on the chart alone (the canonical part, the volume form and -d of
 the canonical part) are built once per (m, n, level), every caller
-getting its own copy.
+getting its own `copy`.
 One builder, `_tautological`, makes theta and Omega (`build_theta`,
 `build_omega`) and theta_h and omega_h (`hamilton_cartan`) from those
 pieces and a scalar's held partials, whether it is held in a ring or off
@@ -79,7 +76,7 @@ from .symbolic import (is_structurally_zero, ring_diff, ring_expr, ring_widen, s
                        simplify_off_ring, to_ring, unify)
 
 
-def _coeff(value, coords):
+def hold(value, coords):
     """`value` as a coefficient is held: its ring element on the fragment,
     else the sympified `Expr` as it stands.
 
@@ -95,20 +92,14 @@ def _coeff(value, coords):
     return value if poly is None else poly
 
 
-hold = _coeff
-
-
-def _expr(c, coords):
+def read(c, coords):
     """The `Expr` view of a held coefficient."""
     return ring_expr(c, coords) if isinstance(c, PolyElement) else c
 
 
-read = _expr
-
-
 def _unit(c):
     """1 or -1 when the ring element `c` is its ring's +1 or -1, else None:
-    the one unit test of `_mul` and `_fma`."""
+    the one unit test."""
     if len(c) == 1:
         value = c.get(c.ring.zero_monom)
         if value is not None and value.denominator == 1 and value.numerator in (1, -1):
@@ -116,27 +107,36 @@ def _unit(c):
     return None
 
 
+def _unit_product(sign, a, b, coords):
+    """sign * a * b, for ring elements `a` and `b`, as the other factor or
+    its negation (`_signed`) when one factor is its ring's +1 or -1
+    (`_unit`) and that ring has no atoms or is the other factor's: the
+    product would be that, in the other factor's ring.  None otherwise."""
+    for unit, other in ((a, b), (b, a)):
+        if unit.ring is other.ring or unit.ring.ngens == len(coords):
+            value = _unit(unit)
+            if value is not None:
+                return _signed(sign * value, other)
+    return None
+
+
 def _mul(a, b, coords):
-    """The product of two held values.  A ring element that is its ring's +1
-    or -1 (`_unit`) gives the other factor or its negation (`_signed`), when
-    its ring has no atoms or is the other factor's: the product would be
-    that, in the other factor's ring."""
+    """The product of two held values: `_unit_product` when it applies, in
+    the ring `unify` gives for two ring elements, else the `Expr`s'."""
     if isinstance(a, PolyElement) and isinstance(b, PolyElement):
-        for unit, other in ((a, b), (b, a)):
-            if unit.ring is other.ring or unit.ring.ngens == len(coords):
-                sign = _unit(unit)
-                if sign is not None:
-                    return _signed(sign, other)
+        product = _unit_product(1, a, b, coords)
+        if product is not None:
+            return product
         pair = unify((a, b), coords)
         if pair is not None:
             return pair[0] * pair[1]
-    return sp.sympify(_expr(a, coords)) * _expr(b, coords)
+    return sp.sympify(read(a, coords)) * read(b, coords)
 
 
 def _settled(c, coords):
     """A held value's canonical hold: a ring element as it is, an `Expr`,
     which the ring refused, as `hold(simplify_off_ring(c))`."""
-    return c if isinstance(c, PolyElement) else _coeff(simplify_off_ring(c), coords)
+    return c if isinstance(c, PolyElement) else hold(simplify_off_ring(c), coords)
 
 
 def _signed(sign, c):
@@ -201,21 +201,17 @@ def _fma(triples, coords):
     A unit factor (`_unit`) adds the other factor's terms, signed, with no
     coefficient product; a new monomial is stored as it is, with no
     addition to zero, and a coefficient is dropped when it cancels.  A lone
-    triple with a unit factor gives the other factor or its negation, by
-    `_mul`'s rule, and makes no new element.  In exact arithmetic this is
-    the ring element, in the same ring, that `_sum` of the products `_mul`
-    forms gives.
+    triple with a unit factor is `_unit_product`'s, and makes no new
+    element.  In exact arithmetic this is the ring element, in the same
+    ring, that the sum of the products `_mul` forms gives.
     """
     factors = [c for _, a, b in triples for c in (a, b)]
     if not factors or not all(isinstance(c, PolyElement) for c in factors):
         return None
     if len(triples) == 1:
-        sign, a, b = triples[0]
-        for unit, other in ((a, b), (b, a)):
-            if unit.ring is other.ring or unit.ring.ngens == len(coords):
-                value = _unit(unit)
-                if value is not None:
-                    return _signed(sign * value, other)
+        total = _unit_product(*triples[0], coords)
+        if total is not None:
+            return total
     lifted = unify(factors, coords)
     if lifted is None:
         return None
@@ -233,46 +229,39 @@ def _fma(triples, coords):
     return lifted[0].ring.dtype(acc)
 
 
-def _sum(values, coords, canonical=sp.expand):
-    """Sum in a ring when every value is a ring element and their atoms are
-    independent (`_fma`, each value times 1), else `canonical` of the sum
-    of the `Expr` views."""
-    polys = [v for v in values if isinstance(v, PolyElement)]
-    exprs = [v for v in values if not isinstance(v, PolyElement)]
-    if len(polys) > 1:
-        one = polys[0].ring.one
-        total = _fma([(1, p, one) for p in polys], coords)
-    else:
-        total = polys[0] if polys else None
-    if total is None:
-        exprs += [ring_expr(p, coords) for p in polys]
-    elif not exprs:
-        return total
-    else:
-        exprs.append(ring_expr(total, coords))
-    return canonical(sp.Add(*exprs))
-
-
-def _signed_products(triples, coords, canonical=sp.expand):
+def _signed_products(triples, coords):
     """sum(sign * a * b) over `triples` (sign, a, b) of held values, held:
-    one `_fma` pass on the ring, else `_sum` of the products `_mul` forms,
-    `canonical` of their `Expr`s when the sum leaves the ring."""
+    one `_fma` pass on the ring, else the expanded sum of the `Expr`s of
+    the products `_mul` forms, held again (`hold`) when the ring takes it.
+    No triple at all sums to the atom-free ring's zero."""
     total = _fma(triples, coords)
     if total is None:
-        total = _sum([_signed(sign, _mul(a, b, coords)) for sign, a, b in triples], coords,
-                     canonical)
+        total = hold(sp.expand(sp.Add(*(read(_signed(sign, _mul(a, b, coords)), coords)
+                                        for sign, a, b in triples))), coords)
     return total
 
 
-def sum_of_products(pairs, coords, canonical=sp.expand):
-    """The sum of a*b over pairs (a, b) of held values, held: `canonical` of
-    the sum of their `Expr`s when it leaves the ring (`_signed_products`).
+@functools.lru_cache(maxsize=256)
+def _one(ring):
+    """The 1 of `ring`, built once (`ring.one` builds a new element)."""
+    return ring.one
+
+
+def _term(sign, c):
+    """The triple (sign, c, 1) by which `_signed_products` adds sign * c;
+    the 1 is c's ring's, so that no other ring is unified for it."""
+    return sign, c, _one(c.ring) if isinstance(c, PolyElement) else sp.S.One
+
+
+def sum_of_products(pairs, coords):
+    """The sum of a*b over pairs (a, b) of held values, held and settled
+    (`_signed_products`, `_settled`).
 
     A product with a zero factor is skipped: a zero `Expr` factor would take
     the whole sum off the ring.
     """
-    return _signed_products([(1, a, b) for a, b in pairs if a != 0 and b != 0], coords,
-                            canonical)
+    return _settled(_signed_products([(1, a, b) for a, b in pairs if a != 0 and b != 0],
+                                     coords), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +288,8 @@ def compose(value, images, coords, onto):
         kept = {s for i, (s, t) in enumerate(zip(coords, onto)) if s == t and i not in images}
         if all(atom.free_symbols <= kept for atom in ring.symbols[len(coords):]):
             return lifted[0].compose([(ring.gens[i], c) for i, c in zip(images, lifted[1:])])
-    return _expr(value, coords).subs(
-        {coords[i]: _expr(c, onto) for i, c in images.items()}, simultaneous=True)
+    return read(value, coords).subs(
+        {coords[i]: read(c, onto) for i, c in images.items()}, simultaneous=True)
 
 
 def _constant_matrix(rows):
@@ -313,7 +302,7 @@ def _constant_matrix(rows):
 
 
 def _matrix(rows, coords):
-    return sp.Matrix([[_expr(c, coords) for c in row] for row in rows])
+    return sp.Matrix([[read(c, coords) for c in row] for row in rows])
 
 
 def determinant(rows, coords):
@@ -333,23 +322,23 @@ def solve(rows, rhs, coords):
     finds singular)."""
     M = _constant_matrix(rows)
     if M is None or not all(isinstance(c, PolyElement) for c in rhs):
-        x = _matrix(rows, coords).LUsolve(sp.Matrix([_expr(c, coords) for c in rhs]))
+        x = _matrix(rows, coords).LUsolve(sp.Matrix([read(c, coords) for c in rhs]))
         return [simplify(e) for e in x]
-    ring = _coeff(0, coords).ring
+    ring = hold(0, coords).ring
     return [sum_of_products([(ring.ground_new(q), c) for q, c in zip(row, rhs)], coords)
             for row in M.inv().to_list()]
 
 
 class HeldView(Mapping):
     """A read-only mapping over held values, kept as held in `held`.  A read
-    gives a value's `Expr` (`_expr`)."""
+    gives a value's `Expr` (`read`)."""
 
     def __init__(self, coords, held=None):
         self.coords = tuple(coords)
         self.held = {} if held is None else held
 
     def __getitem__(self, key):
-        return _expr(self.held[key], self.coords)
+        return read(self.held[key], self.coords)
 
     def __iter__(self):
         return iter(self.held)
@@ -365,7 +354,7 @@ class HeldTable(HeldView):
 
     def __init__(self, coords, values=()):
         coords = tuple(coords)
-        super().__init__(coords, {key: _settled(_coeff(value, coords), coords)
+        super().__init__(coords, {key: _settled(hold(value, coords), coords)
                                   for key, value in dict(values).items()})
 
 
@@ -388,7 +377,7 @@ class CoordForm:
     the polynomial fragment, as expanded `Expr`s otherwise.  `terms` is a
     `HeldView` of the nonzero coefficients keyed by sorted index tuple, to
     read and changed only through `add_term` (and, on a new form, the
-    per-key passes `_add_sums` and `_add_products`).
+    per-key pass `_add_products`).
     """
 
     __slots__ = ("coords", "degree", "_coeffs", "terms")
@@ -413,10 +402,10 @@ class CoordForm:
         if norm is None:
             return
         key, sign = norm
-        values = [_signed(sign, _coeff(coeff, self.coords))]
+        triples = [_term(sign, hold(coeff, self.coords))]
         if key in self._coeffs:
-            values.append(self._coeffs[key])
-        total = _sum(values, self.coords)
+            triples.append(_term(1, self._coeffs[key]))
+        total = _signed_products(triples, self.coords)
         if total == 0:
             self._coeffs.pop(key, None)
         else:
@@ -424,15 +413,11 @@ class CoordForm:
 
     def _add_products(self, gathered):
         """Add sum(sign * a * b) over the triples (sign, a, b) at each sorted
-        key of `gathered`, a key not yet held: one `_fma` pass per key, or,
-        for a key whose factors leave the ring, `add_term` of each `_mul`
-        product as it comes."""
+        key of `gathered`, a key not yet held: one `_signed_products` call
+        per key."""
         for key, triples in gathered.items():
-            total = _fma(triples, self.coords)
-            if total is None:
-                for sign, a, b in triples:
-                    self.add_term(key, _signed(sign, _mul(a, b, self.coords)))
-            elif total:
+            total = _signed_products(triples, self.coords)
+            if total:
                 self._coeffs[key] = total
 
     def _check_same_frame(self, other):
@@ -440,6 +425,8 @@ class CoordForm:
             raise ChartMismatchError("forms live over different coordinate frames")
 
     def copy(self):
+        """A new form holding the same coefficients: a write to either
+        changes no other form."""
         out = CoordForm(self.coords, self.degree)
         out._coeffs.update(self._coeffs)
         return out
@@ -461,23 +448,15 @@ class CoordForm:
                 out._coeffs[key] = c
         return out
 
-    def _add_sums(self, gathered):
-        """Add the held values gathered at each sorted key of `gathered`, a
-        key not yet held: one `_sum` per key."""
-        for key, values in gathered.items():
-            total = _sum(values, self.coords)
-            if total != 0:
-                self._coeffs[key] = total
-
     def __add__(self, other):
         self._check_same_frame(other)
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        gathered = {key: [c] for key, c in self._coeffs.items()}
+        gathered = {key: [_term(1, c)] for key, c in self._coeffs.items()}
         for key, c in other._coeffs.items():
-            gathered.setdefault(key, []).append(c)
+            gathered.setdefault(key, []).append(_term(1, c))
         out = CoordForm(self.coords, self.degree)
-        out._add_sums(gathered)
+        out._add_products(gathered)
         return out
 
     def __sub__(self, other):
@@ -487,13 +466,13 @@ class CoordForm:
         return self.scale(-1)
 
     def scale(self, factor):
-        """The form times `factor`; an integer +1 or -1 is a sign (`_signed`)."""
+        """The form times `factor`; an integer +1 or -1 is a sign, applied
+        to each coefficient by `_signed`."""
         out = CoordForm(self.coords, self.degree)
         if isinstance(factor, (int, sp.Integer)) and factor in (1, -1):
-            for key, c in self._coeffs.items():
-                out.add_term(key, _signed(factor, c))
+            out._coeffs.update((key, _signed(factor, c)) for key, c in self._coeffs.items())
             return out
-        factor = _coeff(factor, self.coords)
+        factor = hold(factor, self.coords)
         out._add_products({key: [(1, factor, c)] for key, c in self._coeffs.items()})
         return out
 
@@ -523,9 +502,9 @@ class CoordForm:
                 if merged is None:
                     continue
                 new_key, sign = merged
-                gathered.setdefault(new_key, []).append(_coeff(_signed(sign, dc), self.coords))
+                gathered.setdefault(new_key, []).append(_term(sign, hold(dc, self.coords)))
         out = CoordForm(self.coords, self.degree + 1)
-        out._add_sums(gathered)
+        out._add_products(gathered)
         return out
 
     def interior_vector(self, components):
@@ -612,14 +591,14 @@ class CoordMultiVector:
         if len(fiber_components) != self.m:
             raise DegreeError("need exactly one component per base direction")
         coords = self.coords
-        one = _coeff(1, coords)
-        scale = None if self.f == 1 else _coeff(self.f, coords)
+        one = hold(1, coords)
+        scale = None if self.f == 1 else hold(self.f, coords)
         self._vectors = []
         for base, comp in zip(self.base_positions, fiber_components):
             table = {int(k): v for k, v in comp.items()}
             table[base] = one
             if scale is not None:
-                table = {k: _coeff(_signed_products([(1, scale, c)], coords), coords)
+                table = {k: _signed_products([(1, scale, c)], coords)
                          for k, c in table.items()}
             self._vectors.append({k: c for k, c in table.items() if c != 0})
         self._derivatives = [{} for _ in range(self.m)]
@@ -649,8 +628,9 @@ class CoordMultiVector:
 
     def bracket(self, nu: int, eta: int, rows=None) -> dict:
         """Vertical part of the bracket [X_nu, X_eta] of two components
-        (1-based), held and keyed by coordinate index: a ring element when
-        every term stays in a ring, else the `simplify`d `Expr`.  Either
+        (1-based), held and keyed by coordinate index: each entry is
+        `_signed_products` of its terms, settled (`_settled`), so an entry
+        off the ring reads as the `simplify` of its `Expr` sum.  Either
         compares to 0 exactly; a `HeldView` reads its `Expr`.  `rows`, the
         vertical coordinate indices to form in increasing order, defaults to
         all of them.
@@ -671,7 +651,7 @@ class CoordMultiVector:
             if i in a:
                 d = self._vertical_derivatives(nu, i)
                 triples += [(-1, c, d[j]) for j, c in b.items() if j in d]
-            out[i] = _signed_products(triples, coords, simplify) if triples else self._zero
+            out[i] = _settled(_signed_products(triples, coords), coords) if triples else self._zero
         return out
 
     def level_bracket(self, nu: int, eta: int, level: int, dh: dict) -> dict:
@@ -755,7 +735,7 @@ def connection_contraction(X: CoordMultiVector, F: CoordForm) -> CoordForm:
         raise DegreeError("cannot contract a 0-form")
     gathered = {}
     if X.m > 1:
-        scale = _coeff(X.m - 1, F.coords)
+        scale = hold(X.m - 1, F.coords)
         gathered = {key: [(-1, scale, c)] for key, c in F._coeffs.items()}
     for nu, base in enumerate(X.base_positions, 1):
         components = X.vector(nu)
@@ -785,17 +765,8 @@ def _frame_index(chart: BundleChart, level: str):
 
 
 # The forms below depend on the chart alone: they are built once per
-# (m, n, level) and shared, and every caller gets its own table (`_onto`).
+# (m, n, level) and shared, and every caller gets its own table (`copy`).
 _per_chart = functools.lru_cache(maxsize=64)
-
-
-def _onto(chart: BundleChart, level: str, form: CoordForm) -> CoordForm:
-    """A new form over the frame of `chart` at `level` holding the
-    coefficients of `form`, a shared chart form: a write to it changes no
-    other caller's form."""
-    out = CoordForm(chart.coords(level), form.degree)
-    out._coeffs.update(form._coeffs)
-    return out
 
 
 class _ChartForms(NamedTuple):
@@ -831,9 +802,9 @@ def _tautological(chart: BundleChart, level: str, sigma) -> tuple[CoordForm, Coo
     coords = chart.coords(level)
     held, dsigma = _held_partials(sigma, coords)
     shared = _chart_forms(chart.m, chart.n, level)
-    theta = _onto(chart, level, shared.canonical)
+    theta = shared.canonical.copy()
     theta.add_term(shared.volume_key, -held)
-    omega = _onto(chart, level, shared.minus_d_canonical)
+    omega = shared.minus_d_canonical.copy()
     for i, s in enumerate(coords):
         if dsigma[s]:
             omega.add_term((i,) + shared.volume_key, dsigma[s])
@@ -841,7 +812,7 @@ def _tautological(chart: BundleChart, level: str, sigma) -> tuple[CoordForm, Coo
 
 
 def volume_form(chart: BundleChart, level: str = "M") -> CoordForm:
-    return _onto(chart, level, _chart_forms(chart.m, chart.n, level).volume)
+    return _chart_forms(chart.m, chart.n, level).volume.copy()
 
 
 def base_contraction_key(chart: BundleChart, level: str, nu: int):
@@ -854,7 +825,7 @@ def base_contraction_key(chart: BundleChart, level: str, nu: int):
 
 def canonical_part(chart: BundleChart, level: str) -> CoordForm:
     """The m-form sum_{a,nu} p^nu_a dy^a ^ d^{m-1}x_nu on the chart at `level`."""
-    return _onto(chart, level, _chart_forms(chart.m, chart.n, level).canonical)
+    return _chart_forms(chart.m, chart.n, level).canonical.copy()
 
 
 def build_theta(chart: BundleChart) -> CoordForm:
@@ -897,5 +868,6 @@ def extended_alpha(chart: BundleChart, h) -> tuple[sp.Expr, CoordForm]:
     """Total Hamiltonian H = pe + h, read from its held value, and alpha = dH."""
     coords, wide = chart.coords("J1"), chart.coords("M")
     held = _held_partials(chart.validate_on(h, "J1"), coords)[0]
-    H = _sum([ring_widen(held, coords, wide), hold(chart.pe, wide)], wide)
-    return _expr(H, wide), alpha_form(chart, h)
+    H = _signed_products([_term(1, ring_widen(held, coords, wide)),
+                          _term(1, hold(chart.pe, wide))], wide)
+    return read(H, wide), alpha_form(chart, h)

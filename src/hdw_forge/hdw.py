@@ -190,6 +190,7 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
     coords = chart.coords("J1")
     one, share = hold(1, coords), hold(sp.Rational(-1, chart.m), coords)
     zero = hold(0, coords)
+    off_trace = HeldTable(coords, gauge.off_trace).held
     dh = model.partials.held
     F = {(a, nu): dh[chart.p(a, nu)]
          for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)}
@@ -202,8 +203,9 @@ def derive_restricted(model: HamiltonianModel, gauge: GaugeChoice | None = None)
                     psi = hold(gauge.psi(chart, a, nu), coords)
                     G[(a, rho, nu)] = sum_of_products([(share, h_y), (one, psi)], coords)
                 else:
-                    G[(a, rho, nu)] = gauge.off_trace.get((a, rho, nu), zero)
-    return HdwField("restricted", chart, HeldView(coords, F), G, {}, gauge)
+                    G[(a, rho, nu)] = off_trace.get((a, rho, nu), zero)
+    # every entry is settled (`HeldTable`, `sum_of_products`): no table is held again
+    return HdwField("restricted", chart, HeldView(coords, F), HeldView(coords, G), {}, gauge)
 
 
 def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -> HdwField:
@@ -224,7 +226,7 @@ def derive_extended(model: HamiltonianModel, gauge: GaugeChoice | None = None) -
                     pairs += [(F[(a, nu)], G[(a, eta, eta)]),
                               (-F[(a, eta)], G[(a, eta, nu)])]
         g[nu] = sum_of_products(pairs, coords)
-    return HdwField("extended", chart, X.F, X.G, g, X.gauge)
+    return HdwField("extended", chart, X.F, X.G, HeldView(coords, g), X.gauge)
 
 
 def residual_restricted(X: HdwField, omega_h: CoordForm) -> CoordForm:

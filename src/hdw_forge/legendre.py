@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .coords import BundleChart
-from .errors import ChartMismatchError, RegularityError
+from .errors import ChartMismatchError, RegularityError, SampleDomainError
 from .forms import (HeldView, canonical_part, compose, determinant, hold, partials, read,
                     solve, sum_of_products, volume_form)
 from .hdw import HamiltonianModel
@@ -80,7 +80,7 @@ def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
     held_p = [dlag.held[chart.v(*s)] for s in slots]
     extended = sum_of_products(
         [(hold(1, coords), hold(lag, coords))]
-        + [(hold(-chart.v(*s), coords), p) for s, p in zip(slots, held_p)], coords, simplify)
+        + [(hold(-chart.v(*s), coords), p) for s, p in zip(slots, held_p)], coords)
     dp = {s: partials(momenta[s], coords) for s in slots}
     hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
     held_h = [[dp[s1].held[chart.v(*s2)] for s2 in slots] for s1 in slots]
@@ -122,7 +122,7 @@ def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
     at_v = compose(hold(res.model.lag, coords), dict(zip(_positions(chart), held_v)),
                    coords, onto)
     h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in zip(slots, held_v)]
-                        + [(hold(-1, onto), at_v)], onto, simplify)
+                        + [(hold(-1, onto), at_v)], onto)
     return HamiltonianModel(chart, read(h, onto), provenance="from-Legendre")
 
 
@@ -193,7 +193,9 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
     vectors vertical over the base (tolerance 1e-9 times the largest
     singular value).  The vertical restriction is what degeneracy of the
     underlying Lagrangian obstructs; without it the m=1 case would always
-    report the one-dimensional evolution direction.
+    report the one-dimensional evolution direction.  A sample at which the
+    matrix cannot be evaluated, or is not finite and real, raises
+    `SampleDomainError` with its position.
     """
     import numpy as np
     params = tuple(params)
@@ -226,12 +228,22 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
         rows.append([contracted.coefficient(c) for c in cols] + [dx[u] for dx in base])
     system = sp.lambdify(params, sp.Matrix(rows), [np])
     out = []
-    for pt in samples:
+    for k, pt in enumerate(samples):
         vals = [float(v) for v in pt]
         if len(vals) != d:
             raise ChartMismatchError(
                 f"sample {pt} has {len(vals)} entries, expected {d}")
-        K = np.array(system(*vals), dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                K = np.array(system(*vals), dtype=complex)
+            real = np.isfinite(K).all() and not K.imag.any()
+            problem = None if real else "is not finite and real there"
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            problem = f"cannot be evaluated there ({type(exc).__name__})"
+        if problem:
+            raise SampleDomainError(f"sample {pt} is outside the embedding's domain: "
+                                    f"the contraction matrix {problem}", k)
+        K = K.real
         svals = np.linalg.svd(K, compute_uv=False)
         rank = int(np.sum(svals > _RANK_TOL * svals[0]))
         out.append(d - rank)

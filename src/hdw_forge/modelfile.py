@@ -275,7 +275,11 @@ def _parse_submanifold(header, entries, chart) -> dict:
     samples = []
     for ln, k, v in entries:
         if k == "params":
-            params = tuple(sp.Symbol(p) for p in v.split())
+            names = v.split()
+            repeated = next((p for i, p in enumerate(names) if p in names[:i]), None)
+            if repeated is not None:
+                raise ModelFileError(f"repeated parameter {repeated!r} in [submanifold]", ln)
+            params = tuple(sp.Symbol(p) for p in names)
         elif k == "h_P":
             if params is None:
                 raise ModelFileError("declare params before h_P", ln)
@@ -308,7 +312,7 @@ def _parse_submanifold(header, entries, chart) -> dict:
             raise ModelFileError(
                 f"sample {pt} has {len(pt)} entries, expected {len(params)}", ln)
     return {"params": params, "embedding": embedding, "h_P": h_P,
-            "samples": [pt for _, pt in samples]}
+            "samples": [pt for _, pt in samples], "sample_lines": [ln for ln, _ in samples]}
 
 
 def parse_model(path) -> ModelFile:

@@ -23,9 +23,8 @@ from sympy.polys.rings import PolyElement
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, derive_extended, forms,
                        hdw, legendre, symbolic)
-from hdw_forge.forms import (CoordForm, CoordMultiVector, _coeff, _diff, _expr, _mul,
-                             _normalize_key, _signed, _sum, base_contraction_key, build_theta,
-                             hamilton_cartan)
+from hdw_forge.forms import (CoordForm, CoordMultiVector, _diff, _mul, _normalize_key, _signed,
+                             base_contraction_key, build_theta, hamilton_cartan, hold, read)
 from hdw_forge.hdw import (HdwField, curvature, derive_restricted, residual_restricted,
                           standard_checks)
 from hdw_forge.symbolic import has_transcendental, simplify, to_poly
@@ -402,11 +401,11 @@ class TestAtomRing:
         coords = chart.coords("M")
         for _ in range(3):
             e = random_atom_coefficient(chart, rng)
-            held = _coeff(e, coords)
+            held = hold(e, coords)
             assert isinstance(held, PolyElement)
-            assert sp.srepr(_expr(held, coords)) == sp.srepr(e)
+            assert sp.srepr(read(held, coords)) == sp.srepr(e)
             for idx, s in enumerate(coords):
-                got = _expr(_diff(held, idx, coords), coords)
+                got = read(_diff(held, idx, coords), coords)
                 expected = sp.expand(sp.diff(e, s))
                 assert got == expected and sp.srepr(got) == sp.srepr(expected), (e, s)
 
@@ -435,27 +434,27 @@ class TestAtomRing:
     def test_exp_multiples_share_a_generator(self):
         coords = (x1, y1, p1_1)
         e = sp.exp(y1 / 2) + p1_1 * sp.exp(y1) - sp.exp(3 * y1 / 2) / 5
-        held = _coeff(e, coords)
+        held = hold(e, coords)
         assert isinstance(held, PolyElement)
         assert held.ring.symbols[len(coords):] == (sp.exp(y1 / 2),)
-        assert sp.srepr(_expr(held, coords)) == sp.srepr(e)
+        assert sp.srepr(read(held, coords)) == sp.srepr(e)
         square = _mul(held, held, coords)
-        assert sp.srepr(_expr(square, coords)) == sp.srepr(sp.expand(e * e))
+        assert sp.srepr(read(square, coords)) == sp.srepr(sp.expand(e * e))
 
     @pytest.mark.parametrize("e", [sp.exp(y1) + sp.exp(-y1), sp.sin(sp.log(y1)),
                                    sp.exp(y1 + x1), sp.cos(y1) * sp.log(y1)], ids=str)
     def test_dependent_or_off_fragment_atoms_stay_expr(self, e):
-        held = _coeff(e, (x1, y1, p1_1))
+        held = hold(e, (x1, y1, p1_1))
         assert not isinstance(held, PolyElement)
         assert held == e
 
     def test_exp_of_both_signs_multiply_on_exprs(self):
         # sympy's exp(y1)*exp(-y1) is 1; the free ring would keep the product
         coords = (x1, y1, p1_1)
-        up, down = _coeff(sp.exp(y1), coords), _coeff(p1_1 * sp.exp(-y1), coords)
+        up, down = hold(sp.exp(y1), coords), hold(p1_1 * sp.exp(-y1), coords)
         assert isinstance(up, PolyElement) and isinstance(down, PolyElement)
         assert _mul(up, down, coords) == p1_1
-        assert _sum([up, down], coords) == sp.exp(y1) + p1_1 * sp.exp(-y1)
+        assert held_sum([up, down], coords) == sp.exp(y1) + p1_1 * sp.exp(-y1)
 
     @pytest.mark.parametrize("h,extra,expected", [
         (p1_1 ** 2 / 2 + p1_1 * sp.exp(y1 / 2) + sp.exp(y1), p1_1 * sp.exp(y1 / 2),
@@ -869,7 +868,7 @@ class TestCanonicalOnce:
         coords = chart.coords("M")
         entry = X.multivector().vector(1)[coords.index(chart.pe)]
         assert isinstance(entry, PolyElement)
-        assert_same(forms._expr(entry, coords), p1 + chart.pe)
+        assert_same(forms.read(entry, coords), p1 + chart.pe)
 
 
 def test_ring_types_stay_in_forms_and_symbolic():
@@ -1005,6 +1004,12 @@ def test_zero_forms_stay_in_forms():
     assert not builds
 
 
+def held_sum(values, coords):
+    """The held sum of held `values`, as `add_term` forms it: each value
+    times the 1 of its ring (`_term`), in one `_signed_products` call."""
+    return forms._signed_products([forms._term(1, c) for c in values], coords)
+
+
 def parent_add_term(held, key, coeff, coords):
     """`CoordForm.add_term` on the table `held` as it was when a key's sign
     was applied as the product `sign * c`: a ring product for a ring
@@ -1013,10 +1018,10 @@ def parent_add_term(held, key, coeff, coords):
     if norm is None:
         return
     key, sign = norm
-    values = [sign * _coeff(coeff, coords)]
+    values = [sign * hold(coeff, coords)]
     if key in held:
         values.append(held[key])
-    total = _sum(values, coords)
+    total = held_sum(values, coords)
     if total == 0:
         held.pop(key, None)
     else:
@@ -1047,7 +1052,7 @@ def parent_algebra(one, two, other, comps):
          for key, c in two._coeffs.items() for idx in range(len(coords))]
     interior = [(key[:pos] + key[pos + 1:], (-1 if pos % 2 else 1) * _mul(comps[idx], c, coords))
                 for key, c in two._coeffs.items() for pos, idx in enumerate(key) if idx in comps]
-    plus, minus = _coeff(1, coords), _coeff(-1, coords)
+    plus, minus = hold(1, coords), hold(-1, coords)
     negated = parent_table(((k, _mul(minus, c, coords)) for k, c in two._coeffs.items()), coords)
     return {
         "wedge": parent_table((p for p in wedge if p is not None), coords),
@@ -1070,7 +1075,7 @@ def assert_same_held(got, expected, coords):
         assert isinstance(got[key], PolyElement) == isinstance(c, PolyElement), key
         if isinstance(c, PolyElement):
             assert got[key].ring == c.ring and got[key] == c, key
-        assert sp.srepr(_expr(got[key], coords)) == sp.srepr(_expr(c, coords)), key
+        assert sp.srepr(read(got[key], coords)) == sp.srepr(read(c, coords)), key
 
 
 @pytest.mark.parametrize("m,n", MN_MATRIX)
@@ -1159,7 +1164,7 @@ class TestNoIdleArithmetic:
 
     def test_unify_of_one_ring_builds_no_ring_table(self, monkeypatch):
         coords = (x1, y1, p1_1)
-        polys = [_coeff(e, coords) for e in (x1 * sp.sin(y1), p1_1 * sp.cos(y1) + 1,
+        polys = [hold(e, coords) for e in (x1 * sp.sin(y1), p1_1 * sp.cos(y1) + 1,
                                              y1 * sp.sin(y1) ** 2)]
         assert all(p.ring is polys[0].ring for p in polys)
         tables = []
@@ -1175,10 +1180,10 @@ class TestNoIdleArithmetic:
         assert tables == [] and lifts == []
 
 
-def reference_products(triples, coords, canonical=sp.expand):
+def reference_products(triples, coords):
     """sum(sign * a * b) as it was formed before the fused pass: each
-    product by `_mul`, signed by negation, then one `_sum`."""
-    return _sum([_signed(s, _mul(a, b, coords)) for s, a, b in triples], coords, canonical)
+    product by `_mul`, signed by negation, then one held sum."""
+    return held_sum([_signed(s, _mul(a, b, coords)) for s, a, b in triples], coords)
 
 
 def assert_same_value(got, expected, coords):
@@ -1192,8 +1197,8 @@ def assert_same_value(got, expected, coords):
 
 class TestFusedProducts:
     """`_fma`, the one-pass multiply-accumulate, holds what the products
-    `_mul` forms and their `_sum` gave; off the ring `_signed_products`
-    gives that `Expr`, decided per sum."""
+    `_mul` forms and their held sum gave; off the ring `_signed_products`
+    gives the expanded `Expr` sum, held again, decided per sum."""
 
     CHART = BundleChart(2, 1)
     COORDS = CHART.coords("J1")
@@ -1213,9 +1218,9 @@ class TestFusedProducts:
         exprs = [poly() for _ in range(4)] + [
             p * sp.exp(y / 2) + x, sp.exp(y) * q - y ** 2, sp.sin(y) * p + sp.cos(y),
             sp.sin(2 * y) * q - x * p, x * sp.cos(2 * y) + sp.Rational(3, 2)]
-        held = [_coeff(e, coords) for e in exprs]
+        held = [hold(e, coords) for e in exprs]
         assert all(isinstance(c, PolyElement) for c in held)
-        units = [_coeff(1, coords), _coeff(-1, coords)]
+        units = [hold(1, coords), hold(-1, coords)]
         for c in held[4:6]:
             units += [c.ring.one, -c.ring.one]
         assert {u.ring.ngens for u in units} != {len(coords)}
@@ -1273,19 +1278,30 @@ class TestFusedProducts:
             [(1, a, b) for a, b in pairs if a != 0 and b != 0], coords), coords)
         assert forms.sum_of_products([(exp_zero, held[0])], coords) == 0
 
-    @pytest.mark.parametrize("canonical", [sp.expand, simplify])
-    def test_off_the_ring_gives_the_expr_sum(self, canonical):
+    @pytest.mark.parametrize("reading", ["expand", "simplify"])
+    def test_off_the_ring_gives_the_expr_sum(self, reading):
+        # the expanded sum, held again: a ring element when the ring takes
+        # it; settled, as `sum_of_products` and a bracket entry return it,
+        # the held `simplify` of the sum
         held, _ = self.pool(random.Random("off"))
         coords = self.COORDS
         y, p = self.CHART.y(1), self.CHART.p(1, 1)
-        up, down = _coeff(sp.exp(y), coords), _coeff(p * sp.exp(-y), coords)
+        up, down = hold(sp.exp(y), coords), hold(p * sp.exp(-y), coords)
         cases = [[(1, held[0], p / y), (-1, held[1], held[2])],          # an `Expr` factor
-                 [(1, up, held[0]), (-1, down, held[3])]]               # exp of both signs
+                 [(1, up, held[0]), (-1, down, held[3])],               # exp of both signs
+                 [(1, held[0], p / y), (-1, p / y, held[0]), (1, held[1], held[2])],
+                 [(1, up, down), (-1, held[1], held[2])]]               # sums on the ring
+        kinds = set()
         for triples in cases:
             assert forms._fma(triples, coords) is None
-            got = forms._signed_products(triples, coords, canonical)
-            assert not isinstance(got, PolyElement)
-            assert_same_value(got, reference_products(triples, coords, canonical), coords)
+            total = sp.Add(*(s * read(a, coords) * read(b, coords) for s, a, b in triples))
+            got = forms._signed_products(triples, coords)
+            if reading == "simplify":
+                got = forms._settled(got, coords)
+            kinds.add(isinstance(got, PolyElement))
+            canonical = sp.expand if reading == "expand" else simplify
+            assert_same_value(got, hold(canonical(total), coords), coords)
+        assert kinds == {True, False}
 
     def test_ring_or_expr_per_key_and_per_entry(self, monkeypatch):
         # one off-ring factor takes its key or bracket entry off the ring,
@@ -1293,13 +1309,15 @@ class TestFusedProducts:
         chart, coords = self.CHART, self.COORDS
         x, y, p = chart.x(1), chart.y(1), chart.p(1, 1)
         form = CoordForm(coords, 2, {(0, 1): x * p, (1, 2): sp.sin(y), (0, 3): p / y})
-        comps = {1: _coeff(y ** 2, coords), 0: _coeff(sp.exp(y / 2), coords),
-                 3: _coeff(x, coords)}
+        comps = {1: hold(y ** 2, coords), 0: hold(sp.exp(y / 2), coords),
+                 3: hold(x, coords)}
         products = _count_calls(monkeypatch, forms, "_mul")
+        terms = _count_calls(monkeypatch, CoordForm, "add_term")
         got = form.interior_vector(comps)
+        assert terms == []   # an off-ring key is summed in its one call too
         # (0,) gets y1^2 x1 p1_1 and x1 p1_1/y1, (3,) exp(y1/2) p1_1/y1;
         # (1,) and (2,) take one `_fma` pass each
-        assert sorted(str(_expr(comp, coords)) for comp, _, _ in products) == [
+        assert sorted(str(read(comp, coords)) for comp, _, _ in products) == [
             "exp(y1/2)", "x1", "y1**2"]
         monkeypatch.undo()
         expected = parent_table(
@@ -1597,8 +1615,8 @@ class TestLevelBracket:
     def test_lone_unit_triple_returns_the_factor(self):
         coords = BundleChart(2, 1).coords("J1")
         y, p = coords[2], coords[3]
-        for c in (_coeff(y * p - 3, coords), _coeff(sp.sin(y) * p, coords)):
-            for one in (_coeff(1, coords), c.ring.one):
+        for c in (hold(y * p - 3, coords), hold(sp.sin(y) * p, coords)):
+            for one in (hold(1, coords), c.ring.one):
                 assert forms._fma([(1, one, c)], coords) is c
                 assert forms._fma([(-1, c, -one)], coords) is c
                 negated = forms._fma([(-1, one, c)], coords)
@@ -1636,9 +1654,9 @@ class TestLevelBracket:
 
 
 def test_d_and_add_sum_each_key_once(monkeypatch):
-    """`d` and `+` gather each key's contributions and make one `_sum` per
-    key, with no `add_term`, and give the sums `add_term` made one at a
-    time."""
+    """`d` and `+` gather each key's contributions and make one
+    `_signed_products` call per key, with no `add_term`, and give the sums
+    `add_term` made one at a time."""
     chart = BundleChart(2, 2)
     coords = chart.coords("M")
     rng = random.Random("sum each key once")
@@ -1649,7 +1667,7 @@ def test_d_and_add_sum_each_key_once(monkeypatch):
         for key, coeff in random_insertions(coords, 2, rng, pool, count=14):
             form.add_term(key, coeff)
     expected = parent_algebra(one, one, two, {})
-    sums = _count_calls(monkeypatch, forms, "_sum")
+    sums = _count_calls(monkeypatch, forms, "_signed_products")
     terms = _count_calls(monkeypatch, CoordForm, "add_term")
     got = {"d": one.d(), "add": one + two}
     assert terms == []

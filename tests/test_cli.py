@@ -155,6 +155,7 @@ class TestDerive:
 
 OSC_H = "[bundle]\nm = 1\nn = 1\n[hamiltonian]\nh = (p1_1^2 + y1^2)/2\n"
 WAVE_H = "[bundle]\nm = 2\nn = 1\n[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2\n"
+LAG_1 = "[bundle]\nm = 1\nn = 1\n[lagrangian]\nlag = (v1_1^2 - y1^2)/2\n"
 
 
 class TestCheck:
@@ -1064,6 +1065,53 @@ class TestContract:
         assert status == 2 and out == ""
         assert "line 5, column" in err and "not finite" in err
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("text,line,message", [
+        (OSC_H + "[solve]\nkind ode\n", 7, "expected 'key = value'"),
+        ("[bundle]\nm = 1\n[hamiltonian]\nh = p1_1^2/2\n", 2, "missing required key 'n'"),
+        (OSC_H + "lag = 1\n", 6, "unexpected key 'lag' in [hamiltonian]"),
+        (LAG_1 + "h = 1\n", 6, "unexpected key 'h' in [lagrangian]"),
+        ("[bundle]\nm = 1\nn = 1\n[lagrangian]\n", 4,
+         "[lagrangian] needs a 'lag = ...' entry"),
+        (OSC_H + "[gauge]\nmode = free\n", 7, "unknown gauge mode 'free'"),
+        (OSC_H + "[solve]\nkind = pde\n", 7, "unknown solve kind 'pde'"),
+        (OSC_H + "[solve]\nkind = ode\nextended = yes\n", 8,
+         "extended must be true or false"),
+        (WAVE_H + "[solve]\nkind = field1p1\npoints = 1.5\n", 8, "points must be an integer"),
+        (OSC_H + "[solve]\nt0 = 0\nt1 = 1\n", 7, "[solve] needs kind = ode | field1p1"),
+        (OSC_H + "[submanifold]\nx1 = u1\nparams = u1\n", 7,
+         "declare params before embedding entries"),
+        (OSC_H + "[submanifold]\nparams = u1\nh_P = 0\n", 7,
+         "[submanifold] needs params, h_P, and samples"),
+        # lambdify would refuse the repeated argument with a SyntaxError
+        (OSC_H + "[submanifold]\nparams = u1 u1 u2\nx1 = u1\ny1 = u2\np1_1 = u1\nh_P = 0\n"
+         "samples = 1 1 1\n", 7, "repeated parameter 'u1' in [submanifold]"),
+    ], ids=["key-value", "missing-key", "hamiltonian-key", "lagrangian-key", "lagrangian-lag",
+            "gauge-mode", "solve-kind", "solve-extended", "solve-points", "solve-no-kind",
+            "submanifold-order", "submanifold-incomplete", "submanifold-repeat"])
+    def test_model_input_error_exits_2_at_its_line(self, capsys, tmp_path, text, line,
+                                                   message):
+        model = tmp_path / "bad.hdw"
+        model.write_text(text)
+        status, out, err = run(capsys, "check", str(model), "--out", str(tmp_path / "out"))
+        assert status == 2 and out == "" and not (tmp_path / "out").exists()
+        assert err == f"error: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("p,sample,problem", [
+        ("1/u1", "0 0.3", "cannot be evaluated there (ZeroDivisionError)"),
+        ("exp(u1)", "1000 0.3", "is not finite and real there"),
+    ], ids=["division", "overflow"])
+    @pytest.mark.parametrize("command", ["check", "legendre"])
+    def test_sample_outside_the_domain_exits_2_at_its_line(self, capsys, tmp_path, command,
+                                                           p, sample, problem):
+        model = tmp_path / "domain.hdw"
+        model.write_text(LAG_1 + f"[submanifold]\nparams = u1 u2\nx1 = u1\ny1 = u2\n"
+                         f"p1_1 = {p}\nh_P = 0\nsamples = 1 0.3\nsamples = {sample}\n")
+        status, out, err = run(capsys, command, str(model), "--out", str(tmp_path / "out"))
+        assert status == 2 and out == "" and not (tmp_path / "out").exists()
+        point = tuple(float(v) for v in sample.split())
+        assert err == (f"error: line 13: sample {point} is outside the embedding's domain: "
+                       f"the contraction matrix {problem}\n")
 
     def test_reports_are_deterministic(self, capsys, tmp_path):
         outs = []

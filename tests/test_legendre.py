@@ -9,7 +9,7 @@ import sympy as sp
 from sympy.matrices.matrixbase import MatrixBase
 
 from hdw_forge import BundleChart
-from hdw_forge.errors import ChartMismatchError, RegularityError
+from hdw_forge.errors import ChartMismatchError, RegularityError, SampleDomainError
 from hdw_forge.forms import canonical_part, volume_form
 from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
                                 hamiltonian_from_lagrangian,
@@ -380,6 +380,15 @@ class TestRankDiagnostics:
         del embedding[chart.p(1, 1)]
         with pytest.raises(ChartMismatchError):
             rank_diagnostics(chart, embedding, 0, [(0.1, 0.2)], params=params[:2])
+
+    def test_sample_outside_the_domain_names_its_position(self):
+        # 1/u1 has no value at u1 = 0, and exp(u1) no finite one at 1000
+        chart, params, embedding = _identity_embedding_m1()
+        for p, bad in ((1 / params[0], (0.0, 0.3, 0.2)), (sp.exp(params[0]), (1e3, 0.3, 0.2))):
+            embedding[chart.p(1, 1)] = p
+            with pytest.raises(SampleDomainError) as exc:
+                rank_diagnostics(chart, embedding, 0, [(1.0, 0.3, 0.2), bad], params=params)
+            assert exc.value.index == 1 and str(bad) in str(exc.value)
 
     def test_rejects_sample_arity_mismatch(self):
         chart, params, embedding = _identity_embedding_m1()

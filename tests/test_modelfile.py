@@ -209,7 +209,12 @@ class TestModelParsing:
 
     def test_repeated_samples_accumulate(self):
         text = self.SUBMANIFOLD + "samples = 2 2 2\n"
-        assert len(parse_model_text(text).submanifold["samples"]) == 3
+        sub = parse_model_text(text).submanifold
+        assert len(sub["samples"]) == 3
+        # each sample keeps its line, which an error found later names
+        lines = text.splitlines()
+        assert [lines[ln - 1] for ln in sub["sample_lines"]] == [
+            "samples = 0.1 0.2 0.3; 1 1 1"] * 2 + ["samples = 2 2 2"]
 
     def test_unknown_bundle_key_reports_its_line(self):
         text = "[bundle]\nm = 1\nn = 1\nmm = 7\n[hamiltonian]\nh = 0\n"
@@ -381,6 +386,11 @@ samples = 0.1 0.2 0.3; 1 1 1
         with pytest.raises(ModelFileError, match=needle) as exc:
             parse_model_text(text)
         assert text.splitlines()[exc.value.line - 1].startswith(line)
+
+    def test_submanifold_repeated_parameter_refused_at_its_line(self):
+        text = self.SUBMANIFOLD.replace("params = u1 u2 u3", "params = u1 u2 u1")
+        line = self.error_line(text, r"repeated parameter 'u1' in \[submanifold\]")
+        assert text.splitlines()[line - 1] == "params = u1 u2 u1"
 
     def test_submanifold_embedding_must_cover_the_restricted_chart(self):
         text = self.SUBMANIFOLD.replace("y1 = u2\n", "")

@@ -68,8 +68,10 @@ There are 52 groups:
   command on the bundled models, with timestamps and paths stripped;
 - `cli input errors`: exit status, stdout and stderr of `check` on each
   model of `SPELLINGS` and with the injection file `SPELLED_INJECTION`,
-  each holding a key whose index has a leading zero, and on `BASE_INIT`,
-  whose [solve] block gives the base coordinate x1 as initial data;
+  each holding a key whose index has a leading zero, on `BASE_INIT`,
+  whose [solve] block gives the base coordinate x1 as initial data, and
+  on each model of `SUBMANIFOLDS`, whose [submanifold] block repeats a
+  parameter or has a sample outside the embedding's domain;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
@@ -147,6 +149,14 @@ SPELLED_INJECTION = {"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}
 BASE_INIT = (_OSC.replace("y1^2)/2", "y1^2)/2 + x1*y1")
              + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
              "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n")
+# [submanifold] blocks with a repeated parameter and with a sample at which
+# the contraction matrix cannot be evaluated (1/u1 at u1 = 0)
+SUBMANIFOLDS = {
+    "submanifold-repeat": _OSC + "[submanifold]\nparams = u1 u1 u2\nx1 = u1\ny1 = u2\n"
+    "p1_1 = u1\nh_P = 0\nsamples = 1 1 1\n",
+    "submanifold-domain": _OSC + "[submanifold]\nparams = u1 u2\nx1 = u1\ny1 = u2\n"
+    "p1_1 = 1/u1\nh_P = 0\nsamples = 1 0.3\nsamples = 0 0.3\n",
+}
 
 
 def _frozen_inputs():
@@ -590,7 +600,7 @@ def input_error_lines(tmp) -> list:
     """The `cli input errors` group's lines."""
     out = tmp / "input-errors"
     runs = {}
-    for name, text in {**SPELLINGS, "solve-base": BASE_INIT}.items():
+    for name, text in {**SPELLINGS, "solve-base": BASE_INIT, **SUBMANIFOLDS}.items():
         (tmp / f"{name}.hdw").write_text(text, encoding="utf-8")
         runs[name] = ["check", str(tmp / f"{name}.hdw")]
     inject = tmp / "inject-spelled.json"
