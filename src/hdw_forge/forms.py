@@ -317,13 +317,13 @@ def determinant(rows, coords):
 def solve(rows, rhs, coords):
     """The held x with M x = rhs, for the invertible square matrix M of held
     values `rows` and the held values `rhs`: M^-1 over QQ times rhs in a
-    ring when M is constant and rhs is held in rings, else `simplify` of
+    ring when M is constant and rhs is held in rings, else each entry e of
     `Matrix.LUsolve` (which raises `NonInvertibleMatrixError` for an M it
-    finds singular)."""
+    finds singular) held as `hold(simplify(e))`."""
     M = _constant_matrix(rows)
     if M is None or not all(isinstance(c, PolyElement) for c in rhs):
         x = _matrix(rows, coords).LUsolve(sp.Matrix([read(c, coords) for c in rhs]))
-        return [simplify(e) for e in x]
+        return [hold(simplify(e), coords) for e in x]
     ring = hold(0, coords).ring
     return [sum_of_products([(ring.ground_new(q), c) for q, c in zip(row, rhs)], coords)
             for row in M.inv().to_list()]
@@ -680,7 +680,7 @@ def _held_partials(expr, coords):
     0-form's coefficient and its `CoordForm.d`, each partial held as a
     `HeldTable` holds it; a zero one is the ring's zero.
 
-    Kept for the 128 latest (expression, frame) pairs.  The key compares
+    Kept for the 128 latest (value, frame) pairs.  The key compares
     expressions with sympy's `==`, under which Floats of different
     precision, or symbols of different assumptions, differ: two values
     that `hold` would hold differently never share an entry.
@@ -693,14 +693,15 @@ def _held_partials(expr, coords):
 
 
 def partials(expr, coords) -> HeldView:
-    """The first partials of `expr` along `coords` (`CoordForm.d` of the
-    0-form), a read-only `HeldView` keyed by coordinate; a zero one reads 0.
+    """The first partials of `expr`, an `Expr` or held value, along `coords`
+    (`CoordForm.d` of the 0-form), a `HeldView` by coordinate; a zero one reads 0.
 
-    The held partials are taken once per (expression, frame), and every
-    call's view is over the same held values.
+    The held partials are taken once per (value, frame), and every call's
+    view is over the same held values.
     """
     coords = tuple(coords)
-    return HeldView(coords, _held_partials(sp.sympify(expr), coords)[1])
+    expr = expr if isinstance(expr, PolyElement) else sp.sympify(expr)
+    return HeldView(coords, _held_partials(expr, coords)[1])
 
 
 def interior_product(X: CoordMultiVector, F: CoordForm) -> CoordForm:

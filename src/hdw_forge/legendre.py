@@ -1,24 +1,22 @@
 """Lagrangian input: momentum maps, regularity, induced Hamiltonians.
 
-Every partial derivative is read from `forms.partials`.
-Closed-form inversion is supported for Lagrangians quadratic in the
-velocities (linear momentum-velocity relation solved exactly).  The
-Euler-Lagrange residuals and the momentum elimination, which takes the
-`LegendreResult` a command holds, use formal second-order symbols that
-never leave this module, and add the same `_divergence` of the same
-momenta: the round trip comparing them is no independent oracle, and
-checks only -dlag/dy_a against dh/dy_a at p = dlag/dv.
-
-The transform runs on held values.  The frames "L" = (x, y, v) and
-"J1" = (x, y, p) agree position by position, so a held value is read over
+The transform runs on held values.  A `LegendreResult` keeps the momenta
+and the Hessian (`forms.partials` of lag) as `HeldView`s over
+"L" = (x, y, v), and the inverse velocities as one over "J1" = (x, y, p):
+the frames agree position by position, so a held value is read over
 either.  The extended entry and h are held sums (`forms.sum_of_products`),
 det H and V = H^-1 (p - p|v=0) come from `forms.determinant` and
 `forms.solve`, and h and the elimination's dh/dy substitute by composition
-(`forms.compose`).  Each helper works in the coefficient ring when the
-values allow it (a constant Hessian; no Float, log, denominator or atom of
-a replaced coordinate) and otherwise runs the `Expr` computation:
-`Matrix.det`, `LUsolve`, `subs` and `simplify`.  Every result is read back
-as the `Expr` that computation gives.
+(`forms.compose`): each in the coefficient ring when the values allow it
+(a constant Hessian; no Float, log, denominator or atom of a replaced
+coordinate), else by `Matrix.det`, `LUsolve` or `subs`.
+
+One builder, `_residuals`, forms the Euler-Lagrange residuals and the
+momentum elimination over formal second-order symbols that never leave
+this module, from the same divergence of the same momenta: the round trip
+comparing them is no independent oracle, and checks only -dlag/dy_a
+against dh/dy_a at p = dlag/dv.  The tests check `euler_lagrange` against
+sympy's `euler_equations`.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .errors import ChartMismatchError, RegularityError, SampleDomainError
 from .forms import (HeldView, canonical_part, compose, determinant, hold, partials, read,
                     solve, sum_of_products, volume_form)
 from .hdw import HamiltonianModel
-from .symbolic import exact, is_structurally_zero, simplify
+from .symbolic import exact, is_structurally_zero, ring_widen
 
 
 @dataclass(frozen=True)
@@ -50,22 +48,15 @@ class LagrangianModel:
 @dataclass(frozen=True)
 class LegendreResult:
     model: LagrangianModel
-    momenta: dict            # (a, nu) -> Expr in (x, y, v)
+    momenta: HeldView        # (a, nu) -> dlag/dv, held over "L"
     extended: sp.Expr        # lag - v . dlag/dv
-    hessian: dict            # ((a, nu), (b, eta)) -> Expr
+    hessian: HeldView        # ((a, nu), (b, eta)) -> d2lag/dv dv, held over "L"
     classification: str      # hyper-regular-closed-form | regular-local | degenerate
-    inverse_velocities: dict  # (a, nu) -> Expr in (x, y, p); empty without a closed form
+    inverse_velocities: HeldView  # (a, nu) -> held over "J1"; empty without a closed form
 
 
 def _velocity_slots(chart: BundleChart):
     return [(a, nu) for a in range(1, chart.n + 1) for nu in range(1, chart.m + 1)]
-
-
-def _positions(chart: BundleChart):
-    """The frame position of each velocity slot: v_(a,nu) in the "L" frame,
-    and p_(a,nu) in the "J1" frame, which agrees with it everywhere else."""
-    index = {s: i for i, s in enumerate(chart.coords("L"))}
-    return [index[chart.v(*s)] for s in _velocity_slots(chart)]
 
 
 def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
@@ -75,16 +66,15 @@ def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
     chart, lag = model.chart, model.lag
     coords, onto = chart.coords("L"), chart.coords("J1")
     slots = _velocity_slots(chart)
-    dlag = partials(lag, coords)
-    momenta = {s: dlag[chart.v(*s)] for s in slots}
-    held_p = [dlag.held[chart.v(*s)] for s in slots]
+    dlag = partials(lag, coords).held
+    p = {s: dlag[chart.v(*s)] for s in slots}
     extended = sum_of_products(
         [(hold(1, coords), hold(lag, coords))]
-        + [(hold(-chart.v(*s), coords), p) for s, p in zip(slots, held_p)], coords)
-    dp = {s: partials(momenta[s], coords) for s in slots}
-    hessian = {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots}
-    held_h = [[dp[s1].held[chart.v(*s2)] for s2 in slots] for s1 in slots]
-    det = determinant(held_h, coords)
+        + [(hold(-chart.v(*s), coords), p[s]) for s in slots], coords)
+    dp = {s: partials(p[s], coords).held for s in slots}
+    hessian = HeldView(coords, {(s1, s2): dp[s1][chart.v(*s2)] for s1 in slots for s2 in slots})
+    rows = [[hessian.held[(s1, s2)] for s2 in slots] for s1 in slots]
+    det = determinant(rows, coords)
     if is_structurally_zero(det, seed)[0]:
         classification = "degenerate"
     elif det.free_symbols:
@@ -92,21 +82,21 @@ def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
     else:
         classification = "hyper-regular-closed-form"
     velocities = {chart.v(*s) for s in slots}
-    inverse = {}
+    inverse = HeldView(onto)
     if classification == "hyper-regular-closed-form" and not any(
             e.free_symbols & velocities for e in hessian.values()):
         # a Hessian free of v makes p = H v + p|v=0, solved for v exactly; H
         # names no v, so it is held over "J1" as it is over "L"
-        at_rest = dict.fromkeys(_positions(chart), hold(0, coords))
+        at_rest = {coords.index(chart.v(*s)): hold(0, coords) for s in slots}
         rhs = [sum_of_products([(hold(1, onto), hold(chart.p(*s), onto)),
-                                (hold(-1, onto), compose(p, at_rest, coords, onto))], onto)
-               for s, p in zip(slots, held_p)]
+                                (hold(-1, onto), compose(p[s], at_rest, coords, onto))], onto)
+               for s in slots]
         try:
-            inverse = dict(HeldView(onto, dict(zip(slots, solve(held_h, rhs, onto)))))
+            inverse = HeldView(onto, dict(zip(slots, solve(rows, rhs, onto))))
         except sp.matrices.exceptions.NonInvertibleMatrixError:
             pass
-    return LegendreResult(model, momenta, read(extended, coords), hessian, classification,
-                          inverse)
+    return LegendreResult(model, HeldView(coords, p), read(extended, coords), hessian,
+                          classification, inverse)
 
 
 def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
@@ -117,43 +107,50 @@ def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
             "supply a Hamiltonian directly")
     chart = res.model.chart
     coords, onto = chart.coords("L"), chart.coords("J1")
-    slots = _velocity_slots(chart)
-    held_v = [hold(res.inverse_velocities[s], onto) for s in slots]
-    at_v = compose(hold(res.model.lag, coords), dict(zip(_positions(chart), held_v)),
-                   coords, onto)
-    h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in zip(slots, held_v)]
+    V = res.inverse_velocities.held
+    at_v = compose(hold(res.model.lag, coords),
+                   {coords.index(chart.v(*s)): v for s, v in V.items()}, coords, onto)
+    h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in V.items()]
                         + [(hold(-1, onto), at_v)], onto)
     return HamiltonianModel(chart, read(h, onto), provenance="from-Legendre")
 
 
 def second_order_symbol(a: int, nu: int, eta: int) -> sp.Symbol:
-    """Formal symmetric second-derivative symbol used only by the oracle."""
+    """Formal symmetric second-derivative symbol of the Euler-Lagrange residuals."""
     lo, hi = sorted((nu, eta))
     return sp.Symbol(f"y{a}_dd{lo}_{hi}")
 
 
-def _divergence(chart: BundleChart, a: int, momenta: dict) -> sp.Expr:
-    """sum_nu D_nu momenta[(a, nu)], D_nu the formal total derivative along
-    x^nu treating y, v as field functions."""
-    coords = chart.coords("L")
-    out = sp.Integer(0)
-    for nu in range(1, chart.m + 1):
-        dp = partials(momenta[(a, nu)], coords)
-        out += dp[chart.x(nu)]
-        for b in range(1, chart.n + 1):
-            out += chart.v(b, nu) * dp[chart.y(b)]
-            for eta in range(1, chart.m + 1):
-                out += second_order_symbol(b, nu, eta) * dp[chart.v(b, eta)]
+def _residuals(chart: BundleChart, momenta: dict, others) -> list:
+    """sum_nu D_nu momenta[(a, nu)] + others[a - 1] for a = 1..n, D_nu the
+    formal total derivative along x^nu.  Each is one held sum over "L"
+    followed by the second-order symbols; `ring_widen` takes the partials
+    and `others`, held over "L", into that frame."""
+    coords, slots = chart.coords("L"), _velocity_slots(chart)
+    frame = coords + tuple(dict.fromkeys(second_order_symbol(b, nu, eta)
+                                         for b, nu in slots for eta in range(1, chart.m + 1)))
+    one = hold(1, frame)
+    # D_nu = d/dx_nu + v_(b,nu) d/dy_b + y_(b,nu,eta) d/dv_(b,eta): (factor, coordinate)s
+    derivatives = [[(one, chart.x(nu))]
+                   + [(hold(chart.v(b, nu), frame), chart.y(b)) for b in range(1, chart.n + 1)]
+                   + [(hold(second_order_symbol(b, nu, eta), frame), chart.v(b, eta))
+                      for b, eta in slots] for nu in range(1, chart.m + 1)]
+    dp = {s: partials(p, coords).held for s, p in momenta.items()}
+    out = []
+    for a, other in enumerate(others, 1):
+        pairs = [(one, other)] + [(c, dp[(a, nu)][z])
+                                  for nu, D in enumerate(derivatives, 1) for c, z in D]
+        total = sum_of_products([(c, ring_widen(d, coords, frame)) for c, d in pairs], frame)
+        out.append(read(total, frame))
     return out
 
 
 def euler_lagrange(model: LagrangianModel) -> list:
     """The n Euler-Lagrange residuals over formal first/second-order symbols."""
     chart = model.chart
-    dlag = partials(model.lag, chart.coords("L"))
-    momenta = {s: dlag[chart.v(*s)] for s in _velocity_slots(chart)}
-    return [simplify(_divergence(chart, a, momenta) - dlag[chart.y(a)])
-            for a in range(1, chart.n + 1)]
+    dlag = partials(model.lag, chart.coords("L")).held
+    return _residuals(chart, {s: dlag[chart.v(*s)] for s in _velocity_slots(chart)},
+                      [-dlag[chart.y(a)] for a in range(1, chart.n + 1)])
 
 
 def hdw_momentum_elimination(source) -> list:
@@ -169,13 +166,11 @@ def hdw_momentum_elimination(source) -> list:
     ham = hamiltonian_from_lagrangian(res)
     chart = res.model.chart
     coords, onto = chart.coords("J1"), chart.coords("L")
-    slots = _velocity_slots(chart)
-    dlag = partials(res.model.lag, onto)
-    momenta = dict(zip(_positions(chart), (dlag.held[chart.v(*s)] for s in slots)))
-    # dh/dy with p = dlag/dv, read over the "L" frame
-    return [simplify(read(compose(ham.partials.held[chart.y(a)], momenta, coords, onto), onto)
-                     + _divergence(chart, a, res.momenta))
-            for a in range(1, chart.n + 1)]
+    momenta = {coords.index(chart.p(*s)): p for s, p in res.momenta.held.items()}
+    # dh/dy with p = dlag/dv, held over the "L" frame
+    return _residuals(chart, res.momenta.held,
+                      [compose(ham.partials.held[chart.y(a)], momenta, coords, onto)
+                       for a in range(1, chart.n + 1)])
 
 
 _RANK_TOL = 1e-9

@@ -276,6 +276,8 @@ def _parse_submanifold(header, entries, chart) -> dict:
     for ln, k, v in entries:
         if k == "params":
             names = v.split()
+            if not names:
+                raise ModelFileError("[submanifold] needs at least one parameter", ln)
             repeated = next((p for i, p in enumerate(names) if p in names[:i]), None)
             if repeated is not None:
                 raise ModelFileError(f"repeated parameter {repeated!r} in [submanifold]", ln)

@@ -78,6 +78,7 @@ random_polynomial_h = _inputs.random_polynomial_h
 random_gauge = _inputs.random_gauge
 random_quadratic_lagrangian = _inputs.random_quadratic_lagrangian
 make_check_input = _inputs.make_check_input
+check_input = _inputs.check_input
 
 
 def random_expr(symbols, rng, depth=4):

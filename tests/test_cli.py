@@ -1086,9 +1086,13 @@ class TestContract:
         # lambdify would refuse the repeated argument with a SyntaxError
         (OSC_H + "[submanifold]\nparams = u1 u1 u2\nx1 = u1\ny1 = u2\np1_1 = u1\nh_P = 0\n"
          "samples = 1 1 1\n", 7, "repeated parameter 'u1' in [submanifold]"),
+        # refused at params, not at the first sample that has entries
+        (OSC_H + "[submanifold]\nparams =\nx1 = 1\ny1 = 1\np1_1 = 1\nh_P = 0\nsamples = 1\n", 7,
+         "[submanifold] needs at least one parameter"),
     ], ids=["key-value", "missing-key", "hamiltonian-key", "lagrangian-key", "lagrangian-lag",
             "gauge-mode", "solve-kind", "solve-extended", "solve-points", "solve-no-kind",
-            "submanifold-order", "submanifold-incomplete", "submanifold-repeat"])
+            "submanifold-order", "submanifold-incomplete", "submanifold-repeat",
+            "submanifold-empty"])
     def test_model_input_error_exits_2_at_its_line(self, capsys, tmp_path, text, line,
                                                    message):
         model = tmp_path / "bad.hdw"

@@ -2,15 +2,17 @@ import collections
 import itertools
 import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 from sympy.matrices.matrixbase import MatrixBase
+from sympy.polys.rings import PolyElement
 
-from hdw_forge import BundleChart
+from hdw_forge import BundleChart, symbolic
 from hdw_forge.errors import ChartMismatchError, RegularityError, SampleDomainError
-from hdw_forge.forms import canonical_part, volume_form
+from hdw_forge.forms import HeldView, canonical_part, hold, read, solve, volume_form
 from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
                                 hamiltonian_from_lagrangian,
                                 hdw_momentum_elimination, legendre_maps,
@@ -18,7 +20,7 @@ from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
 from hdw_forge.modelfile import parse_model
 from hdw_forge.symbolic import is_structurally_zero, simplify
 
-from conftest import MN_MATRIX, random_quadratic_lagrangian, same_outputs_tool
+from conftest import MN_MATRIX, check_input, random_quadratic_lagrangian, same_outputs_tool
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -106,6 +108,15 @@ class TestLegendreMaps:
         res = legendre_maps(LagrangianModel(chart, v ** 2 / 2 + v / (1 + y ** 2)))
         assert res.hessian[((1, 1), (1, 1))] == 1
         assert res.classification == "hyper-regular-closed-form"
+
+    def test_tables_are_held_views(self):
+        # the momenta and the Hessian over "L", the inverse velocities over "J1"
+        lm = _y_hessian_lagrangian()
+        res = legendre_maps(lm)
+        L, J1 = lm.chart.coords("L"), lm.chart.coords("J1")
+        assert [(type(t), t.coords) for t in (res.momenta, res.hessian, res.inverse_velocities)] \
+            == [(HeldView, L), (HeldView, L), (HeldView, J1)]
+        assert all(isinstance(c, PolyElement) for c in res.inverse_velocities.held.values())
 
     def test_rejects_momentum_coordinates(self):
         chart = BundleChart(1, 1)
@@ -203,6 +214,30 @@ class TestEulerLagrangeOracle:
         elim = hdw_momentum_elimination(lag)
         assert all(is_structurally_zero(a - b)[0] for a, b in zip(el, elim))
 
+    @pytest.mark.parametrize("case", [f"seed {seed}" for seed in range(1, 6)]
+                             + ["oscillator", "wave"])
+    def test_agrees_with_sympy_euler_equations(self, case):
+        # sympy's `euler_equations`, on y as Functions of x and v as their
+        # Derivatives, shares no code with `euler_lagrange`; its residuals
+        # are the negatives of ours
+        if case == "oscillator":
+            lms = [_oscillator_lagrangian()]
+        elif case == "wave":
+            lms = [_wave_lagrangian()]
+        else:
+            inputs = [check_input(int(case.split()[1]), slot) for slot in range(8 * len(MN_MATRIX))]
+            lms = [LagrangianModel(inp.chart, inp.lag) for inp in inputs if inp.kind == "lag"]
+            assert len(lms) == len(MN_MATRIX)
+        tool = same_outputs_tool()
+        for lm in lms:
+            assert tool.euler_equations_agree(lm), lm.lag
+
+    def test_sympy_oracle_knows_the_oscillator(self):
+        # y'' + y = 0, with sympy's sign
+        lm = _oscillator_lagrangian()
+        [theirs] = same_outputs_tool().euler_equations_residuals(lm)
+        assert sp.expand(theirs + second_order_symbol(1, 1, 1) + lm.chart.y(1)) == 0
+
     def test_elimination_takes_a_legendre_result(self):
         rng = random.Random(35)
         for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)]:
@@ -224,6 +259,36 @@ def substitutions(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def simplify_calls(monkeypatch):
+    """The arguments of each call to `symbolic.simplify` through any binding
+    of it in the package's modules, as `perfbench/tracer.py` wraps them."""
+    calls = []
+    original = symbolic.simplify
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "hdw_forge" or name.startswith("hdw_forge."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return calls
+
+
+def _ring_case(case):
+    """A Lagrangian whose Legendre steps stay on the ring."""
+    if case == "wave.hdw":
+        model = parse_model(MODELS / case)
+        return LagrangianModel(model.chart, model.lagrangian)
+    if case == "lag/float":
+        return dict(same_outputs_tool().offring_lagrangians())[case]
+    rng = random.Random(41)
+    return LagrangianModel(BundleChart(4, 1),
+                           random_quadratic_lagrangian(BundleChart(4, 1), rng, rng)[0])
+
+
 def _legendre_steps(lm):
     res = legendre_maps(lm)
     hamiltonian_from_lagrangian(res)
@@ -238,15 +303,31 @@ class TestRingPath:
 
     @pytest.mark.parametrize("case", ["wave.hdw", "random (4,1)"])
     def test_no_expr_substitution_on_the_ring(self, case, substitutions):
-        if case == "wave.hdw":
-            model = parse_model(MODELS / case)
-            lm = LagrangianModel(model.chart, model.lagrangian)
-        else:
-            rng = random.Random(41)
-            lm = LagrangianModel(BundleChart(4, 1),
-                                 random_quadratic_lagrangian(BundleChart(4, 1), rng, rng)[0])
-        _legendre_steps(lm)
+        _legendre_steps(_ring_case(case))
         assert substitutions == {}
+
+    @pytest.mark.parametrize("case", ["wave.hdw", "random (4,1)", "lag/float"])
+    def test_residuals_take_no_simplify_on_the_ring(self, case, simplify_calls):
+        lm = _ring_case(case)
+        res = legendre_maps(lm)
+        simplify_calls.clear()
+        euler_lagrange(lm)
+        hdw_momentum_elimination(res)
+        assert simplify_calls == []
+
+    def test_solve_off_the_ring_holds_the_simplified_solution(self):
+        # the y-dependent Hessian of unit determinant takes LUsolve; each
+        # entry is held as the simplified Expr of that solution
+        chart = BundleChart(2, 1)
+        J1, y1 = chart.coords("J1"), chart.y(1)
+        hessian = [[1, y1], [y1, 1 + y1 ** 2]]
+        p = [chart.p(1, 1), chart.p(1, 2)]
+        held = solve([[hold(c, J1) for c in row] for row in hessian],
+                     [hold(c, J1) for c in p], J1)
+        expected = [simplify(e) for e in sp.Matrix(hessian).LUsolve(sp.Matrix(p))]
+        assert all(isinstance(c, PolyElement) for c in held)
+        assert [sp.srepr(read(c, J1)) for c in held] == [sp.srepr(e) for e in expected]
+        assert expected == [p[0] * y1 ** 2 + p[0] - p[1] * y1, p[1] - p[0] * y1]
 
     @pytest.mark.parametrize("tag, calls", [
         # a model holds the Float as the Rational of its repr: on the ring

@@ -44,7 +44,9 @@ There are 52 groups:
   tangency details;
 - `legendre`: the srepr of every `LegendreResult` field, of the induced
   Hamiltonian, of the Euler-Lagrange residuals and of the momentum
-  elimination (or the name of the error either raises) for the Lagrangians
+  elimination (or the name of the error either raises), and whether sympy's
+  `euler_equations`, an oracle that shares no code with the package,
+  agrees with those residuals (`euler_equations_agree`), for the Lagrangians
   of `legendre_cases`: the `lag` inputs of check-matrix seeds 7, 11, 23 and
   31 over their first 64 slots (4 per chart) and 10 off-ring ones (sin,
   exp, `1/(1+y1^2)`, `log`, a Float, a cubic, a degenerate one, one whose
@@ -71,7 +73,7 @@ There are 52 groups:
   each holding a key whose index has a leading zero, on `BASE_INIT`,
   whose [solve] block gives the base coordinate x1 as initial data, and
   on each model of `SUBMANIFOLDS`, whose [submanifold] block repeats a
-  parameter or has a sample outside the embedding's domain;
+  parameter, names none or has a sample outside the embedding's domain;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
@@ -114,6 +116,7 @@ import sys
 import tempfile
 
 import sympy as sp
+from sympy.calculus.euler import euler_equations
 from sympy.polys.rings import PolyElement
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -149,11 +152,14 @@ SPELLED_INJECTION = {"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}
 BASE_INIT = (_OSC.replace("y1^2)/2", "y1^2)/2 + x1*y1")
              + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
              "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n")
-# [submanifold] blocks with a repeated parameter and with a sample at which
-# the contraction matrix cannot be evaluated (1/u1 at u1 = 0)
+# [submanifold] blocks with a repeated parameter, with no parameter and
+# with a sample at which the contraction matrix cannot be evaluated (1/u1 at
+# u1 = 0)
 SUBMANIFOLDS = {
     "submanifold-repeat": _OSC + "[submanifold]\nparams = u1 u1 u2\nx1 = u1\ny1 = u2\n"
     "p1_1 = u1\nh_P = 0\nsamples = 1 1 1\n",
+    "submanifold-empty": _OSC + "[submanifold]\nparams =\nx1 = 1\ny1 = 1\np1_1 = 1\nh_P = 0\n"
+    "samples = 1\n",
     "submanifold-domain": _OSC + "[submanifold]\nparams = u1 u2\nx1 = u1\ny1 = u2\n"
     "p1_1 = 1/u1\nh_P = 0\nsamples = 1 0.3\nsamples = 0 0.3\n",
 }
@@ -388,6 +394,37 @@ def offring_lagrangians():
         yield f"lag/{tag}", legendre.LagrangianModel(chart, lag)
 
 
+def euler_equations_residuals(lm) -> list:
+    """The Euler-Lagrange residuals of `lm` by sympy's `euler_equations`,
+    which shares no code with `legendre`: y as Functions of x, v as their
+    Derivatives, and the second derivatives mapped back to
+    `legendre.second_order_symbol`.  sympy's residual is dlag/dy minus the
+    divergence, the negative of `legendre.euler_lagrange`'s."""
+    chart = lm.chart
+    xs = [chart.x(nu) for nu in range(1, chart.m + 1)]
+    ys = [sp.Function(f"Y{a}")(*xs) for a in range(1, chart.n + 1)]
+    fields = {chart.y(a): y for a, y in enumerate(ys, 1)}
+    fields.update({chart.v(a, nu): y.diff(x) for a, y in enumerate(ys, 1)
+                   for nu, x in enumerate(xs, 1)})
+    back = {f: s for s, f in fields.items()}
+    back.update({y.diff(x, z): legendre.second_order_symbol(a, nu, eta)
+                 for a, y in enumerate(ys, 1) for nu, x in enumerate(xs, 1)
+                 for eta, z in enumerate(xs, 1)})
+    lag = lm.lag.subs(fields, simultaneous=True)
+    # one call per field: `euler_equations` drops an equation that reads 0 = 0
+    return [next((eq.lhs.xreplace(back) for eq in euler_equations(lag, [y], xs)), sp.S.Zero)
+            for y in ys]
+
+
+def euler_equations_agree(lm) -> bool:
+    """Whether `legendre.euler_lagrange` of `lm` is, residual by residual,
+    the negative of `euler_equations_residuals` (`sp.expand` of the sum is
+    0)."""
+    ours, theirs = legendre.euler_lagrange(lm), euler_equations_residuals(lm)
+    return len(ours) == len(theirs) and all(sp.expand(a + b) == 0
+                                            for a, b in zip(ours, theirs))
+
+
 def legendre_cases(inputs):
     """(tag, LagrangianModel) of the check-matrix `lag` inputs of seeds 7,
     11, 23 and 31 over 64 slots, then `offring_lagrangians`."""
@@ -413,6 +450,7 @@ def legendre_lines(tag, lm):
         h = f"raised {type(exc).__name__}"
     yield f"{tag} h {h}"
     yield from (f"{tag} EL {sp.srepr(e)}" for e in legendre.euler_lagrange(lm))
+    yield f"{tag} euler_equations agrees {euler_equations_agree(lm)}"
     try:
         elim = [sp.srepr(e) for e in legendre.hdw_momentum_elimination(lm)]
     except Exception as exc:  # an error is an output too
