@@ -638,7 +638,7 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
         extended = run_block.get("extended", False)
         X = (derive_extended if extended else derive_restricted)(ham, gauge)
         init = {k: float(v) for k, v in run_block["init"].items()}
-        if extended and "pe" not in init:
+        if extended:
             # start on the zero level set of the total Hamiltonian
             init["pe"] = -evaluate(ham.h, {"x1": run_block["t0"], **init})
         grid = solve_ode(X, init, (run_block["t0"], run_block["t1"]), run_block["dt"])

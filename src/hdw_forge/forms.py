@@ -541,26 +541,26 @@ class CoordForm:
     def pullback(self, new_coords, submap):
         """Pull back along a map given by old coordinate -> Expr(new coords).
 
-        Coordinates absent from `submap` must not occur in the form.
+        Coordinates absent from `submap` must not occur in the form.  The
+        terms of every key are summed in one `_add_products` pass.
         """
         new_coords = tuple(new_coords)
         subs = {sp.sympify(k): sp.sympify(v) for k, v in submap.items()}
-        basis = {idx: CoordForm(new_coords, 0, {(): subs[sym]}).d()
+        basis = {idx: CoordForm(new_coords, 1, {(j,): c for j, c in enumerate(
+                     _held_partials(subs[sym], new_coords)[1].values())})
                  for idx, sym in enumerate(self.coords) if sym in subs}
-        out = CoordForm(new_coords, self.degree)
+        gathered = {}
         for key, coeff in self.terms.items():
-            term = CoordForm(new_coords, 0, {(): sp.sympify(coeff).subs(subs, simultaneous=True)})
-            ok = True
+            term = CoordForm(new_coords, 0, {(): coeff.subs(subs, simultaneous=True)})
             for idx in key:
                 if idx not in basis:
                     raise WrongBundleError(
                         f"no substitution for coordinate {self.coords[idx]}")
                 term = term.wedge(basis[idx])
-                if not term.terms:
-                    ok = False
-                    break
-            if ok:
-                out = out + term
+            for k, c in term._coeffs.items():
+                gathered.setdefault(k, []).append(_term(1, c))
+        out = CoordForm(new_coords, self.degree)
+        out._add_products(gathered)
         return out
 
     def __repr__(self):

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy as sp
 
 from .coords import BundleChart
 from .errors import ChartMismatchError, RegularityError, SampleDomainError
-from .forms import (HeldView, canonical_part, compose, determinant, hold, partials, read,
-                    solve, sum_of_products, volume_form)
+from .forms import (HeldView, build_omega, compose, determinant, hold, partials, read, solve,
+                    sum_of_products)
 from .hdw import HamiltonianModel
 from .symbolic import exact, is_structurally_zero, ring_widen
 
@@ -53,6 +54,16 @@ class LegendreResult:
     hessian: HeldView        # ((a, nu), (b, eta)) -> d2lag/dv dv, held over "L"
     classification: str      # hyper-regular-closed-form | regular-local | degenerate
     inverse_velocities: HeldView  # (a, nu) -> held over "J1"; empty without a closed form
+
+    @cached_property
+    def _induced(self) -> HamiltonianModel:
+        chart, V = self.model.chart, self.inverse_velocities.held
+        coords, onto = chart.coords("L"), chart.coords("J1")
+        at_v = compose(hold(self.model.lag, coords),
+                       {coords.index(chart.v(*s)): v for s, v in V.items()}, coords, onto)
+        h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in V.items()]
+                            + [(hold(-1, onto), at_v)], onto)
+        return HamiltonianModel(chart, read(h, onto), provenance="from-Legendre")
 
 
 def _velocity_slots(chart: BundleChart):
@@ -100,19 +111,12 @@ def legendre_maps(model: LagrangianModel, *, seed: int = 0) -> LegendreResult:
 
 
 def hamiltonian_from_lagrangian(res: LegendreResult) -> HamiltonianModel:
-    """Induced Hamiltonian h = p . V - lag(V) on the restricted chart."""
+    """Induced Hamiltonian h = p . V - lag(V) on the restricted chart, held by `res`."""
     if res.classification != "hyper-regular-closed-form" or not res.inverse_velocities:
         raise RegularityError(
             f"no closed-form inverse for classification {res.classification!r}; "
             "supply a Hamiltonian directly")
-    chart = res.model.chart
-    coords, onto = chart.coords("L"), chart.coords("J1")
-    V = res.inverse_velocities.held
-    at_v = compose(hold(res.model.lag, coords),
-                   {coords.index(chart.v(*s)): v for s, v in V.items()}, coords, onto)
-    h = sum_of_products([(hold(chart.p(*s), onto), v) for s, v in V.items()]
-                        + [(hold(-1, onto), at_v)], onto)
-    return HamiltonianModel(chart, read(h, onto), provenance="from-Legendre")
+    return res._induced
 
 
 def second_order_symbol(a: int, nu: int, eta: int) -> sp.Symbol:
@@ -182,9 +186,9 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
 
     `embedding` maps every restricted-chart coordinate to an expression over
     the parameter symbols `params`; `h_P` is an expression over them.  At
-    each sample the (m+1)-form built from the pulled-back canonical part and
-    h_P is flattened to the matrix of single-vector contractions; the
-    reported number is the dimension of its kernel intersected with the
+    each sample omega_P, Omega (`build_omega`) pulled back along (embedding,
+    pe = -h_P), is flattened to the matrix of single-vector contractions;
+    the reported number is the dimension of its kernel intersected with the
     vectors vertical over the base (tolerance 1e-9 times the largest
     singular value).  The vertical restriction is what degeneracy of the
     underlying Lagrangian obstructs; without it the m=1 case would always
@@ -203,12 +207,7 @@ def rank_diagnostics(chart: BundleChart, embedding: dict, h_P, samples, *,
             "embedding must cover every restricted-chart coordinate; missing: "
             + ", ".join(s.name for s in missing))
 
-    # canonical part  sum p dy ^ d^{m-1}x  pulled back, minus h_P volume
-    theta_P = canonical_part(chart, "J1").pullback(params, embedding)
-    vol = volume_form(chart, "J1").pullback(params, embedding)
-    theta_P = theta_P + vol.scale(-h_P)
-    omega_P = -theta_P.d()
-
+    omega_P = build_omega(chart).pullback(params, {**embedding, chart.pe: -h_P})
     if omega_P.degree > d:
         raise ChartMismatchError(
             f"pullback degree {omega_P.degree} exceeds parameter count {d}")

@@ -214,21 +214,22 @@ def _parse_solve(header, entries, chart) -> dict:
                              next(ln for ln, k, _ in entries if k == key))
 
     init = {}
-    base = chart.coords("E")[:chart.m]
+    state = [c for a in range(1, (chart.n if kind == "ode" else 1) + 1)
+             for c in (chart.y(a), chart.p(a, 1))]
     for name, (ln, v) in out["init"].items():
         try:
             sym = chart.resolve(name)
         except Exception:
             raise ModelFileError(f"unknown coordinate {name!r} in [solve]", ln) from None
-        if sym in base:
+        if sym in chart.coords("E")[:chart.m]:
             raise ModelFileError(f"{name!r} is a base coordinate, not initial data, "
                                  "in [solve]", ln)
-        if kind == "ode":
-            init[name] = _get_float(v, ln, name)
-        else:
-            init[name] = parse_expression(v, chart, "E", line=ln)
-    out["init"] = init
-    return out
+        if sym not in state:
+            raise ModelFileError(f"{name!r} is not initial data in [solve]: kind = {kind} "
+                                 f"takes {', '.join(c.name for c in state)}", ln)
+        init[name] = (_get_float(v, ln, name) if kind == "ode"
+                      else parse_expression(v, chart, "E", line=ln))
+    return {**out, "init": init}
 
 
 # The most values a run may store: (steps + 1) x values per time step, 8

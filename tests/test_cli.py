@@ -16,6 +16,7 @@ import hdw_forge
 from hdw_forge import cli, symbolic
 from hdw_forge.cli import SCHEMA_VERSION, main, read_grid_csv, write_grid_csv
 from hdw_forge.errors import ModelFileError
+from hdw_forge.modelfile import parse_model
 from hdw_forge.solver import SectionGrid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -262,22 +263,37 @@ class TestCheck:
         assert err == f"error: line {line}: {needle}" + (
             " (use mode, G[A][rho][nu], psi[A][nu])\n" if "gauge" in needle else "\n")
 
-    @pytest.mark.parametrize("text,line,name", [
+    @pytest.mark.parametrize("text,line,message", [
         (OSC_H + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
-         "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n", 13, "x1"),
+         "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n", 13,
+         "'x1' is a base coordinate, not initial data, in [solve]"),
         (WAVE_H + "[solve]\nkind = field1p1\nt0 = 0\nt1 = 1\ndt = 0.01\nxmin = 0\n"
-         "xmax = 6.28\npoints = 16\ny1 = sin(x2)\nx2 = 1\n", 15, "x2"),
-    ], ids=["ode-x1", "field1p1-x2"])
+         "xmax = 6.28\npoints = 16\ny1 = sin(x2)\nx2 = 1\n", 15,
+         "'x2' is a base coordinate, not initial data, in [solve]"),
+        (OSC_H + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+         "y1 = 1.0\np1_1 = 0.0\npe = 3\n", 14,
+         "'pe' is not initial data in [solve]: kind = ode takes y1, p1_1"),
+        (OSC_H + "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+         "y1 = 1.0\npe = 3\np1_1 = 0.0\n", 12,
+         "'pe' is not initial data in [solve]: kind = ode takes y1, p1_1"),
+        (OSC_H + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+         "y1 = 1.0\nv1_1 = 5\np1_1 = 0.0\n", 13,
+         "'v1_1' is not initial data in [solve]: kind = ode takes y1, p1_1"),
+        (WAVE_H + "[solve]\nkind = field1p1\nt0 = 0\nt1 = 1\ndt = 0.01\nxmin = 0\n"
+         "xmax = 6.28\npoints = 16\ny1 = sin(x2)\np1_2 = 1\n", 15,
+         "'p1_2' is not initial data in [solve]: kind = field1p1 takes y1, p1_1"),
+    ], ids=["ode-x1", "field1p1-x2", "ode-extended-pe", "ode-restricted-pe", "ode-v1_1",
+            "field1p1-p1_2"])
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_base_coordinate_in_solve_exits_2_at_its_line(self, capsys, tmp_path, command,
-                                                           text, line, name):
-        # a run starts at x1 = t0: an x1 entry only moved pe off the level set
+                                                           text, line, message):
+        # a run starts at x1 = t0 and, extended, at pe = -h there: its
+        # initial data are the y_a and p_a_1 it integrates, and nothing else
         model = tmp_path / "base.hdw"
         model.write_text(text)
         status, out, err = run(capsys, command, str(model), "--out", str(tmp_path))
         assert status == 2 and out == ""
-        assert err == (f"error: line {line}: {name!r} is a base coordinate, "
-                       "not initial data, in [solve]\n")
+        assert err == f"error: line {line}: {message}\n"
 
     def test_bad_injection_key(self, capsys, tmp_path):
         inject = tmp_path / "inject.json"
@@ -366,6 +382,23 @@ class TestLegendre:
             capsys, "legendre", str(MODELS / "wave.hdw"), "--out", str(tmp_path))
         assert status == 0 and report["round_trip"]["passed"] is True
         assert len(calls) == 1
+
+    def test_induced_h_is_formed_once(self, capsys, tmp_path, monkeypatch):
+        # the report's induced h and the elimination read one held Hamiltonian
+        from hdw_forge import legendre
+        calls = []
+        real = legendre.compose
+
+        def spy(value, images, coords, onto):
+            calls.append(legendre.read(value, coords))
+            return real(value, images, coords, onto)
+
+        monkeypatch.setattr(legendre, "compose", spy)
+        status, report, _ = run_json(
+            capsys, "legendre", str(MODELS / "wave.hdw"), "--out", str(tmp_path))
+        assert status == 0 and report["round_trip"]["passed"] is True
+        lag = parse_model(MODELS / "wave.hdw").lagrangian
+        assert calls.count(lag) == 1
 
     @pytest.mark.parametrize("command", ["legendre", "derive", "check", "solve", "compare"])
     def test_seed_reaches_the_hessian_zero_test(self, capsys, tmp_path, monkeypatch, command):

@@ -12,7 +12,8 @@ from sympy.polys.rings import PolyElement
 
 from hdw_forge import BundleChart, symbolic
 from hdw_forge.errors import ChartMismatchError, RegularityError, SampleDomainError
-from hdw_forge.forms import HeldView, canonical_part, hold, read, solve, volume_form
+from hdw_forge.forms import (CoordForm, HeldView, build_omega, canonical_part, hold, read, solve,
+                             volume_form)
 from hdw_forge.legendre import (LagrangianModel, euler_lagrange,
                                 hamiltonian_from_lagrangian,
                                 hdw_momentum_elimination, legendre_maps,
@@ -381,25 +382,26 @@ def per_term_rank_diagnostics(chart, embedding, h_P, samples, params):
 
 
 def _rank_case(case):
-    """(chart, embedding, h_P, samples, params) of a named diagnostics case."""
-    if case == "degenerate.hdw":
-        sub = parse_model(MODELS / case).submanifold
-        return BundleChart(2, 1), sub["embedding"], sub["h_P"], sub["samples"], sub["params"]
-    if case == "m2":
-        chart = BundleChart(2, 1)
-        params = sp.symbols("u1 u2 u3 u4 u5")
-        embedding = dict(zip(
-            (chart.x(1), chart.x(2), chart.y(1), chart.p(1, 1), chart.p(1, 2)), params))
-        h_P = (params[3] ** 2 - params[4] ** 2) / 2
-        return chart, embedding, h_P, [(0.3, 0.1, 0.5, 0.7, 0.2)], params
-    chart, params, embedding = _identity_embedding_m1()
-    u1, u2, u3 = params
-    samples = [(0.1, 0.3, 0.7), (1.0, -0.5, 0.2), (0.4, 0.0, 0.0), (-0.3, 0.8, 0.0)]
-    if case == "m1":
-        return chart, embedding, (u3 ** 2 + u2 ** 2) / 2, samples, params
-    # the momentum folds over the fiber: p = u2 * u3, with h_P = u3**2
-    embedding[chart.p(1, 1)] = u2 * u3
-    return chart, embedding, u3 ** 2, samples, params
+    """(chart, embedding, h_P, samples, params) of a named diagnostics case
+    (`tools/same_outputs.py` `submanifold_cases`)."""
+    return {tag: rest for tag, *rest in same_outputs_tool().submanifold_cases()}[case]
+
+
+RANK_CASES = ["degenerate.hdw", "m1", "m2", "m1-folded", "m1-scale-1", "m1-scale-1e-9",
+              "m2-transcendental", "m3"]
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """(method name, degree of the form called on) of each call to
+    `CoordForm.scale`, `__add__`, `__neg__` and `d`."""
+    calls = []
+    for name in ("scale", "__add__", "__neg__", "d"):
+        def spy(self, *args, _real=getattr(CoordForm, name), _name=name, **kwargs):
+            calls.append((_name, self.degree))
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(CoordForm, name, spy)
+    return calls
 
 
 class TestRankDiagnostics:
@@ -449,6 +451,39 @@ class TestRankDiagnostics:
         chart, embedding, h_P, samples, params = _rank_case(case)
         dims = rank_diagnostics(chart, embedding, h_P, samples, params=params)
         assert dims == per_term_rank_diagnostics(chart, embedding, h_P, samples, params)
+
+    @pytest.mark.parametrize("case", RANK_CASES)
+    def test_omega_pulled_back_along_the_section_is_minus_d_theta_P(self, case):
+        # Omega has constant coefficients and the pulled-back volume is
+        # closed: Phi*Omega, Phi = (phi, pe = -h_P), is -d(theta_P) key by key
+        chart, embedding, h_P, _, params = _rank_case(case)
+        pulled = build_omega(chart).pullback(params, {**embedding, chart.pe: -h_P})
+        theta_P = (canonical_part(chart, "J1").pullback(params, embedding)
+                   + volume_form(chart, "J1").pullback(params, embedding).scale(-h_P))
+        expected = -theta_P.d()
+        assert pulled.degree == expected.degree == chart.m + 1
+        assert ({k: sp.srepr(c) for k, c in pulled.terms.items()}
+                == {k: sp.srepr(c) for k, c in expected.terms.items()})
+
+    @pytest.mark.parametrize("case", ["degenerate.hdw", "m2", "m3"])
+    def test_builds_omega_P_from_no_form_arithmetic(self, case, form_calls):
+        # omega_P is Omega pulled back: no theta_P is scaled, added, negated
+        # or differentiated; a 0-form's d is a partial
+        chart, embedding, h_P, samples, params = _rank_case(case)
+        expected = rank_diagnostics(chart, embedding, h_P, samples, params=params)
+        form_calls.clear()
+        assert rank_diagnostics(chart, embedding, h_P, samples, params=params) == expected
+        assert not [(name, degree) for name, degree in form_calls
+                    if name in ("scale", "__add__", "__neg__") or (name == "d" and degree)]
+
+    @pytest.mark.parametrize("case", ["m2", "m2-transcendental", "m3"])
+    def test_pullback_sums_each_key_once(self, case, form_calls):
+        chart, embedding, h_P, _, params = _rank_case(case)
+        omega = build_omega(chart)
+        form_calls.clear()
+        pulled = omega.pullback(params, {**embedding, chart.pe: -h_P})
+        assert len(pulled.terms) > 1
+        assert not [name for name, _ in form_calls if name == "__add__"]
 
     def test_rejects_zero_parameters(self):
         chart = BundleChart(1, 1)

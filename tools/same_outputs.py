@@ -41,7 +41,10 @@ There are 52 groups:
   alpha with the srepr of H (`extended_alpha`) for every Hamiltonian of
   the `fields` and `offring` groups: the structure forms on their own,
   where the other groups see alpha of an off-ring h only through the
-  tangency details;
+  tangency details; and for each embedding of `submanifold_cases` the
+  repr of omega_P, Omega pulled back along (embedding, pe = -h_P), and
+  the kernel dims `rank_diagnostics` reports, which no other group sees
+  (degenerate.hdw's omega_P is identically 0);
 - `legendre`: the srepr of every `LegendreResult` field, of the induced
   Hamiltonian, of the Euler-Lagrange residuals and of the momentum
   elimination (or the name of the error either raises), and whether sympy's
@@ -70,10 +73,11 @@ There are 52 groups:
   command on the bundled models, with timestamps and paths stripped;
 - `cli input errors`: exit status, stdout and stderr of `check` on each
   model of `SPELLINGS` and with the injection file `SPELLED_INJECTION`,
-  each holding a key whose index has a leading zero, on `BASE_INIT`,
-  whose [solve] block gives the base coordinate x1 as initial data, and
-  on each model of `SUBMANIFOLDS`, whose [submanifold] block repeats a
-  parameter, names none or has a sample outside the embedding's domain;
+  each holding a key whose index has a leading zero, on `BASE_INIT` and
+  `PE_INIT`, whose [solve] blocks give the base coordinate x1 and the
+  scalar momentum pe as initial data, and on each model of
+  `SUBMANIFOLDS`, whose [submanifold] block repeats a parameter, names
+  none or has a sample outside the embedding's domain;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
   800-point wave run the field-solve benchmark makes;
 - `grid read`: the sha256 of the t, x and field bytes that `read_grid_csv`
@@ -123,7 +127,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.append(str(ROOT / "src"))  # the package when none is on the path
 
 from hdw_forge import (BundleChart, GaugeChoice, HamiltonianModel, cli, forms,  # noqa: E402
-                       hdw, legendre, solver, symbolic)
+                       hdw, legendre, modelfile, solver, symbolic)
 from hdw_forge.errors import HdwForgeError, SolverAbortError  # noqa: E402
 
 MODELS = ROOT / "models"
@@ -152,6 +156,9 @@ SPELLED_INJECTION = {"F[1][1]": "p1_1 + y1", "F[01][1]": "p1_1"}
 BASE_INIT = (_OSC.replace("y1^2)/2", "y1^2)/2 + x1*y1")
              + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
              "y1 = 1.0\nx1 = 7\np1_1 = 0.0\n")
+# a model whose extended [solve] block gives pe, which a run sets to -h(t0)
+PE_INIT = (_OSC + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+           "y1 = 1.0\np1_1 = 0.0\npe = 3\n")
 # [submanifold] blocks with a repeated parameter, with no parameter and
 # with a sample at which the contraction matrix cannot be evaluated (1/u1 at
 # u1 = 0)
@@ -345,6 +352,44 @@ def offring_fields(charts):
             yield f"({m},{n})/{kind}", HamiltonianModel(chart, h), gauge
 
 
+def submanifold_cases():
+    """(tag, chart, embedding, h_P, samples, params) of 8 `[submanifold]`
+    embeddings: degenerate.hdw's, whose omega_P is identically 0, the
+    identity embeddings of the m = 1 and m = 2 charts, an m = 1 one whose
+    momentum folds over the fiber (p = u2 u3), an m = 1 one whose base
+    Jacobian vanishes at u1 = 0 at the scales 1 and 10**-9 of p and h_P,
+    a transcendental m = 2 one (sin, cos and exp of the parameters) and an
+    m = 3 one."""
+    sub = modelfile.parse_model(MODELS / "degenerate.hdw").submanifold
+    yield ("degenerate.hdw", BundleChart(2, 1), sub["embedding"], sub["h_P"],
+           sub["samples"], sub["params"])
+    chart = BundleChart(1, 1)
+    u = sp.symbols("u1:4")
+    samples = [(0.1, 0.3, 0.7), (1.0, -0.5, 0.2), (0.4, 0.0, 0.0), (-0.3, 0.8, 0.0)]
+    identity = dict(zip(chart.coords("J1"), u))
+    yield "m1", chart, identity, (u[2] ** 2 + u[1] ** 2) / 2, samples, u
+    yield "m1-folded", chart, {**identity, chart.p(1, 1): u[1] * u[2]}, u[2] ** 2, samples, u
+    for tag, scale in (("m1-scale-1", sp.Integer(1)), ("m1-scale-1e-9", sp.Rational(1, 10 ** 9))):
+        yield (tag, chart, {**identity, chart.x(1): u[0] ** 2, chart.p(1, 1): scale * u[2]},
+               scale * (u[2] ** 2 + u[1] ** 2) / 2, [(0.0, 0.3, 0.7), (0.5, 0.3, 0.7)], u)
+    chart = BundleChart(2, 1)
+    u = sp.symbols("u1:6")
+    yield ("m2", chart, dict(zip(chart.coords("J1"), u)), (u[3] ** 2 - u[4] ** 2) / 2,
+           [(0.3, 0.1, 0.5, 0.7, 0.2)], u)
+    u = u[:4]
+    yield ("m2-transcendental", chart,
+           dict(zip(chart.coords("J1"), (u[0], sp.sin(u[1]), sp.exp(u[2]) * u[0],
+                                         sp.cos(u[3]) + u[1], u[3] * sp.exp(u[0])))),
+           sp.sin(u[2]) * u[3], [(0.3, 0.2, 0.1, 0.5), (1.0, 0.0, 0.4, 0.3)], u)
+    chart = BundleChart(3, 1)
+    u = sp.symbols("u1:8")
+    yield ("m3", chart,
+           dict(zip(chart.coords("J1"), (u[0], u[1], u[2] * u[0], u[3], u[4] ** 2, u[5],
+                                         u[6] * u[3]))),
+           (u[4] ** 2 + u[5] ** 2 - u[6] ** 2) / 2 + u[3] ** 3,
+           [(0.3, 0.2, 0.1, 0.5, 0.4, 0.6, 0.7)], u)
+
+
 def structure_lines(inputs):
     """The `structure` group's lines."""
     lines = []
@@ -362,6 +407,10 @@ def structure_lines(inputs):
         H, alpha = forms.extended_alpha(model.chart, model.h)
         lines += [f"{tag} theta_h {theta_h!r}", f"{tag} omega_h {omega_h!r}",
                   f"{tag} H {sp.srepr(H)}", f"{tag} alpha {alpha!r}"]
+    for tag, chart, embedding, h_P, samples, params in submanifold_cases():
+        omega_P = forms.build_omega(chart).pullback(params, {**embedding, chart.pe: -h_P})
+        dims = legendre.rank_diagnostics(chart, embedding, h_P, samples, params=params)
+        lines += [f"{tag} omega_P {omega_P!r}", f"{tag} kernel_dims {dims}"]
     return lines
 
 
@@ -638,7 +687,8 @@ def input_error_lines(tmp) -> list:
     """The `cli input errors` group's lines."""
     out = tmp / "input-errors"
     runs = {}
-    for name, text in {**SPELLINGS, "solve-base": BASE_INIT, **SUBMANIFOLDS}.items():
+    for name, text in {**SPELLINGS, "solve-base": BASE_INIT, "solve-pe": PE_INIT,
+                       **SUBMANIFOLDS}.items():
         (tmp / f"{name}.hdw").write_text(text, encoding="utf-8")
         runs[name] = ["check", str(tmp / f"{name}.hdw")]
     inject = tmp / "inject-spelled.json"
