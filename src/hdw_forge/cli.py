@@ -41,11 +41,11 @@ from .hdw import (GaugeChoice, HamiltonianModel, HdwField, derive_extended,
                   derive_restricted, dof_count, standard_checks)
 from .legendre import (LagrangianModel, euler_lagrange,
                        hamiltonian_from_lagrangian, hdw_momentum_elimination,
-                       legendre_maps, rank_diagnostics)
+                       involution_residuals, legendre_maps, rank_diagnostics)
 from .modelfile import ModelFile, parse_model, solve_problem
 from .solver import (SectionGrid, conservation_diagnostics,
-                     discrete_field_energy, max_discrepancy, solve_field_1p1,
-                     solve_ode)
+                     discrete_field_energy, field_nodes, max_discrepancy,
+                     run_coordinates, solve_field_1p1, solve_ode)
 from .symbolic import evaluate, is_structurally_zero
 
 SCHEMA_VERSION = 1
@@ -600,7 +600,8 @@ def cmd_legendre(model: ModelFile, args) -> tuple[dict, int]:
         ham = hamiltonian_from_lagrangian(res)
         report["induced_h"] = _equation_entry(render_plain(ham.h), render_latex(ham.h))
         elim = hdw_momentum_elimination(res)
-        ok = all(is_structurally_zero(a - b, args.seed)[0] for a, b in zip(el, elim))
+        residuals = [a - b for a, b in zip(el, elim)] + involution_residuals(res)
+        ok = all(is_structurally_zero(r, args.seed)[0] for r in residuals)
         report["round_trip"] = {"passed": ok}
         status = 0 if ok else 1
     else:
@@ -654,26 +655,28 @@ def _run_solve(model: ModelFile, args) -> tuple[dict, SectionGrid, HamiltonianMo
     else:
         X = derive_restricted(ham, gauge)
         npoints = run_block["points"]
-        dx = (run_block["xmax"] - run_block["xmin"]) / npoints
-        x = run_block["xmin"] + dx * np.arange(npoints)
+        x_range = (run_block["xmin"], run_block["xmax"])
+        dx, x = field_nodes(x_range, npoints)
         xsym = chart.x(2)
 
-        def profile(name):
-            e = run_block["init"].get(name, sp.Integer(0))
+        def profile(coord):
+            e = run_block["init"].get(coord.name, sp.Integer(0))
             return np.broadcast_to(
                 np.asarray(sp.lambdify([xsym], e, [np])(x), dtype=float),
                 (npoints,)).copy()
 
-        grid = solve_field_1p1(X, profile("y1"), profile("p1_1"),
+        initial, _ = run_coordinates("field1p1", chart, X.kind == "extended")
+        grid = solve_field_1p1(X, *map(profile, initial),
                                (run_block["t0"], run_block["t1"]), run_block["dt"],
-                               (run_block["xmin"], run_block["xmax"]), npoints)
-        energy = discrete_field_energy(grid)
-        scale = abs(energy[0]) if energy[0] else 1.0
-        report["metrics"] = {
-            "steps": grid.meta["steps"], "dt": run_block["dt"], "dx": dx,
-            "energy_drift_rel": float(np.max(np.abs(energy - energy[0])) / scale),
-            "warnings": grid.meta.get("warnings", []),
-        }
+                               x_range, npoints)
+        report["metrics"] = {"steps": grid.meta["steps"], "dt": run_block["dt"], "dx": dx}
+        if not ham.h.has(chart.x(1)):
+            # e is conserved only when h does not depend on time
+            energy = discrete_field_energy(grid, ham.h)
+            scale = abs(energy[0]) if energy[0] else 1.0
+            report["metrics"]["energy_drift_rel"] = float(
+                np.max(np.abs(energy - energy[0])) / scale)
+        report["metrics"]["warnings"] = grid.meta.get("warnings", [])
     metrics = report["metrics"]
     values = {f"final {nm}": v for nm, v in metrics.get("final", {}).items()}
     values.update((k, metrics[k]) for k in ("energy_drift_rel", "H_drift", "trajectory_residual")

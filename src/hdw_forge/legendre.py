@@ -15,8 +15,10 @@ One builder, `_residuals`, forms the Euler-Lagrange residuals and the
 momentum elimination over formal second-order symbols that never leave
 this module, from the same divergence of the same momenta: the round trip
 comparing them is no independent oracle, and checks only -dlag/dy_a
-against dh/dy_a at p = dlag/dv.  The tests check `euler_lagrange` against
-sympy's `euler_equations`.
+against dh/dy_a at p = dlag/dv.  Its involution half,
+`involution_residuals`, checks the inverse: dh/dp at p = dlag/dv must give
+back v.  The tests check `euler_lagrange` against sympy's
+`euler_equations`.
 """
 
 from __future__ import annotations
@@ -175,6 +177,18 @@ def hdw_momentum_elimination(source) -> list:
     return _residuals(chart, res.momenta.held,
                       [compose(ham.partials.held[chart.y(a)], momenta, coords, onto)
                        for a in range(1, chart.n + 1)])
+
+
+def involution_residuals(res: LegendreResult) -> list:
+    """dh/dp^nu_a at p = dlag/dv minus v^a_nu, one per velocity slot: all
+    zero when the inverse velocities invert the momentum map, which the
+    trace half of the round trip never looks at."""
+    dh = hamiltonian_from_lagrangian(res).partials.held
+    chart = res.model.chart
+    coords, onto = chart.coords("J1"), chart.coords("L")
+    momenta = {coords.index(chart.p(*s)): p for s, p in res.momenta.held.items()}
+    return [read(compose(dh[chart.p(*s)], momenta, coords, onto), onto) - chart.v(*s)
+            for s in _velocity_slots(chart)]
 
 
 _RANK_TOL = 1e-9

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .coords import BundleChart, read_slot
-from .errors import GaugeError, ModelFileError
+from .errors import ChartMismatchError, GaugeError, ModelFileError
 from .exprparse import parse_expression
 from .hdw import GaugeChoice
+from .solver import run_coordinates
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]$")
 
@@ -182,6 +183,11 @@ def _parse_solve(header, entries, chart) -> dict:
         if k == "kind":
             if v not in ("ode", "field1p1"):
                 raise ModelFileError(f"unknown solve kind {v!r}", ln)
+            try:
+                # the initial data do not depend on `extended`
+                initial, _ = run_coordinates(v, chart, False)
+            except ChartMismatchError as exc:
+                raise ModelFileError(str(exc), ln) from exc
             out["kind"] = v
         elif k == "extended":
             if v not in ("true", "false"):
@@ -214,8 +220,6 @@ def _parse_solve(header, entries, chart) -> dict:
                              next(ln for ln, k, _ in entries if k == key))
 
     init = {}
-    state = [c for a in range(1, (chart.n if kind == "ode" else 1) + 1)
-             for c in (chart.y(a), chart.p(a, 1))]
     for name, (ln, v) in out["init"].items():
         try:
             sym = chart.resolve(name)
@@ -224,9 +228,9 @@ def _parse_solve(header, entries, chart) -> dict:
         if sym in chart.coords("E")[:chart.m]:
             raise ModelFileError(f"{name!r} is a base coordinate, not initial data, "
                                  "in [solve]", ln)
-        if sym not in state:
+        if sym not in initial:
             raise ModelFileError(f"{name!r} is not initial data in [solve]: kind = {kind} "
-                                 f"takes {', '.join(c.name for c in state)}", ln)
+                                 f"takes {', '.join(c.name for c in initial)}", ln)
         init[name] = (_get_float(v, ln, name) if kind == "ode"
                       else parse_expression(v, chart, "E", line=ln))
     return {**out, "init": init}
@@ -241,9 +245,8 @@ def solve_problem(run: dict, chart: BundleChart):
     """(key, bound) for the first value of a [solve] block that no run can
     take, or None: the time and space bounds finite, t1 > t0, dt > 0 with
     at least one step, at least 5 points (the 4th-order stencil), and at
-    most MAX_RUN_VALUES stored values.  A time step stores the 2n (or, with
-    `extended`, 2n + 1) coordinates of an ode run, and y1, p1_1 and p1_2
-    at every point of a field1p1 run."""
+    most MAX_RUN_VALUES stored values.  A time step stores the coordinates
+    `run_coordinates` names, once per point of a field1p1 run."""
     for key in ("t0", "t1", "dt", "xmin", "xmax"):
         if key in run and not math.isfinite(run[key]):
             return key, "finite"
@@ -256,13 +259,14 @@ def solve_problem(run: dict, chart: BundleChart):
         return "dt", f"> 0 and give at least one step from t0 = {t0!r} to t1 = {t1!r}"
     if run.get("points", 5) < 5:
         return "points", "at least 5"
+    values = len(run_coordinates(run["kind"], chart, run.get("extended", False))[1])
     if run["kind"] == "field1p1":
-        per_step = 3 * run["points"]
+        per_step = values * run["points"]
         if 2 * per_step > MAX_RUN_VALUES:
-            return "points", (f"at most {MAX_RUN_VALUES // 6}, 3 values per point "
-                              f"over at least 2 time rows within {MAX_RUN_VALUES}")
+            return "points", (f"at most {MAX_RUN_VALUES // (2 * values)}, {values} values "
+                              f"per point over at least 2 time rows within {MAX_RUN_VALUES}")
     else:
-        per_step = 2 * chart.n + run.get("extended", False)
+        per_step = values
     if (steps + 1) * per_step > MAX_RUN_VALUES:
         return "dt", (f"large enough for at most {MAX_RUN_VALUES} stored values, "
                       f"(steps + 1) x {per_step} per step")

@@ -17,6 +17,10 @@ run stops with `SolverAbortError` carrying k.  A non-finite or complex stage
 value always makes the new state so, and a run stops at the step that
 produced it.  All runs are deterministic: fixed step, fixed-order summation.
 
+`run_coordinates` states, once, the chart each run kind takes and the
+coordinates that start it and that its grid stores; `modelfile` and `cli`
+ask it too.
+
 numpy is imported by the functions that compute, not with the module, and
 every right-hand side is lambdified against the numpy module object.
 """
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
+from .coords import BundleChart
 from .errors import (ChartMismatchError, NonRealValueError, SolverAbortError,
                      UnsupportedFormError)
 from .hdw import HdwField
@@ -117,13 +122,30 @@ def _rk4(deriv, state: list, t0: float, dt: float, steps: int) -> np.ndarray:
     return out
 
 
-def _state_names(X: HdwField) -> list:
-    chart = X.chart
-    names = [chart.y(a).name for a in range(1, chart.n + 1)]
-    names += [chart.p(a, 1).name for a in range(1, chart.n + 1)]
-    if X.kind == "extended":
-        names.append("pe")
-    return names
+def run_coordinates(kind: str, chart: BundleChart, extended: bool) -> tuple:
+    """(initial, stored): the coordinates a [solve] block of `kind` gives
+    on `chart`, and those its grid stores at each point, in column order.
+    An ode run takes a chart with m = 1, starts from y_a, p_a_1 and stores
+    them, and pe after them when `extended`; a field1p1 run takes
+    (m, n) = (2, 1), starts from y1, p1_1 and also stores p1_2, recovered
+    from them, and has no extended form."""
+    if kind == "ode" and chart.m != 1:
+        raise ChartMismatchError("kind ode needs a chart with m = 1")
+    if kind == "field1p1" and (chart.m, chart.n) != (2, 1):
+        raise ChartMismatchError("kind field1p1 needs a chart with m = 2, n = 1")
+    state = chart.coords("J1")[chart.m:]
+    if kind == "field1p1":
+        return state[:2], state
+    return state, state + ((chart.pe,) if extended else ())
+
+
+def field_nodes(x_range, npoints: int):
+    """(dx, x) of a field run: `npoints` periodic nodes from x_range[0], no
+    endpoint."""
+    import numpy as np
+    x0, x1 = float(x_range[0]), float(x_range[1])
+    dx = (x1 - x0) / npoints
+    return dx, x0 + dx * np.arange(npoints)
 
 
 def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
@@ -131,8 +153,7 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
     `np.float64` state component per coordinate."""
     import numpy as np
     chart = X.chart
-    if chart.m != 1:
-        raise ChartMismatchError("solve_ode requires a chart with m = 1")
+    _, stored = run_coordinates("ode", chart, X.kind == "extended")
     if dt <= 0:
         raise ValueError("dt must be positive")
     t0, t1 = float(t_range[0]), float(t_range[1])
@@ -140,8 +161,8 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
     if steps < 1:
         raise ValueError("time range shorter than one step")
 
-    names = _state_names(X)
-    args = [chart.x(1)] + [sp.Symbol(nm) for nm in names]
+    names = [c.name for c in stored]
+    args = [chart.x(1), *stored]
     rhs_exprs = [X.F[(a, 1)] for a in range(1, chart.n + 1)]
     rhs_exprs += [X.G[(a, 1, 1)] for a in range(1, chart.n + 1)]
     if X.kind == "extended":
@@ -165,12 +186,10 @@ def solve_ode(X: HdwField, init: dict, t_range, dt: float) -> SectionGrid:
 def _check_evolution_form(X: HdwField):
     """Validate the separable evolution split for the 1+1 solver.
 
-    Requires m=2, n=1; dh/dp_t free of p_x, dh/dp_x free of p_t and affine
-    in p_x with a nonzero coefficient.
+    Requires dh/dp_t free of p_x, dh/dp_x free of p_t and affine in p_x
+    with a nonzero coefficient, on the (2, 1) chart.
     """
     chart = X.chart
-    if chart.m != 2 or chart.n != 1:
-        raise ChartMismatchError("solve_field_1p1 requires m = 2, n = 1")
     pt, px = chart.p(1, 1), chart.p(1, 2)
     F_t = X.F[(1, 1)]   # dh/dp_t
     F_x = X.F[(1, 2)]   # dh/dp_x
@@ -194,20 +213,18 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
     is one component, the (2, npoints) array of (y, p_t)."""
     import numpy as np
     chart = X.chart
+    _, stored = run_coordinates("field1p1", chart, X.kind == "extended")
     a_expr, b_expr = _check_evolution_form(X)
     if dt <= 0:
         raise ValueError("dt must be positive")
     t0, t1 = float(t_range[0]), float(t_range[1])
-    x0, x1 = float(x_range[0]), float(x_range[1])
     steps = int(round((t1 - t0) / dt))
     if steps < 1 or npoints < 5:
         raise ValueError("degenerate grid specification")
-    dx = (x1 - x0) / npoints
-    x = x0 + dx * np.arange(npoints)
+    dx, x = field_nodes(x_range, npoints)
 
-    t_s, x_s = chart.x(1), chart.x(2)
-    y_s, pt_s, px_s = chart.y(1), chart.p(1, 1), chart.p(1, 2)
-    args = (t_s, x_s, y_s, pt_s, px_s)
+    t_s, x_s, y_s = chart.x(1), chart.x(2), stored[0]
+    args = (t_s, x_s, *stored)
     f_Ft = sp.lambdify(args, X.F[(1, 1)], [np])
     f_hy = sp.lambdify(args, -(X.G[(1, 1, 1)] + X.G[(1, 2, 2)]), [np])
     f_a = sp.lambdify((t_s, x_s, y_s), a_expr, [np])
@@ -241,7 +258,7 @@ def solve_field_1p1(X: HdwField, init_y: np.ndarray, init_pt: np.ndarray,
     for k, yk in enumerate(Y):
         PX[k] = recover_px(t0 + k * dt, yk)
 
-    fields = {"y1": Y, "p1_1": PT, "p1_2": PX}
+    fields = {c.name: v for c, v in zip(stored, (Y, PT, PX))}
     meta = {"scheme": "rk4/mol-fd4-periodic", "dt": dt, "dx": dx,
             "steps": steps, "npoints": npoints, "kind": X.kind,
             "gauge": X.gauge.mode, "split": "x1-time evolution form",
@@ -260,17 +277,20 @@ def project_extended(grid: SectionGrid) -> SectionGrid:
     return SectionGrid(grid.kind, grid.t, fields, x=grid.x, meta=meta)
 
 
-def discrete_field_energy(grid: SectionGrid) -> np.ndarray:
-    """Energy series 1/2 sum(p_t^2 + (dy/dx)^2) dx of a 1+1 run."""
+def discrete_field_energy(grid: SectionGrid, h) -> np.ndarray:
+    """Energy series sum(e) dx of a 1+1 run of the Hamiltonian `h`, over
+    each time row: e = h - p1_2 dy1/dx2, the x1-component of the
+    energy-momentum balance, conserved when h does not depend on x1."""
     import numpy as np
     if grid.kind != "field1p1":
         raise ChartMismatchError("energy series needs a 1+1 field run")
-    dx = grid.meta["dx"]
-    pt = grid.fields["p1_1"]
+    coords = BundleChart(2, 1).coords("J1")   # x1, x2, y1, p1_1, p1_2
+    f_h = sp.lambdify(coords, h, [np])
+    y, pt, px = (grid.fields[c.name] for c in coords[2:])
     # a blown-up run overflows here; the caller refuses the non-finite drift
     with np.errstate(over="ignore", invalid="ignore"):
-        dydx = _periodic_dx4(grid.fields["y1"], dx)
-        return 0.5 * np.sum(pt ** 2 + dydx ** 2, axis=1) * dx
+        e = f_h(grid.t[:, None], grid.x, y, pt, px) - px * _periodic_dx4(y, grid.meta["dx"])
+        return np.sum(e, axis=1) * grid.meta["dx"]
 
 
 def conservation_diagnostics(grid: SectionGrid, H) -> SolveReport:

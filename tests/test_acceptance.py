@@ -164,7 +164,7 @@ def test_criterion_07_wave_field(announce):
                            (0.0, 2 * np.pi), n)
     exact = np.cos(grid.t)[:, None] * np.sin(x)[None, :]
     err = float(np.max(np.abs(grid.fields["y1"] - exact)))
-    energy = discrete_field_energy(grid)
+    energy = discrete_field_energy(grid, ham.h)
     drift = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
     elapsed = time.perf_counter() - start
     ok = err < 1e-3 and drift < 1e-3 and elapsed < 30.0

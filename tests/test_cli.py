@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -352,6 +353,25 @@ class TestLegendre:
         assert report["round_trip"]["passed"] is True
         assert report["induced_h"]["text"] == "p1_1^2/2 - p1_2^2/2"
 
+    def test_round_trip_checks_the_inverse_velocities(self, capsys, tmp_path, monkeypatch):
+        # V = 2V + 1 induces h = -p1_1 - p1_2, whose dh/dy matches -dlag/dy:
+        # only dh/dp at p = dlag/dv, which is -1 and not v, shows it wrong
+        from hdw_forge import forms, legendre
+        real = legendre.legendre_maps
+
+        def wrong_inverse(model, **kwargs):
+            res = real(model, **kwargs)
+            onto = model.chart.coords("J1")
+            V = {s: forms.hold(2 * forms.read(v, onto) + 1, onto)
+                 for s, v in res.inverse_velocities.held.items()}
+            return dataclasses.replace(res, inverse_velocities=forms.HeldView(onto, V))
+
+        monkeypatch.setattr(cli, "legendre_maps", wrong_inverse)
+        status, report, _ = run_json(
+            capsys, "legendre", str(MODELS / "wave.hdw"), "--out", str(tmp_path))
+        assert report["induced_h"]["text"] == "-p1_1 - p1_2"
+        assert status == 1 and report["round_trip"] == {"passed": False}
+
     def test_degenerate_is_structured_outcome(self, capsys, tmp_path):
         status, report, _ = run_json(
             capsys, "legendre", str(MODELS / "degenerate.hdw"), "--out", str(tmp_path))
@@ -446,13 +466,34 @@ class TestSolve:
         assert grid.kind == "field1p1"
         assert grid.fields["y1"].shape == (201, 200)
 
+    def test_field_energy_is_taken_from_h(self, capsys, tmp_path):
+        # Klein-Gordon: e = h - p1_2 dy1/dx2 holds the 2 y1^2 term too
+        model = tmp_path / "kg.hdw"
+        model.write_text((MODELS / "wave.hdw").read_text().replace(
+            "[lagrangian]\nlag = (v1_1^2 - v1_2^2)/2",
+            "[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2 + 2*y1^2"))
+        status, report, _ = run_json(capsys, "solve", str(model), "--out", str(tmp_path))
+        assert status == 0
+        assert report["metrics"]["energy_drift_rel"] < 1e-5
+
+    def test_time_dependent_h_reports_no_energy_drift(self, capsys, tmp_path):
+        # e is not conserved when h depends on x1
+        model = tmp_path / "forced.hdw"
+        model.write_text((MODELS / "wave.hdw").read_text().replace(
+            "[lagrangian]\nlag = (v1_1^2 - v1_2^2)/2",
+            "[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2 + x1*y1"))
+        status, report, _ = run_json(capsys, "solve", str(model), "--out", str(tmp_path))
+        assert status == 0
+        assert list(report["metrics"]) == ["dt", "dx", "steps", "warnings"]
+
     def test_blown_up_run_is_refused_before_any_output(self, capsys, tmp_path):
         # the file's dt over an 800-point dx is dt/dx = 4, past the RK4 x fd4
-        # limit: every state stays finite but the energy overflows
+        # limit: every state stays finite but the energy overflows, h to
+        # inf - inf
         status, out, err = run(capsys, "solve", str(MODELS / "wave.hdw"), "--grid", "800",
                                "--out", str(tmp_path / "out"))
         assert status == 2 and out == ""
-        assert err == "error: energy_drift_rel is inf, not finite: the run blew up\n"
+        assert err == "error: energy_drift_rel is nan, not finite: the run blew up\n"
         assert not (tmp_path / "out").exists()
 
     def test_grid_csv_round_trip(self, tmp_path, capsys):
@@ -1133,6 +1174,23 @@ class TestContract:
         status, out, err = run(capsys, "check", str(model), "--out", str(tmp_path / "out"))
         assert status == 2 and out == "" and not (tmp_path / "out").exists()
         assert err == f"error: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        (WAVE_H + "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\ny1 = 1.0\np1_1 = 0.0\n",
+         "kind ode needs a chart with m = 1"),
+        ("[bundle]\nm = 1\nn = 2\n[hamiltonian]\nh = (p1_1^2 + p2_1^2)/2\n"
+         "[solve]\nkind = field1p1\nt0 = 0\nt1 = 1\ndt = 0.01\nxmin = 0\nxmax = 6.28\n"
+         "points = 16\ny1 = sin(x2)\n", "kind field1p1 needs a chart with m = 2, n = 1"),
+    ], ids=["ode-on-m2", "field1p1-on-1-2"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_run_kind_on_the_wrong_chart_exits_2_at_its_kind_line(self, capsys, tmp_path,
+                                                                  command, text, message):
+        # the rule the solver applies, refused where the model states the kind
+        model = tmp_path / "kind.hdw"
+        model.write_text(text)
+        status, out, err = run(capsys, command, str(model), "--out", str(tmp_path / "out"))
+        assert status == 2 and out == "" and not (tmp_path / "out").exists()
+        assert err == f"error: line 7: {message}\n"
 
     @pytest.mark.parametrize("p,sample,problem", [
         ("1/u1", "0 0.3", "cannot be evaluated there (ZeroDivisionError)"),

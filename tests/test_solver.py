@@ -22,10 +22,13 @@ def _oscillator_model():
     return HamiltonianModel(chart, (chart.p(1, 1) ** 2 + chart.y(1) ** 2) / 2)
 
 
-def _wave_field():
+def _wave_model():
     chart = BundleChart(2, 1)
-    h = (chart.p(1, 1) ** 2 - chart.p(1, 2) ** 2) / 2
-    return derive_restricted(HamiltonianModel(chart, h))
+    return HamiltonianModel(chart, (chart.p(1, 1) ** 2 - chart.p(1, 2) ** 2) / 2)
+
+
+def _wave_field():
+    return derive_restricted(_wave_model())
 
 
 def reference_ode(X, init, t0, t1, dt):
@@ -341,7 +344,7 @@ class TestSolveField1p1:
         dt = 2 * np.pi / 200
         grid = solve_field_1p1(_wave_field(), np.sin(x), np.zeros(n),
                                (0.0, 2 * np.pi), dt, (0.0, 2 * np.pi), n)
-        energy = discrete_field_energy(grid)
+        energy = discrete_field_energy(grid, _wave_model().h)
         assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-3
 
     def test_zero_init_stays_zero(self):
@@ -379,6 +382,11 @@ class TestSolveField1p1:
             solve_field_1p1(X, np.zeros(8), np.zeros(8),
                             (0.0, 1.0), 0.1, (0.0, 2 * np.pi), 8)
 
+    def test_requires_field_chart(self):
+        with pytest.raises(ChartMismatchError):
+            solve_field_1p1(derive_restricted(_oscillator_model()), np.zeros(8), np.zeros(8),
+                            (0.0, 1.0), 0.1, (0.0, 2 * np.pi), 8)
+
     def test_cfl_warning(self):
         n = 16
         dx = 2 * np.pi / n
@@ -390,7 +398,7 @@ class TestSolveField1p1:
         grid = solve_ode(derive_restricted(_oscillator_model()),
                          {"y1": 1.0, "p1_1": 0.0}, (0.0, 1.0), 0.01)
         with pytest.raises(ChartMismatchError):
-            discrete_field_energy(grid)
+            discrete_field_energy(grid, _wave_model().h)
 
 
 class TestDiscrepancy:

@@ -16,7 +16,7 @@ with this script, its models and its inputs), prints each group whose
 digest differs or that only one side has, and exits 1 if any does (2 if
 either side fails to run).
 
-There are 52 groups:
+There are 54 groups:
 
 - `fields`, `battery`, `curvature`, `forms`: the srepr and str of F, G and
   g of both derived fields, the verdicts and details of `standard_checks`
@@ -70,12 +70,15 @@ There are 52 groups:
   `1/y1`, `sqrt`, exp of both signs, exp of a sum, `sin(2*y1)` next to
   `sin(y1)`, unexpanded powers with atoms, a cancelling fraction);
 - `cli ...`: exit status, stdout, stderr and written report of every
-  command on the bundled models, with timestamps and paths stripped;
+  command on the bundled models, and of `solve` on the wave model with the
+  Klein-Gordon Hamiltonian of `KLEIN_GORDON`, with timestamps and paths
+  stripped;
 - `cli input errors`: exit status, stdout and stderr of `check` on each
   model of `SPELLINGS` and with the injection file `SPELLED_INJECTION`,
   each holding a key whose index has a leading zero, on `BASE_INIT` and
   `PE_INIT`, whose [solve] blocks give the base coordinate x1 and the
-  scalar momentum pe as initial data, and on each model of
+  scalar momentum pe as initial data, on each model of `KIND_CHARTS`,
+  whose [solve] kind does not take the model's chart, and on each model of
   `SUBMANIFOLDS`, whose [submanifold] block repeats a parameter, names
   none or has a sample outside the embedding's domain;
 - `grid ...`: the sha256 of each grid CSV a `solve` wrote, including the
@@ -159,6 +162,18 @@ BASE_INIT = (_OSC.replace("y1^2)/2", "y1^2)/2 + x1*y1")
 # a model whose extended [solve] block gives pe, which a run sets to -h(t0)
 PE_INIT = (_OSC + "[solve]\nkind = ode\nextended = true\nt0 = 0\nt1 = 1\ndt = 0.1\n"
            "y1 = 1.0\np1_1 = 0.0\npe = 3\n")
+# a [solve] kind on a chart it does not take: ode on m = 2, field1p1 on (1, 2)
+KIND_CHARTS = {
+    "kind-ode-m2": _WAVE + "[solve]\nkind = ode\nt0 = 0\nt1 = 1\ndt = 0.1\n"
+    "y1 = 1.0\np1_1 = 0.0\n",
+    "kind-field1p1-1-2": "[bundle]\nm = 1\nn = 2\n[hamiltonian]\nh = (p1_1^2 + p2_1^2)/2\n"
+    "[solve]\nkind = field1p1\nt0 = 0\nt1 = 1\ndt = 0.01\nxmin = 0\nxmax = 6.28\n"
+    "points = 16\ny1 = sin(x2)\n",
+}
+# the wave model with its Lagrangian replaced by a Klein-Gordon Hamiltonian,
+# whose field energy holds a potential term
+KLEIN_GORDON = ("[lagrangian]\nlag = (v1_1^2 - v1_2^2)/2",
+                "[hamiltonian]\nh = (p1_1^2 - p1_2^2)/2 + 2*y1^2")
 # [submanifold] blocks with a repeated parameter, with no parameter and
 # with a sample at which the contraction matrix cannot be evaluated (1/u1 at
 # u1 = 0)
@@ -666,6 +681,10 @@ def cli_groups(tmp) -> dict:
     runs.append(["solve", wave] + wide)
     runs.append(["compare", wave] + wide
                 + ["--against", str(tmp / "out" / "wave.solve.grid.csv")])
+    klein_gordon = tmp / "klein-gordon.hdw"
+    klein_gordon.write_text((MODELS / "wave.hdw").read_text(encoding="utf-8")
+                            .replace(*KLEIN_GORDON), encoding="utf-8")
+    runs.append(["solve", str(klein_gordon)])
     for argv in runs:
         argv = argv + ["--out", str(tmp / "out")]
         key = _strip(" ".join(argv), tmp)
@@ -688,7 +707,7 @@ def input_error_lines(tmp) -> list:
     out = tmp / "input-errors"
     runs = {}
     for name, text in {**SPELLINGS, "solve-base": BASE_INIT, "solve-pe": PE_INIT,
-                       **SUBMANIFOLDS}.items():
+                       **KIND_CHARTS, **SUBMANIFOLDS}.items():
         (tmp / f"{name}.hdw").write_text(text, encoding="utf-8")
         runs[name] = ["check", str(tmp / f"{name}.hdw")]
     inject = tmp / "inject-spelled.json"
